@@ -155,7 +155,7 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
     # effective hamiltonian structure
     checks.append(_check("heff-hermiticity", hermiticity_defect(g.h_eff),
                          1e-12 * max(1.0, float(np.abs(g.h_eff).max()))))
-    if g.mode == "secular" and g.h_ls is not None:
+    if g.h_ls is not None:
         comm = h_sys @ g.h_ls - g.h_ls @ h_sys
         ls_scale = max(1.0, float(np.abs(g.h_ls).max())) * h_scale
         checks.append(_check("lamb-shift-commutes", float(np.abs(comm).max()),
@@ -339,11 +339,11 @@ def build_report(scenario: Scenario, scenario_name: str):
         "rate_tensors": {
             "K": k_json,
             "kappa": kappa_json,
-            "pauli_gain": (_real_matrix_to_json(res.rate_tensors.pauli_gain)
-                           if res.rate_tensors.pauli_gain is not None else None),
+            "pauli_gain": (_real_matrix_to_json(res.pauli.gain)
+                           if res.pauli.gain is not None else None),
             "coherence_decay": (
-                _real_matrix_to_json(res.rate_tensors.coherence_decay)
-                if res.rate_tensors.coherence_decay is not None else None),
+                _real_matrix_to_json(res.pauli.coherence_decay)
+                if res.pauli.coherence_decay is not None else None),
         },
         "pauli_flags": list(res.pauli.flags),
         "timescale": timescale,
@@ -480,7 +480,12 @@ def cmd_oracle(scenario_path: str, coupling_scale: float = 1.0) -> int:
         policy=scenario.policy,
         degeneracy_tol=scenario.degeneracy_tol,
     )
-    lind = propagate(scenario.rho0, res.generator, scenario.times, method="expm")
+    try:
+        lind = propagate(scenario.rho0, res.generator, scenario.times,
+                         method="expm")
+    except PropagationError as exc:
+        _emit_error("propagation", exc)
+        return EXIT_INVARIANT
     oracle = exact_oracle(scenario.h_a, bath, scaled_ops, scenario.rho0,
                           scenario.times)
 

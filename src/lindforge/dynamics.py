@@ -22,7 +22,6 @@ from .bath import AnalyticBath, FiniteBath, estimate_correlation_time, gamma_mat
 from .generator import Generator, generator_superoperator_matrix, rhs_function
 from .linalg import (
     DimensionError,
-    Superoperator,
     as_operator,
     hermiticity_defect,
     matrix_exponential_unitary,
@@ -121,45 +120,12 @@ def _sample_diagnostics(state):
     return float(trace_defect), float(herm_defect), min_eig
 
 
-def liouvillian_superoperator(g: Generator) -> Superoperator:
-    """Dense matrix realization of the generator, column-stacking convention.
-
-    The matrix is cross-checked against direct rhs evaluation on 10 random
-    density matrices to 1e-12 before being returned.
-    """
-    mat = generator_superoperator_matrix(g)
-    rhs = rhs_function(g)
-    dim = g.dim
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = m @ m.conj().T
-        rho = rho / np.trace(rho)
-        direct = rhs(rho)
-        via_matrix = unvec(mat @ vec(rho), dim)
-        scale = max(1.0, float(np.abs(direct).max()))
-        if np.abs(via_matrix - direct).max() > 1e-12 * scale:
-            raise RuntimeError(
-                "superoperator matrix disagrees with direct rhs evaluation"
-            )
-    return Superoperator(dim=dim, matrix=mat)
-
-
 def _rhs_norm_bound(g: Generator) -> float:
     """Crude spectral-norm bound on the generator, used for rk4 step control."""
-    from .generator import _presecular_pieces, _secular_pieces
-
-    norm = lambda m: float(np.linalg.norm(m, 2))
-    bound = 2.0 * norm(g.h_eff)
-    if g.mode == "secular":
-        sandwich, big_b = _secular_pieces(g)
-        bound += norm(big_b)
-    else:
-        sandwich, g_left = _presecular_pieces(g)
-        bound += 2.0 * norm(g_left)
-    for left, right in sandwich:
-        bound += norm(left) * norm(right)
-    return bound
+    big_g, left, right = g.pieces
+    norms = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
+    bound = 2.0 * norms(g.h_eff) + 2.0 * norms(big_g)
+    return float(bound + (norms(left) * norms(right)).sum())
 
 
 def _build_trajectory(times, states, method: str, complete: bool = True) -> Trajectory:

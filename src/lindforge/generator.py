@@ -1,28 +1,38 @@
 """Master-equation generators in standard form, plus rate tensors and Pauli reduction.
 
-The secular generator is
+Both modes reduce to one contracted standard form
 
-    d rho / dt = -i [h_eff, rho]
-                 + sum_W sum_ab gamma_ab(W) (A_b(W) rho A_a(W)^+
-                                             - 1/2 {A_a(W)^+ A_b(W), rho})
+    d rho / dt = -i [h_eff, rho] + G rho + rho G^+ + sum_p L_p rho R_p
 
-with h_eff = h_a + h_ls and the frequency shift
-h_ls = sum_W sum_ab delta_ab(W) A_a(W)^+ A_b(W).
+with the sandwich factors stored as stacked (P, d, d) arrays. Stack the
+eigenoperators as A[W, a] and contract over the source frequency and channel
+first:
 
-The presecular generator keeps cross terms between different transition
-frequencies, weighted by the coarse-graining filter F; with an exact-match
-filter it collapses back to the secular form (Lamb shift included).
+    M[W', a] = sum_(W, b) c(W', W) C_ab(W) A_b(W).
+
+The presecular generator keeps the cross terms between transition
+frequencies: c = F(W' - W), the coarse-graining filter of the policy, and
+C = W = Gamma/2 + i Delta. Its pairs are (M, A_a(W')^+) and the mirror
+(A_a(W'), M^+), with G = -sum A^+ M, so the frequency shift sits inside G
+and h_eff is the bare system hamiltonian.
+
+The secular generator takes c = delta(W', W) and C = Gamma. Because Gamma
+is hermitian the mirror pairs sum to the same superoperator as the first
+list, so they are folded in at full rate: L = M, R = A^+, G = -B/2 with
+B = sum A^+ M. Its frequency shift h_ls = sum_W sum_ab Delta_ab(W)
+A_a(W)^+ A_b(W) is kept in h_eff = h_a + h_ls. With an exact-match filter
+the presecular generator collapses back to the secular one.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .bath import delta_matrix, gamma_matrix
-from .linalg import Superoperator, as_operator, hermiticity_defect
+from .linalg import MAX_TENSOR_DIM, DimensionError, as_operator, hermiticity_defect
 from .spectral import (
     EigenOperatorSet,
     Spectrum,
@@ -30,20 +40,15 @@ from .spectral import (
     eigenoperator_decomposition,
 )
 
-# filter weights below this magnitude contribute nothing detectable at the
-# generator tolerances and are skipped when assembling presecular terms
-NEGLIGIBLE_WEIGHT = 1e-16
 
-
-def coarse_graining_f(x: float, dt: float) -> complex:
+def coarse_graining_f(x, dt: float):
     """Coarse-graining filter F(x) = exp(i x dt / 2) sin(x dt / 2) / (x dt / 2).
 
-    F(0) = 1 and F vanishes at x = 2 pi n / dt for integer n != 0.
+    F(0) = 1 and F vanishes at x = 2 pi n / dt for integer n != 0. Accepts
+    scalars or arrays of x.
     """
-    u = 0.5 * float(x) * float(dt)
-    if u == 0.0:
-        return 1.0 + 0.0j
-    return cmath.exp(1j * u) * (cmath.sin(u) / u)
+    u = 0.5 * np.asarray(x, dtype=float) * float(dt)
+    return np.exp(1j * u) * np.sinc(u / np.pi)
 
 
 @dataclass(frozen=True)
@@ -72,13 +77,15 @@ class SecularPolicy:
             raise ValueError("matching_tol must be >= 0")
 
 
-def secular_filter(omega_prime: float, omega: float, policy: SecularPolicy) -> complex:
-    """Weight attached to the frequency pair (omega_prime, omega)."""
+def secular_filter(omega_prime, omega, policy: SecularPolicy):
+    """Weight attached to the frequency pair (omega_prime, omega).
+
+    Broadcasts over arrays of frequencies.
+    """
+    diff = np.subtract(omega_prime, omega)
     if policy.filter == "exact-match":
-        if abs(omega_prime - omega) <= policy.matching_tol:
-            return 1.0 + 0.0j
-        return 0.0 + 0.0j
-    return coarse_graining_f(omega_prime - omega, policy.dt)
+        return (np.abs(diff) <= policy.matching_tol).astype(complex)
+    return coarse_graining_f(diff, policy.dt)
 
 
 @dataclass(frozen=True)
@@ -108,12 +115,15 @@ class DissipatorTerm:
 
 @dataclass(frozen=True)
 class Generator:
-    """Right-hand side of the master equation d rho / dt = rhs(rho)."""
+    """Right-hand side of the master equation d rho / dt = rhs(rho).
+
+    mode 'presecular' needs the SecularPolicy whose filter weights the
+    cross-frequency terms.
+    """
 
     h_eff: np.ndarray
     dissipator_terms: tuple[DissipatorTerm, ...]
     mode: str
-    presecular_dt: float | None = None
     h_ls: np.ndarray | None = None
     policy: SecularPolicy | None = None
 
@@ -121,9 +131,58 @@ class Generator:
     def dim(self) -> int:
         return self.h_eff.shape[0]
 
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Contracted standard form (G, L, R), built once per generator.
+
+        G is d x d; L and R are (P, d, d) stacks of the sandwich factors, with
+        pairs that vanish identically dropped.
+        """
+        dim = self.dim
+        terms = self.dissipator_terms
+        if not terms:
+            empty = np.zeros((0, dim, dim), dtype=complex)
+            return np.zeros((dim, dim), dtype=complex), empty, empty
+        n_w, n_ch = len(terms), terms[0].channel_count
+        secular = self.mode == "secular"
+        if not secular and self.policy is None:
+            raise ValueError("presecular generator needs a SecularPolicy")
+        ops = np.array([t.ops for t in terms], dtype=complex)  # A[W, a]
+        rates = np.array([t.gamma if secular else t.w_matrix() for t in terms],
+                         dtype=complex)
+        # M[W', a] = sum_(W, b) c(W', W) C_ab(W) A_b(W): channels first, then
+        # the filter over the source frequency (c is the identity if secular)
+        m = rates @ ops.reshape(n_w, n_ch, dim * dim)
+        if not secular:
+            omegas = np.array([t.omega for t in terms])
+            weights = secular_filter(omegas[:, None], omegas[None, :], self.policy)
+            m = weights @ m.reshape(n_w, -1)
+        m = m.reshape(n_w * n_ch, dim, dim)
+        a = ops.reshape(n_w * n_ch, dim, dim)
+        a_dag = a.conj().transpose(0, 2, 1)
+        loss = _sum_of_products(a_dag, m)
+        if secular:
+            # Gamma is hermitian, so the mirror pairs (A, M^+) sum to the same
+            # superoperator as (M, A^+); they are folded in at full rate
+            big_g = -0.5 * _hermitize(loss)
+            left, right = m, a_dag
+        else:
+            big_g = -loss
+            left = np.concatenate([m, a])
+            right = np.concatenate([a_dag, m.conj().transpose(0, 2, 1)])
+        keep = (np.abs(left).max(axis=(1, 2)) > 0.0) & (
+            np.abs(right).max(axis=(1, 2)) > 0.0)
+        return big_g, left[keep], right[keep]
+
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
+
+
+def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_p x[p] @ y[p] for (P, d, d) stacks, as one (d, P d) @ (P d, d) GEMM."""
+    n_p, dim, _ = x.shape
+    return x.transpose(1, 0, 2).reshape(dim, n_p * dim) @ y.reshape(n_p * dim, dim)
 
 
 def _reconstruct_hamiltonian(spectrum: Spectrum) -> np.ndarray:
@@ -187,7 +246,6 @@ def build_standard_form(spectrum, eigenops, bath) -> Generator:
         h_eff=h_eff,
         dissipator_terms=tuple(terms),
         mode="secular",
-        presecular_dt=None,
         h_ls=h_ls,
         policy=None,
     )
@@ -208,113 +266,21 @@ def build_presecular(spectrum, eigenops, bath, policy: SecularPolicy) -> Generat
         h_eff=h_a,
         dissipator_terms=tuple(terms),
         mode="presecular",
-        presecular_dt=policy.dt,
         h_ls=None,
         policy=policy,
     )
 
 
-def _secular_pieces(g: Generator):
-    """Precompute per-term contraction operators for the secular rhs.
-
-    For each term: c_ops[a] = sum_b gamma_ab A_b, so the gain reads
-    sum_a c_ops[a] rho A_a^+; the loss uses the single hermitized matrix
-    B = sum_terms sum_ab gamma_ab A_a^+ A_b.
-    """
-    dim = g.dim
-    big_b = np.zeros((dim, dim), dtype=complex)
-    sandwich = []
-    for t in g.dissipator_terms:
-        k = t.channel_count
-        for a in range(k):
-            c_op = np.zeros((dim, dim), dtype=complex)
-            for b in range(k):
-                if t.gamma[a, b] == 0:
-                    continue
-                c_op = c_op + t.gamma[a, b] * t.ops[b]
-            if np.abs(c_op).max() == 0.0:
-                continue
-            a_dag = t.ops[a].conj().T
-            sandwich.append((c_op, a_dag))
-            big_b += a_dag @ c_op
-    big_b = _hermitize(big_b)
-    return sandwich, big_b
-
-
-def _presecular_pieces(g: Generator):
-    """Expand the presecular double sum into sandwich terms plus a one-sided pair.
-
-    Each ordered frequency pair (W source, W' target) and channel pair (a, b)
-    contributes, with c = F(W' - W) W_ab(W):
-
-        c       A_b(W)  rho A_a(W')^+      - c       A_a(W')^+ A_b(W) rho
-        conj(c) A_a(W') rho A_b(W)^+       - conj(c) rho A_b(W)^+ A_a(W')
-
-    The one-sided parts accumulate into a single matrix G (and its adjoint).
-    """
-    policy = g.policy
-    if policy is None:
-        policy = SecularPolicy(
-            dt=g.presecular_dt, filter="F-weighted", matching_tol=0.0
-        )
-    dim = g.dim
-    terms = g.dissipator_terms
-    w_mats = [t.w_matrix() for t in terms]
-    nonzero = [
-        [np.abs(op).max() > 0.0 for op in t.ops] for t in terms
-    ]
-    sandwich = []
-    g_left = np.zeros((dim, dim), dtype=complex)
-    for i, src in enumerate(terms):
-        for j, dst in enumerate(terms):
-            f_w = secular_filter(dst.omega, src.omega, policy)
-            if abs(f_w) <= NEGLIGIBLE_WEIGHT:
-                continue
-            k = src.channel_count
-            for a in range(k):
-                if not nonzero[j][a]:
-                    continue
-                dst_a_dag = dst.ops[a].conj().T
-                for b in range(k):
-                    if not nonzero[i][b]:
-                        continue
-                    c = f_w * w_mats[i][a, b]
-                    if abs(c) <= NEGLIGIBLE_WEIGHT:
-                        continue
-                    src_b = src.ops[b]
-                    sandwich.append((c * src_b, dst_a_dag))
-                    sandwich.append((np.conj(c) * dst.ops[a], src_b.conj().T))
-                    g_left += -c * (dst_a_dag @ src_b)
-    return sandwich, g_left
-
-
 def rhs_function(g: Generator):
-    """Return rhs(rho) as a reusable closure with terms precomputed."""
-    h = g.h_eff
-    if g.mode == "secular":
-        sandwich, big_b = _secular_pieces(g)
-        half_b = 0.5 * big_b
-
-        def rhs(rho):
-            rho = np.asarray(rho, dtype=complex)
-            out = -1j * (h @ rho - rho @ h)
-            out -= half_b @ rho + rho @ half_b
-            for left, right in sandwich:
-                out += left @ rho @ right
-            return out
-
-        return rhs
-
-    sandwich, g_left = _presecular_pieces(g)
-    g_right = g_left.conj().T
+    """Return rhs(rho) as a reusable closure over the contracted pieces."""
+    big_g, left, right = g.pieces
+    # -i [H, rho] + G rho + rho G^+ = K rho + rho K^+ with K = G - i H
+    k_op = big_g - 1j * g.h_eff
+    k_dag = k_op.conj().T
 
     def rhs(rho):
         rho = np.asarray(rho, dtype=complex)
-        out = -1j * (h @ rho - rho @ h)
-        out += g_left @ rho + rho @ g_right
-        for left, right in sandwich:
-            out += left @ rho @ right
-        return out
+        return k_op @ rho + rho @ k_dag + _sum_of_products(left @ rho, right)
 
     return rhs
 
@@ -325,20 +291,25 @@ def apply_rhs(g: Generator, rho) -> np.ndarray:
 
 
 def generator_superoperator_matrix(g: Generator) -> np.ndarray:
-    """Dense d^2 x d^2 matrix of the generator in column-stacking convention."""
+    """Dense d^2 x d^2 matrix of the generator in column-stacking convention.
+
+    Raises DimensionError before allocating when d^2 exceeds MAX_TENSOR_DIM.
+    """
     dim = g.dim
+    if dim * dim > MAX_TENSOR_DIM:
+        raise DimensionError(
+            f"superoperator would be {dim * dim}x{dim * dim}, "
+            f"cap is {MAX_TENSOR_DIM}"
+        )
+    big_g, left, right = g.pieces
+    k_op = big_g - 1j * g.h_eff
     eye = np.eye(dim, dtype=complex)
-    h = g.h_eff
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    if g.mode == "secular":
-        sandwich, big_b = _secular_pieces(g)
-        half_b = 0.5 * big_b
-        mat -= np.kron(eye, half_b) + np.kron(half_b.T, eye)
-    else:
-        sandwich, g_left = _presecular_pieces(g)
-        mat += np.kron(eye, g_left) + np.kron(g_left.conj(), eye)
-    for left, right in sandwich:
-        mat += np.kron(right.T, left)
+    mat = np.kron(eye, k_op) + np.kron(k_op.conj(), eye)
+    # sum_p kron(R_p^T, L_p): entry ((i, j), (k, l)) is sum_p R_p[k, i] L_p[j, l]
+    n_p = left.shape[0]
+    sandwich = right.reshape(n_p, dim * dim).T @ left.reshape(n_p, dim * dim)
+    mat += sandwich.reshape(dim, dim, dim, dim).transpose(1, 2, 0, 3).reshape(
+        dim * dim, dim * dim)
     return mat
 
 
@@ -354,15 +325,12 @@ class RateTensors:
     rho_mn to d rho_ab; it is stored only on quadruples where the transition
     frequencies match (omega_m - omega_a = omega_n - omega_b after snapping
     to the Bohr set). kappa maps same-multiplet pairs (i, j) to the escape
-    coefficient sum_w K(w i, w j). pauli_gain / coherence_decay hold the
-    nondegenerate closed-form rates and are None when any multiplet is
-    degenerate (use pauli_equations for the block forms).
+    coefficient sum_w K(w i, w j). pauli_equations reduces them to population
+    and coherence rates.
     """
 
     K: dict
     kappa: dict
-    pauli_gain: np.ndarray | None
-    coherence_decay: np.ndarray | None
     spectrum: Spectrum = field(repr=False, compare=False, default=None)
 
 
@@ -592,17 +560,12 @@ def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
 
 
 def build_rate_tensors(spectrum: Spectrum, system_ops, bath) -> RateTensors:
-    """Rotate couplings to the eigenbasis and assemble K, kappa and the
-    nondegenerate Pauli rates in one go."""
+    """Rotate couplings to the eigenbasis and assemble K and kappa."""
     v = spectrum.basis
     mats = [v.conj().T @ as_operator(a, "coupling operator") @ v for a in system_ops]
     k_map = rate_tensor_K(spectrum, mats, lambda w: gamma_matrix(bath, w))
-    rt = RateTensors(K=k_map, kappa={}, pauli_gain=None, coherence_decay=None,
-                     spectrum=spectrum)
-    kap = kappa(rt)
-    rt = replace(rt, kappa=kap)
-    red = pauli_equations(rt, spectrum)
-    return replace(rt, pauli_gain=red.gain, coherence_decay=red.coherence_decay)
+    rt = RateTensors(K=k_map, kappa={}, spectrum=spectrum)
+    return replace(rt, kappa=kappa(rt))
 
 
 # ---------------------------------------------------------------------------

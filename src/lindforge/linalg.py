@@ -105,17 +105,6 @@ def unvec(v, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Superoperator:
-    """d^2 x d^2 matrix acting on column-stacked density matrices."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def apply(self, rho) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho), self.dim)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of density-matrix validation. Never raised, only reported."""
 

@@ -297,6 +297,34 @@ def test_oracle_respects_dimension_cap(tmp_path, capsys, monkeypatch):
     assert "LF_MAX_DIM" in err
 
 
+def test_oracle_reports_propagation_failure(tmp_path, capsys, monkeypatch):
+    # presecular generators are not guaranteed positive: this coarse-grained
+    # one drives the state negative, which is an invariant failure (exit 1
+    # with a JSON error), not a traceback
+    monkeypatch.chdir(tmp_path)
+    coupling = [[0.3, -0.7, -0.4], [-0.7, 0.6, 0.6], [-0.4, 0.6, 0.1]]
+    data = flat_thermal_data(
+        system={"eigenvalues": [0.0, 1.0, 1.13835]},
+        bath={
+            "kind": "finite",
+            "modes": [{"frequency": f, "coupling": c} for f, c in
+                      ((0.24, 0.08), (1.14, 0.30), (1.06, 0.17), (1.60, 0.22))],
+            "temperature": 1.0,
+            "broadening": 0.1,
+        },
+        couplings=[{"A": cm(coupling)}],
+        times={"t_max": 20.0, "samples": 11},
+        policy={"mode": "presecular", "filter": "F-weighted", "dt": 2.17},
+    )
+    path = write_scenario(tmp_path, data)
+    for command in ("evolve", "oracle"):
+        code, _, err = run_cli(capsys, command, path)
+        assert code == 1
+        error = json.loads(err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "propagation"
+        assert "min eigenvalue" in error["message"]
+
+
 def test_oracle_rejects_analytic_bath(tmp_path, capsys):
     path = write_scenario(tmp_path, flat_thermal_data())
     code, _, err = run_cli(capsys, "oracle", path)

@@ -9,16 +9,19 @@ from lindforge import (
     FiniteBath,
     Generator,
     PropagationError,
+    SecularPolicy,
     apply_rhs,
     derive_generator,
     exact_oracle,
     flat_thermal_bath,
+    generator_superoperator_matrix,
     interaction_picture,
-    liouvillian_superoperator,
     propagate,
     qubit_mode_bath,
     table_bath,
     timescale_report,
+    unvec,
+    vec,
 )
 
 from _support import random_density, random_hermitian, sigma_ops
@@ -43,42 +46,61 @@ def damping_bath(gamma_down, gamma_up=0.0):
     )
 
 
-def damping_generator(gamma_down, gamma_up=0.0):
+def damping_generator(gamma_down, gamma_up=0.0, **options):
     sx, _, _, _ = sigma_ops()
     h = np.diag([0.0, OMEGA0]).astype(complex)
-    return derive_generator(h, damping_bath(gamma_down, gamma_up), [sx]).generator
+    return derive_generator(h, damping_bath(gamma_down, gamma_up), [sx],
+                            **options).generator
 
 
 def test_liouvillian_of_trivial_generator_is_zero():
     gen = Generator(h_eff=np.zeros((2, 2), dtype=complex), dissipator_terms=(), mode="secular")
-    sup = liouvillian_superoperator(gen)
-    assert np.abs(sup.matrix).max() == 0.0
+    assert np.abs(generator_superoperator_matrix(gen)).max() == 0.0
+
+
+def test_superoperator_is_capped_before_allocation():
+    dim = 91  # dim^2 = 8281 exceeds linalg.MAX_TENSOR_DIM = 8192
+    gen = Generator(h_eff=np.zeros((dim, dim), dtype=complex), dissipator_terms=(),
+                    mode="secular")
+    rho0 = np.eye(dim, dtype=complex) / dim
+    with pytest.raises(DimensionError):
+        generator_superoperator_matrix(gen)
+    with pytest.raises(DimensionError):
+        propagate(rho0, gen, [0.0, 1.0])
+    # rk4 never forms the matrix, so it is not capped
+    traj = propagate(rho0, gen, [0.0, 1.0], method="rk4")
+    assert np.abs(traj.states[-1] - rho0).max() == 0.0
 
 
 def test_liouvillian_of_free_evolution_has_bohr_eigenvalues():
     h = np.diag([0.0, OMEGA0]).astype(complex)
     gen = Generator(h_eff=h, dissipator_terms=(), mode="secular")
-    evals = np.sort_complex(np.linalg.eigvals(liouvillian_superoperator(gen).matrix))
+    evals = np.sort_complex(np.linalg.eigvals(generator_superoperator_matrix(gen)))
     expected = np.sort_complex([0.0, 0.0, -1j * OMEGA0, 1j * OMEGA0])
     assert np.abs(evals - expected).max() < 1e-12
 
 
 def test_liouvillian_of_damped_qubit_has_known_spectrum():
     gen = damping_generator(GAMMA)
-    evals = np.linalg.eigvals(liouvillian_superoperator(gen).matrix)
+    evals = np.linalg.eigvals(generator_superoperator_matrix(gen))
     expected = np.sort_complex(
         [0.0, -GAMMA, -0.5 * GAMMA + 1j * OMEGA0, -0.5 * GAMMA - 1j * OMEGA0]
     )
     assert np.abs(np.sort_complex(evals) - expected).max() < 1e-10
 
 
-def test_liouvillian_matches_rhs():
+@pytest.mark.parametrize("options", [
+    {"mode": "secular"},
+    {"mode": "presecular",
+     "policy": SecularPolicy(dt=3.0 / OMEGA0, filter="F-weighted")},
+], ids=["secular", "presecular"])
+def test_liouvillian_matches_rhs(options):
     rng = np.random.default_rng(61)
-    gen = damping_generator(GAMMA, 0.08)
-    sup = liouvillian_superoperator(gen)
+    gen = damping_generator(GAMMA, 0.08, **options)
+    mat = generator_superoperator_matrix(gen)
     for _ in range(5):
         rho = random_density(rng, 2)
-        assert np.abs(sup.apply(rho) - apply_rhs(gen, rho)).max() < 1e-12
+        assert np.abs(unvec(mat @ vec(rho), 2) - apply_rhs(gen, rho)).max() < 1e-12
 
 
 def test_excited_population_decays_exponentially():
@@ -135,7 +157,7 @@ def test_exactly_one_stationary_mode_for_ergodic_qubit():
     sx, _, _, _ = sigma_ops()
     h = np.diag([0.0, 1.0]).astype(complex)
     gen = derive_generator(h, flat_thermal_bath(0.2, 1.0), [sx]).generator
-    evals = np.linalg.eigvals(liouvillian_superoperator(gen).matrix)
+    evals = np.linalg.eigvals(generator_superoperator_matrix(gen))
     n_zero = int(np.sum(np.abs(evals.real) <= 1e-10))
     assert n_zero == 1
 

@@ -20,7 +20,13 @@ from lindforge import (
     table_bath,
 )
 
-from _support import random_density, random_hermitian, sigma_ops
+from _support import (
+    random_density,
+    random_hermitian,
+    reference_rhs,
+    reference_superoperator,
+    sigma_ops,
+)
 
 EXACT_TOL = 1e-13
 RHS_TOL = 1e-12
@@ -161,6 +167,32 @@ def random_table_scenario(rng, levels, n_channels=2, scale=0.3):
         delta = scale * random_hermitian(rng, n_channels)
         entries.append((float(omega), gamma, delta))
     return h, ops, table_bath(entries)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contracted_form_matches_term_by_term_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    dim = 2 + seed % 4
+    n_channels = 1 + seed % 2
+    levels = np.cumsum(rng.uniform(0.3, 1.5, dim)) - 0.5
+    h, ops, bath = random_table_scenario(rng, levels, n_channels=n_channels)
+    min_gap = np.diff(levels).min()
+    options = [("secular", None)] + [
+        ("presecular", SecularPolicy(dt=dt, filter=filt))
+        for dt in (1.0 / min_gap, 20.0 / min_gap)
+        for filt in ("exact-match", "F-weighted")
+    ]
+    for mode, policy in options:
+        gen = derive_generator(h, bath, ops, mode=mode, policy=policy).generator
+        assert any(np.abs(t.delta).max() > 0 for t in gen.dissipator_terms)
+        expected = reference_superoperator(gen)
+        got = generator_superoperator_matrix(gen)
+        assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
+        for rho in (random_density(rng, dim), rng.standard_normal((dim, dim))
+                    + 1j * rng.standard_normal((dim, dim))):
+            expected = reference_rhs(gen, rho)
+            got = apply_rhs(gen, rho)
+            assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
 
 
 def test_rate_tensor_symmetries_random_scenario():
@@ -339,6 +371,6 @@ def test_generator_preserves_trace_and_hermiticity():
 def test_kappa_requires_spectrum():
     from lindforge import RateTensors
 
-    rt = RateTensors(K={}, kappa={}, pauli_gain=None, coherence_decay=None)
+    rt = RateTensors(K={}, kappa={})
     with pytest.raises(ValueError):
         kappa(rt)

@@ -3,7 +3,6 @@ import pytest
 
 from lindforge import (
     DimensionError,
-    Superoperator,
     hermitian_eigendecomposition,
     hermiticity_defect,
     matrix_exponential_unitary,
@@ -129,12 +128,3 @@ def test_vec_unvec_roundtrip_and_kron_identity():
     lhs = vec(a @ rho @ b)
     rhs = np.kron(b.T, a) @ vec(rho)
     assert np.abs(lhs - rhs).max() < TOL
-
-
-def test_superoperator_apply_matches_matrix():
-    rng = np.random.default_rng(12)
-    dim = 3
-    mat = crandn(rng, dim * dim, dim * dim)
-    s = Superoperator(dim=dim, matrix=mat)
-    rho = random_density(rng, dim)
-    assert np.abs(vec(s.apply(rho)) - mat @ vec(rho)).max() < TOL

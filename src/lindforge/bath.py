@@ -30,7 +30,6 @@ from .linalg import (
     as_operator,
     hermiticity_defect,
     hermitian_eigendecomposition,
-    matrix_exponential_unitary,
     tensor_product,
 )
 
@@ -104,6 +103,8 @@ class FiniteBath:
             raise ValueError(f"broadening must be positive, got {broadening}")
         self.broadening = float(broadening)
         v = self._basis
+        self._sigma = (v * self._populations) @ v.conj().T
+        self._sigma.flags.writeable = False
         self._x_eig = [v.conj().T @ x @ v for x in self.coupling_ops]
         self._pair_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -116,8 +117,27 @@ class FiniteBath:
         return len(self.coupling_ops)
 
     def sigma(self) -> np.ndarray:
-        """The Gibbs density matrix sigma_B."""
-        return (self._basis * self._populations) @ self._basis.conj().T
+        """The Gibbs density matrix sigma_B (read-only, computed once)."""
+        return self._sigma
+
+    def _propagator(self, t: float) -> np.ndarray:
+        """e^{-i H_B t} from the cached eigendecomposition."""
+        v = self._basis
+        return (v * np.exp(-1j * self._energies * t)) @ v.conj().T
+
+    def _shifted(self, shifts) -> FiniteBath:
+        """Copy with X_alpha -> X_alpha - shifts[alpha] * 1, same eigenbasis.
+
+        A c-number shift leaves H_B, sigma_B and the eigenbasis untouched and
+        moves only the diagonal of each X_alpha in that basis.
+        """
+        eye = np.eye(self.dim)
+        new = object.__new__(FiniteBath)
+        new.__dict__.update(self.__dict__)
+        new.coupling_ops = [x - s * eye for x, s in zip(self.coupling_ops, shifts)]
+        new._x_eig = [x - s * eye for x, s in zip(self._x_eig, shifts)]
+        new._pair_cache = {}
+        return new
 
     def expectation(self, x) -> complex:
         """Tr{X sigma_B}."""
@@ -164,20 +184,13 @@ def center_couplings(bath: FiniteBath, system_ops) -> tuple[FiniteBath, np.ndarr
         raise ValueError(
             f"{len(system_ops)} system operators for {bath.channel_count} bath channels"
         )
-    dim_b = bath.dim
     means = [bath.expectation(x) for x in bath.coupling_ops]
-    shifted = [
-        x - mean * np.eye(dim_b) for x, mean in zip(bath.coupling_ops, means)
-    ]
     dim_a = system_ops[0].shape[0] if system_ops else 0
     h_shift = np.zeros((dim_a, dim_a), dtype=complex)
     for mean, a in zip(means, system_ops):
         h_shift = h_shift + mean * a
     h_shift = (h_shift + h_shift.conj().T) / 2.0
-    new_bath = FiniteBath(
-        bath.h_b, bath.temperature, shifted, broadening=bath.broadening
-    )
-    return new_bath, h_shift
+    return bath._shifted(means), h_shift
 
 
 def _canonical_sign(m: np.ndarray, scale: float) -> float:
@@ -260,9 +273,10 @@ def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2:
 
     Deliberately a separate route from correlation_function (dense Heisenberg
     operators instead of the eigenbasis sum) so stationarity can be tested.
+    U(t) = e^{-i H_B t} is built from the bath's one eigendecomposition.
     """
-    u1 = matrix_exponential_unitary(bath.h_b, t1)
-    u2 = matrix_exponential_unitary(bath.h_b, t2)
+    u1 = bath._propagator(t1)
+    u2 = bath._propagator(t2)
     xa = u1.conj().T @ bath.coupling_ops[alpha] @ u1
     xb = u2.conj().T @ bath.coupling_ops[beta] @ u2
     return complex(np.trace(xa.conj().T @ xb @ bath.sigma()))
@@ -497,16 +511,22 @@ def estimate_correlation_time(bath: FiniteBath, channels=None) -> CorrelationTab
     n = int(min(4096, max(64, math.ceil(t_end / dt))))
     taus = np.linspace(0.0, t_end, n)
     k = len(channels)
-    values = np.zeros((k, k, n), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            weights, fr = pair_data[i][j]
-            if len(weights) == 0:
-                continue
-            for start in range(0, n, 512):
-                stop = min(start + 512, n)
-                phases = np.exp(1j * np.outer(fr, taus[start:stop]))
-                values[i, j, start:stop] = weights @ phases
+    # one phase table over the union of the pairs' frequencies (bit-identical
+    # values share a row); each pair's weights are summed onto those rows
+    pairs = [pair for row in pair_data for pair in row]
+    union, where = np.unique(np.concatenate([fr for _, fr in pairs]),
+                             return_inverse=True)
+    rows = np.repeat(np.arange(len(pairs)), [len(w) for w, _ in pairs])
+    flat = rows * len(union) + where.ravel()
+    size = len(pairs) * len(union)
+    weights = np.concatenate([w for w, _ in pairs])
+    coef = (np.bincount(flat, weights.real, size)
+            + 1j * np.bincount(flat, weights.imag, size)).reshape(len(pairs), -1)
+    values = np.empty((k * k, n), dtype=complex)
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        values[:, start:stop] = coef @ np.exp(1j * np.outer(union, taus[start:stop]))
+    values = values.reshape(k, k, n)
     envelope = np.abs(values).max(axis=(0, 1))
     threshold = DECAY_THRESHOLD * scale0
     below = envelope <= threshold

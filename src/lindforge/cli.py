@@ -35,7 +35,13 @@ from .dynamics import (
     timescale_report,
 )
 from .generator import derive_generator, rhs_function
-from .linalg import DimensionError, hermiticity_defect, partial_trace_bath
+from .linalg import (
+    DimensionError,
+    hermiticity_defect,
+    kron_matmul,
+    matrix_exponential_unitary,
+    partial_trace_bath,
+)
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -254,15 +260,34 @@ def _finite_bath_checks(scenario: Scenario, res, bath: FiniteBath) -> list[dict]
     if d_a * d_b <= 1024:
         rng = np.random.default_rng(CHECK_SEED + 1)
         rho_ab = _random_density(rng, d_a * d_b)
-        h0 = np.kron(scenario.h_a, np.eye(d_b)) + np.kron(np.eye(d_a), bath.h_b)
-        t_probe = 0.37 / max(1.0, float(np.abs(h0).max()))
-        lhs = partial_trace_bath(interaction_picture(rho_ab, h0, t_probe, "to"),
-                                 d_a, d_b)
+        t_probe = 0.37 / max(1.0, _free_hamiltonian_scale(scenario.h_a, bath.h_b))
+        lhs = partial_trace_bath(
+            _free_picture(rho_ab, scenario.h_a, bath, t_probe), d_a, d_b)
         rhs_val = interaction_picture(partial_trace_bath(rho_ab, d_a, d_b),
                                       scenario.h_a, t_probe, "to")
         checks.append(_check("picture-reduction-invariance",
                              float(np.abs(lhs - rhs_val).max()), 1e-11))
     return checks
+
+
+def _free_hamiltonian_scale(h_a, h_b) -> float:
+    """Largest |entry| of H_0 = H_A x 1 + 1 x H_B, without forming H_0."""
+    def off_diagonal(m):
+        return float(np.abs(m - np.diag(np.diag(m))).max())
+    diagonal = np.abs(np.diag(h_a)[:, None] + np.diag(h_b)[None, :]).max()
+    return max(float(diagonal), off_diagonal(h_a), off_diagonal(h_b))
+
+
+def _free_picture(rho_ab, h_a, bath: FiniteBath, t: float) -> np.ndarray:
+    """U^+ rho U for the free propagator U = e^{-i H_A t} x e^{-i H_B t}.
+
+    Exact because H_A x 1 and 1 x H_B commute. U is applied factor by factor,
+    so no joint-sized matrix is diagonalised, formed or multiplied.
+    """
+    u_a = matrix_exponential_unitary(h_a, t)
+    u_b = bath._propagator(t)
+    half = kron_matmul(u_a.conj().T, u_b.conj().T, rho_ab)  # U^+ rho
+    return kron_matmul(u_a.T, u_b.T, half.T).T  # (U^T (U^+ rho)^T)^T
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .linalg import (
     DimensionError,
     as_operator,
     hermiticity_defect,
+    kron_matmul,
     matrix_exponential_unitary,
     unvec,
     vec,
@@ -269,9 +270,11 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times,
     for a_op, x_op in zip(ops, bath.coupling_ops):
         h = h + coupling_scale * np.kron(a_op, x_op)
     h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
+    # a real joint H (a mode comb in a real basis) takes the real symmetric
+    # solver, about 3x faster at D = 1024; V then stays real below
+    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
 
-    rho_bar = v.conj().T @ np.kron(rho_a0, bath.sigma()) @ v
+    rho_bar = _sandwich(v, rho_a0, bath.sigma())
     p = v.reshape(d_a, d_b, total)  # p[i, k, m] = <i,k|m>
 
     # rho_A(t)_ij = sum_mn (rho_bar * S_ij)[m,n] e^{-i w_m t} e^{+i w_n t}
@@ -292,6 +295,13 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times,
         states[k] = 0.5 * (states[k] + states[k].conj().T)
 
     return _build_trajectory(t, states, method="exact")
+
+
+def _sandwich(v: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
+    """V^+ (m_a x m_b) V with one joint-sized product; real if all are real."""
+    if not (np.iscomplexobj(v) or m_a.imag.any() or m_b.imag.any()):
+        return v.T @ kron_matmul(m_a.real, m_b.real, v)
+    return v.conj().T @ kron_matmul(m_a, m_b, v)
 
 
 def interaction_picture(op, h0, t: float, direction: str = "to") -> np.ndarray:

@@ -47,6 +47,17 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def kron_matmul(a, b, m) -> np.ndarray:
+    """(a (x) b) @ m without forming the Kronecker product.
+
+    Costs (d_a + d_b) * D * N multiply-adds for m of shape (D, N), D = d_a d_b,
+    instead of D^2 * N, and keeps real inputs real.
+    """
+    d_a, d_b = a.shape[0], b.shape[0]
+    out = np.tensordot(a, np.reshape(m, (a.shape[1], b.shape[1], -1)), axes=(1, 0))
+    return np.matmul(b, out).reshape(d_a * d_b, -1)
+
+
 def partial_trace_bath(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
     """Trace out the second (bath) factor: out[i, j] = sum_k rho[(i,k), (j,k)]."""
     rho_ab = np.asarray(rho_ab, dtype=complex)

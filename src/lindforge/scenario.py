@@ -50,7 +50,10 @@ from .bath import (
     table_bath,
 )
 from .generator import SecularPolicy
-from .linalg import hermiticity_defect, validate_density_matrix
+from .linalg import DimensionError, hermiticity_defect, validate_density_matrix
+
+# largest times.samples accepted; checked before the time grid is allocated
+MAX_TIME_SAMPLES = 100_000
 
 
 class ScenarioError(ValueError):
@@ -400,6 +403,10 @@ def _parse_times(node) -> np.ndarray:
     if not t_max > 0:
         _fail("times.t_max", f"must be positive, got {t_max}")
     samples = _expect_int(node["samples"], "times.samples", minimum=2)
+    if samples > MAX_TIME_SAMPLES:
+        raise DimensionError(
+            f"times.samples: {samples} exceeds the cap of {MAX_TIME_SAMPLES}"
+        )
     return np.linspace(0.0, t_max, samples)
 
 

@@ -42,6 +42,19 @@ def nondegenerate_hamiltonian(rng, dim, min_gap=0.3, span=4.0):
     raise RuntimeError("could not sample a well-gapped hamiltonian")
 
 
+def record_eigh(monkeypatch, key=lambda m: np.shape(m)[0]):
+    """Wrap np.linalg.eigh; returns the list of key(matrix) per call."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(m, *args, **kwargs):
+        seen.append(key(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return seen
+
+
 def reference_pieces(g):
     """Term-by-term expansion of a generator, the reference for its contracted
     pieces: returns (G, [(L, R), ...]) with
@@ -100,3 +113,49 @@ def reference_superoperator(g):
     for left, right in pairs:
         mat += np.kron(right.T, left)
     return mat
+
+
+def reference_correlation_time(bath, channels=None):
+    """estimate_correlation_time with one phase table per channel pair, the
+    reference for the single union table: returns a CorrelationTable."""
+    import math
+
+    from lindforge import CorrelationTable
+    from lindforge.bath import DECAY_THRESHOLD
+
+    if channels is None:
+        channels = list(range(bath.channel_count))
+    channels = list(channels)
+    pair_data = [[bath._pair_terms(a, b) for b in channels] for a in channels]
+    scale0 = 0.0
+    for row in pair_data:
+        for weights, _ in row:
+            if len(weights):
+                scale0 = max(scale0, abs(complex(np.sum(weights))))
+    freqs = bath.weighted_bohr_frequencies(channels)
+    top = np.abs(freqs).max() if len(freqs) else 1.0
+    nonzero = np.abs(freqs)[np.abs(freqs) > 1e-12 * max(1.0, top)]
+    if scale0 <= 0.0 or len(nonzero) == 0:
+        raise ValueError("reference covers decaying or recurring baths only")
+    nu_min = float(nonzero.min())
+    nu_max = float(nonzero.max())
+    t_end = 8.0 * math.pi / nu_min
+    dt = math.pi / (16.0 * nu_max)
+    n = int(min(4096, max(64, math.ceil(t_end / dt))))
+    taus = np.linspace(0.0, t_end, n)
+    k = len(channels)
+    values = np.zeros((k, k, n), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            weights, fr = pair_data[i][j]
+            if len(weights) == 0:
+                continue
+            for start in range(0, n, 512):
+                stop = min(start + 512, n)
+                phases = np.exp(1j * np.outer(fr, taus[start:stop]))
+                values[i, j, start:stop] = weights @ phases
+    below = np.abs(values).max(axis=(0, 1)) <= DECAY_THRESHOLD * scale0
+    for i in range(1, (n - 1) // 2 + 1):
+        if below[i : 2 * i + 1].all():
+            return CorrelationTable(taus, values, float(taus[i]), False)
+    return CorrelationTable(taus, values, math.pi / nu_min, True)

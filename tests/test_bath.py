@@ -20,7 +20,13 @@ from lindforge import (
     two_time_correlation,
 )
 
-from _support import crandn, random_hermitian, sigma_ops
+from _support import (
+    crandn,
+    random_hermitian,
+    record_eigh,
+    reference_correlation_time,
+    sigma_ops,
+)
 
 CORRELATION_TOL = 1e-10
 EXACT_TOL = 1e-13
@@ -63,6 +69,49 @@ def test_center_couplings_thermal_sigma_z():
     new_bath, h_shift = center_couplings(bath, [sx])
     assert np.abs(h_shift - sx / 3.0).max() < 1e-12
     assert abs(new_bath.expectation(new_bath.coupling_ops[0])) < 1e-12
+
+
+def test_center_couplings_matches_freshly_built_bath():
+    # the c-number shift reuses the eigenbasis; a bath built from scratch on
+    # the shifted operators is the reference
+    rng = np.random.default_rng(34)
+    h_b = random_hermitian(rng, 6)
+    xs = [random_hermitian(rng, 6) + 0.7 * np.eye(6), random_hermitian(rng, 6)]
+    bath = FiniteBath(h_b, 0.8, xs, broadening=0.6)
+    a_ops = [random_hermitian(rng, 3) for _ in xs]
+    new_bath, _ = center_couplings(bath, a_ops)
+    fresh = FiniteBath(h_b, 0.8, new_bath.coupling_ops, broadening=0.6)
+    for a in range(2):
+        mean = bath.expectation(xs[a])
+        assert abs(mean) > 0.1
+        assert np.abs(new_bath.coupling_ops[a] - (xs[a] - mean * np.eye(6))).max() == 0.0
+        for b in range(2):
+            for tau in (0.0, 0.3, 2.2, -1.4):
+                g_new = correlation_function(new_bath, a, b, tau)
+                g_ref = correlation_function(fresh, a, b, tau)
+                assert abs(g_new - g_ref) < 1e-12
+            for omega in (-1.7, 0.0, 0.4, 2.5):
+                w_new = half_fourier_w(new_bath, a, b, omega)
+                w_ref = half_fourier_w(fresh, a, b, omega)
+                assert abs(w_new - w_ref) < 1e-12
+
+
+def test_center_couplings_does_not_rediagonalise(monkeypatch):
+    rng = np.random.default_rng(35)
+    bath = FiniteBath(random_hermitian(rng, 8), 1.2,
+                      [random_hermitian(rng, 8) + np.eye(8)], broadening=0.5)
+    sizes = record_eigh(monkeypatch)
+    center_couplings(bath, [sigma_ops()[0]])
+    assert sizes == []
+
+
+def test_sigma_is_read_only():
+    bath = FiniteBath(np.diag([0.0, 1.0]), 1.0, [sigma_ops()[0]], broadening=1.0)
+    sigma = bath.sigma()
+    assert sigma is bath.sigma()
+    with pytest.raises(ValueError):
+        sigma[0, 0] = 0.5
+    assert abs(np.trace(bath.sigma()) - 1.0) < EXACT_TOL
 
 
 def test_hermitize_coupling_sigma_x_pair():
@@ -238,3 +287,28 @@ def test_qubit_mode_bath_structure():
     assert np.abs(np.sort(freqs) - [-1.5, -1.0, 1.0, 1.5]).max() < 1e-12
     with pytest.raises(ValueError):
         qubit_mode_bath([(1.0, 0.1)] * 13, 1.0)
+
+
+@pytest.mark.parametrize("kind, decays", [
+    ("modes", False), ("dense-two-channel", False), ("dense-two-channel", True)])
+def test_correlation_time_matches_per_pair_reference(kind, decays):
+    if kind == "modes":
+        bath = qubit_mode_bath([(0.94, 0.02), (0.97, 0.025), (1.01, 0.018),
+                                (1.05, 0.022), (1.08, 0.02)], 1.5)
+    else:
+        # 20 levels at infinite temperature dephase below the 5% threshold;
+        # 12 thermal levels recur
+        dim, temp = (20, math.inf) if decays else (12, 0.9)
+        rng = np.random.default_rng(36)
+        x = crandn(rng, dim, dim)
+        bath = FiniteBath(random_hermitian(rng, dim), temp,
+                          [x + x.conj().T, random_hermitian(rng, dim)],
+                          broadening=0.4)
+    table = estimate_correlation_time(bath)
+    ref = reference_correlation_time(bath)
+    assert table.non_decaying is not decays
+    assert np.array_equal(table.taus, ref.taus)
+    assert table.values.shape == ref.values.shape
+    assert np.abs(table.values - ref.values).max() < 1e-12
+    assert table.tau_b_estimate == ref.tau_b_estimate
+    assert table.non_decaying == ref.non_decaying

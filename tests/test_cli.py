@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 
-from lindforge.cli import main
+from lindforge import FiniteBath, derive_generator, interaction_picture
+from lindforge.cli import _free_hamiltonian_scale, _free_picture, main, run_checks
+from lindforge.scenario import MAX_TIME_SAMPLES, loads_scenario
 
-from _support import sigma_ops
+from _support import (
+    crandn,
+    random_density,
+    random_hermitian,
+    record_eigh,
+    sigma_ops,
+)
 
 
 def cm(m):
@@ -190,6 +198,60 @@ def test_verify_finite_bath_runs_correlation_checks(tmp_path, capsys):
     assert "correlation-stationarity" in names
     assert "picture-reduction-invariance" in names
     assert report["all_checks_pass"]
+
+
+def test_free_picture_matches_dense_interaction_picture():
+    # the battery's factored e^{-i H_A t} x e^{-i H_B t} against the dense
+    # rotation by the joint H_0
+    rng = np.random.default_rng(41)
+    for d_a, d_b in ((2, 3), (3, 5), (4, 2), (1, 4)):
+        h_a = random_hermitian(rng, d_a, scale=1.5)
+        h_b = random_hermitian(rng, d_b, scale=1.5)
+        bath = FiniteBath(h_b, 1.0, [random_hermitian(rng, d_b)], broadening=0.5)
+        h0 = np.kron(h_a, np.eye(d_b)) + np.kron(np.eye(d_a), h_b)
+        assert _free_hamiltonian_scale(h_a, h_b) == float(np.abs(h0).max())
+        rho_ab = random_density(rng, d_a * d_b)
+        t = float(rng.uniform(0.1, 2.0))
+        dense = interaction_picture(rho_ab, h0, t, "to")
+        assert np.abs(_free_picture(rho_ab, h_a, bath, t) - dense).max() < 1e-12
+        op = crandn(rng, d_a * d_b, d_a * d_b)
+        dense = interaction_picture(op, h0, t, "to")
+        assert np.abs(_free_picture(op, h_a, bath, t) - dense).max() < 1e-12
+
+
+def test_battery_diagonalises_no_bath_or_joint_matrix(monkeypatch):
+    data = flat_thermal_data(
+        bath={
+            "kind": "finite",
+            "modes": [{"frequency": 0.9, "coupling": 0.05},
+                      {"frequency": 1.0, "coupling": 0.06},
+                      {"frequency": 1.2, "coupling": 0.04}],
+            "temperature": 1.0,
+            "broadening": 0.3,
+        }
+    )
+    sc = loads_scenario(json.dumps(data))
+    res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
+                           policy=sc.policy)
+    sizes = record_eigh(monkeypatch)
+    checks = run_checks(sc, res)
+    assert {c["name"] for c in checks} >= {"correlation-stationarity",
+                                           "picture-reduction-invariance"}
+    assert all(c["status"] == "pass" for c in checks)
+    assert sizes and max(sizes) == sc.dim < sc.bath.dim
+
+
+def test_times_samples_cap_is_resource_error(tmp_path, capsys):
+    # cap + 1 is refused before the time grid is allocated
+    data = flat_thermal_data(times={"t_max": 10.0, "samples": MAX_TIME_SAMPLES + 1})
+    path = write_scenario(tmp_path, data)
+    for command in ("derive", "evolve", "verify"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "resource"
+        assert "times.samples" in error["message"]
 
 
 def test_verify_corrupted_table_fails_battery(tmp_path, capsys):

@@ -24,7 +24,13 @@ from lindforge import (
     vec,
 )
 
-from _support import random_density, random_hermitian, sigma_ops
+from _support import (
+    random_density,
+    random_hermitian,
+    random_unitary,
+    record_eigh,
+    sigma_ops,
+)
 
 EXPM_TRACE_TOL = 1e-10
 RK4_TRACE_TOL = 1e-8
@@ -210,6 +216,31 @@ def test_oracle_preserves_trace_with_coupling():
     assert traj.trace_defects.max() < 1e-10
     assert traj.hermiticity_defects.max() < 1e-12
     assert traj.min_eigenvalues.min() > -1e-10
+
+
+def test_oracle_real_solver_matches_complex_basis(monkeypatch):
+    # a mode comb gives a real joint H (real symmetric solver); the same
+    # physics written in a complex-rotated system basis takes the complex one
+    rng = np.random.default_rng(67)
+    bath = qubit_mode_bath([(0.95, 0.03), (1.0, 0.04), (1.06, 0.035)], 1.0,
+                           broadening=0.1)
+    h = np.diag([0.0, 0.98, 2.01]).astype(complex)
+    a = np.diag([1.0, np.sqrt(2.0)], 1).astype(complex)
+    a = a + a.T
+    rho0 = np.array([[0.2, 0.05, 0.0], [0.05, 0.3, 0.1], [0.0, 0.1, 0.5]],
+                    dtype=complex)
+    times = np.linspace(0.0, 40.0, 9)
+    u = random_unitary(rng, 3)
+    rot = lambda m: u @ m @ u.conj().T
+    dtypes = record_eigh(monkeypatch, key=lambda m: m.dtype)
+    real = exact_oracle(h, bath, [a], rho0, times)
+    assert dtypes == [np.float64]
+    rotated = exact_oracle(rot(h), bath, [rot(a)], rot(rho0), times)
+    assert dtypes == [np.float64, np.complex128]
+    for k in range(len(times)):
+        back = u.conj().T @ rotated.states[k] @ u
+        assert np.abs(back - real.states[k]).max() < 1e-10
+    assert np.abs(real.states[-1] - real.states[0]).max() > 1e-3
 
 
 def test_oracle_dimension_cap(monkeypatch):

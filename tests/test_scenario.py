@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lindforge import (
+    DimensionError,
     FiniteBath,
     ScenarioError,
     load_scenario,
@@ -12,6 +13,7 @@ from lindforge import (
     scenario_from_data,
     serialize_scenario,
 )
+from lindforge.scenario import MAX_TIME_SAMPLES
 
 from _support import sigma_ops
 
@@ -104,6 +106,14 @@ def test_times_validation():
         scenario_from_data(flat_thermal_data(times={"t_max": 1.0, "samples": 1}))
     with pytest.raises(ScenarioError, match="t_max"):
         scenario_from_data(flat_thermal_data(times={"t_max": -1.0, "samples": 5}))
+
+
+def test_times_samples_cap():
+    at_cap = {"t_max": 1.0, "samples": MAX_TIME_SAMPLES}
+    assert len(scenario_from_data(flat_thermal_data(times=at_cap)).times) == MAX_TIME_SAMPLES
+    over = {"t_max": 1.0, "samples": MAX_TIME_SAMPLES + 1}
+    with pytest.raises(DimensionError, match="times.samples"):
+        scenario_from_data(flat_thermal_data(times=over))
 
 
 def test_policy_validation():

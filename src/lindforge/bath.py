@@ -279,7 +279,8 @@ def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2:
     u2 = bath._propagator(t2)
     xa = u1.conj().T @ bath.coupling_ops[alpha] @ u1
     xb = u2.conj().T @ bath.coupling_ops[beta] @ u2
-    return complex(np.trace(xa.conj().T @ xb @ bath.sigma()))
+    # Tr{A^+ B} = sum_ij conj(A_ij) B_ij, one product fewer than the trace
+    return complex(np.sum(xa.conj() * (xb @ bath.sigma())))
 
 
 def half_fourier_w(bath: FiniteBath, alpha: int, beta: int, omega: float) -> complex:

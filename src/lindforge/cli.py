@@ -294,6 +294,15 @@ def _free_picture(rho_ab, h_a, bath: FiniteBath, t: float) -> np.ndarray:
 # report assembly
 
 
+def _sparse_listing(index, values) -> list[dict]:
+    """[{"index": [...], "value": [re, im]}] rows of a tensor stored on a
+    support, in the order given (lexicographic for the rate tensors)."""
+    return [
+        {"index": key, "value": [_json_real(val.real), _json_real(val.imag)]}
+        for key, val in zip(index.tolist(), values.tolist())
+    ]
+
+
 def build_report(scenario: Scenario, scenario_name: str):
     res = derive_generator(
         scenario.h_a,
@@ -316,14 +325,11 @@ def build_report(scenario: Scenario, scenario_name: str):
             "eigenoperators": [complex_matrix_to_json(op) for op in t.ops],
         })
 
-    k_json = [
-        {"index": list(key), "value": [_json_real(val.real), _json_real(val.imag)]}
-        for key, val in sorted(res.rate_tensors.K.items())
-    ]
-    kappa_json = [
-        {"index": list(key), "value": [_json_real(val.real), _json_real(val.imag)]}
-        for key, val in sorted(res.rate_tensors.kappa.items())
-    ]
+    rt = res.rate_tensors
+    midx = spectrum.multiplet_index
+    same_multiplet = np.argwhere(midx[:, None] == midx[None, :])  # row-major
+    k_json = _sparse_listing(rt.index, rt.K)
+    kappa_json = _sparse_listing(same_multiplet, rt.kappa[tuple(same_multiplet.T)])
 
     timescale = None
     bath = scenario.bath

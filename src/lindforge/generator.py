@@ -26,7 +26,7 @@ the presecular generator collapses back to the secular one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -191,9 +191,10 @@ def _reconstruct_hamiltonian(spectrum: Spectrum) -> np.ndarray:
     return _hermitize(h)
 
 
-def _collect_terms(spectrum, eigenops, bath):
+def _collect_terms(spectrum, eigenops, bath, gammas):
     """Shared preamble of the two builders: channel-aligned eigenoperators
-    grouped by transition frequency, with rate matrices from the bath."""
+    grouped by transition frequency, with Gamma read from the table gammas
+    (aligned with bohr_frequencies(spectrum)) and Delta from the bath."""
     if not eigenops:
         raise ValueError("need at least one coupling channel")
     n_ch = len(eigenops)
@@ -211,6 +212,7 @@ def _collect_terms(spectrum, eigenops, bath):
                     f"expected {(dim, dim)}"
                 )
 
+    row = {w: i for i, w in enumerate(bohr_frequencies(spectrum).values.tolist())}
     omegas = sorted({w for eset in eigenops for w in eset.terms})
     zero = np.zeros((dim, dim), dtype=complex)
     terms = []
@@ -218,15 +220,17 @@ def _collect_terms(spectrum, eigenops, bath):
         ops = tuple(
             np.asarray(eset.terms.get(w, zero), dtype=complex) for eset in eigenops
         )
-        gamma = gamma_matrix(bath, w)
         delta = delta_matrix(bath, w)
-        terms.append(DissipatorTerm(omega=w, gamma=gamma, ops=ops, delta=delta))
+        terms.append(DissipatorTerm(omega=w, gamma=gammas[row[w]], ops=ops, delta=delta))
     return terms
 
 
-def build_standard_form(spectrum, eigenops, bath) -> Generator:
-    """Assemble the secular generator: Lindblad dissipator plus frequency shift."""
-    terms = _collect_terms(spectrum, eigenops, bath)
+def build_standard_form(spectrum, eigenops, bath, gammas) -> Generator:
+    """Assemble the secular generator: Lindblad dissipator plus frequency shift.
+
+    gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
+    """
+    terms = _collect_terms(spectrum, eigenops, bath, gammas)
     dim = spectrum.dim
     h_a = _reconstruct_hamiltonian(spectrum)
 
@@ -251,16 +255,17 @@ def build_standard_form(spectrum, eigenops, bath) -> Generator:
     )
 
 
-def build_presecular(spectrum, eigenops, bath, policy: SecularPolicy) -> Generator:
+def build_presecular(spectrum, eigenops, bath, gammas,
+                     policy: SecularPolicy) -> Generator:
     """Assemble the coarse-grained generator with cross-frequency terms.
 
     The frequency shift is not split out: each (W', W) pair enters through the
     half-Fourier matrix W(W) = Gamma(W)/2 + i Delta(W), and the free part of
-    h_eff is the bare system hamiltonian.
+    h_eff is the bare system hamiltonian. gammas as for build_standard_form.
     """
     if policy.dt is None or not policy.dt > 0:
         raise ValueError("presecular generator requires policy.dt > 0")
-    terms = _collect_terms(spectrum, eigenops, bath)
+    terms = _collect_terms(spectrum, eigenops, bath, gammas)
     h_a = _reconstruct_hamiltonian(spectrum)
     return Generator(
         h_eff=h_a,
@@ -319,86 +324,54 @@ def generator_superoperator_matrix(g: Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateTensors:
-    """Secular dissipator data in the energy eigenbasis.
+    """Secular dissipator data in the energy eigenbasis, on its support.
 
-    K maps index quadruples (a, m, b, n) to the gain coefficient connecting
-    rho_mn to d rho_ab; it is stored only on quadruples where the transition
-    frequencies match (omega_m - omega_a = omega_n - omega_b after snapping
-    to the Bohr set). kappa maps same-multiplet pairs (i, j) to the escape
-    coefficient sum_w K(w i, w j). pauli_equations reduces them to population
-    and coherence rates.
+    K[s] is the gain coefficient K(a m, b n) connecting rho_mn to
+    d rho_ab for the quadruple index[s] = (a, m, b, n). Only quadruples whose
+    gaps w_m - w_a and w_n - w_b snap to the same Bohr frequency are stored,
+    in lexicographic order, so len(K) counts the support. kappa is the dense
+    d x d escape matrix kappa(i, j) = sum_w K(w i, w j) on same-multiplet
+    pairs and zero across multiplets. pauli_equations reduces them to
+    population and coherence rates.
     """
 
-    K: dict
-    kappa: dict
-    spectrum: Spectrum = field(repr=False, compare=False, default=None)
+    K: np.ndarray
+    index: np.ndarray
+    kappa: np.ndarray
 
 
-def rate_tensor_K(spectrum: Spectrum, a_eigen, gamma_of) -> dict:
-    """Gain tensor K(a m, b n) = sum_ab' Gamma_ab'(w_ma) <a|A_b'|m> <b|A_a'|n>*.
+def _secular_support(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs (p, q) with label[p] == label[q], in lexicographic order."""
+    order = np.argsort(label, kind="stable")  # ascending p within each label
+    count = np.bincount(label)[label]  # partners of each p
+    start = np.searchsorted(label[order], label)  # where they sit in order
+    p = np.repeat(np.arange(label.size), count)
+    offset = np.arange(p.size) - np.repeat(np.cumsum(count) - count, count)
+    return p, order[start[p] + offset]
 
-    a_eigen: per-channel coupling operators already rotated to the energy
-    eigenbasis. gamma_of: either a callable omega -> k x k rate matrix or a
-    dict keyed by the Bohr frequencies.
+
+def build_rate_tensors(spectrum: Spectrum, system_ops, gammas) -> RateTensors:
+    """Gain tensor K(a m, b n) = sum_cx A_c[a, m] Gamma_xc(w) A_x[b, n]^* and
+    escape matrix kappa on the secular support.
+
+    system_ops: the coupling operators, one per channel, in the user basis.
+    gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
     """
-    mats = [np.asarray(m, dtype=complex) for m in a_eigen]
-    if not mats:
-        raise ValueError("need at least one coupling channel")
+    v = spectrum.basis
     dim = spectrum.dim
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected shape {(dim, dim)}, got {m.shape}")
-    bohr = bohr_frequencies(spectrum)
-    values = np.asarray(bohr.values)
-    reps = spectrum.representative_frequencies()
-
-    if callable(gamma_of):
-        gamma_at = {w: np.asarray(gamma_of(w), dtype=complex) for w in bohr.values}
-    else:
-        gamma_at = {w: np.asarray(gamma_of[w], dtype=complex) for w in bohr.values}
-
-    # snap each directed gap w_ma = w_m - w_a to the nearest Bohr value
-    gaps = reps[None, :] - reps[:, None]  # gaps[a, m] = w_m - w_a
-    nearest = np.abs(gaps[:, :, None] - values[None, None, :]).argmin(axis=2)
-
-    k_map: dict = {}
-    n_ch = len(mats)
-    for widx, w in enumerate(bohr.values):
-        pairs = [(a, m) for a in range(dim) for m in range(dim) if nearest[a, m] == widx]
-        if not pairs:
-            continue
-        e_mat = np.empty((n_ch, len(pairs)), dtype=complex)
-        for ch, mat in enumerate(mats):
-            e_mat[ch] = [mat[a, m] for (a, m) in pairs]
-        k_block = e_mat.T @ gamma_at[w].T @ e_mat.conj()
-        for p, (a, m) in enumerate(pairs):
-            for q, (b, n) in enumerate(pairs):
-                k_map[(a, m, b, n)] = complex(k_block[p, q])
-    return k_map
-
-
-def kappa(rate_tensors: RateTensors) -> dict:
-    """Escape coefficients kappa(i, j) = sum_w K(w i, w j).
-
-    Keys run over ordered same-multiplet index pairs (i, j); the diagonal
-    kappa(i, i) is the total escape rate out of level i.
-    """
-    spectrum = rate_tensors.spectrum
-    if spectrum is None:
-        raise ValueError("rate tensors carry no spectrum")
-    dim = spectrum.dim
+    e = np.array([v.conj().T @ as_operator(a, "coupling operator") @ v
+                  for a in system_ops]).reshape(len(system_ops), dim * dim)
+    label = spectrum.bohr_index.ravel()  # flat gap index a d + m -> Bohr index
+    p, q = _secular_support(label)
+    u = np.einsum("cp,pxc->px", e, np.asarray(gammas)[label])  # sum_c A_c Gamma_xc
+    k_vals = np.einsum("sx,xs->s", u[p], e[:, q].conj())
+    a, m = np.divmod(p, dim)
+    b, n = np.divmod(q, dim)
+    kap = np.zeros((dim, dim), dtype=complex)
     midx = spectrum.multiplet_index
-    k_map = rate_tensors.K
-    out: dict = {}
-    for i in range(dim):
-        for j in range(dim):
-            if midx[i] != midx[j]:
-                continue
-            total = 0.0 + 0.0j
-            for w in range(dim):
-                total += k_map.get((w, i, w, j), 0.0)
-            out[(i, j)] = complex(total)
-    return out
+    escape = (a == b) & (midx[m] == midx[n])
+    np.add.at(kap, (m[escape], n[escape]), k_vals[escape])
+    return RateTensors(K=k_vals, index=np.stack([a, m, b, n], axis=1), kappa=kap)
 
 
 @dataclass(frozen=True)
@@ -426,27 +399,22 @@ class PauliReduction:
 
 
 def _distinct_gap_check(spectrum: Spectrum) -> bool:
-    """True when no two distinct multiplet pairs share a transition frequency."""
+    """True when no two distinct multiplet pairs share a transition frequency.
+
+    The closest two gaps are neighbours once sorted, so only adjacent
+    differences need comparing with the tolerance.
+    """
     freqs = spectrum.multiplet_frequencies
-    tol = spectrum.degeneracy_tol
-    n = len(freqs)
-    gaps = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            gaps[(p, q)] = abs(freqs[q] - freqs[p])
-    items = list(gaps.items())
-    for x in range(len(items)):
-        for y in range(x + 1, len(items)):
-            if abs(items[x][1] - items[y][1]) <= tol:
-                return False
-    return True
+    upper = np.triu_indices(len(freqs), k=1)
+    gaps = np.sort(np.abs(freqs[None, :] - freqs[:, None])[upper])
+    return not np.any(np.diff(gaps) <= spectrum.degeneracy_tol)
 
 
 def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduction:
     """Reduce the rate tensors to population and coherence equations."""
     dim = spectrum.dim
-    k_map = rate_tensors.K
-    kap = rate_tensors.kappa if rate_tensors.kappa else kappa(rate_tensors)
+    k_vals, kap = rate_tensors.K, rate_tensors.kappa
+    a, m, b, n = rate_tensors.index.T
     degenerate = any(g > 1 for g in spectrum.degeneracies)
     gaps_ok = _distinct_gap_check(spectrum)
     flags = []
@@ -456,24 +424,15 @@ def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduc
         flags.append("shared-transition-frequency")
 
     if not degenerate:
-        gain = np.zeros((dim, dim))
-        escape = np.zeros(dim)
-        for a in range(dim):
-            escape[a] = kap[(a, a)].real
-            for m in range(dim):
-                val = k_map.get((a, m, a, m), 0.0)
-                gain[a, m] = complex(val).real
+        # K(a m, a m) and K(a a, b b) are always supported (equal gaps), and
+        # lexicographic order lays each set out as a row-major d x d matrix
+        escape = kap.diagonal().real.copy()
+        gain = k_vals[(a == b) & (m == n)].real.reshape(dim, dim)
         coherence_decay = None
         if gaps_ok:
-            coherence_decay = np.zeros((dim, dim))
-            for a in range(dim):
-                for b in range(dim):
-                    if a == b:
-                        continue
-                    cross = complex(k_map.get((a, a, b, b), 0.0))
-                    coherence_decay[a, b] = (
-                        0.5 * (kap[(a, a)].real + kap[(b, b)].real) - cross.real
-                    )
+            cross = k_vals[(a == m) & (b == n)].real.reshape(dim, dim)
+            coherence_decay = 0.5 * (escape[:, None] + escape[None, :]) - cross
+            np.fill_diagonal(coherence_decay, 0.0)
         return PauliReduction(
             degenerate=False,
             all_gaps_distinct=gaps_ok,
@@ -485,36 +444,23 @@ def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduc
             flags=tuple(flags),
         )
 
-    # degenerate case: per-multiplet block tensors
+    # degenerate case: per-multiplet block tensors; multiplets are runs of
+    # consecutive indices, so pos is the place of each index in its run
     mults = spectrum.multiplets
-    n_mult = len(mults)
+    midx = spectrum.multiplet_index
+    pos = np.arange(dim) - np.array([idx[0] for idx in mults])[midx]
+    keep = (midx[a] == midx[b]) & (midx[m] == midx[n]) & (k_vals != 0)
+    keys = midx[a[keep]] * len(mults) + midx[m[keep]]
+    order = np.argsort(keys, kind="stable")
+    blocks, starts = np.unique(keys[order], return_index=True)
     block_gain = {}
-    for big_a in range(n_mult):
-        idx_a = mults[big_a]
-        for big_m in range(n_mult):
-            idx_m = mults[big_m]
-            g_a, g_m = len(idx_a), len(idx_m)
-            block = np.zeros((g_a, g_a, g_m, g_m), dtype=complex)
-            hit = False
-            for ia, a in enumerate(idx_a):
-                for ia2, a2 in enumerate(idx_a):
-                    for im, m in enumerate(idx_m):
-                        for im2, m2 in enumerate(idx_m):
-                            val = k_map.get((a, m, a2, m2))
-                            if val is not None and val != 0.0:
-                                block[ia, ia2, im, im2] = val
-                                hit = True
-            if hit:
-                block_gain[(big_a, big_m)] = block
-    block_escape = {}
-    for big_a in range(n_mult):
-        idx_a = mults[big_a]
-        g_a = len(idx_a)
-        block = np.zeros((g_a, g_a), dtype=complex)
-        for ia, a in enumerate(idx_a):
-            for ia2, a2 in enumerate(idx_a):
-                block[ia, ia2] = kap.get((a, a2), 0.0)
-        block_escape[big_a] = block
+    for key, rows in zip(blocks.tolist(), np.split(np.flatnonzero(keep)[order], starts[1:])):
+        big_a, big_m = divmod(key, len(mults))
+        g_a, g_m = len(mults[big_a]), len(mults[big_m])
+        block = np.zeros((g_a, g_a, g_m, g_m), dtype=complex)
+        block[pos[a[rows]], pos[b[rows]], pos[m[rows]], pos[n[rows]]] = k_vals[rows]
+        block_gain[(big_a, big_m)] = block
+    block_escape = {big_a: kap[np.ix_(idx, idx)] for big_a, idx in enumerate(mults)}
     return PauliReduction(
         degenerate=True,
         all_gaps_distinct=gaps_ok,
@@ -535,37 +481,18 @@ def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
                    - 1/2 sum_a'' kappa(a'', a) rho_a''b
                    - 1/2 sum_b'' kappa(b, b'') rho_ab''
 
+    that is, the K scatter plus rho -> -1/2 (kappa^T rho + rho kappa^T).
     This is the generic degenerate-safe kernel; the standard-form dissipator
     rotated to the eigenbasis must match it entry for entry.
     """
-    spectrum = rate_tensors.spectrum
-    dim = spectrum.dim
-    mat = np.zeros((dim * dim, dim * dim), dtype=complex)
-
-    def col(i, j):
-        # column-stacking: rho_ij sits at flat index i + dim * j
-        return i + dim * j
-
-    for (a, m, b, n), val in rate_tensors.K.items():
-        mat[col(a, b), col(m, n)] += val
-    kap = rate_tensors.kappa if rate_tensors.kappa else kappa(rate_tensors)
-    for (i, j), val in kap.items():
-        # -1/2 kappa(a'', a) rho_a''b : here (i, j) = (a'', a)
-        for b in range(dim):
-            mat[col(j, b), col(i, b)] += -0.5 * val
-        # -1/2 kappa(b, b'') rho_ab'' : here (i, j) = (b, b'')
-        for a in range(dim):
-            mat[col(a, i), col(a, j)] += -0.5 * val
+    kap = rate_tensors.kappa
+    dim = kap.shape[0]
+    a, m, b, n = rate_tensors.index.T
+    eye = np.eye(dim)
+    # column stacking: rho_ij sits at flat index i + dim * j
+    mat = -0.5 * (np.kron(eye, kap.T) + np.kron(kap, eye))
+    mat[a + dim * b, m + dim * n] += rate_tensors.K
     return mat
-
-
-def build_rate_tensors(spectrum: Spectrum, system_ops, bath) -> RateTensors:
-    """Rotate couplings to the eigenbasis and assemble K and kappa."""
-    v = spectrum.basis
-    mats = [v.conj().T @ as_operator(a, "coupling operator") @ v for a in system_ops]
-    k_map = rate_tensor_K(spectrum, mats, lambda w: gamma_matrix(bath, w))
-    rt = RateTensors(K=k_map, kappa={}, spectrum=spectrum)
-    return replace(rt, kappa=kappa(rt))
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +551,21 @@ def derive_generator(
         eigenoperator_decomposition(a, spectrum, channel=i) for i, a in enumerate(ops)
     )
 
-    if mode == "secular":
-        gen = build_standard_form(spectrum, eigenops, bath)
-    elif mode == "presecular":
-        if policy is None:
-            raise ValueError("presecular mode requires a SecularPolicy with dt > 0")
-        gen = build_presecular(spectrum, eigenops, bath, policy)
-    else:
+    if mode not in ("secular", "presecular"):
         raise ValueError(f"unknown mode {mode!r}; expected 'secular' or 'presecular'")
+    if mode == "presecular" and policy is None:
+        raise ValueError("presecular mode requires a SecularPolicy with dt > 0")
 
-    rt = build_rate_tensors(spectrum, ops, bath)
+    # Gamma once per Bohr frequency, coupled or not: the dissipator terms and
+    # K read this one table, and a table bath that misses a Bohr frequency
+    # is rejected here
+    gammas = np.array([gamma_matrix(bath, w) for w in bohr_frequencies(spectrum).values])
+    if mode == "secular":
+        gen = build_standard_form(spectrum, eigenops, bath, gammas)
+    else:
+        gen = build_presecular(spectrum, eigenops, bath, gammas, policy)
+
+    rt = build_rate_tensors(spectrum, ops, gammas)
     red = pauli_equations(rt, spectrum)
     return DeriveResult(
         generator=gen,

@@ -10,6 +10,7 @@ Omega. These satisfy [H_A, A(Omega)] = -Omega A(Omega) and sum back to A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,20 @@ class Spectrum:
     def representative_frequencies(self) -> np.ndarray:
         """Per-basis-state frequency, snapped to its multiplet representative."""
         return self.multiplet_frequencies[self.multiplet_index]
+
+    @cached_property
+    def bohr_index(self) -> np.ndarray:
+        """(d, d) index into bohr_frequencies(self).values of the Bohr
+        frequency nearest each eigenbasis gap w_m - w_a, computed once and
+        shared read-only.
+
+        The values are sorted, so the nearest one is found by counting the
+        midpoints below the gap; an exact tie goes to the lower value.
+        """
+        values = bohr_frequencies(self).values
+        index = np.searchsorted(0.5 * (values[1:] + values[:-1]), _frequency_gaps(self))
+        index.flags.writeable = False
+        return index
 
 
 @dataclass(frozen=True)
@@ -169,14 +184,11 @@ def eigenoperator_decomposition(a_op, s: Spectrum, channel: int = 0) -> EigenOpe
     a_op = as_operator(a_op, "a_op")
     if a_op.shape[0] != s.dim:
         raise ValueError(f"operator dim {a_op.shape[0]} does not match spectrum dim {s.dim}")
-    bohr = bohr_frequencies(s)
     v = s.basis
     a_eig = v.conj().T @ a_op @ v
-    gaps = _frequency_gaps(s)
-    nearest = np.argmin(np.abs(gaps[:, :, None] - bohr.values[None, None, :]), axis=2)
     terms: dict[float, np.ndarray] = {}
-    for k, omega in enumerate(bohr.values):
-        piece = a_eig * (nearest == k)
+    for k, omega in enumerate(bohr_frequencies(s).values):
+        piece = a_eig * (s.bohr_index == k)
         if np.abs(piece).max() < NEGLIGIBLE_ENTRY:
             continue
         terms[float(omega)] = v @ piece @ v.conj().T

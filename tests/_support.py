@@ -159,3 +159,105 @@ def reference_correlation_time(bath, channels=None):
         if below[i : 2 * i + 1].all():
             return CorrelationTable(taus, values, float(taus[i]), False)
     return CorrelationTable(taus, values, math.pi / nu_min, True)
+
+
+def reference_rate_tensors(spectrum, system_ops, bath):
+    """The gain tensor K and escape coefficients kappa as dicts, filled by
+    loops, the reference for the arrays of build_rate_tensors.
+
+    K maps (a, m, b, n) to sum_cx A_c[a, m] Gamma_xc(w) A_x[b, n]^* on every
+    quadruple whose gaps w_m - w_a and w_n - w_b snap to the same Bohr
+    frequency w (nearest by argmin); kappa maps same-multiplet pairs (i, j)
+    to sum_w K(w i, w j).
+    """
+    from lindforge import bohr_frequencies, gamma_matrix
+
+    v = spectrum.basis
+    mats = [v.conj().T @ np.asarray(a, dtype=complex) @ v for a in system_ops]
+    dim = spectrum.dim
+    values = bohr_frequencies(spectrum).values
+    reps = spectrum.representative_frequencies()
+    gaps = reps[None, :] - reps[:, None]  # gaps[a, m] = w_m - w_a
+    nearest = np.abs(gaps[:, :, None] - values[None, None, :]).argmin(axis=2)
+    k_map = {}
+    for widx, w in enumerate(values):
+        pairs = [(a, m) for a in range(dim) for m in range(dim) if nearest[a, m] == widx]
+        if not pairs:
+            continue
+        e_mat = np.array([[mat[a, m] for (a, m) in pairs] for mat in mats])
+        k_block = e_mat.T @ gamma_matrix(bath, w).T @ e_mat.conj()
+        for p, (a, m) in enumerate(pairs):
+            for q, (b, n) in enumerate(pairs):
+                k_map[(a, m, b, n)] = complex(k_block[p, q])
+    midx = spectrum.multiplet_index
+    kap = {}
+    for i in range(dim):
+        for j in range(dim):
+            if midx[i] == midx[j]:
+                kap[(i, j)] = sum(k_map.get((w, i, w, j), 0.0) for w in range(dim))
+    return k_map, kap
+
+
+def reference_pauli(k_map, kap, spectrum):
+    """pauli_equations by loops over the dicts of reference_rate_tensors:
+    returns a dict of PauliReduction's fields."""
+    dim = spectrum.dim
+    freqs = spectrum.multiplet_frequencies
+    gaps = [abs(freqs[q] - freqs[p]) for p in range(len(freqs))
+            for q in range(p + 1, len(freqs))]
+    gaps_ok = not any(abs(gaps[x] - gaps[y]) <= spectrum.degeneracy_tol
+                      for x in range(len(gaps)) for y in range(x + 1, len(gaps)))
+    degenerate = any(g > 1 for g in spectrum.degeneracies)
+    flags = (("degenerate-multiplets",) if degenerate else ()) + (
+        () if gaps_ok else ("shared-transition-frequency",))
+    out = dict(degenerate=degenerate, all_gaps_distinct=gaps_ok, flags=flags,
+               gain=None, escape=None, coherence_decay=None,
+               block_gain=None, block_escape=None)
+    if not degenerate:
+        out["escape"] = np.array([kap[(a, a)].real for a in range(dim)])
+        out["gain"] = np.array([[k_map[(a, m, a, m)].real for m in range(dim)]
+                                for a in range(dim)])
+        if gaps_ok:
+            decay = np.zeros((dim, dim))
+            for a in range(dim):
+                for b in range(dim):
+                    if a != b:
+                        decay[a, b] = (0.5 * (kap[(a, a)].real + kap[(b, b)].real)
+                                       - k_map[(a, a, b, b)].real)
+            out["coherence_decay"] = decay
+        return out
+    mults = spectrum.multiplets
+    block_gain = {}
+    for big_a, idx_a in enumerate(mults):
+        for big_m, idx_m in enumerate(mults):
+            block = np.zeros((len(idx_a),) * 2 + (len(idx_m),) * 2, dtype=complex)
+            for ia, a in enumerate(idx_a):
+                for ia2, a2 in enumerate(idx_a):
+                    for im, m in enumerate(idx_m):
+                        for im2, m2 in enumerate(idx_m):
+                            block[ia, ia2, im, im2] = k_map.get((a, m, a2, m2), 0.0)
+            if np.any(block != 0):
+                block_gain[(big_a, big_m)] = block
+    out["block_gain"] = block_gain
+    out["block_escape"] = {
+        big_a: np.array([[kap[(a, a2)] for a2 in idx] for a in idx])
+        for big_a, idx in enumerate(mults)
+    }
+    return out
+
+
+def reference_kernel(k_map, kap, dim):
+    """kernel_superoperator_matrix by scattering the dict entries one by one."""
+    mat = np.zeros((dim * dim, dim * dim), dtype=complex)
+
+    def col(i, j):
+        return i + dim * j
+
+    for (a, m, b, n), val in k_map.items():
+        mat[col(a, b), col(m, n)] += val
+    for (i, j), val in kap.items():
+        for b in range(dim):
+            mat[col(j, b), col(i, b)] += -0.5 * val
+        for a in range(dim):
+            mat[col(a, i), col(a, j)] += -0.5 * val
+    return mat

@@ -3,26 +3,32 @@ import math
 import numpy as np
 import pytest
 
+import lindforge.generator
+
 from lindforge import (
     FiniteBath,
     SecularPolicy,
     apply_rhs,
-    build_rate_tensors,
+    bohr_frequencies,
     build_spectrum,
+    center_couplings,
     coarse_graining_f,
     derive_generator,
     flat_thermal_bath,
     generator_superoperator_matrix,
-    kappa,
     kernel_superoperator_matrix,
-    pauli_equations,
     secular_filter,
     table_bath,
 )
 
 from _support import (
+    crandn,
     random_density,
     random_hermitian,
+    random_unitary,
+    reference_kernel,
+    reference_pauli,
+    reference_rate_tensors,
     reference_rhs,
     reference_superoperator,
     sigma_ops,
@@ -46,6 +52,11 @@ def two_level_table_bath(delta_down=0.0, delta_up=0.0):
             (0.0, 0.0 * one, None),
         ]
     )
+
+
+def k_entries(rate_tensors):
+    """The gain tensor as a dict (a, m, b, n) -> K for lookups by quadruple."""
+    return dict(zip(map(tuple, rate_tensors.index.tolist()), rate_tensors.K))
 
 
 def dissipator(l_op, rho):
@@ -108,13 +119,13 @@ def test_rate_tensor_two_level_values():
     sx, _, _, _ = sigma_ops()
     h = np.diag([0.0, OMEGA0]).astype(complex)
     res = derive_generator(h, two_level_table_bath(), [2.0 * sx])
-    k_map = res.rate_tensors.K
+    k_map = k_entries(res.rate_tensors)
     # gain into g from e: Gamma(+omega) |<g|A|e>|^2 with |<g|A|e>| = 2
     assert abs(k_map[(0, 1, 0, 1)] - 4.0 * GAMMA_DOWN) < EXACT_TOL
     assert abs(k_map[(1, 0, 1, 0)] - 4.0 * GAMMA_UP) < EXACT_TOL
     kap = res.rate_tensors.kappa
-    assert abs(kap[(1, 1)] - 4.0 * GAMMA_DOWN) < EXACT_TOL
-    assert abs(kap[(0, 0)] - 4.0 * GAMMA_UP) < EXACT_TOL
+    assert abs(kap[1, 1] - 4.0 * GAMMA_DOWN) < EXACT_TOL
+    assert abs(kap[0, 0] - 4.0 * GAMMA_UP) < EXACT_TOL
     assert abs(res.pauli.gain[0, 1] - 4.0 * GAMMA_DOWN) < EXACT_TOL
     assert abs(res.pauli.escape[1] - 4.0 * GAMMA_DOWN) < EXACT_TOL
     # coherence between g and e decays at half the total escape
@@ -153,8 +164,6 @@ def random_table_scenario(rng, levels, n_channels=2, scale=0.3):
     stays exactly the user basis and eigenbasis expressions can be compared
     entry by entry.
     """
-    from lindforge import bohr_frequencies
-
     h = np.diag(np.array(levels, dtype=complex))
     ops = [random_hermitian(rng, len(levels)) for _ in range(n_channels)]
     spec = build_spectrum(h)
@@ -199,7 +208,7 @@ def test_rate_tensor_symmetries_random_scenario():
     rng = np.random.default_rng(43)
     h, ops, bath = random_rate_scenario(rng, [0.0, 0.9, 2.1, 3.8])
     res = derive_generator(h, bath, ops)
-    k_map = res.rate_tensors.K
+    k_map = k_entries(res.rate_tensors)
     scale = max(abs(v) for v in k_map.values())
     for (a, m, b, n), val in k_map.items():
         assert abs(val - np.conj(k_map[(b, n, a, m)])) < 1e-13 * scale
@@ -207,8 +216,7 @@ def test_rate_tensor_symmetries_random_scenario():
             assert abs(val.imag) < 1e-13 * scale
             assert val.real > -1e-13 * scale
     kap = res.rate_tensors.kappa
-    for (i, j), val in kap.items():
-        assert abs(val - np.conj(kap[(j, i)])) < 1e-13 * scale
+    assert np.abs(kap - kap.conj().T).max() < 1e-13 * scale
     # population conservation: total gain out of column m equals its escape
     gain, escape = res.pauli.gain, res.pauli.escape
     assert np.abs(gain.sum(axis=0) - escape).max() < 1e-13 * max(scale, 1.0)
@@ -368,9 +376,133 @@ def test_generator_preserves_trace_and_hermiticity():
             assert np.abs(ddt - ddt.conj().T).max() < RHS_TOL * scale
 
 
-def test_kappa_requires_spectrum():
-    from lindforge import RateTensors
 
-    rt = RateTensors(K={}, kappa={})
-    with pytest.raises(ValueError):
-        kappa(rt)
+# levels and degeneracy tolerance (None: the default)
+SPECTRA = {
+    "nondegenerate": ([0.0, 0.9, 2.1, 3.8], None),
+    "degenerate": ([0.0, 0.0, 1.3, 1.3, 1.3, 2.9], None),  # multiplets of 2 and 3
+    "shared-gap": ([0.0, 1.0, 2.0, 3.5], None),
+    # the gaps 0.92, 1.0, 1.08 and 1.16 chain into one Bohr frequency, so
+    # levels 1 and 2 of different multiplets share a gap from level 0
+    "chained-gap": ([0.0, 1.0, 1.16, 2.08], 0.1),
+}
+
+
+def rate_table_bath(spec, n_channels, rng):
+    """Random PSD Gamma and hermitian Delta at every Bohr frequency."""
+    entries = []
+    for omega in bohr_frequencies(spec).values:
+        m = crandn(rng, n_channels, n_channels)
+        entries.append((float(omega), 0.3 * m @ m.conj().T,
+                        0.2 * random_hermitian(rng, n_channels)))
+    return table_bath(entries)
+
+
+@pytest.mark.parametrize("bath_kind", ["table", "flat-thermal", "finite"])
+@pytest.mark.parametrize("n_channels", [1, 2])
+@pytest.mark.parametrize("spectrum_kind", sorted(SPECTRA))
+def test_rate_tensors_match_dict_reference(spectrum_kind, n_channels, bath_kind):
+    rng = np.random.default_rng([61, n_channels, len(bath_kind), len(spectrum_kind)])
+    levels, tol = SPECTRA[spectrum_kind]
+    dim = len(levels)
+    u = random_unitary(rng, dim)
+    h = u @ np.diag(np.array(levels, dtype=complex)) @ u.conj().T
+    ops = [random_hermitian(rng, dim) for _ in range(n_channels)]
+    if bath_kind == "table":
+        bath = rate_table_bath(build_spectrum(h, tol), n_channels, rng)
+    elif bath_kind == "flat-thermal":
+        bath = flat_thermal_bath(0.3, 1.2, gamma_dephasing=0.05, channel_count=n_channels)
+    else:
+        xs = [random_hermitian(rng, 4) for _ in range(n_channels)]
+        bath = FiniteBath(random_hermitian(rng, 4), 1.3, xs, broadening=0.8)
+        # centered up front, so no mean-field shift splits the spectrum
+        bath = center_couplings(bath, ops)[0]
+    res = derive_generator(h, bath, ops, degeneracy_tol=tol)
+    spec, rt, red = res.spectrum, res.rate_tensors, res.pauli
+    ref_bath = center_couplings(bath, ops)[0] if bath_kind == "finite" else bath
+    k_ref, kap_ref = reference_rate_tensors(spec, ops, ref_bath)
+
+    # same support, in lexicographic order, and same values
+    assert [tuple(key) for key in rt.index.tolist()] == sorted(k_ref)
+    scale = max(abs(v) for v in k_ref.values())
+    assert np.abs(rt.K - np.array([k_ref[key] for key in sorted(k_ref)])).max() \
+        <= 1e-12 * scale
+    # kappa: the reference's keys are the same-multiplet pairs, zero elsewhere
+    assert rt.kappa.shape == (dim, dim)
+    keyed = np.zeros((dim, dim), dtype=bool)
+    for (i, j), val in kap_ref.items():
+        keyed[i, j] = True
+        assert abs(rt.kappa[i, j] - val) <= 1e-12 * scale
+    assert np.all(rt.kappa[~keyed] == 0.0)
+
+    ref = reference_pauli(k_ref, kap_ref, spec)
+    assert red.flags == ref["flags"]
+    assert red.degenerate == ref["degenerate"] == (spectrum_kind == "degenerate")
+    assert red.all_gaps_distinct == ref["all_gaps_distinct"] == (
+        spectrum_kind in ("nondegenerate", "degenerate"))
+    for name in ("gain", "escape", "coherence_decay"):
+        got, want = getattr(red, name), ref[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert np.abs(got - want).max() <= 1e-12 * scale, name
+    for name in ("block_gain", "block_escape"):
+        got, want = getattr(red, name), ref[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert sorted(got) == sorted(want), name
+            for key, block in want.items():
+                assert got[key].shape == block.shape
+                assert np.abs(got[key] - block).max() <= 1e-12 * scale, (name, key)
+
+    want = reference_kernel(k_ref, kap_ref, dim)
+    got = kernel_superoperator_matrix(rt)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def coupling_free_table_scenario(rng, cover_all=True):
+    """Two channels on levels 0, 1, 3 coupled only across the gaps 1 and 2,
+    so the Bohr frequencies +-3 carry no coupling weight. With cover_all
+    False the table lacks its entry at +3."""
+    h = np.diag([0.0, 1.0, 3.0]).astype(complex)
+    ops = []
+    for _ in range(2):
+        a = np.zeros((3, 3), dtype=complex)
+        a[0, 1], a[1, 2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a[1, 1] = rng.standard_normal()
+        ops.append(a + a.conj().T)
+    entries = []
+    for omega in bohr_frequencies(build_spectrum(h)).values:
+        if omega == 3.0 and not cover_all:
+            continue
+        m = crandn(rng, 2, 2)
+        entries.append((float(omega), 0.2 * m @ m.conj().T, 0.1 * random_hermitian(rng, 2)))
+    return h, ops, table_bath(entries)
+
+
+@pytest.mark.parametrize("mode", ["secular", "presecular"])
+def test_rates_evaluated_once_per_frequency(monkeypatch, mode):
+    rng = np.random.default_rng(62)
+    h, ops, bath = coupling_free_table_scenario(rng)
+    calls = {"gamma": [], "delta": []}
+    for name in calls:
+        original = getattr(lindforge.generator, f"{name}_matrix")
+
+        def counted(bath, omega, original=original, seen=calls[name]):
+            seen.append(float(omega))
+            return original(bath, omega)
+
+        monkeypatch.setattr(lindforge.generator, f"{name}_matrix", counted)
+    policy = SecularPolicy(dt=4.0, filter="F-weighted") if mode == "presecular" else None
+    res = derive_generator(h, bath, ops, mode=mode, policy=policy)
+    bohr = bohr_frequencies(res.spectrum).values.tolist()
+    term_omegas = [t.omega for t in res.generator.dissipator_terms]
+    assert 3.0 in bohr and 3.0 not in term_omegas
+    assert calls["gamma"] == bohr
+    assert calls["delta"] == term_omegas
+
+
+def test_table_must_cover_coupling_free_bohr_frequency():
+    rng = np.random.default_rng(63)
+    h, ops, bath = coupling_free_table_scenario(rng, cover_all=False)
+    with pytest.raises(ValueError, match="no table entry for omega=3"):
+        derive_generator(h, bath, ops)

@@ -122,3 +122,20 @@ def test_bohr_snap_matches_nearest_value():
     omegas = bohr_frequencies(spec)
     assert omegas.snap(1.0 + 1e-12) == 1.0
     assert omegas.snap(-1.5 - 1e-12) == -1.5
+
+
+def test_bohr_index_is_the_nearest_bohr_frequency():
+    rng = np.random.default_rng(24)
+    for trial in range(20):
+        dim = int(rng.integers(1, 9))
+        levels = np.sort(rng.uniform(0.0, 3.0, dim))
+        if trial % 3 == 1:
+            levels = np.round(levels)  # degenerate multiplets and shared gaps
+        tol = 0.1 if trial % 3 == 2 else None  # coarse: gaps chain together
+        spec = build_spectrum(np.diag(levels).astype(complex), degeneracy_tol=tol)
+        values = bohr_frequencies(spec).values
+        reps = spec.representative_frequencies()
+        gaps = reps[None, :] - reps[:, None]
+        nearest = np.abs(gaps[:, :, None] - values[None, None, :]).argmin(axis=2)
+        assert spec.bohr_index.shape == (dim, dim)
+        assert np.array_equal(spec.bohr_index, nearest)

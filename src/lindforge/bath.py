@@ -15,8 +15,8 @@ Two backends:
   semidefinite by construction (each (z,xi) term is a scaled outer product).
 
 * AnalyticBath: the user supplies Gamma (and optionally Delta) directly as a
-  function of (alpha, beta, Omega); hermiticity and positivity are checked at
-  every evaluation.
+  function of Omega returning the whole k x k matrix over channels;
+  hermiticity and positivity are checked at every evaluation.
 """
 
 from __future__ import annotations
@@ -56,15 +56,15 @@ def gibbs_state(h_b, temperature: float) -> np.ndarray:
     return (v * p) @ v.conj().T
 
 
-def default_broadening(bath_energies: np.ndarray, dedup_tol: float | None = None) -> float:
+def default_broadening(bath_energies: np.ndarray) -> float:
     """4x the mean level spacing of the bath Bohr frequencies.
 
+    Bohr frequencies within 1e-9 * max(1, max |E|) of each other count as one.
     Needs at least two distinct Bohr frequencies; otherwise there is no spacing
     to speak of and the caller must supply a broadening explicitly.
     """
     w = np.asarray(bath_energies, dtype=float)
-    if dedup_tol is None:
-        dedup_tol = 1e-9 * max(1.0, float(np.abs(w).max()) if w.size else 1.0)
+    dedup_tol = 1e-9 * max(1.0, float(np.abs(w).max()) if w.size else 1.0)
     diffs = np.sort((w[:, None] - w[None, :]).ravel())
     distinct = [diffs[0]]
     for d in diffs[1:]:
@@ -158,13 +158,11 @@ class FiniteBath:
             self._pair_cache[key] = (weights[mask], freqs[mask])
         return self._pair_cache[key]
 
-    def weighted_bohr_frequencies(self, channels=None) -> np.ndarray:
+    def weighted_bohr_frequencies(self) -> np.ndarray:
         """Bath Bohr frequencies that actually carry correlation weight."""
-        if channels is None:
-            channels = range(self.channel_count)
         chunks = []
-        for a in channels:
-            for b in channels:
+        for a in range(self.channel_count):
+            for b in range(self.channel_count):
                 w, f = self._pair_terms(a, b)
                 if len(w) == 0:
                     continue
@@ -306,9 +304,9 @@ def _w_matrix(bath: FiniteBath, omega: float) -> np.ndarray:
 class AnalyticBath:
     """Reservoir described directly by its rate matrices.
 
-    gamma_fn(alpha, beta, omega) -> complex supplies Gamma; delta_fn likewise
-    for the Lamb-shift matrix (default 0). Hermiticity and positivity of Gamma
-    are enforced at every sampled omega.
+    gamma_fn(omega) returns the k x k matrix Gamma(omega) over channels;
+    delta_fn likewise for the Lamb-shift matrix Delta (default 0). Shape,
+    hermiticity and positivity of Gamma are enforced at every sampled omega.
     """
 
     def __init__(self, gamma_fn, delta_fn=None, channel_count: int = 1):
@@ -338,6 +336,7 @@ def flat_thermal_bath(
         raise ValueError(
             f"flat-thermal bath needs a finite positive temperature, got {temperature}"
         )
+    eye = np.eye(channel_count, dtype=complex)
 
     def rate(omega: float) -> float:
         if abs(omega) < 1e-12:
@@ -345,8 +344,8 @@ def flat_thermal_bath(
         nbar = 1.0 / math.expm1(abs(omega) / temperature)
         return gamma * (nbar + 1.0) if omega > 0 else gamma * nbar
 
-    def gamma_fn(a: int, b: int, omega: float) -> complex:
-        return complex(rate(omega)) if a == b else 0j
+    def gamma_fn(omega: float) -> np.ndarray:
+        return rate(omega) * eye
 
     return AnalyticBath(gamma_fn, None, channel_count)
 
@@ -355,8 +354,9 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
     """Bath from an explicit table of (omega, gamma matrix, optional delta).
 
     Each gamma must be hermitian and positive semidefinite; violations are
-    rejected up front, naming the offending omega. Lookups match omega within
-    1e-8 * max(1, |omega|) and miss with a clear error otherwise.
+    rejected up front, naming the offending omega. A lookup takes the entry
+    nearest omega (the first in table order on a tie), matches it within
+    1e-8 * max(1, |omega|) and misses with a clear error otherwise.
     """
     table: list[tuple[float, np.ndarray, np.ndarray]] = []
     for entry in entries:
@@ -385,6 +385,8 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
             delta_m = (delta_m + delta_m.conj().T) / 2.0
         if gamma_m.shape != delta_m.shape:
             raise ValueError(f"gamma/delta shapes differ at omega={omega}")
+        # handed out as they are by every lookup
+        gamma_m.flags.writeable = delta_m.flags.writeable = False
         table.append((float(omega), gamma_m, delta_m))
     if not table:
         raise ValueError("table bath needs at least one entry")
@@ -394,22 +396,27 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
             raise ValueError(f"inconsistent channel count at omega={omega}")
     if channel_count is not None and channel_count != k:
         raise ValueError(f"table matrices are {k}x{k}, expected {channel_count}")
+    omegas = np.array([row[0] for row in table])
 
-    def lookup(omega: float) -> tuple[np.ndarray, np.ndarray]:
-        tol = 1e-8 * max(1.0, abs(omega))
-        best = min(table, key=lambda row: abs(row[0] - omega))
-        if abs(best[0] - omega) > tol:
-            known = ", ".join(f"{row[0]:g}" for row in table)
+    def lookup(omega: float) -> tuple[float, np.ndarray, np.ndarray]:
+        # argmin returns the first of equally near entries
+        row = table[int(np.argmin(np.abs(omegas - omega)))]
+        if abs(row[0] - omega) > 1e-8 * max(1.0, abs(omega)):
+            known = ", ".join(f"{w:g}" for w, _, _ in table)
             raise ValueError(f"no table entry for omega={omega:g} (have: {known})")
-        return best[1], best[2]
+        return row
 
-    def gamma_fn(a: int, b: int, omega: float) -> complex:
-        return complex(lookup(omega)[0][a, b])
+    return AnalyticBath(lambda omega: lookup(omega)[1],
+                        lambda omega: lookup(omega)[2], k)
 
-    def delta_fn(a: int, b: int, omega: float) -> complex:
-        return complex(lookup(omega)[1][a, b])
 
-    return AnalyticBath(gamma_fn, delta_fn, k)
+def _analytic_matrix(fn, omega: float, k: int, name: str) -> np.ndarray:
+    m = np.asarray(fn(omega), dtype=complex)
+    if m.shape != (k, k):
+        raise ValueError(
+            f"analytic {name}({omega:g}) has shape {m.shape}, expected {(k, k)}"
+        )
+    return m
 
 
 def gamma_matrix(bath, omega: float) -> np.ndarray:
@@ -426,11 +433,7 @@ def gamma_matrix(bath, omega: float) -> np.ndarray:
                     "broadening may be pathological"
                 )
         return g
-    k = bath.channel_count
-    g = np.array(
-        [[bath.gamma_fn(a, b, omega) for b in range(k)] for a in range(k)],
-        dtype=complex,
-    )
+    g = _analytic_matrix(bath.gamma_fn, omega, bath.channel_count, "Gamma")
     scale = max(1.0, float(np.abs(g).max()))
     if hermiticity_defect(g) > 1e-10 * scale:
         raise ValueError(f"analytic Gamma({omega:g}) is not hermitian")
@@ -452,10 +455,7 @@ def delta_matrix(bath, omega: float) -> np.ndarray:
     k = bath.channel_count
     if bath.delta_fn is None:
         return np.zeros((k, k), dtype=complex)
-    d = np.array(
-        [[bath.delta_fn(a, b, omega) for b in range(k)] for a in range(k)],
-        dtype=complex,
-    )
+    d = _analytic_matrix(bath.delta_fn, omega, k, "Delta")
     if hermiticity_defect(d) > 1e-10 * max(1.0, float(np.abs(d).max())):
         raise ValueError(f"analytic Delta({omega:g}) is not hermitian")
     return (d + d.conj().T) / 2.0
@@ -471,7 +471,7 @@ class CorrelationTable:
     non_decaying: bool = False
 
 
-def estimate_correlation_time(bath: FiniteBath, channels=None) -> CorrelationTable:
+def estimate_correlation_time(bath: FiniteBath) -> CorrelationTable:
     """Estimate the reservoir memory time tau_B.
 
     tau_B is the smallest sampled tau such that every |G_ab(tau')| stays below
@@ -480,30 +480,26 @@ def estimate_correlation_time(bath: FiniteBath, channels=None) -> CorrelationTab
     the half-period pi/nu_min of the slowest weighted Bohr frequency (zero
     coupling gives tau_B = 0 by convention).
     """
-    if channels is None:
-        channels = list(range(bath.channel_count))
-    channels = list(channels)
-    pair_data = [
-        [bath._pair_terms(a, b) for b in channels] for a in channels
-    ]
+    k = bath.channel_count
+    pair_data = [[bath._pair_terms(a, b) for b in range(k)] for a in range(k)]
     scale0 = 0.0
     for row in pair_data:
         for weights, _ in row:
             if len(weights):
                 scale0 = max(scale0, abs(complex(np.sum(weights))))
-    freqs = bath.weighted_bohr_frequencies(channels)
+    freqs = bath.weighted_bohr_frequencies()
     nonzero = np.abs(freqs)[np.abs(freqs) > 1e-12 * max(1.0, np.abs(freqs).max() if len(freqs) else 1.0)]
     if scale0 <= 0.0:
         # nothing couples: no memory at all
         taus = np.array([0.0])
-        values = np.zeros((len(channels), len(channels), 1), dtype=complex)
+        values = np.zeros((k, k, 1), dtype=complex)
         return CorrelationTable(taus, values, 0.0, False)
     if len(nonzero) == 0:
         # constant correlation function: never decays, no finite period either
         taus = np.array([0.0])
         values = np.array(
             [[[complex(np.sum(w))] for (w, _) in row] for row in pair_data]
-        ).reshape(len(channels), len(channels), 1)
+        ).reshape(k, k, 1)
         return CorrelationTable(taus, values, math.inf, True)
     nu_min = float(nonzero.min())
     nu_max = float(nonzero.max())
@@ -511,7 +507,6 @@ def estimate_correlation_time(bath: FiniteBath, channels=None) -> CorrelationTab
     dt = math.pi / (16.0 * nu_max)
     n = int(min(4096, max(64, math.ceil(t_end / dt))))
     taus = np.linspace(0.0, t_end, n)
-    k = len(channels)
     # one phase table over the union of the pairs' frequencies (bit-identical
     # values share a row); each pair's weights are summed onto those rows
     pairs = [pair for row in pair_data for pair in row]

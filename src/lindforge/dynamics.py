@@ -129,14 +129,13 @@ def _rhs_norm_bound(g: Generator) -> float:
     return float(bound + (norms(left) * norms(right)).sum())
 
 
-def _build_trajectory(times, states, method: str, complete: bool = True) -> Trajectory:
-    states = np.asarray(states)
-    diags = [_sample_diagnostics(s) for s in states]
-    trace_d, herm_d, min_e = (np.array(x) for x in zip(*diags)) if diags else (
-        np.array([]), np.array([]), np.array([]))
+def _build_trajectory(times, states, diags, method: str,
+                      complete: bool = True) -> Trajectory:
+    """Trajectory from the sampled states and their _sample_diagnostics rows."""
+    trace_d, herm_d, min_e = np.array(diags, dtype=float).reshape(-1, 3).T
     return Trajectory(
         times=np.asarray(times, dtype=float),
-        states=states,
+        states=np.asarray(states),
         trace_defects=trace_d,
         hermiticity_defects=herm_d,
         min_eigenvalues=min_e,
@@ -190,31 +189,22 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
                 cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states.append(cur.copy())
 
-    # per-sample diagnostics with early abort on positivity loss
-    kept = []
+    # per-sample diagnostics, aborting at the first positivity loss: later
+    # samples may not even be finite
     diags = []
     for k, state in enumerate(states):
         d = _sample_diagnostics(state)
         if d[2] < POSITIVITY_FLOOR:
-            partial = _build_trajectory(t[:k], kept, method, complete=False)
             raise PropagationError(
                 f"state left the positivity tolerance at t={t[k]:.6g}: "
                 f"min eigenvalue {d[2]:.3e}",
                 time=float(t[k]),
                 defect=d[2],
-                partial=partial,
+                partial=_build_trajectory(t[:k], states[:k], diags, method,
+                                          complete=False),
             )
-        kept.append(state)
         diags.append(d)
-    trace_d, herm_d, min_e = (np.array(x) for x in zip(*diags))
-    return Trajectory(
-        times=t,
-        states=np.asarray(kept),
-        trace_defects=trace_d,
-        hermiticity_defects=herm_d,
-        min_eigenvalues=min_e,
-        method=method,
-    )
+    return _build_trajectory(t, states, diags, method)
 
 
 def oracle_dimension_cap() -> int:
@@ -230,11 +220,10 @@ def oracle_dimension_cap() -> int:
     return cap
 
 
-def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times,
-                 coupling_scale: float = 1.0) -> Trajectory:
+def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     """Exact reduced dynamics from the full system+bath hamiltonian.
 
-    H = H_A x 1 + 1 x H_B + scale * sum_a A_a x X_a is diagonalized once; the
+    H = H_A x 1 + 1 x H_B + sum_a A_a x X_a is diagonalized once; the
     composite state starts factorized as rho_A(0) x sigma_B (the only place a
     product form enters) and evolves unitarily. The reduced state at each
     sample time is assembled from the eigenphases directly, so the cost per
@@ -268,7 +257,7 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times,
     eye_b = np.eye(d_b, dtype=complex)
     h = np.kron(h_a, eye_b) + np.kron(eye_a, bath.h_b)
     for a_op, x_op in zip(ops, bath.coupling_ops):
-        h = h + coupling_scale * np.kron(a_op, x_op)
+        h = h + np.kron(a_op, x_op)
     h = 0.5 * (h + h.conj().T)
     # a real joint H (a mode comb in a real basis) takes the real symmetric
     # solver, about 3x faster at D = 1024; V then stays real below
@@ -294,7 +283,8 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times,
     for k in range(t.size):
         states[k] = 0.5 * (states[k] + states[k].conj().T)
 
-    return _build_trajectory(t, states, method="exact")
+    return _build_trajectory(t, states, [_sample_diagnostics(s) for s in states],
+                             "exact")
 
 
 def _sandwich(v: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:

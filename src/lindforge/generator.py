@@ -55,14 +55,13 @@ def coarse_graining_f(x, dt: float):
 class SecularPolicy:
     """How transition-frequency pairs (W', W) are weighted.
 
-    filter 'exact-match' keeps only |W' - W| <= matching_tol with weight 1.
+    filter 'exact-match' keeps only W' == W with weight 1.
     filter 'F-weighted' weights every pair by coarse_graining_f(W' - W, dt)
     and requires dt > 0.
     """
 
     dt: float | None = None
     filter: str = "exact-match"
-    matching_tol: float = 0.0
 
     def __post_init__(self):
         if self.filter not in ("exact-match", "F-weighted"):
@@ -73,8 +72,6 @@ class SecularPolicy:
         if self.filter == "F-weighted":
             if self.dt is None or not self.dt > 0:
                 raise ValueError("F-weighted policy requires dt > 0")
-        if self.matching_tol < 0:
-            raise ValueError("matching_tol must be >= 0")
 
 
 def secular_filter(omega_prime, omega, policy: SecularPolicy):
@@ -84,7 +81,7 @@ def secular_filter(omega_prime, omega, policy: SecularPolicy):
     """
     diff = np.subtract(omega_prime, omega)
     if policy.filter == "exact-match":
-        return (np.abs(diff) <= policy.matching_tol).astype(complex)
+        return (diff == 0).astype(complex)
     return coarse_graining_f(diff, policy.dt)
 
 
@@ -143,22 +140,18 @@ class Generator:
         if not terms:
             empty = np.zeros((0, dim, dim), dtype=complex)
             return np.zeros((dim, dim), dtype=complex), empty, empty
-        n_w, n_ch = len(terms), terms[0].channel_count
         secular = self.mode == "secular"
         if not secular and self.policy is None:
             raise ValueError("presecular generator needs a SecularPolicy")
-        ops = np.array([t.ops for t in terms], dtype=complex)  # A[W, a]
-        rates = np.array([t.gamma if secular else t.w_matrix() for t in terms],
-                         dtype=complex)
         # M[W', a] = sum_(W, b) c(W', W) C_ab(W) A_b(W): channels first, then
         # the filter over the source frequency (c is the identity if secular)
-        m = rates @ ops.reshape(n_w, n_ch, dim * dim)
+        a, m = _channel_contraction(
+            terms, [t.gamma if secular else t.w_matrix() for t in terms],
+            terms[0].channel_count, dim)
         if not secular:
             omegas = np.array([t.omega for t in terms])
             weights = secular_filter(omegas[:, None], omegas[None, :], self.policy)
-            m = weights @ m.reshape(n_w, -1)
-        m = m.reshape(n_w * n_ch, dim, dim)
-        a = ops.reshape(n_w * n_ch, dim, dim)
+            m = (weights @ m.reshape(len(terms), -1)).reshape(m.shape)
         a_dag = a.conj().transpose(0, 2, 1)
         loss = _sum_of_products(a_dag, m)
         if secular:
@@ -177,6 +170,15 @@ class Generator:
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
+
+
+def _channel_contraction(terms, rates, n_ch: int, dim: int):
+    """Stack the eigenoperators as A[W, a] and contract them over the source
+    channel with k x k matrices C(W), one per term:
+    M[W, a] = sum_b C_ab(W) A_b(W). Returns A and M as (N k, d, d) stacks."""
+    ops = np.array([t.ops for t in terms], dtype=complex).reshape(-1, n_ch, dim * dim)
+    m = np.asarray(rates, dtype=complex).reshape(-1, n_ch, n_ch) @ ops
+    return ops.reshape(-1, dim, dim), m.reshape(-1, dim, dim)
 
 
 def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -231,19 +233,11 @@ def build_standard_form(spectrum, eigenops, bath, gammas) -> Generator:
     gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas)
-    dim = spectrum.dim
     h_a = _reconstruct_hamiltonian(spectrum)
-
-    h_ls = np.zeros((dim, dim), dtype=complex)
-    for t in terms:
-        if t.delta is None:
-            continue
-        for a in range(t.channel_count):
-            for b in range(t.channel_count):
-                if t.delta[a, b] == 0:
-                    continue
-                h_ls += t.delta[a, b] * (t.ops[a].conj().T @ t.ops[b])
-    h_ls = _hermitize(h_ls)
+    # h_ls = sum_W sum_ab Delta_ab(W) A_a(W)^+ A_b(W), contracted like G
+    a, m = _channel_contraction(terms, [t.delta for t in terms], len(eigenops),
+                                spectrum.dim)
+    h_ls = _hermitize(_sum_of_products(a.conj().transpose(0, 2, 1), m))
     h_eff = _hermitize(h_a + h_ls)
 
     return Generator(
@@ -548,7 +542,7 @@ def derive_generator(
 
     spectrum = build_spectrum(h_a, degeneracy_tol=degeneracy_tol)
     eigenops = tuple(
-        eigenoperator_decomposition(a, spectrum, channel=i) for i, a in enumerate(ops)
+        eigenoperator_decomposition(a, spectrum) for a in ops
     )
 
     if mode not in ("secular", "presecular"):

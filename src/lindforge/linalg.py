@@ -75,8 +75,9 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def hermitian_eigendecomposition(h, hermiticity_tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a hermitian matrix.
+def hermitian_eigendecomposition(h):
+    """Eigendecomposition of a hermitian matrix (defect at most DEFAULT_TOL
+    relative to max(1, max |h|)).
 
     Returns (eigenvalues ascending, eigenvector matrix V) with h = V diag(w) V^dag.
     Eigenvector phases are gauged so the largest-magnitude entry of each column
@@ -85,10 +86,10 @@ def hermitian_eigendecomposition(h, hermiticity_tol: float = DEFAULT_TOL):
     h = as_operator(h, "hamiltonian")
     defect = hermiticity_defect(h)
     scale = max(1.0, float(np.abs(h).max())) if h.size else 1.0
-    if defect > hermiticity_tol * scale:
+    if defect > DEFAULT_TOL * scale:
         raise ValueError(
             f"matrix is not hermitian: defect {defect:.3e} exceeds "
-            f"{hermiticity_tol:.1e} * {scale:.3e}"
+            f"{DEFAULT_TOL:.1e} * {scale:.3e}"
         )
     w, v = np.linalg.eigh(h)
     # fix the per-column phase gauge

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import (
-    AnalyticBath,
     FiniteBath,
     flat_thermal_bath,
     hermitize_coupling,
@@ -432,7 +431,7 @@ def _parse_policy(node):
     if filt not in ("exact-match", "F-weighted"):
         _fail("policy.filter", f"unknown filter {filt!r}; expected "
                                "'exact-match' or 'F-weighted'")
-    return "presecular", SecularPolicy(dt=dt, filter=filt, matching_tol=0.0)
+    return "presecular", SecularPolicy(dt=dt, filter=filt)
 
 
 def scenario_from_data(data: dict) -> Scenario:

@@ -68,19 +68,12 @@ class BohrFrequencySet:
     """Sorted distinct Bohr frequencies Omega = w_M - w_N, with 0, negation-closed."""
 
     values: np.ndarray
-    matching_tol: float
-
-    def snap(self, omega: float) -> float:
-        """Nearest member of the set (used to discretize raw differences)."""
-        i = int(np.argmin(np.abs(self.values - omega)))
-        return float(self.values[i])
 
 
 @dataclass(frozen=True)
 class EigenOperatorSet:
     """Map Omega -> A_alpha(Omega) for one coupling channel, user basis."""
 
-    channel: int
     terms: dict[float, np.ndarray]
 
     def omegas(self) -> list[float]:
@@ -149,7 +142,7 @@ def bohr_frequencies(s: Spectrum) -> BohrFrequencySet:
     if cluster:
         positives.append(float(np.mean(cluster)))
     values = np.array([-x for x in reversed(positives)] + [0.0] + positives)
-    return BohrFrequencySet(values=values, matching_tol=tol)
+    return BohrFrequencySet(values=values)
 
 
 def _frequency_gaps(s: Spectrum) -> np.ndarray:
@@ -174,7 +167,7 @@ def eigenoperator(a_op, s: Spectrum, omega: float) -> np.ndarray:
     return v @ (a_eig * mask) @ v.conj().T
 
 
-def eigenoperator_decomposition(a_op, s: Spectrum, channel: int = 0) -> EigenOperatorSet:
+def eigenoperator_decomposition(a_op, s: Spectrum) -> EigenOperatorSet:
     """Split a_op into eigenoperators over the full Bohr frequency set.
 
     Every matrix element is assigned to its nearest Bohr frequency, so the
@@ -192,4 +185,4 @@ def eigenoperator_decomposition(a_op, s: Spectrum, channel: int = 0) -> EigenOpe
         if np.abs(piece).max() < NEGLIGIBLE_ENTRY:
             continue
         terms[float(omega)] = v @ piece @ v.conj().T
-    return EigenOperatorSet(channel=channel, terms=terms)
+    return EigenOperatorSet(terms=terms)

@@ -103,6 +103,21 @@ def reference_rhs(g, rho):
     return out
 
 
+def reference_lamb_shift(g):
+    """h_ls = sum_W sum_ab Delta_ab(W) A_a(W)^+ A_b(W), one dense product per
+    (term, a, b), the reference for the contracted Lamb shift."""
+    h_ls = np.zeros((g.dim, g.dim), dtype=complex)
+    for t in g.dissipator_terms:
+        if t.delta is None:
+            continue
+        for a in range(t.channel_count):
+            for b in range(t.channel_count):
+                if t.delta[a, b] == 0:
+                    continue
+                h_ls += t.delta[a, b] * (t.ops[a].conj().T @ t.ops[b])
+    return 0.5 * (h_ls + h_ls.conj().T)
+
+
 def reference_superoperator(g):
     """Column-stacking matrix of reference_rhs, one np.kron per term."""
     big_g, pairs = reference_pieces(g)
@@ -115,7 +130,7 @@ def reference_superoperator(g):
     return mat
 
 
-def reference_correlation_time(bath, channels=None):
+def reference_correlation_time(bath):
     """estimate_correlation_time with one phase table per channel pair, the
     reference for the single union table: returns a CorrelationTable."""
     import math
@@ -123,16 +138,14 @@ def reference_correlation_time(bath, channels=None):
     from lindforge import CorrelationTable
     from lindforge.bath import DECAY_THRESHOLD
 
-    if channels is None:
-        channels = list(range(bath.channel_count))
-    channels = list(channels)
-    pair_data = [[bath._pair_terms(a, b) for b in channels] for a in channels]
+    k = bath.channel_count
+    pair_data = [[bath._pair_terms(a, b) for b in range(k)] for a in range(k)]
     scale0 = 0.0
     for row in pair_data:
         for weights, _ in row:
             if len(weights):
                 scale0 = max(scale0, abs(complex(np.sum(weights))))
-    freqs = bath.weighted_bohr_frequencies(channels)
+    freqs = bath.weighted_bohr_frequencies()
     top = np.abs(freqs).max() if len(freqs) else 1.0
     nonzero = np.abs(freqs)[np.abs(freqs) > 1e-12 * max(1.0, top)]
     if scale0 <= 0.0 or len(nonzero) == 0:
@@ -143,7 +156,6 @@ def reference_correlation_time(bath, channels=None):
     dt = math.pi / (16.0 * nu_max)
     n = int(min(4096, max(64, math.ceil(t_end / dt))))
     taus = np.linspace(0.0, t_end, n)
-    k = len(channels)
     values = np.zeros((k, k, n), dtype=complex)
     for i in range(k):
         for j in range(k):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lindforge import (
+    AnalyticBath,
     FiniteBath,
     center_couplings,
     correlation_function,
@@ -252,6 +253,57 @@ def test_table_bath_lookup_and_rejections():
     skew = np.array([[0.1, 0.2], [0.3, 0.1]], dtype=complex)
     with pytest.raises(ValueError, match="not hermitian"):
         table_bath([(0.7, skew, None)])
+
+
+@pytest.mark.parametrize("kind", ["table", "flat-thermal"])
+def test_analytic_bath_called_once_per_omega(kind):
+    omegas = [-1.3, 0.0, 0.7, 1.3]
+    if kind == "table":
+        rng = np.random.default_rng(71)
+        entries = []
+        for omega in omegas:
+            m = crandn(rng, 2, 2)
+            entries.append((omega, m @ m.conj().T, random_hermitian(rng, 2)))
+        bath = table_bath(entries)
+    else:
+        bath = flat_thermal_bath(0.4, 0.9, gamma_dephasing=0.1, channel_count=2)
+    calls = []
+    for name in ("gamma_fn", "delta_fn"):
+        fn = getattr(bath, name)
+        if fn is not None:
+            def counted(*args, fn=fn, name=name):
+                calls.append((name, args[-1]))
+                return fn(*args)
+            setattr(bath, name, counted)
+    for omega in omegas:
+        gamma_matrix(bath, omega)
+        delta_matrix(bath, omega)
+    names = ("gamma_fn", "delta_fn") if kind == "table" else ("gamma_fn",)
+    assert calls == [(name, omega) for omega in omegas for name in names]
+
+
+def test_table_lookup_tie_goes_to_first_entry():
+    h = 2.0 ** -30  # both entries lie exactly h from 1.0, well inside 1e-8
+    one = np.eye(1, dtype=complex)
+    low = (1.0 - h, 0.2 * one, 0.05 * one)
+    high = (1.0 + h, 0.3 * one, -0.05 * one)
+    for first, second in ((low, high), (high, low)):
+        bath = table_bath([first, second])
+        assert gamma_matrix(bath, 1.0)[0, 0] == first[1][0, 0]
+        assert delta_matrix(bath, 1.0)[0, 0] == first[2][0, 0]
+        # off the tie the nearer entry wins, whatever its place
+        assert gamma_matrix(bath, 1.0 + h / 2)[0, 0] == 0.3
+        assert gamma_matrix(bath, 1.0 - h / 2)[0, 0] == 0.2
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (1, 1), (3, 3), (2, 1)])
+def test_analytic_bath_rejects_wrongly_shaped_matrix(shape):
+    bath = AnalyticBath(lambda omega: np.zeros(shape), lambda omega: np.zeros(shape),
+                        channel_count=2)
+    with pytest.raises(ValueError, match=r"Gamma\(0.5\) has shape"):
+        gamma_matrix(bath, 0.5)
+    with pytest.raises(ValueError, match=r"Delta\(0.5\) has shape"):
+        delta_matrix(bath, 0.5)
 
 
 def test_correlation_time_zero_coupling():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import lindforge.dynamics
+
 from lindforge import (
     DimensionError,
     DissipatorTerm,
@@ -168,17 +170,21 @@ def test_exactly_one_stationary_mode_for_ergodic_qubit():
     assert n_zero == 1
 
 
-def test_positivity_violation_raises_with_partial_trajectory():
+def negative_rate_generator():
     # a negative rate is unphysical: the excited population grows past one
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     term = DissipatorTerm(
         omega=OMEGA0, gamma=np.array([[-0.5]], dtype=complex), ops=(sm,)
     )
-    gen = Generator(
+    return Generator(
         h_eff=np.diag([0.0, OMEGA0]).astype(complex),
         dissipator_terms=(term,),
         mode="secular",
     )
+
+
+def test_positivity_violation_raises_with_partial_trajectory():
+    gen = negative_rate_generator()
     rho0 = np.diag([0.5, 0.5]).astype(complex)
     times = np.linspace(0.0, 6.0, 25)
     with pytest.raises(PropagationError) as err:
@@ -189,6 +195,32 @@ def test_positivity_violation_raises_with_partial_trajectory():
     assert partial is not None
     assert not partial.complete
     assert len(partial) >= 1
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_propagation_failure_diagnoses_each_sample_once(monkeypatch, method):
+    calls = []
+    original = lindforge.dynamics._sample_diagnostics
+
+    def counted(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(lindforge.dynamics, "_sample_diagnostics", counted)
+    times = np.linspace(0.0, 6.0, 25)
+    with pytest.raises(PropagationError) as err:
+        propagate(np.diag([0.5, 0.5]).astype(complex), negative_rate_generator(),
+                  times, method=method)
+    partial = err.value.partial
+    # the kept samples once each, then the one that failed
+    assert len(calls) == len(partial) + 1 < len(times)
+    assert np.array_equal(partial.times, times[:len(partial)])
+    assert np.array_equal(partial.states, np.asarray(calls[:-1]))
+    for diag, want in zip(
+            (partial.trace_defects, partial.hermiticity_defects, partial.min_eigenvalues),
+            zip(*(original(state) for state in calls[:-1]))):
+        assert np.array_equal(diag, want)
+    assert partial.min_eigenvalues.min() >= -1e-6 > err.value.defect
 
 
 def test_oracle_zero_coupling_is_free_evolution():

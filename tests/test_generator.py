@@ -27,6 +27,7 @@ from _support import (
     random_hermitian,
     random_unitary,
     reference_kernel,
+    reference_lamb_shift,
     reference_pauli,
     reference_rate_tensors,
     reference_rhs,
@@ -202,6 +203,28 @@ def test_contracted_form_matches_term_by_term_reference(seed):
             expected = reference_rhs(gen, rho)
             got = apply_rhs(gen, rho)
             assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("levels, rotated", [
+    ([0.0, 0.8, 2.1], False),
+    ([0.0, 0.8, 2.1, 3.7], True),
+    ([0.0, 0.0, 1.1, 2.6], False),
+    ([0.0, 0.0, 1.1, 1.1, 1.1, 2.6], True),
+])
+def test_lamb_shift_matches_per_entry_reference(levels, rotated):
+    rng = np.random.default_rng(310 + len(levels))
+    h, ops, bath = random_table_scenario(rng, levels)
+    if rotated:
+        u = random_unitary(rng, len(levels))
+        h = u @ h @ u.conj().T
+        ops = [u @ a @ u.conj().T for a in ops]
+    gen = derive_generator(h, bath, ops).generator
+    assert all(abs(t.delta[0, 1]) > 0 for t in gen.dissipator_terms)
+    want = reference_lamb_shift(gen)
+    scale = np.abs(want).max()
+    assert scale > 0
+    assert np.abs(gen.h_ls - want).max() <= 1e-12 * scale
+    assert np.abs(gen.h_eff - h - want).max() <= 1e-12 * max(scale, np.abs(h).max())
 
 
 def test_rate_tensor_symmetries_random_scenario():

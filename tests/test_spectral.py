@@ -117,13 +117,6 @@ def test_spectrum_in_rotated_basis():
     assert np.abs(total - sx).max() < COMPLETENESS_TOL * max(1.0, np.abs(sx).max())
 
 
-def test_bohr_snap_matches_nearest_value():
-    spec = build_spectrum(np.diag([0.0, 1.0, 2.5]).astype(complex))
-    omegas = bohr_frequencies(spec)
-    assert omegas.snap(1.0 + 1e-12) == 1.0
-    assert omegas.snap(-1.5 - 1e-12) == -1.5
-
-
 def test_bohr_index_is_the_nearest_bohr_frequency():
     rng = np.random.default_rng(24)
     for trial in range(20):

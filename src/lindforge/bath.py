@@ -11,12 +11,15 @@ Two backends:
   and the half-range Fourier transform W_ab(Omega) = int_0^inf e^{i Omega tau}
   G_ab(tau) dtau is regularized with a Lorentzian broadening epsilon, giving
   the closed form sum_{z,xi} weight * i / ((Omega + w_zxi) + i epsilon).
-  Gamma = W + W^dag and Delta = (W - W^dag)/2i follow; Gamma is positive
-  semidefinite by construction (each (z,xi) term is a scaled outer product).
+  Both sums run over the bath's transition table. Gamma = W + W^dag and
+  Delta = (W - W^dag)/2i follow; Gamma is positive semidefinite by
+  construction (each (z,xi) term is a scaled outer product).
 
 * AnalyticBath: the user supplies Gamma (and optionally Delta) directly as a
-  function of Omega returning the whole k x k matrix over channels;
-  hermiticity and positivity are checked at every evaluation.
+  function of Omega.
+
+Both answer gamma_fn(Omega)/delta_fn(Omega) with the whole k x k matrix over
+channels; gamma_matrix/delta_matrix check it at every evaluation.
 """
 
 from __future__ import annotations
@@ -78,8 +81,29 @@ def default_broadening(bath_energies: np.ndarray) -> float:
     return 4.0 * (distinct[-1] - distinct[0]) / (len(distinct) - 1)
 
 
+def _transitions(x_eig, energies, populations):
+    """(amp, pop, nu) over every transition z -> xi that some channel carries
+    and whose p(z) is nonzero: amp[c, s] = <xi|X_c|z>, pop[s] = p(z) and
+    nu[s] = E_z - E_xi, read-only and sorted by nu (stably, so transitions of
+    one frequency stay in (z, xi) order)."""
+    k, dim = len(x_eig), len(energies)
+    # amps[c, z, xi] = <xi|X_c|z>
+    amps = np.asarray(x_eig, dtype=complex).reshape(k, dim, dim).transpose(0, 2, 1)
+    z, xi = np.nonzero((amps != 0).any(axis=0) & (populations != 0)[:, None])
+    nu = energies[z] - energies[xi]
+    order = np.argsort(nu, kind="stable")
+    table = (amps[:, z, xi][:, order], populations[z][order], nu[order])
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
 class FiniteBath:
-    """Microscopic reservoir: hermitian H_B, Gibbs state, couplings X_alpha."""
+    """Microscopic reservoir: hermitian H_B, Gibbs state, couplings X_alpha.
+
+    transitions is the read-only table (amp, pop, nu) that every correlation
+    function, half-range transform and rate matrix of the bath sums over.
+    """
 
     def __init__(self, h_b, temperature: float, coupling_ops, broadening: float | None = None):
         self.h_b = as_operator(h_b, "h_b")
@@ -106,7 +130,7 @@ class FiniteBath:
         self._sigma = (v * self._populations) @ v.conj().T
         self._sigma.flags.writeable = False
         self._x_eig = [v.conj().T @ x @ v for x in self.coupling_ops]
-        self._pair_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.transitions = _transitions(self._x_eig, self._energies, self._populations)
 
     @property
     def dim(self) -> int:
@@ -136,7 +160,7 @@ class FiniteBath:
         new.__dict__.update(self.__dict__)
         new.coupling_ops = [x - s * eye for x, s in zip(self.coupling_ops, shifts)]
         new._x_eig = [x - s * eye for x, s in zip(self._x_eig, shifts)]
-        new._pair_cache = {}
+        new.transitions = _transitions(new._x_eig, self._energies, self._populations)
         return new
 
     def expectation(self, x) -> complex:
@@ -145,30 +169,32 @@ class FiniteBath:
         x_eig = self._basis.conj().T @ x @ self._basis
         return complex(np.sum(self._populations * np.diag(x_eig)))
 
-    def _pair_terms(self, alpha: int, beta: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (weights, frequencies) of the correlation double sum."""
-        key = (alpha, beta)
-        if key not in self._pair_cache:
-            xa = self._x_eig[alpha]
-            xb = self._x_eig[beta]
-            # weights[z, xi] = p(z) <z|X_a^dag|xi><xi|X_b|z>
-            weights = self._populations[:, None] * xa.conj().T * xb.T
-            freqs = self._energies[:, None] - self._energies[None, :]
-            mask = weights != 0
-            self._pair_cache[key] = (weights[mask], freqs[mask])
-        return self._pair_cache[key]
+    def w_matrix(self, omega: float) -> np.ndarray:
+        """W(Omega) over channels, one contraction over the transition table."""
+        amp, pop, nu = self.transitions
+        line = pop * (1j / ((omega + nu) + 1j * self.broadening))
+        return (amp.conj() * line) @ amp.T
+
+    def gamma_fn(self, omega: float) -> np.ndarray:
+        w = self.w_matrix(omega)
+        return w + w.conj().T
+
+    def delta_fn(self, omega: float) -> np.ndarray:
+        w = self.w_matrix(omega)
+        return (w - w.conj().T) / 2j
 
     def weighted_bohr_frequencies(self) -> np.ndarray:
-        """Bath Bohr frequencies that actually carry correlation weight."""
-        chunks = []
-        for a in range(self.channel_count):
-            for b in range(self.channel_count):
-                w, f = self._pair_terms(a, b)
-                if len(w) == 0:
-                    continue
-                cut = WEIGHT_CUTOFF * np.abs(w).max()
-                chunks.append(f[np.abs(w) > cut])
-        return np.unique(np.concatenate(chunks)) if chunks else np.array([])
+        """Bath Bohr frequencies that actually carry correlation weight: on
+        some channel pair, a transition weight above WEIGHT_CUTOFF times that
+        pair's largest."""
+        mags = np.abs(self._pair_weights())
+        cut = WEIGHT_CUTOFF * mags.max(axis=2, keepdims=True, initial=0.0)
+        return np.unique(self.transitions[2][(mags > cut).any(axis=(0, 1))])
+
+    def _pair_weights(self) -> np.ndarray:
+        """weights[a, b, s] = p(z) <z|X_a^dag|xi><xi|X_b|z> on every transition."""
+        amp, pop, _ = self.transitions
+        return pop * amp.conj()[:, None, :] * amp[None, :, :]
 
 
 def center_couplings(bath: FiniteBath, system_ops) -> tuple[FiniteBath, np.ndarray]:
@@ -260,10 +286,9 @@ def hermitize_coupling(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def correlation_function(bath: FiniteBath, alpha: int, beta: int, tau: float) -> complex:
     """G_ab(tau), evaluated exactly in the bath eigenbasis."""
-    weights, freqs = bath._pair_terms(alpha, beta)
-    if len(weights) == 0:
-        return 0j
-    return complex(np.sum(weights * np.exp(1j * freqs * tau)))
+    amp, pop, nu = bath.transitions
+    weights = pop * amp[alpha].conj() * amp[beta]
+    return complex(np.sum(weights * np.exp(1j * nu * tau)))
 
 
 def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2: float) -> complex:
@@ -282,23 +307,13 @@ def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2:
 
 
 def half_fourier_w(bath: FiniteBath, alpha: int, beta: int, omega: float) -> complex:
-    """W_ab(Omega) = int_0^inf e^{i Omega tau} G_ab(tau) dtau, broadened."""
-    eps = bath.broadening
-    if eps <= 0:
-        raise ValueError(f"broadening must be positive, got {eps}")
-    weights, freqs = bath._pair_terms(alpha, beta)
-    if len(weights) == 0:
-        return 0j
-    return complex(np.sum(weights * (1j / ((omega + freqs) + 1j * eps))))
+    """W_ab(Omega) = int_0^inf e^{i Omega tau} G_ab(tau) dtau, broadened.
 
-
-def _w_matrix(bath: FiniteBath, omega: float) -> np.ndarray:
-    k = bath.channel_count
-    w = np.empty((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            w[a, b] = half_fourier_w(bath, a, b, omega)
-    return w
+    One entry summed term by term, a separate route from FiniteBath.w_matrix.
+    """
+    amp, pop, nu = bath.transitions
+    weights = pop * amp[alpha].conj() * amp[beta]
+    return complex(np.sum(weights * (1j / ((omega + nu) + 1j * bath.broadening))))
 
 
 class AnalyticBath:
@@ -410,38 +425,24 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
                         lambda omega: lookup(omega)[2], k)
 
 
-def _analytic_matrix(fn, omega: float, k: int, name: str) -> np.ndarray:
+def _rate_matrix(fn, omega: float, k: int, name: str) -> np.ndarray:
     m = np.asarray(fn(omega), dtype=complex)
     if m.shape != (k, k):
-        raise ValueError(
-            f"analytic {name}({omega:g}) has shape {m.shape}, expected {(k, k)}"
-        )
+        raise ValueError(f"{name}({omega:g}) has shape {m.shape}, expected {(k, k)}")
     return m
 
 
 def gamma_matrix(bath, omega: float) -> np.ndarray:
     """Gamma(Omega) over channels: hermitian, positive semidefinite."""
-    if isinstance(bath, FiniteBath):
-        w = _w_matrix(bath, omega)
-        g = w + w.conj().T
-        scale = float(np.abs(g).max())
-        if scale > 0:
-            min_eig = float(np.linalg.eigvalsh(g).min())
-            if min_eig < -1e-8 * scale:
-                raise ValueError(
-                    f"Gamma({omega:g}) lost positivity (min eigenvalue {min_eig:.3e}); "
-                    "broadening may be pathological"
-                )
-        return g
-    g = _analytic_matrix(bath.gamma_fn, omega, bath.channel_count, "Gamma")
+    g = _rate_matrix(bath.gamma_fn, omega, bath.channel_count, "Gamma")
     scale = max(1.0, float(np.abs(g).max()))
     if hermiticity_defect(g) > 1e-10 * scale:
-        raise ValueError(f"analytic Gamma({omega:g}) is not hermitian")
+        raise ValueError(f"Gamma({omega:g}) is not hermitian")
     g = (g + g.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(g).min())
     if min_eig < -1e-10 * scale:
         raise ValueError(
-            f"analytic Gamma({omega:g}) is not positive semidefinite "
+            f"Gamma({omega:g}) is not positive semidefinite "
             f"(min eigenvalue {min_eig:.3e})"
         )
     return g
@@ -449,15 +450,12 @@ def gamma_matrix(bath, omega: float) -> np.ndarray:
 
 def delta_matrix(bath, omega: float) -> np.ndarray:
     """Delta(Omega) over channels: hermitian, feeds the Lamb shift."""
-    if isinstance(bath, FiniteBath):
-        w = _w_matrix(bath, omega)
-        return (w - w.conj().T) / 2j
     k = bath.channel_count
     if bath.delta_fn is None:
         return np.zeros((k, k), dtype=complex)
-    d = _analytic_matrix(bath.delta_fn, omega, k, "Delta")
+    d = _rate_matrix(bath.delta_fn, omega, k, "Delta")
     if hermiticity_defect(d) > 1e-10 * max(1.0, float(np.abs(d).max())):
-        raise ValueError(f"analytic Delta({omega:g}) is not hermitian")
+        raise ValueError(f"Delta({omega:g}) is not hermitian")
     return (d + d.conj().T) / 2.0
 
 
@@ -481,43 +479,29 @@ def estimate_correlation_time(bath: FiniteBath) -> CorrelationTable:
     coupling gives tau_B = 0 by convention).
     """
     k = bath.channel_count
-    pair_data = [[bath._pair_terms(a, b) for b in range(k)] for a in range(k)]
-    scale0 = 0.0
-    for row in pair_data:
-        for weights, _ in row:
-            if len(weights):
-                scale0 = max(scale0, abs(complex(np.sum(weights))))
+    nu = bath.transitions[2]
+    weights = bath._pair_weights().reshape(k * k, -1)
+    g0 = weights.sum(axis=1)
+    scale0 = float(np.abs(g0).max(initial=0.0))
     freqs = bath.weighted_bohr_frequencies()
     nonzero = np.abs(freqs)[np.abs(freqs) > 1e-12 * max(1.0, np.abs(freqs).max() if len(freqs) else 1.0)]
     if scale0 <= 0.0:
         # nothing couples: no memory at all
-        taus = np.array([0.0])
-        values = np.zeros((k, k, 1), dtype=complex)
-        return CorrelationTable(taus, values, 0.0, False)
+        return CorrelationTable(np.array([0.0]), np.zeros((k, k, 1), dtype=complex),
+                                0.0, False)
     if len(nonzero) == 0:
         # constant correlation function: never decays, no finite period either
-        taus = np.array([0.0])
-        values = np.array(
-            [[[complex(np.sum(w))] for (w, _) in row] for row in pair_data]
-        ).reshape(k, k, 1)
-        return CorrelationTable(taus, values, math.inf, True)
+        return CorrelationTable(np.array([0.0]), g0.reshape(k, k, 1), math.inf, True)
     nu_min = float(nonzero.min())
     nu_max = float(nonzero.max())
     t_end = 8.0 * math.pi / nu_min
     dt = math.pi / (16.0 * nu_max)
     n = int(min(4096, max(64, math.ceil(t_end / dt))))
     taus = np.linspace(0.0, t_end, n)
-    # one phase table over the union of the pairs' frequencies (bit-identical
-    # values share a row); each pair's weights are summed onto those rows
-    pairs = [pair for row in pair_data for pair in row]
-    union, where = np.unique(np.concatenate([fr for _, fr in pairs]),
-                             return_inverse=True)
-    rows = np.repeat(np.arange(len(pairs)), [len(w) for w, _ in pairs])
-    flat = rows * len(union) + where.ravel()
-    size = len(pairs) * len(union)
-    weights = np.concatenate([w for w, _ in pairs])
-    coef = (np.bincount(flat, weights.real, size)
-            + 1j * np.bincount(flat, weights.imag, size)).reshape(len(pairs), -1)
+    # one phase row per distinct frequency: the table is sorted by nu, so the
+    # transitions of one frequency are contiguous and summed onto its row
+    union, starts = np.unique(nu, return_index=True)
+    coef = np.add.reduceat(weights, starts, axis=1)
     values = np.empty((k * k, n), dtype=complex)
     for start in range(0, n, 512):
         stop = min(start + 512, n)

@@ -152,7 +152,7 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     fourth-order stepping with step size at most (1/20) / ||L||.
 
     Raises PropagationError (partial trajectory attached) as soon as a sampled
-    state has an eigenvalue below -1e-6.
+    state has an eigenvalue below -1e-6 or a non-finite entry.
     """
     t = _check_times(times)
     rho = _check_initial_state(rho0, g.dim)
@@ -189,12 +189,12 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
                 cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states.append(cur.copy())
 
-    # per-sample diagnostics, aborting at the first positivity loss: later
-    # samples may not even be finite
+    # per-sample diagnostics, aborting at the first positivity loss or the
+    # first non-finite sample (whose minimum eigenvalue counts as NaN)
     diags = []
     for k, state in enumerate(states):
-        d = _sample_diagnostics(state)
-        if d[2] < POSITIVITY_FLOOR:
+        d = _sample_diagnostics(state) if np.isfinite(state).all() else (math.nan,) * 3
+        if not d[2] >= POSITIVITY_FLOOR:
             raise PropagationError(
                 f"state left the positivity tolerance at t={t[k]:.6g}: "
                 f"min eigenvalue {d[2]:.3e}",

@@ -49,16 +49,41 @@ class Spectrum:
         return self.multiplet_frequencies[self.multiplet_index]
 
     @cached_property
+    def bohr_set(self) -> BohrFrequencySet:
+        """All differences of multiplet frequencies, deduplicated and
+        mirrored, computed once and shared read-only."""
+        reps = self.multiplet_frequencies
+        tol = self.degeneracy_tol
+        diffs = sorted(
+            float(reps[m] - reps[n])
+            for m in range(len(reps))
+            for n in range(len(reps))
+            if reps[m] - reps[n] > tol
+        )
+        positives: list[float] = []
+        cluster: list[float] = []
+        for d in diffs:
+            if cluster and d - cluster[-1] > tol:
+                positives.append(float(np.mean(cluster)))
+                cluster = []
+            cluster.append(d)
+        if cluster:
+            positives.append(float(np.mean(cluster)))
+        values = np.array([-x for x in reversed(positives)] + [0.0] + positives)
+        values.flags.writeable = False
+        return BohrFrequencySet(values=values)
+
+    @cached_property
     def bohr_index(self) -> np.ndarray:
-        """(d, d) index into bohr_frequencies(self).values of the Bohr
-        frequency nearest each eigenbasis gap w_m - w_a, computed once and
-        shared read-only.
+        """(d, d) index into bohr_set.values of the Bohr frequency nearest
+        each eigenbasis gap w_m - w_a, computed once and shared read-only.
 
         The values are sorted, so the nearest one is found by counting the
         midpoints below the gap; an exact tie goes to the lower value.
         """
-        values = bohr_frequencies(self).values
-        index = np.searchsorted(0.5 * (values[1:] + values[:-1]), _frequency_gaps(self))
+        values = self.bohr_set.values
+        r = self.representative_frequencies()
+        index = np.searchsorted(0.5 * (values[1:] + values[:-1]), r[None, :] - r[:, None])
         index.flags.writeable = False
         return index
 
@@ -123,48 +148,37 @@ def build_spectrum(h_a, degeneracy_tol: float | None = None) -> Spectrum:
 
 
 def bohr_frequencies(s: Spectrum) -> BohrFrequencySet:
-    """All differences of multiplet frequencies, deduplicated and mirrored."""
-    reps = s.multiplet_frequencies
-    tol = s.degeneracy_tol
-    diffs = sorted(
-        float(reps[m] - reps[n])
-        for m in range(len(reps))
-        for n in range(len(reps))
-        if reps[m] - reps[n] > tol
-    )
-    positives: list[float] = []
-    cluster: list[float] = []
-    for d in diffs:
-        if cluster and d - cluster[-1] > tol:
-            positives.append(float(np.mean(cluster)))
-            cluster = []
-        cluster.append(d)
-    if cluster:
-        positives.append(float(np.mean(cluster)))
-    values = np.array([-x for x in reversed(positives)] + [0.0] + positives)
-    return BohrFrequencySet(values=values)
+    """The spectrum's Bohr frequencies, its cached bohr_set."""
+    return s.bohr_set
 
 
-def _frequency_gaps(s: Spectrum) -> np.ndarray:
-    """Matrix of representative frequency differences: gaps[a, b] = w_b - w_a."""
-    r = s.representative_frequencies()
-    return r[None, :] - r[:, None]
-
-
-def eigenoperator(a_op, s: Spectrum, omega: float) -> np.ndarray:
-    """The component of a_op connecting states separated by exactly omega.
-
-    Keeps (in the eigenbasis) the elements <a|A|b> with w_b - w_a = omega up to
-    the spectral matching tolerance, zeroes the rest, and rotates back to the
-    user basis. An omega matching no Bohr frequency yields the zero matrix.
-    """
+def _eigenbasis_operator(a_op, s: Spectrum) -> np.ndarray:
     a_op = as_operator(a_op, "a_op")
     if a_op.shape[0] != s.dim:
         raise ValueError(f"operator dim {a_op.shape[0]} does not match spectrum dim {s.dim}")
+    return s.basis.conj().T @ a_op @ s.basis
+
+
+def _bohr_piece(a_eig: np.ndarray, s: Spectrum, k: int) -> np.ndarray:
+    """The eigenbasis elements of a_eig whose gap snaps to Bohr frequency k."""
+    return a_eig * (s.bohr_index == k)
+
+
+def eigenoperator(a_op, s: Spectrum, omega: float) -> np.ndarray:
+    """The component of a_op at the Bohr frequency omega, in the user basis.
+
+    This is the piece eigenoperator_decomposition assigns to the Bohr
+    frequency within the spectral matching tolerance of omega (the nearest
+    one): the elements <a|A|b> whose gap w_b - w_a snaps to it. An omega
+    matching no Bohr frequency yields the zero matrix.
+    """
+    a_eig = _eigenbasis_operator(a_op, s)
+    values = s.bohr_set.values
+    k = int(np.argmin(np.abs(values - omega)))
+    if abs(values[k] - omega) > s.degeneracy_tol:
+        return np.zeros_like(a_eig)
     v = s.basis
-    a_eig = v.conj().T @ a_op @ v
-    mask = np.abs(_frequency_gaps(s) - omega) <= s.degeneracy_tol
-    return v @ (a_eig * mask) @ v.conj().T
+    return v @ _bohr_piece(a_eig, s, k) @ v.conj().T
 
 
 def eigenoperator_decomposition(a_op, s: Spectrum) -> EigenOperatorSet:
@@ -174,14 +188,11 @@ def eigenoperator_decomposition(a_op, s: Spectrum) -> EigenOperatorSet:
     pieces always sum back to a_op exactly; near-zero pieces (all entries below
     1e-14) are dropped.
     """
-    a_op = as_operator(a_op, "a_op")
-    if a_op.shape[0] != s.dim:
-        raise ValueError(f"operator dim {a_op.shape[0]} does not match spectrum dim {s.dim}")
+    a_eig = _eigenbasis_operator(a_op, s)
     v = s.basis
-    a_eig = v.conj().T @ a_op @ v
     terms: dict[float, np.ndarray] = {}
     for k, omega in enumerate(bohr_frequencies(s).values):
-        piece = a_eig * (s.bohr_index == k)
+        piece = _bohr_piece(a_eig, s, k)
         if np.abs(piece).max() < NEGLIGIBLE_ENTRY:
             continue
         terms[float(omega)] = v @ piece @ v.conj().T

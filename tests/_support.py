@@ -130,6 +130,53 @@ def reference_superoperator(g):
     return mat
 
 
+def reference_pair_terms(bath, a, b):
+    """(weights, frequencies) of the correlation double sum of channel pair
+    (a, b), rebuilt from h_b, temperature and coupling_ops: weights[z, xi] =
+    p(z) <z|X_a^+|xi><xi|X_b|z> at E_z - E_xi, flattened, zeros dropped."""
+    import math
+
+    from lindforge.linalg import hermitian_eigendecomposition
+
+    energies, v = hermitian_eigendecomposition(bath.h_b)
+    if math.isinf(bath.temperature):
+        p = np.full(len(energies), 1.0 / len(energies))
+    else:
+        p = np.exp(-(energies - energies.min()) / bath.temperature)
+        p = p / p.sum()
+    xa = v.conj().T @ bath.coupling_ops[a] @ v
+    xb = v.conj().T @ bath.coupling_ops[b] @ v
+    weights = p[:, None] * xa.conj().T * xb.T
+    freqs = energies[:, None] - energies[None, :]
+    mask = weights != 0
+    return weights[mask], freqs[mask]
+
+
+def reference_w_matrix(bath, omega):
+    """W_ab(omega) entry by entry and term by term over reference_pair_terms."""
+    k = bath.channel_count
+    w = np.zeros((k, k), dtype=complex)
+    for a in range(k):
+        for b in range(k):
+            weights, freqs = reference_pair_terms(bath, a, b)
+            for weight, freq in zip(weights, freqs):
+                w[a, b] += weight * 1j / ((omega + freq) + 1j * bath.broadening)
+    return w
+
+
+def reference_weighted_bohr_frequencies(bath):
+    """Frequencies of the terms above 1e-12 of their channel pair's largest
+    weight, pair by pair."""
+    k = bath.channel_count
+    chunks = [np.array([])]
+    for a in range(k):
+        for b in range(k):
+            weights, freqs = reference_pair_terms(bath, a, b)
+            if len(weights):
+                chunks.append(freqs[np.abs(weights) > 1e-12 * np.abs(weights).max()])
+    return np.unique(np.concatenate(chunks))
+
+
 def reference_correlation_time(bath):
     """estimate_correlation_time with one phase table per channel pair, the
     reference for the single union table: returns a CorrelationTable."""
@@ -139,13 +186,13 @@ def reference_correlation_time(bath):
     from lindforge.bath import DECAY_THRESHOLD
 
     k = bath.channel_count
-    pair_data = [[bath._pair_terms(a, b) for b in range(k)] for a in range(k)]
+    pair_data = [[reference_pair_terms(bath, a, b) for b in range(k)] for a in range(k)]
     scale0 = 0.0
     for row in pair_data:
         for weights, _ in row:
             if len(weights):
                 scale0 = max(scale0, abs(complex(np.sum(weights))))
-    freqs = bath.weighted_bohr_frequencies()
+    freqs = reference_weighted_bohr_frequencies(bath)
     top = np.abs(freqs).max() if len(freqs) else 1.0
     nonzero = np.abs(freqs)[np.abs(freqs) > 1e-12 * max(1.0, top)]
     if scale0 <= 0.0 or len(nonzero) == 0:

@@ -26,6 +26,8 @@ from _support import (
     random_hermitian,
     record_eigh,
     reference_correlation_time,
+    reference_w_matrix,
+    reference_weighted_bohr_frequencies,
     sigma_ops,
 )
 
@@ -364,3 +366,55 @@ def test_correlation_time_matches_per_pair_reference(kind, decays):
     assert np.abs(table.values - ref.values).max() < 1e-12
     assert table.tau_b_estimate == ref.tau_b_estimate
     assert table.non_decaying == ref.non_decaying
+
+
+def _table_test_bath(kind):
+    rng = np.random.default_rng(37)
+    if kind.startswith("dense-"):
+        channels = int(kind[len("dense-"):])
+        xs = [random_hermitian(rng, 6) for _ in range(channels)]
+        return FiniteBath(random_hermitian(rng, 6), 1.1, xs, broadening=0.5)
+    if kind == "mode-comb":
+        return qubit_mode_bath([(0.94, 0.02), (0.97, 0.025), (1.01, 0.018),
+                                (1.05, 0.022), (1.08, 0.02)], 1.5)
+    if kind == "zero-channel":
+        xs = [random_hermitian(rng, 5), np.zeros((5, 5)), random_hermitian(rng, 5)]
+        return FiniteBath(random_hermitian(rng, 5), 0.9, xs, broadening=0.4)
+    if kind == "low-temperature":
+        h_b = np.diag([0.0, 0.3, 1.0, 2.0, 3.5]) + 0.05 * random_hermitian(rng, 5)
+        xs = [random_hermitian(rng, 5), random_hermitian(rng, 5)]
+        return FiniteBath(h_b, 0.002, xs, broadening=0.3)
+    if kind == "centred":
+        xs = [random_hermitian(rng, 6) + 0.8 * np.eye(6), random_hermitian(rng, 6)]
+        bath = FiniteBath(random_hermitian(rng, 6), 0.7, xs, broadening=0.6)
+        return center_couplings(bath, [random_hermitian(rng, 3) for _ in xs])[0]
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["dense-1", "dense-2", "dense-3", "mode-comb",
+                                  "zero-channel", "low-temperature", "centred"])
+def test_finite_bath_rates_match_per_element_reference(kind):
+    bath = _table_test_bath(kind)
+    if kind == "low-temperature":
+        # some Gibbs weights underflow to exactly 0 and leave the table
+        assert (bath._populations == 0).any()
+        assert (bath.transitions[1] > 0).all()
+    for omega in (-2.3, -1.0, 0.0, 0.45, 1.0, 3.1):
+        w = reference_w_matrix(bath, omega)
+        scale = max(1.0, float(np.abs(w).max()))
+        gamma = gamma_matrix(bath, omega)
+        delta = delta_matrix(bath, omega)
+        assert np.abs(gamma - (w + w.conj().T)).max() < 1e-12 * scale
+        assert np.abs(delta - (w - w.conj().T) / 2j).max() < 1e-12 * scale
+        k = bath.channel_count
+        single = [[half_fourier_w(bath, a, b, omega) for b in range(k)] for a in range(k)]
+        assert np.abs(np.array(single) - w).max() < 1e-12 * scale
+    assert np.array_equal(bath.weighted_bohr_frequencies(),
+                          reference_weighted_bohr_frequencies(bath))
+
+
+def test_transition_table_is_read_only():
+    bath = _table_test_bath("dense-2")
+    for array in bath.transitions:
+        with pytest.raises(ValueError):
+            array[0] = 0

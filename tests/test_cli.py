@@ -146,6 +146,21 @@ def test_evolve_damped_qubit_csv(tmp_path, capsys):
     assert np.abs(rows[:, header.index("trace_defect")]).max() < 1e-10
 
 
+def test_evolve_non_finite_state_is_propagation_failure(tmp_path, capsys):
+    data = flat_thermal_data()
+    data["bath"]["gamma"] = 1e300
+    path = write_scenario(tmp_path, data)
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run_cli(capsys, "evolve", path, "--method", "expm",
+                             "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "propagation"
+    rows = out_path.read_text(encoding="utf-8").strip().split("\n")
+    assert len(rows) == 2  # header and the finite initial sample
+    assert "nan" not in out_path.read_text(encoding="utf-8")
+
+
 def test_evolve_is_deterministic(tmp_path, capsys):
     path = write_scenario(tmp_path, flat_thermal_data())
     _, out1, _ = run_cli(capsys, "evolve", path)

@@ -197,6 +197,24 @@ def test_positivity_violation_raises_with_partial_trajectory():
     assert len(partial) >= 1
 
 
+def test_non_finite_state_raises_with_partial_trajectory():
+    # rates of 1e300 overflow the superoperator exponential to NaN, whose
+    # minimum eigenvalue compares False against any floor; rk4 is left out,
+    # its norm-bound step rule would ask for about 1e301 steps here
+    sx = sigma_ops()[0]
+    gen = derive_generator(np.diag([0.0, 1.0]), flat_thermal_bath(1e300, 1.0),
+                           [sx]).generator
+    with pytest.raises(PropagationError) as err:
+        propagate(np.diag([0.0, 1.0]).astype(complex), gen,
+                  np.linspace(0.0, 2.0, 5), method="expm")
+    assert err.value.time == 0.5
+    assert math.isnan(err.value.defect)
+    partial = err.value.partial
+    assert not partial.complete
+    assert len(partial) == 1
+    assert np.isfinite(partial.states).all()
+
+
 @pytest.mark.parametrize("method", ["expm", "rk4"])
 def test_propagation_failure_diagnoses_each_sample_once(monkeypatch, method):
     calls = []

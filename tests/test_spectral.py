@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lindforge import (
     bohr_frequencies,
@@ -55,6 +56,32 @@ def test_eigenoperator_at_unmatched_frequency_is_zero():
     spec = build_spectrum(np.diag([0.0, 1.0]).astype(complex))
     piece = eigenoperator(sx, spec, 0.4)
     assert np.abs(piece).max() == 0.0
+
+
+def test_eigenoperators_on_chained_gaps_sum_back():
+    # gaps 0.90, 0.95, 1.00, 1.05 chain into one Bohr frequency at this
+    # tolerance; each gap goes to its nearest Bohr frequency, whether the
+    # piece is asked for alone or through the decomposition
+    levels = np.cumsum([0.0, 0.90, 0.95, 1.00, 1.05])
+    spec = build_spectrum(np.diag(levels).astype(complex), degeneracy_tol=0.06)
+    a = random_hermitian(np.random.default_rng(22), 5)
+    decomp = eigenoperator_decomposition(a, spec)
+    total = np.zeros((5, 5), dtype=complex)
+    for omega in bohr_frequencies(spec).values:
+        piece = eigenoperator(a, spec, omega)
+        if omega in decomp.terms:
+            assert np.abs(piece - decomp.terms[omega]).max() < 1e-15
+        total += piece
+    assert np.abs(total - a).max() < COMPLETENESS_TOL
+
+
+def test_bohr_frequencies_computed_once_per_spectrum():
+    spec = build_spectrum(np.diag([0.0, 1.0, 2.5]).astype(complex))
+    first = bohr_frequencies(spec)
+    assert bohr_frequencies(spec) is first
+    assert bohr_frequencies(spec).values is first.values
+    with pytest.raises(ValueError):
+        first.values[0] = 1.0
 
 
 def test_decomposition_completeness_random_ensemble():

@@ -48,6 +48,7 @@ from .scenario import (
     complex_matrix_to_json,
     load_scenario,
 )
+from .spectral import bohr_frequencies, eigenbasis_operator
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -258,8 +259,10 @@ def _finite_bath_checks(scenario: Scenario, res, bath: FiniteBath) -> list[dict]
     d_a = scenario.dim
     d_b = bath.dim
     if d_a * d_b <= 1024:
+        # a random pure state |psi><psi| needs no joint-sized matrix product
         rng = np.random.default_rng(CHECK_SEED + 1)
-        rho_ab = _random_density(rng, d_a * d_b)
+        psi = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
+        rho_ab = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
         t_probe = 0.37 / max(1.0, _free_hamiltonian_scale(scenario.h_a, bath.h_b))
         lhs = partial_trace_bath(
             _free_picture(rho_ab, scenario.h_a, bath, t_probe), d_a, d_b)
@@ -303,6 +306,34 @@ def _sparse_listing(index, values) -> list[dict]:
     ]
 
 
+def _eigenoperator_rows(res, couplings) -> list[list[dict]]:
+    """Each dissipator term's eigenoperators V^+ A_c(w) V as sparse rows
+    [c, a, b] over the term's Bohr support (bohr_index == label of w), in
+    lexicographic order. On that support V^+ A_c(w) V equals V^+ A_c V, so
+    the rows are read off the rotated couplings; a channel whose piece the
+    decomposition dropped as negligible lists zeros, as the generator holds
+    it. The user-basis matrix is V E V^+."""
+    terms = res.generator.dissipator_terms
+    if not terms:
+        return []
+    spectrum = res.spectrum
+    dim = spectrum.dim
+    e = np.array([eigenbasis_operator(a, spectrum) for a in couplings]).ravel()
+    # row c d^2 + a d + b of every channel; a stable sort by Bohr label keeps
+    # (c, a, b) lexicographic within each label
+    label = np.tile(spectrum.bohr_index.ravel(), len(couplings))
+    order = np.argsort(label, kind="stable")
+    term_labels = np.searchsorted(spectrum.bohr_set.values, [t.omega for t in terms])
+    rows = order[np.isin(label[order], term_labels)]
+    term = np.searchsorted(term_labels, label[rows])
+    channel, gap = np.divmod(rows, dim * dim)
+    kept = np.array([[t.omega in eset.terms for eset in res.eigenops] for t in terms])
+    values = np.where(kept[term, channel], e[rows], 0.0)
+    listing = _sparse_listing(np.stack([channel, *np.divmod(gap, dim)], axis=1), values)
+    bounds = np.cumsum(np.bincount(term, minlength=len(terms))).tolist()
+    return [listing[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+
+
 def _derive(scenario: Scenario, couplings):
     """derive_generator on the scenario's data with the given couplings."""
     return derive_generator(
@@ -332,14 +363,16 @@ def build_report(scenario: Scenario, scenario_name: str):
     g = res.generator
     spectrum = res.spectrum
 
-    terms_json = []
-    for t in g.dissipator_terms:
-        terms_json.append({
+    terms_json = [
+        {
             "omega": _json_real(t.omega),
             "gamma": complex_matrix_to_json(t.gamma),
             "delta": complex_matrix_to_json(t.delta) if t.delta is not None else None,
-            "eigenoperators": [complex_matrix_to_json(op) for op in t.ops],
-        })
+            "eigenoperators": rows,
+        }
+        for t, rows in zip(g.dissipator_terms,
+                           _eigenoperator_rows(res, scenario.couplings))
+    ]
 
     rt = res.rate_tensors
     midx = spectrum.multiplet_index
@@ -351,14 +384,15 @@ def build_report(scenario: Scenario, scenario_name: str):
     bath = scenario.bath
     if isinstance(bath, FiniteBath) or scenario.tau_b is not None:
         timescale = _timescale_json(timescale_report(
-            bath, scenario.couplings, spectrum, tau_b=scenario.tau_b))
+            bath, scenario.couplings, spectrum, tau_b=scenario.tau_b,
+            gammas=res.gammas))
 
-    from .spectral import bohr_frequencies
     report = {
         "scenario": scenario_name,
         "mode": scenario.mode,
         "spectrum": {
             "dim": spectrum.dim,
+            "basis": complex_matrix_to_json(spectrum.basis),
             "frequencies": [_json_real(w) for w in spectrum.frequencies],
             "multiplets": [list(m) for m in spectrum.multiplets],
             "multiplet_frequencies": [_json_real(w)

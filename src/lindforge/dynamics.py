@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bath import AnalyticBath, FiniteBath, estimate_correlation_time, gamma_matrix
 from .generator import Generator, generator_superoperator_matrix, rhs_function
@@ -37,6 +36,8 @@ POSITIVITY_FLOOR = -1e-6
 ORACLE_DIM_CAP = 1024
 # rk4 step control: step <= RK4_STEP_FACTOR / (norm bound of the generator)
 RK4_STEP_FACTOR = 1.0 / 20.0
+# most rk4 steps one propagate may take; checked before the first step
+RK4_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,9 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     distinct time gap, reused across equal gaps); 'rk4' is classical
     fourth-order stepping with step size at most (1/20) / ||L||.
 
-    Raises PropagationError (partial trajectory attached) as soon as a sampled
+    Raises DimensionError before the first step when rk4 would take more
+    than RK4_MAX_STEPS steps (or a non-finite number of them), and
+    PropagationError (partial trajectory attached) as soon as a sampled
     state has an eigenvalue below -1e-6 or a non-finite entry.
     """
     t = _check_times(times)
@@ -161,6 +164,8 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
 
     states = [rho.copy()]
     if method == "expm":
+        import scipy.linalg  # only this branch needs scipy; import it here
+
         mat = generator_superoperator_matrix(g)
         v = vec(rho)
         cache: dict = {}
@@ -175,13 +180,20 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     else:
         rhs = rhs_function(g)
         bound = _rhs_norm_bound(g)
-        h_max = RK4_STEP_FACTOR / bound if bound > 0 else math.inf
+        h_max = RK4_STEP_FACTOR / bound if bound != 0 else math.inf
+        gaps = np.diff(t)
+        with np.errstate(divide="ignore", over="ignore"):  # refused just below
+            steps = np.maximum(1.0, np.ceil(gaps / h_max))  # NaN for a NaN bound
+            total = float(steps.sum())
+        if not total <= RK4_MAX_STEPS:
+            raise DimensionError(
+                f"rk4 would take {total:.3g} steps (generator norm bound "
+                f"{bound:.3g}), cap is {RK4_MAX_STEPS}"
+            )
         cur = rho.astype(complex)
-        for k in range(1, t.size):
-            gap = float(t[k] - t[k - 1])
-            steps = max(1, int(math.ceil(gap / h_max))) if math.isfinite(h_max) else 1
-            h = gap / steps
-            for _ in range(steps):
+        for gap, n_steps in zip(gaps.tolist(), steps.astype(int).tolist()):
+            h = gap / n_steps
+            for _ in range(n_steps):
                 k1 = rhs(cur)
                 k2 = rhs(cur + 0.5 * h * k1)
                 k3 = rhs(cur + 0.5 * h * k2)
@@ -306,8 +318,8 @@ def interaction_picture(op, h0, t: float, direction: str = "to") -> np.ndarray:
     raise ValueError(f"unknown direction {direction!r}; expected 'to' or 'from'")
 
 
-def timescale_report(bath, couplings, spectrum=None, tau_b: float | None = None
-                     ) -> TimescaleReport:
+def timescale_report(bath, couplings, spectrum=None, tau_b: float | None = None,
+                     gammas=None) -> TimescaleReport:
     """Grade the two-timescale assumption for the given microscopic data.
 
     Finite baths get tau_B from the correlation-function estimator and the
@@ -315,6 +327,8 @@ def timescale_report(bath, couplings, spectrum=None, tau_b: float | None = None
     baths carry no correlation data, so tau_b must be supplied; their strength
     is inferred as max_W ||Gamma(W)||_2 / (2 tau_b) over the spectrum's Bohr
     frequencies (Gamma ~ 2 * moment * tau_B at the order-of-magnitude level).
+    gammas, when given, is that Gamma table (DeriveResult.gammas), so the
+    bath is not evaluated again.
     """
     ops = [as_operator(a, f"couplings[{i}]") for i, a in enumerate(couplings)]
     a_norm = max((float(np.linalg.norm(a, 2)) for a in ops), default=0.0)
@@ -336,12 +350,14 @@ def timescale_report(bath, couplings, spectrum=None, tau_b: float | None = None
                 "analytic baths have no correlation function to estimate "
                 "tau_b from; pass tau_b explicitly"
             )
-        if spectrum is None:
-            raise ValueError("need the system spectrum to sample Gamma for an "
-                             "analytic bath")
+        if gammas is None:
+            if spectrum is None:
+                raise ValueError("need the system spectrum to sample Gamma for "
+                                 "an analytic bath")
+            gammas = [gamma_matrix(bath, w) for w in bohr_frequencies(spectrum).values]
         gnorm = 0.0
-        for omega in bohr_frequencies(spectrum).values:
-            gnorm = max(gnorm, float(np.linalg.norm(gamma_matrix(bath, omega), 2)))
+        for gamma in gammas:
+            gnorm = max(gnorm, float(np.linalg.norm(gamma, 2)))
         if tau_b > 0 and math.isfinite(tau_b):
             moment = gnorm / (2.0 * tau_b)
         else:

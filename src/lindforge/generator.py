@@ -495,13 +495,18 @@ def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeriveResult:
-    """Everything produced by derive_generator."""
+    """Everything produced by derive_generator.
+
+    gammas is the (n, k, k) stack of Gamma(w) over w in
+    bohr_frequencies(spectrum) that the generator and the rate tensors read.
+    """
 
     generator: Generator
     spectrum: Spectrum
     eigenops: tuple[EigenOperatorSet, ...]
     rate_tensors: RateTensors
     pauli: PauliReduction
+    gammas: np.ndarray
     h_shift: np.ndarray | None = None
 
 
@@ -567,5 +572,6 @@ def derive_generator(
         eigenops=eigenops,
         rate_tensors=rt,
         pauli=red,
+        gammas=gammas,
         h_shift=h_shift,
     )

@@ -152,7 +152,8 @@ def bohr_frequencies(s: Spectrum) -> BohrFrequencySet:
     return s.bohr_set
 
 
-def _eigenbasis_operator(a_op, s: Spectrum) -> np.ndarray:
+def eigenbasis_operator(a_op, s: Spectrum) -> np.ndarray:
+    """V^+ a_op V: a user-basis operator in the eigenbasis of the spectrum."""
     a_op = as_operator(a_op, "a_op")
     if a_op.shape[0] != s.dim:
         raise ValueError(f"operator dim {a_op.shape[0]} does not match spectrum dim {s.dim}")
@@ -172,7 +173,7 @@ def eigenoperator(a_op, s: Spectrum, omega: float) -> np.ndarray:
     one): the elements <a|A|b> whose gap w_b - w_a snaps to it. An omega
     matching no Bohr frequency yields the zero matrix.
     """
-    a_eig = _eigenbasis_operator(a_op, s)
+    a_eig = eigenbasis_operator(a_op, s)
     values = s.bohr_set.values
     k = int(np.argmin(np.abs(values - omega)))
     if abs(values[k] - omega) > s.degeneracy_tol:
@@ -188,7 +189,7 @@ def eigenoperator_decomposition(a_op, s: Spectrum) -> EigenOperatorSet:
     pieces always sum back to a_op exactly; near-zero pieces (all entries below
     1e-14) are dropped.
     """
-    a_eig = _eigenbasis_operator(a_op, s)
+    a_eig = eigenbasis_operator(a_op, s)
     v = s.basis
     terms: dict[float, np.ndarray] = {}
     for k, omega in enumerate(bohr_frequencies(s).values):

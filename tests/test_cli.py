@@ -2,15 +2,24 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from lindforge import FiniteBath, derive_generator, interaction_picture
-from lindforge.cli import _free_hamiltonian_scale, _free_picture, main, run_checks
+import lindforge.dynamics
+from lindforge import FiniteBath, derive_generator, interaction_picture, timescale_report
+from lindforge.cli import (
+    _free_hamiltonian_scale,
+    _free_picture,
+    build_report,
+    main,
+    run_checks,
+)
 from lindforge.scenario import MAX_TIME_SAMPLES, loads_scenario
 
 from _support import (
     crandn,
     random_density,
     random_hermitian,
+    random_unitary,
     record_eigh,
     sigma_ops,
 )
@@ -70,6 +79,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def from_json(m):
+    return np.array([[complex(re, im) for (re, im) in row] for row in m])
+
+
+def rebuilt_eigenoperators(report, term, channels):
+    """User-basis A_c(w) of a report term: V E V^+ from its eigenbasis rows."""
+    v = from_json(report["spectrum"]["basis"])
+    e = np.zeros((channels,) + v.shape, dtype=complex)
+    for row in term["eigenoperators"]:
+        c, a, b = row["index"]
+        e[c, a, b] = complex(*row["value"])
+    return v @ e @ v.conj().T
+
+
 def test_derive_thermal_qubit_report(tmp_path, capsys):
     path = write_scenario(tmp_path, flat_thermal_data())
     code, out, _ = run_cli(capsys, "derive", path)
@@ -82,13 +105,91 @@ def test_derive_thermal_qubit_report(tmp_path, capsys):
     assert abs(terms[OMEGA]["gamma"][0][0][0] - GAMMA * (NBAR + 1)) < 1e-12
     assert abs(terms[-OMEGA]["gamma"][0][0][0] - GAMMA * NBAR) < 1e-12
     # A(+omega) is the lowering operator |g><e|
-    a_plus = np.array(
-        [[complex(re, im) for (re, im) in row] for row in terms[OMEGA]["eigenoperators"][0]]
-    )
+    a_plus = rebuilt_eigenoperators(report, terms[OMEGA], 1)[0]
     assert np.abs(a_plus - np.array([[0.0, 1.0], [0.0, 0.0]])).max() < 1e-12
     check_names = {c["name"] for c in report["checks"]}
     assert "eigenoperator-completeness" in check_names
     assert "rhs-trace-preservation" in check_names
+
+
+def _listing_scenarios():
+    rng = np.random.default_rng(23)
+
+    def coupling(dim, **extra):
+        return {"A": cm(random_hermitian(rng, dim)), **extra}
+
+    levels = [0.0, 0.7, 1.9, 2.4]
+    u = random_unitary(rng, 4)
+    h_b = random_hermitian(rng, 4)
+    x = random_hermitian(rng, 4) + 0.8 * np.eye(4)  # nonzero thermal mean
+    return {
+        "nondegenerate": flat_thermal_data(
+            system={"eigenvalues": levels}, couplings=[coupling(4)]),
+        "degenerate": flat_thermal_data(
+            system={"eigenvalues": [0.0, 0.0, 1.0, 1.0, 2.5]},
+            couplings=[coupling(5)]),
+        "rotated": flat_thermal_data(
+            system={"hamiltonian": cm((u * levels) @ u.conj().T)},
+            couplings=[coupling(4)]),
+        # channel 1 commutes with H, so off zero frequency its eigenbasis
+        # pieces are rounding noise that the decomposition drops
+        "two-channel": flat_thermal_data(
+            system={"hamiltonian": cm((u * levels) @ u.conj().T)},
+            couplings=[coupling(4, channel=0),
+                       {"A": cm((u * [0.3, -1.0, 0.5, 0.8]) @ u.conj().T),
+                        "channel": 1}],
+            tau_b=0.5),
+        "presecular": flat_thermal_data(
+            system={"eigenvalues": levels}, couplings=[coupling(4)],
+            policy={"mode": "presecular", "filter": "F-weighted", "dt": 3.0}),
+        "finite-shifted": flat_thermal_data(
+            system={"eigenvalues": levels[:3]},
+            bath={"kind": "finite", "hamiltonian": cm(h_b), "temperature": 1.5},
+            couplings=[{"A": cm(random_hermitian(rng, 3)), "X": cm(0.05 * x)}]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_listing_scenarios()))
+def test_report_eigenoperator_rows_rebuild_the_terms(name):
+    sc = loads_scenario(json.dumps(_listing_scenarios()[name]))
+    report, res = build_report(sc, name)
+    assert json.loads(json.dumps(report)) == report
+    report = json.loads(json.dumps(report))
+    spectrum = res.spectrum
+    channels = len(sc.couplings)
+    terms = res.generator.dissipator_terms
+    assert terms and len(report["terms"]) == len(terms)
+    assert (report["h_shift"] is not None) == (name == "finite-shifted")
+    listed = dropped = 0
+    for term, t in zip(report["terms"], terms):
+        # every gap whose Bohr frequency is the term's, for every channel,
+        # in lexicographic order
+        support = np.argwhere(spectrum.bohr_set.values[spectrum.bohr_index] == t.omega)
+        want = [[c, int(a), int(b)] for c in range(channels) for a, b in support]
+        assert [row["index"] for row in term["eigenoperators"]] == want
+        listed += len(want)
+        rebuilt = rebuilt_eigenoperators(report, term, channels)
+        assert np.abs(rebuilt - np.array(t.ops)).max() <= 1e-12
+        for c, op in enumerate(t.ops):
+            if not op.any():  # a dropped piece lists zeros, as the generator holds it
+                assert {tuple(row["value"]) for row in term["eigenoperators"]
+                        if row["index"][0] == c} == {(0.0, 0.0)}
+                dropped += 1
+    assert listed <= channels * spectrum.dim ** 2
+    assert (dropped > 0) == (name == "two-channel")
+
+
+def test_report_timescale_reuses_the_derived_gamma_table(monkeypatch):
+    sc = loads_scenario(json.dumps(_listing_scenarios()["two-channel"]))
+    res = derive_generator(sc.h_a, sc.bath, sc.couplings)
+    expected = timescale_report(sc.bath, sc.couplings, res.spectrum, tau_b=sc.tau_b)
+
+    def refuse(bath, omega):
+        raise AssertionError("the report evaluated Gamma a second time")
+
+    monkeypatch.setattr(lindforge.dynamics, "gamma_matrix", refuse)
+    report, _ = build_report(sc, "two-channel")
+    assert report["timescale"]["v_strength"] == expected.v_strength
 
 
 def test_derive_zero_coupling_flags_free_evolution(tmp_path, capsys):
@@ -159,6 +260,30 @@ def test_evolve_non_finite_state_is_propagation_failure(tmp_path, capsys):
     rows = out_path.read_text(encoding="utf-8").strip().split("\n")
     assert len(rows) == 2  # header and the finite initial sample
     assert "nan" not in out_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("gamma", [1e300, 1e306])
+def test_evolve_rk4_refuses_an_unbounded_step_count(tmp_path, capsys, monkeypatch,
+                                                    gamma):
+    # rates of 1e300 make the norm-bound step rule ask for about 7e302 steps,
+    # and at 1e306 the count overflows to inf; it is checked before the
+    # first step, and stderr holds the JSON error alone
+    data = flat_thermal_data()
+    data["bath"]["gamma"] = gamma
+    path = write_scenario(tmp_path, data)
+
+    def no_stepping(g):
+        def rhs(rho):
+            raise AssertionError("rk4 started stepping")
+        return rhs
+
+    monkeypatch.setattr(lindforge.dynamics, "rhs_function", no_stepping)
+    code, out, err = run_cli(capsys, "evolve", path, "--method", "rk4")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "resource"
+    assert "rk4 would take" in error["message"]
 
 
 def test_evolve_is_deterministic(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -200,7 +203,7 @@ def test_positivity_violation_raises_with_partial_trajectory():
 def test_non_finite_state_raises_with_partial_trajectory():
     # rates of 1e300 overflow the superoperator exponential to NaN, whose
     # minimum eigenvalue compares False against any floor; rk4 is left out,
-    # its norm-bound step rule would ask for about 1e301 steps here
+    # it refuses up front the about 1e302 steps its norm-bound rule asks for
     sx = sigma_ops()[0]
     gen = derive_generator(np.diag([0.0, 1.0]), flat_thermal_bath(1e300, 1.0),
                            [sx]).generator
@@ -366,3 +369,20 @@ def test_propagate_rejects_bad_time_grids():
         propagate(rho0, gen, [0.0, 1.0, 1.0])  # strictly increasing
     with pytest.raises(ValueError):
         propagate(rho0, gen, [0.0, 1.0], method="euler")
+
+
+def test_derive_and_rk4_leave_scipy_unloaded():
+    # scipy.linalg is imported by propagate's expm branch alone
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np\n"
+        "from lindforge import derive_generator, flat_thermal_bath, propagate\n"
+        "sx = np.array([[0.0, 1.0], [1.0, 0.0]])\n"
+        "g = derive_generator(np.diag([0.0, 1.0]), flat_thermal_bath(0.1, 1.0),"
+        " [sx]).generator\n"
+        "propagate(np.diag([0.0, 1.0]), g, [0.0, 1.0], method='rk4')\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = pathlib.Path(lindforge.dynamics.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", script, str(src)], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

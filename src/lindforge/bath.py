@@ -425,20 +425,27 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
                         lambda omega: lookup(omega)[2], k)
 
 
-def _rate_matrix(fn, omega: float, k: int, name: str) -> np.ndarray:
-    m = np.asarray(fn(omega), dtype=complex)
-    if m.shape != (k, k):
-        raise ValueError(f"{name}({omega:g}) has shape {m.shape}, expected {(k, k)}")
-    return m
+def _hermitian_rate_matrix(fn, omega: float, k: int, name: str):
+    """fn(omega) checked for shape, finite entries and hermiticity; returns
+    its hermitian part and the scale max(1, max |entry|) of the checks."""
+    # overflow is refused below, by name and omega, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.asarray(fn(omega), dtype=complex)
+        if m.shape != (k, k):
+            raise ValueError(f"{name}({omega:g}) has shape {m.shape}, expected {(k, k)}")
+        hermitian = (m + m.conj().T) / 2.0
+    if not np.isfinite(hermitian).all():
+        raise ValueError(f"{name}({omega:g}) has a non-finite or overflowing entry")
+    scale = max(1.0, float(np.abs(m).max()))
+    if hermiticity_defect(m) > 1e-10 * scale:
+        raise ValueError(f"{name}({omega:g}) is not hermitian")
+    return hermitian, scale
 
 
 def gamma_matrix(bath, omega: float) -> np.ndarray:
     """Gamma(Omega) over channels: hermitian, positive semidefinite."""
-    g = _rate_matrix(bath.gamma_fn, omega, bath.channel_count, "Gamma")
-    scale = max(1.0, float(np.abs(g).max()))
-    if hermiticity_defect(g) > 1e-10 * scale:
-        raise ValueError(f"Gamma({omega:g}) is not hermitian")
-    g = (g + g.conj().T) / 2.0
+    g, scale = _hermitian_rate_matrix(bath.gamma_fn, omega, bath.channel_count,
+                                      "Gamma")
     min_eig = float(np.linalg.eigvalsh(g).min())
     if min_eig < -1e-10 * scale:
         raise ValueError(
@@ -453,10 +460,7 @@ def delta_matrix(bath, omega: float) -> np.ndarray:
     k = bath.channel_count
     if bath.delta_fn is None:
         return np.zeros((k, k), dtype=complex)
-    d = _rate_matrix(bath.delta_fn, omega, k, "Delta")
-    if hermiticity_defect(d) > 1e-10 * max(1.0, float(np.abs(d).max())):
-        raise ValueError(f"Delta({omega:g}) is not hermitian")
-    return (d + d.conj().T) / 2.0
+    return _hermitian_rate_matrix(bath.delta_fn, omega, k, "Delta")[0]
 
 
 @dataclass(frozen=True)

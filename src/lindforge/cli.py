@@ -38,9 +38,7 @@ from .generator import derive_generator, rhs_function
 from .linalg import (
     DimensionError,
     hermiticity_defect,
-    kron_matmul,
     matrix_exponential_unitary,
-    partial_trace_bath,
 )
 from .scenario import (
     Scenario,
@@ -75,10 +73,6 @@ def _real_matrix_to_json(m) -> list:
     return [[_json_real(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _print_json(doc, stream=None):
     stream = stream or sys.stdout
     stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -94,13 +88,20 @@ def _emit_error(kind: str, exc: Exception):
 
 
 def _check(name: str, defect: float, tolerance: float) -> dict:
-    status = "pass" if defect <= tolerance else "fail"
+    passed = math.isfinite(defect) and math.isfinite(tolerance) and defect <= tolerance
     return {
         "name": name,
         "defect": _json_real(defect),
         "tolerance": _json_real(tolerance),
-        "status": status,
+        "status": "pass" if passed else "fail",
     }
+
+
+def _largest(values, floor: float) -> float:
+    """max(floor, *values), except that a NaN value gives NaN, where Python's
+    max may skip it. A tie with floor returns floor, as max does."""
+    top = float(np.max(values, initial=floor))
+    return floor if top == floor else top
 
 
 def _random_density(rng, dim: int) -> np.ndarray:
@@ -112,59 +113,50 @@ def _random_density(rng, dim: int) -> np.ndarray:
 def run_checks(scenario: Scenario, res) -> list[dict]:
     """The invariant battery: every derivation-guaranteed property, measured."""
     checks = []
-    spectrum = res.spectrum
     g = res.generator
-    v = spectrum.basis
-    h_sys = (v * spectrum.frequencies) @ v.conj().T
-    h_sys = 0.5 * (h_sys + h_sys.conj().T)
+    h_sys = res.spectrum.hamiltonian
     a_ops = [np.asarray(a, dtype=complex) for a in scenario.couplings]
-    a_scale = max([1.0] + [float(np.abs(a).max()) for a in a_ops])
-    h_scale = max(1.0, float(np.abs(h_sys).max()))
+    a_scale = _largest([np.abs(a).max() for a in a_ops], 1.0)
+    h_scale = _largest(np.abs(h_sys), 1.0)
 
     # eigenoperator completeness: the pieces sum back to the coupling operator
-    defect = 0.0
-    for a_op, eset in zip(a_ops, res.eigenops):
-        recon = np.zeros_like(a_op)
-        for piece in eset.terms.values():
-            recon = recon + piece
-        defect = max(defect, float(np.abs(recon - a_op).max()))
+    defect = _largest([np.abs(sum(eset.terms.values(), np.zeros_like(a_op)) - a_op).max()
+                       for a_op, eset in zip(a_ops, res.eigenops)], 0.0)
     checks.append(_check("eigenoperator-completeness", defect, 1e-12 * a_scale))
 
     # [H, A(w)] = -w A(w), adjoint +w, and [H, A(w)^+ A(w)] = 0
-    d_minus = d_plus = d_inv = 0.0
+    d_minus, d_plus, d_inv = [], [], []
     for eset in res.eigenops:
         for omega, op in eset.terms.items():
             comm = h_sys @ op - op @ h_sys
-            d_minus = max(d_minus, float(np.abs(comm + omega * op).max()))
+            d_minus.append(np.abs(comm + omega * op).max())
             op_dag = op.conj().T
             comm = h_sys @ op_dag - op_dag @ h_sys
-            d_plus = max(d_plus, float(np.abs(comm - omega * op_dag).max()))
+            d_plus.append(np.abs(comm - omega * op_dag).max())
             prod = op_dag @ op
-            d_inv = max(d_inv, float(np.abs(h_sys @ prod - prod @ h_sys).max()))
-    ctol = 1e-10 * h_scale * max(1.0, a_scale)
-    checks.append(_check("eigenoperator-commutator", d_minus, ctol))
-    checks.append(_check("eigenoperator-adjoint-commutator", d_plus, ctol))
-    checks.append(_check("eigenoperator-invariant-commutator", d_inv,
-                         ctol * max(1.0, a_scale)))
+            d_inv.append(np.abs(h_sys @ prod - prod @ h_sys).max())
+    ctol = 1e-10 * h_scale * a_scale
+    checks.append(_check("eigenoperator-commutator", _largest(d_minus, 0.0), ctol))
+    checks.append(_check("eigenoperator-adjoint-commutator", _largest(d_plus, 0.0),
+                         ctol))
+    checks.append(_check("eigenoperator-invariant-commutator", _largest(d_inv, 0.0),
+                         ctol * a_scale))
 
     # rate matrices: hermitian, positive semidefinite
-    g_herm = 0.0
-    g_neg = 0.0
-    g_scale = 1.0
-    for t in g.dissipator_terms:
-        g_herm = max(g_herm, hermiticity_defect(t.gamma))
-        eigs = np.linalg.eigvalsh(0.5 * (t.gamma + t.gamma.conj().T))
-        g_neg = max(g_neg, max(0.0, -float(eigs.min())))
-        g_scale = max(g_scale, float(np.abs(t.gamma).max()))
-    checks.append(_check("gamma-hermiticity", g_herm, 1e-10 * g_scale))
-    checks.append(_check("gamma-positivity", g_neg, 1e-8 * g_scale))
+    gammas = [t.gamma for t in g.dissipator_terms]
+    g_scale = _largest([np.abs(m).max() for m in gammas], 1.0)
+    checks.append(_check("gamma-hermiticity",
+                         _largest([hermiticity_defect(m) for m in gammas], 0.0),
+                         1e-10 * g_scale))
+    g_neg = [-np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() for m in gammas]
+    checks.append(_check("gamma-positivity", _largest(g_neg, 0.0), 1e-8 * g_scale))
 
     # effective hamiltonian structure
     checks.append(_check("heff-hermiticity", hermiticity_defect(g.h_eff),
-                         1e-12 * max(1.0, float(np.abs(g.h_eff).max()))))
+                         1e-12 * _largest(np.abs(g.h_eff), 1.0)))
     if g.h_ls is not None:
         comm = h_sys @ g.h_ls - g.h_ls @ h_sys
-        ls_scale = max(1.0, float(np.abs(g.h_ls).max())) * h_scale
+        ls_scale = _largest(np.abs(g.h_ls), 1.0) * h_scale
         checks.append(_check("lamb-shift-commutes", float(np.abs(comm).max()),
                              1e-10 * ls_scale))
 
@@ -172,23 +164,22 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
     rhs = rhs_function(g)
     rng = np.random.default_rng(CHECK_SEED)
     dim = g.dim
-    tr_defect = herm_defect = adj_defect = 0.0
-    rhs_scale = 1.0
+    out_max, tr_defect, herm_defect, adj_defect = [], [], [], []
     for _ in range(10):
         rho = _random_density(rng, dim)
         out = rhs(rho)
-        rhs_scale = max(rhs_scale, float(np.abs(out).max()))
-        tr_defect = max(tr_defect, abs(np.trace(out)))
-        herm_defect = max(herm_defect, hermiticity_defect(out))
+        out_max.append(np.abs(out).max())
+        tr_defect.append(abs(np.trace(out)))
+        herm_defect.append(hermiticity_defect(out))
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        adj_defect = max(adj_defect, float(
-            np.abs(rhs(m.conj().T) - rhs(m).conj().T).max()))
-    checks.append(_check("rhs-trace-preservation", float(tr_defect),
+        adj_defect.append(np.abs(rhs(m.conj().T) - rhs(m).conj().T).max())
+    rhs_scale = _largest(out_max, 1.0)
+    checks.append(_check("rhs-trace-preservation", _largest(tr_defect, 0.0),
                          1e-12 * rhs_scale))
-    checks.append(_check("rhs-hermiticity-preservation", herm_defect,
+    checks.append(_check("rhs-hermiticity-preservation", _largest(herm_defect, 0.0),
                          1e-12 * rhs_scale))
-    checks.append(_check("rhs-adjoint-consistency", adj_defect,
-                         1e-12 * max(rhs_scale, float(np.abs(g.h_eff).max()) * 10)))
+    checks.append(_check("rhs-adjoint-consistency", _largest(adj_defect, 0.0),
+                         1e-12 * _largest([np.abs(g.h_eff).max() * 10], rhs_scale)))
 
     bath = scenario.bath
     if isinstance(bath, FiniteBath):
@@ -199,27 +190,23 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
 def _finite_bath_checks(scenario: Scenario, res, bath: FiniteBath) -> list[dict]:
     checks = []
     k = bath.channel_count
-    moment_scale = 1.0
-    for a in range(k):
-        x = bath.coupling_ops[a]
-        moment_scale = max(moment_scale, abs(bath.expectation(x.conj().T @ x)))
+    # second moments <X_a^+ X_b>_B: G_ab(0), and the scale of every tolerance
+    x = bath.coupling_ops
+    moments = [[bath.expectation(x_a.conj().T @ x_b) for x_b in x] for x_a in x]
+    moment_scale = _largest([abs(moments[a][a]) for a in range(k)], 1.0)
 
     # G*_ab(tau) = G_ba(-tau)
     freqs = bath.weighted_bohr_frequencies()
     nu_max = float(np.abs(freqs).max()) if freqs.size else 1.0
     taus = np.linspace(0.0, 4.0 / max(nu_max, 1e-12), 7) if nu_max > 0 else [0.0]
-    conj_defect = 0.0
-    for tau in taus:
-        for a in range(k):
-            for b in range(k):
-                lhs = np.conj(correlation_function(bath, a, b, float(tau)))
-                rhs_val = correlation_function(bath, b, a, -float(tau))
-                conj_defect = max(conj_defect, abs(lhs - rhs_val))
-    checks.append(_check("correlation-conjugation", conj_defect,
+    conj_defect = [abs(np.conj(correlation_function(bath, a, b, float(tau)))
+                       - correlation_function(bath, b, a, -float(tau)))
+                   for tau in taus for a in range(k) for b in range(k)]
+    checks.append(_check("correlation-conjugation", _largest(conj_defect, 0.0),
                          1e-10 * moment_scale))
 
     # stationarity: the two-argument correlation depends only on t1 - t2
-    stat_defect = 0.0
+    stat_defect = []
     scale_t = 1.0 / max(nu_max, 1e-12)
     for (t1, t2, s) in ((0.0, 0.0, 0.9), (0.4, 0.1, 1.3), (0.2, 0.7, 2.1)):
         for a in range(k):
@@ -227,47 +214,39 @@ def _finite_bath_checks(scenario: Scenario, res, bath: FiniteBath) -> list[dict]
                 base = two_time_correlation(bath, a, b, t1 * scale_t, t2 * scale_t)
                 moved = two_time_correlation(bath, a, b, (t1 + s) * scale_t,
                                              (t2 + s) * scale_t)
-                stat_defect = max(stat_defect, abs(base - moved))
-    checks.append(_check("correlation-stationarity", stat_defect,
+                stat_defect.append(abs(base - moved))
+    checks.append(_check("correlation-stationarity", _largest(stat_defect, 0.0),
                          1e-10 * moment_scale))
 
     # G_ab(0) equals the bath second moment
-    mom_defect = 0.0
-    for a in range(k):
-        for b in range(k):
-            lhs = correlation_function(bath, a, b, 0.0)
-            x_a, x_b = bath.coupling_ops[a], bath.coupling_ops[b]
-            rhs_val = bath.expectation(x_a.conj().T @ x_b)
-            mom_defect = max(mom_defect, abs(lhs - rhs_val))
-    checks.append(_check("correlation-initial-moment", mom_defect,
+    mom_defect = [abs(correlation_function(bath, a, b, 0.0) - moments[a][b])
+                  for a in range(k) for b in range(k)]
+    checks.append(_check("correlation-initial-moment", _largest(mom_defect, 0.0),
                          1e-10 * moment_scale))
 
     # W(w) = Gamma(w)/2 + i Delta(w)
-    w_defect = 0.0
-    w_scale = 1.0
+    w_defect, w_scale = [], []
     for t in res.generator.dissipator_terms:
         gm = gamma_matrix(bath, t.omega)
         dm = delta_matrix(bath, t.omega)
-        w_scale = max(w_scale, float(np.abs(gm).max()))
+        w_scale.append(np.abs(gm).max())
         for a in range(k):
             for b in range(k):
                 w_val = half_fourier_w(bath, a, b, t.omega)
-                w_defect = max(w_defect, abs(w_val - (0.5 * gm[a, b] + 1j * dm[a, b])))
-    checks.append(_check("half-fourier-split", w_defect, 1e-12 * w_scale))
+                w_defect.append(abs(w_val - (0.5 * gm[a, b] + 1j * dm[a, b])))
+    checks.append(_check("half-fourier-split", _largest(w_defect, 0.0),
+                         1e-12 * _largest(w_scale, 1.0)))
 
-    # partial trace commutes with the interaction picture
+    # partial trace commutes with the free propagator U = U_A x U_B
     d_a = scenario.dim
     d_b = bath.dim
     if d_a * d_b <= 1024:
-        # a random pure state |psi><psi| needs no joint-sized matrix product
         rng = np.random.default_rng(CHECK_SEED + 1)
         psi = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
-        rho_ab = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        psi = psi.reshape(d_a, d_b) / np.linalg.norm(psi)
         t_probe = 0.37 / max(1.0, _free_hamiltonian_scale(scenario.h_a, bath.h_b))
-        lhs = partial_trace_bath(
-            _free_picture(rho_ab, scenario.h_a, bath, t_probe), d_a, d_b)
-        rhs_val = interaction_picture(partial_trace_bath(rho_ab, d_a, d_b),
-                                      scenario.h_a, t_probe, "to")
+        lhs = _reduced_rotated_state(psi, scenario.h_a, bath, t_probe)
+        rhs_val = interaction_picture(psi @ psi.conj().T, scenario.h_a, t_probe, "to")
         checks.append(_check("picture-reduction-invariance",
                              float(np.abs(lhs - rhs_val).max()), 1e-11))
     return checks
@@ -281,16 +260,16 @@ def _free_hamiltonian_scale(h_a, h_b) -> float:
     return max(float(diagonal), off_diagonal(h_a), off_diagonal(h_b))
 
 
-def _free_picture(rho_ab, h_a, bath: FiniteBath, t: float) -> np.ndarray:
-    """U^+ rho U for the free propagator U = e^{-i H_A t} x e^{-i H_B t}.
+def _reduced_rotated_state(psi, h_a, bath: FiniteBath, t: float) -> np.ndarray:
+    """Tr_B[U^+ |psi><psi| U] for U = e^{-i H_A t} x e^{-i H_B t}, from the
+    d_A x d_B amplitude matrix psi[i, k] = <i, k|psi>.
 
-    Exact because H_A x 1 and 1 x H_B commute. U is applied factor by factor,
-    so no joint-sized matrix is diagonalised, formed or multiplied.
+    Tr_B |psi><psi| = psi psi^+, and U^+ |psi> has the amplitude matrix
+    U_A^+ psi conj(U_B), so no joint-sized matrix is formed.
     """
     u_a = matrix_exponential_unitary(h_a, t)
-    u_b = bath._propagator(t)
-    half = kron_matmul(u_a.conj().T, u_b.conj().T, rho_ab)  # U^+ rho
-    return kron_matmul(u_a.T, u_b.T, half.T).T  # (U^T (U^+ rho)^T)^T
+    moved = u_a.conj().T @ psi @ bath._propagator(t).conj()
+    return moved @ moved.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +422,13 @@ def cmd_derive(scenario_path: str, out: str | None = None) -> int:
     return EXIT_OK if report["all_checks_pass"] else EXIT_INVARIANT
 
 
+def _csv_rows(header: list[str], columns) -> list[str]:
+    """The header line, then one line per row of columns (a list of 1-D and
+    2-D real arrays stacked side by side), each cell repr(float)."""
+    table = np.column_stack(columns).tolist()
+    return [",".join(header)] + [",".join(map(repr, row)) for row in table]
+
+
 def trajectory_csv_rows(traj) -> list[str]:
     dim = traj.dim
     sep = "" if dim <= 10 else "_"
@@ -452,18 +438,11 @@ def trajectory_csv_rows(traj) -> list[str]:
             header.append(f"re_{i}{sep}{j}")
             header.append(f"im_{i}{sep}{j}")
     header += ["trace_defect", "min_eigenvalue"]
-    rows = [",".join(header)]
-    for k in range(len(traj)):
-        state = traj.states[k]
-        cells = [_fmt(traj.times[k])]
-        for i in range(dim):
-            for j in range(dim):
-                cells.append(_fmt(state[i, j].real))
-                cells.append(_fmt(state[i, j].imag))
-        cells.append(_fmt(traj.trace_defects[k]))
-        cells.append(_fmt(traj.min_eigenvalues[k]))
-        rows.append(",".join(cells))
-    return rows
+    # re_ij, im_ij interleaved in row-major (i, j) order
+    parts = np.stack((traj.states.real, traj.states.imag), axis=-1).reshape(
+        len(traj), 2 * dim * dim)
+    return _csv_rows(header, [traj.times, parts, traj.trace_defects,
+                              traj.min_eigenvalues])
 
 
 def _write_text(path: str | None, text: str):
@@ -554,12 +533,11 @@ def cmd_oracle(scenario_path: str, coupling_scale: float = 1.0) -> int:
     header = ["time", "trace_distance"]
     header += [f"pop_lind_{i}" for i in range(dim)]
     header += [f"pop_oracle_{i}" for i in range(dim)]
-    rows = [",".join(header)]
-    for k in range(len(lind)):
-        cells = [_fmt(lind.times[k]), _fmt(distances[k])]
-        cells += [_fmt(lind.states[k][i, i].real) for i in range(dim)]
-        cells += [_fmt(oracle.states[k][i, i].real) for i in range(dim)]
-        rows.append(",".join(cells))
+    rows = _csv_rows(header, [
+        lind.times, distances,
+        lind.states.diagonal(axis1=1, axis2=2).real,
+        oracle.states.diagonal(axis1=1, axis2=2).real,
+    ])
     csv_path = pathlib.Path(scenario_path).stem + ".oracle.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(rows) + "\n")

@@ -288,12 +288,12 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
             s_ij = p[i].T @ p[j].conj()
             c_ij = rho_bar * s_ij
             series = ((phase @ c_ij) * phase.conj()).sum(axis=1)
-            states[:, i, j] = series
-            if j != i:
+            if j == i:
+                # a population: drop the imaginary rounding dust
+                states[:, i, i] = series.real
+            else:
+                states[:, i, j] = series
                 states[:, j, i] = series.conj()
-    # hermitian by construction above; diagonal imaginary dust removed
-    for k in range(t.size):
-        states[k] = 0.5 * (states[k] + states[k].conj().T)
 
     return _build_trajectory(t, states, [_sample_diagnostics(s) for s in states],
                              "exact")

@@ -37,6 +37,7 @@ from .spectral import (
     EigenOperatorSet,
     Spectrum,
     bohr_frequencies,
+    eigenbasis_operator,
     eigenoperator_decomposition,
 )
 
@@ -187,12 +188,6 @@ def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(dim, n_p * dim) @ y.reshape(n_p * dim, dim)
 
 
-def _reconstruct_hamiltonian(spectrum: Spectrum) -> np.ndarray:
-    v = spectrum.basis
-    h = (v * spectrum.frequencies) @ v.conj().T
-    return _hermitize(h)
-
-
 def _collect_terms(spectrum, eigenops, bath, gammas):
     """Shared preamble of the two builders: channel-aligned eigenoperators
     grouped by transition frequency, with Gamma read from the table gammas
@@ -233,7 +228,7 @@ def build_standard_form(spectrum, eigenops, bath, gammas) -> Generator:
     gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas)
-    h_a = _reconstruct_hamiltonian(spectrum)
+    h_a = spectrum.hamiltonian
     # h_ls = sum_W sum_ab Delta_ab(W) A_a(W)^+ A_b(W), contracted like G
     a, m = _channel_contraction(terms, [t.delta for t in terms], len(eigenops),
                                 spectrum.dim)
@@ -260,7 +255,7 @@ def build_presecular(spectrum, eigenops, bath, gammas,
     if policy.dt is None or not policy.dt > 0:
         raise ValueError("presecular generator requires policy.dt > 0")
     terms = _collect_terms(spectrum, eigenops, bath, gammas)
-    h_a = _reconstruct_hamiltonian(spectrum)
+    h_a = spectrum.hamiltonian
     return Generator(
         h_eff=h_a,
         dissipator_terms=tuple(terms),
@@ -351,9 +346,8 @@ def build_rate_tensors(spectrum: Spectrum, system_ops, gammas) -> RateTensors:
     system_ops: the coupling operators, one per channel, in the user basis.
     gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
     """
-    v = spectrum.basis
     dim = spectrum.dim
-    e = np.array([v.conj().T @ as_operator(a, "coupling operator") @ v
+    e = np.array([eigenbasis_operator(a, spectrum)
                   for a in system_ops]).reshape(len(system_ops), dim * dim)
     label = spectrum.bohr_index.ravel()  # flat gap index a d + m -> Bohr index
     p, q = _secular_support(label)

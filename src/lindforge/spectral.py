@@ -49,6 +49,15 @@ class Spectrum:
         return self.multiplet_frequencies[self.multiplet_index]
 
     @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """H_A = V diag(frequencies) V^+ rebuilt from the eigendecomposition
+        and hermitised, computed once and shared read-only."""
+        h = (self.basis * self.frequencies) @ self.basis.conj().T
+        h = 0.5 * (h + h.conj().T)
+        h.flags.writeable = False
+        return h
+
+    @cached_property
     def bohr_set(self) -> BohrFrequencySet:
         """All differences of multiplet frequencies, deduplicated and
         mirrored, computed once and shared read-only."""

@@ -320,3 +320,48 @@ def reference_kernel(k_map, kap, dim):
         for a in range(dim):
             mat[col(a, i), col(a, j)] += -0.5 * val
     return mat
+
+
+def _cell(x):
+    return repr(float(x))
+
+
+def reference_csv_rows(traj):
+    """The per-cell trajectory CSV writer, the reference for
+    cli.trajectory_csv_rows: one repr(float(x)) per cell."""
+    dim = traj.dim
+    sep = "" if dim <= 10 else "_"
+    header = ["time"]
+    for i in range(dim):
+        for j in range(dim):
+            header.append(f"re_{i}{sep}{j}")
+            header.append(f"im_{i}{sep}{j}")
+    header += ["trace_defect", "min_eigenvalue"]
+    rows = [",".join(header)]
+    for k in range(len(traj)):
+        state = traj.states[k]
+        cells = [_cell(traj.times[k])]
+        for i in range(dim):
+            for j in range(dim):
+                cells.append(_cell(state[i, j].real))
+                cells.append(_cell(state[i, j].imag))
+        cells.append(_cell(traj.trace_defects[k]))
+        cells.append(_cell(traj.min_eigenvalues[k]))
+        rows.append(",".join(cells))
+    return rows
+
+
+def reference_oracle_csv_rows(lind, oracle, distances):
+    """The per-cell oracle CSV writer: time, trace distance, then the
+    Lindblad and the exact populations."""
+    dim = lind.dim
+    header = ["time", "trace_distance"]
+    header += [f"pop_lind_{i}" for i in range(dim)]
+    header += [f"pop_oracle_{i}" for i in range(dim)]
+    rows = [",".join(header)]
+    for k in range(len(lind)):
+        cells = [_cell(lind.times[k]), _cell(distances[k])]
+        cells += [_cell(lind.states[k][i, i].real) for i in range(dim)]
+        cells += [_cell(oracle.states[k][i, i].real) for i in range(dim)]
+        rows.append(",".join(cells))
+    return rows

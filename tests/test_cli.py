@@ -1,26 +1,42 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import lindforge.dynamics
-from lindforge import FiniteBath, derive_generator, interaction_picture, timescale_report
+from lindforge import (
+    FiniteBath,
+    derive_generator,
+    exact_oracle,
+    interaction_picture,
+    partial_trace_bath,
+    propagate,
+    timescale_report,
+)
 from lindforge.cli import (
+    _check,
     _free_hamiltonian_scale,
-    _free_picture,
+    _largest,
+    _reduced_rotated_state,
     build_report,
     main,
     run_checks,
+    trace_distance,
+    trajectory_csv_rows,
 )
-from lindforge.scenario import MAX_TIME_SAMPLES, loads_scenario
+from lindforge.dynamics import Trajectory
+from lindforge.scenario import MAX_TIME_SAMPLES, load_scenario, loads_scenario
 
 from _support import (
     crandn,
-    random_density,
     random_hermitian,
     random_unitary,
     record_eigh,
+    reference_csv_rows,
+    reference_oracle_csv_rows,
     sigma_ops,
 )
 
@@ -286,6 +302,88 @@ def test_evolve_rk4_refuses_an_unbounded_step_count(tmp_path, capsys, monkeypatc
     assert "rk4 would take" in error["message"]
 
 
+def synthetic_trajectory(rng, dim, samples, complete=True):
+    states = crandn(rng, samples, dim, dim)
+    # cells whose repr is easy to get wrong
+    states[0, 0, 0] = complex(-0.0, 5e-324)
+    states[-1, -1, 0] = complex(math.nan, -math.inf)
+    diagnostics = rng.standard_normal((3, samples))
+    diagnostics[2, 0] = -0.0
+    diagnostics[0, -1] = math.inf
+    return Trajectory(np.linspace(0.0, 1.0, samples), states, *diagnostics,
+                      method="expm", complete=complete)
+
+
+@pytest.mark.parametrize("dim, samples, complete", [(2, 5, True), (11, 3, True),
+                                                    (3, 2, False)])
+def test_trajectory_csv_matches_per_cell_writer(dim, samples, complete):
+    traj = synthetic_trajectory(np.random.default_rng(dim), dim, samples, complete)
+    rows = trajectory_csv_rows(traj)
+    assert rows == reference_csv_rows(traj)
+    assert len(rows) == samples + 1
+    for cell in ("-0.0", "5e-324", "nan", "-inf", "inf"):
+        assert cell in ",".join(rows[1:]).split(",")
+    if dim > 10:
+        assert "re_10_10" in rows[0].split(",")
+
+
+def test_oracle_csv_matches_per_cell_writer(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = flat_thermal_data(
+        system={"eigenvalues": [0.0, 1.0, 1.7]},
+        bath={
+            "kind": "finite",
+            "modes": [{"frequency": 1.0, "coupling": 0.08},
+                      {"frequency": 1.3, "coupling": 0.06}],
+            "temperature": 1.0,
+            "broadening": 0.4,
+        },
+        couplings=[{"A": cm(np.ones((3, 3)) - np.eye(3))}],
+    )
+    path = write_scenario(tmp_path, data, name="pair.json")
+    code, _, _ = run_cli(capsys, "oracle", path)
+    assert code == 0
+    sc = load_scenario(path)
+    res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
+                           policy=sc.policy)
+    lind = propagate(sc.rho0, res.generator, sc.times)
+    oracle = exact_oracle(sc.h_a, sc.bath, sc.couplings, sc.rho0, sc.times)
+    distances = [trace_distance(a, b) for a, b in zip(lind.states, oracle.states)]
+    want = reference_oracle_csv_rows(lind, oracle, distances)
+    assert (tmp_path / "pair.oracle.csv").read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("argv", [("derive",), ("verify",), ("evolve",),
+                                  ("evolve", "--method", "rk4")])
+def test_overflowing_rates_are_input_errors(tmp_path, capsys, argv):
+    # gamma (nbar + 1) overflows at omega = 1; Gamma(-1) = gamma nbar is
+    # finite but its hermitian part (G + G^+)/2 overflows in the sum
+    data = flat_thermal_data()
+    data["bath"]["gamma"] = 1.7e308
+    path = write_scenario(tmp_path, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert caught == []
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "input"
+    assert "Gamma(-1) has a non-finite or overflowing entry" in error["message"]
+
+
+def test_non_finite_defect_or_tolerance_fails_its_check():
+    assert _check("x", 0.5, 1.0)["status"] == "pass"
+    assert _check("x", math.nan, 1.0)["status"] == "fail"
+    assert _check("x", 0.0, math.inf)["status"] == "fail"
+    assert _check("x", 0.0, math.nan)["status"] == "fail"
+    # a NaN anywhere in the folded defects survives the fold
+    assert math.isnan(_largest([0.1, math.nan, 0.2], 0.0))
+    assert math.isnan(_largest([math.nan], 1.0))
+    assert _largest([-0.0, -1.0], 0.0) == 0.0
+    assert math.copysign(1.0, _largest([-0.0], 0.0)) == 1.0
+
+
 def test_evolve_is_deterministic(tmp_path, capsys):
     path = write_scenario(tmp_path, flat_thermal_data())
     _, out1, _ = run_cli(capsys, "evolve", path)
@@ -341,8 +439,9 @@ def test_verify_finite_bath_runs_correlation_checks(tmp_path, capsys):
 
 
 def test_free_picture_matches_dense_interaction_picture():
-    # the battery's factored e^{-i H_A t} x e^{-i H_B t} against the dense
-    # rotation by the joint H_0
+    # the battery's amplitude-matrix route, U_A^+ psi conj(U_B) reduced to
+    # the system, against the dense rotation of |psi><psi| by the joint H_0
+    # followed by the partial trace
     rng = np.random.default_rng(41)
     for d_a, d_b in ((2, 3), (3, 5), (4, 2), (1, 4)):
         h_a = random_hermitian(rng, d_a, scale=1.5)
@@ -350,13 +449,46 @@ def test_free_picture_matches_dense_interaction_picture():
         bath = FiniteBath(h_b, 1.0, [random_hermitian(rng, d_b)], broadening=0.5)
         h0 = np.kron(h_a, np.eye(d_b)) + np.kron(np.eye(d_a), h_b)
         assert _free_hamiltonian_scale(h_a, h_b) == float(np.abs(h0).max())
-        rho_ab = random_density(rng, d_a * d_b)
+        psi = crandn(rng, d_a, d_b)
+        psi /= np.linalg.norm(psi)
         t = float(rng.uniform(0.1, 2.0))
-        dense = interaction_picture(rho_ab, h0, t, "to")
-        assert np.abs(_free_picture(rho_ab, h_a, bath, t) - dense).max() < 1e-12
-        op = crandn(rng, d_a * d_b, d_a * d_b)
-        dense = interaction_picture(op, h0, t, "to")
-        assert np.abs(_free_picture(op, h_a, bath, t) - dense).max() < 1e-12
+        rho_ab = np.outer(psi.ravel(), psi.ravel().conj())
+        dense = partial_trace_bath(interaction_picture(rho_ab, h0, t, "to"), d_a, d_b)
+        assert np.abs(_reduced_rotated_state(psi, h_a, bath, t) - dense).max() < 1e-12
+
+
+def ladder_comb_scenario():
+    """A 4-level ladder coupled to an 8-mode comb: joint dimension 1024."""
+    ladder = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1)
+    data = flat_thermal_data(
+        system={"eigenvalues": [0.0, 1.0, 2.0, 3.0]},
+        bath={
+            "kind": "finite",
+            "modes": [{"frequency": 0.8 + 0.05 * i, "coupling": 0.02}
+                      for i in range(8)],
+            "temperature": 1.0,
+            "broadening": 0.2,
+        },
+        couplings=[{"A": cm(ladder + ladder.T)}],
+    )
+    return loads_scenario(json.dumps(data))
+
+
+def test_battery_forms_no_joint_sized_matrix():
+    # one 1024 x 1024 complex matrix is 16.8 MB; the battery stays below it
+    sc = ladder_comb_scenario()
+    assert sc.dim * sc.bath.dim == 1024
+    res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
+                           policy=sc.policy)
+    tracemalloc.start()
+    try:
+        checks = run_checks(sc, res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "picture-reduction-invariance" in {c["name"] for c in checks}
+    assert all(c["status"] == "pass" for c in checks)
+    assert peak < 1024 * 1024 * 16
 
 
 def test_battery_diagonalises_no_bath_or_joint_matrix(monkeypatch):

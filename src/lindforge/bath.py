@@ -291,15 +291,19 @@ def correlation_function(bath: FiniteBath, alpha: int, beta: int, tau: float) ->
     return complex(np.sum(weights * np.exp(1j * nu * tau)))
 
 
-def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2: float) -> complex:
+def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2: float,
+                         propagator=None) -> complex:
     """G_ab(t1, t2) = Tr{X_a^dag(t1) X_b(t2) sigma_B} via explicit unitaries.
 
     Deliberately a separate route from correlation_function (dense Heisenberg
     operators instead of the eigenbasis sum) so stationarity can be tested.
-    U(t) = e^{-i H_B t} is built from the bath's one eigendecomposition.
+    U(t) = e^{-i H_B t} comes from propagator(t), by default built from the
+    bath's one eigendecomposition on every call; callers that evaluate many
+    pairs of the same times pass a caching one.
     """
-    u1 = bath._propagator(t1)
-    u2 = bath._propagator(t2)
+    propagator = propagator or bath._propagator
+    u1 = propagator(t1)
+    u2 = propagator(t2)
     xa = u1.conj().T @ bath.coupling_ops[alpha] @ u1
     xb = u2.conj().T @ bath.coupling_ops[beta] @ u2
     # Tr{A^+ B} = sum_ij conj(A_ij) B_ij, one product fewer than the trace

@@ -1,8 +1,9 @@
 """Propagation of the reduced density matrix and the exact reference dynamics.
 
 Two independent routes produce time series here. propagate() integrates a
-derived master-equation generator (matrix exponential of the superoperator or
-classical RK4). exact_oracle() ignores the generator entirely: it builds the
+derived master-equation generator (matrix exponential, of the secular
+generator's Bohr-frequency blocks or of the whole superoperator, or classical
+RK4). exact_oracle() ignores the generator entirely: it builds the
 full system+bath hamiltonian, evolves the composite state unitarily from a
 factorized initial condition, and partial-traces at each sample time. The
 oracle makes no weak-coupling, Markov or secular approximation, so any
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import AnalyticBath, FiniteBath, estimate_correlation_time, gamma_matrix
-from .generator import Generator, generator_superoperator_matrix, rhs_function
+from .generator import BohrBlocks, Generator, generator_superoperator_matrix, rhs_function
 from .linalg import (
     DimensionError,
     as_operator,
@@ -123,11 +124,16 @@ def _sample_diagnostics(state):
 
 
 def _rhs_norm_bound(g: Generator) -> float:
-    """Crude spectral-norm bound on the generator, used for rk4 step control."""
+    """Crude spectral-norm bound on the generator, used for rk4 step control.
+
+    Rates near the float limit overflow it to inf, which the step cap in
+    propagate refuses.
+    """
     big_g, left, right = g.pieces
     norms = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
-    bound = 2.0 * norms(g.h_eff) + 2.0 * norms(big_g)
-    return float(bound + (norms(left) * norms(right)).sum())
+    with np.errstate(over="ignore"):
+        bound = 2.0 * norms(g.h_eff) + 2.0 * norms(big_g)
+        return float(bound + (norms(left) * norms(right)).sum())
 
 
 def _build_trajectory(times, states, diags, method: str,
@@ -145,17 +151,80 @@ def _build_trajectory(times, states, diags, method: str,
     )
 
 
+def _gap_key(gap: float) -> float:
+    """Time gaps equal up to float noise share one key, so a uniform grid
+    costs one exponential."""
+    return float(np.format_float_scientific(gap, precision=12))
+
+
+def _expm_dense(rho, g: Generator, t) -> list:
+    """The states at t[1:] from the exponential of the d^2 x d^2
+    superoperator, one per distinct time gap."""
+    import scipy.linalg  # only the expm routes need scipy; import it here
+
+    mat = generator_superoperator_matrix(g)
+    v = vec(rho)
+    cache: dict = {}
+    states = []
+    for gap in np.diff(t).tolist():
+        key = _gap_key(gap)
+        if key not in cache:
+            cache[key] = scipy.linalg.expm(mat * gap)
+        v = cache[key] @ v
+        states.append(unvec(v, g.dim))
+    return states
+
+
+def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
+    """The states at t[1:] from the Bohr-frequency blocks: rho rotated into
+    the eigenbasis once, one batched exponential per block size over the
+    distinct time gaps (exp for 1 x 1 blocks), and every sample rotated
+    back in one product."""
+    import scipy.linalg
+
+    v = blocks.basis
+    dim = v.shape[0]
+    y0 = vec(v.conj().T @ rho @ v)
+    gaps = np.diff(t)
+    # keys of the distinct float gaps, then of each step; first is the step
+    # whose gap is exponentiated for its key, as in the dense route
+    raw, raw_step = np.unique(gaps, return_inverse=True)
+    keys = np.array([_gap_key(gap) for gap in raw.tolist()])[raw_step]
+    _, first, step = np.unique(keys, return_index=True, return_inverse=True)
+    samples = np.empty((gaps.size, dim * dim), dtype=complex)
+    for index, mats in blocks.groups:
+        arg = gaps[first, None, None, None] * mats  # (distinct gaps, n, s, s)
+        if mats.shape[1] == 1:
+            # 1 x 1 blocks: exp, and the factors multiply up along the steps
+            factors = np.exp(arg[:, :, 0, 0])[step]
+            samples[:, index[:, 0]] = y0[index[:, 0]] * np.cumprod(factors, axis=0)
+            continue
+        props = scipy.linalg.expm(arg)
+        y = y0[index][:, :, None]
+        out = np.empty((gaps.size,) + y.shape, dtype=complex)
+        for k, key in enumerate(step.tolist()):
+            y = out[k] = props[key] @ y
+        samples[:, index] = out[..., 0]
+    # unvec of each sample: flat index a + d b holds rho[a, b]
+    return v @ samples.reshape(-1, dim, dim).transpose(0, 2, 1) @ v.conj().T
+
+
 def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     """Integrate d rho / dt = rhs(rho) and sample at the given times.
 
-    method 'expm' exponentiates the superoperator matrix (one exponential per
-    distinct time gap, reused across equal gaps); 'rk4' is classical
-    fourth-order stepping with step size at most (1/20) / ||L||.
+    method 'expm' uses one exponential per distinct time gap, reused across
+    equal gaps. A secular generator from derive_generator is exponentiated
+    block by block on the energy eigenbasis (Generator.bohr_blocks); any
+    other generator through its d^2 x d^2 superoperator matrix. 'rk4' is
+    classical fourth-order stepping on the standard form with step size at
+    most (1/20) / ||L||.
 
-    Raises DimensionError before the first step when rk4 would take more
-    than RK4_MAX_STEPS steps (or a non-finite number of them), and
-    PropagationError (partial trajectory attached) as soon as a sampled
-    state has an eigenvalue below -1e-6 or a non-finite entry.
+    Raises DimensionError before allocating when the largest block, or for
+    the superoperator d^2, exceeds MAX_TENSOR_DIM, and before the first
+    step when rk4 would take more than RK4_MAX_STEPS steps (or a non-finite
+    number of them). Raises PropagationError (partial trajectory attached)
+    as soon as a sampled state has an eigenvalue below -1e-6 or a
+    non-finite entry.
     """
     t = _check_times(times)
     rho = _check_initial_state(rho0, g.dim)
@@ -164,19 +233,11 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
 
     states = [rho.copy()]
     if method == "expm":
-        import scipy.linalg  # only this branch needs scipy; import it here
-
-        mat = generator_superoperator_matrix(g)
-        v = vec(rho)
-        cache: dict = {}
-        for k in range(1, t.size):
-            gap = float(t[k] - t[k - 1])
-            # merge gaps equal up to float noise so uniform grids cost one expm
-            key = float(np.format_float_scientific(gap, precision=12))
-            if key not in cache:
-                cache[key] = scipy.linalg.expm(mat * gap)
-            v = cache[key] @ v
-            states.append(unvec(v, g.dim))
+        blocks = g.bohr_blocks
+        if blocks is None:
+            states += _expm_dense(rho, g, t)
+        else:
+            states += list(_expm_blocks(rho, blocks, t))
     else:
         rhs = rhs_function(g)
         bound = _rhs_norm_bound(g)

@@ -22,11 +22,15 @@ list, so they are folded in at full rate: L = M, R = A^+, G = -B/2 with
 B = sum A^+ M. Its frequency shift h_ls = sum_W sum_ab Delta_ab(W)
 A_a(W)^+ A_b(W) is kept in h_eff = h_a + h_ls. With an exact-match filter
 the presecular generator collapses back to the secular one.
+
+In the energy eigenbasis the secular generator couples two coherences only
+when their gaps snap to the same Bohr frequency, so it splits into one block
+per Bohr frequency, built from the rate tensors (build_bohr_blocks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -116,7 +120,9 @@ class Generator:
     """Right-hand side of the master equation d rho / dt = rhs(rho).
 
     mode 'presecular' needs the SecularPolicy whose filter weights the
-    cross-frequency terms.
+    cross-frequency terms. A secular generator from derive_generator also
+    carries the Spectrum and RateTensors it was derived with, from which
+    bohr_blocks builds its eigenbasis blocks.
     """
 
     h_eff: np.ndarray
@@ -124,6 +130,8 @@ class Generator:
     mode: str
     h_ls: np.ndarray | None = None
     policy: SecularPolicy | None = None
+    spectrum: Spectrum | None = field(default=None, compare=False, repr=False)
+    rate_tensors: RateTensors | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -167,6 +175,16 @@ class Generator:
         keep = (np.abs(left).max(axis=(1, 2)) > 0.0) & (
             np.abs(right).max(axis=(1, 2)) > 0.0)
         return big_g, left[keep], right[keep]
+
+    @cached_property
+    def bohr_blocks(self) -> BohrBlocks | None:
+        """The generator as its blocks on the energy eigenbasis, built once
+        per generator by build_bohr_blocks; None unless the generator is
+        secular and carries its spectrum and rate tensors."""
+        if (self.mode != "secular" or self.spectrum is None
+                or self.rate_tensors is None):
+            return None
+        return build_bohr_blocks(self.spectrum, self.rate_tensors, self.h_eff)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -222,10 +240,13 @@ def _collect_terms(spectrum, eigenops, bath, gammas):
     return terms
 
 
-def build_standard_form(spectrum, eigenops, bath, gammas) -> Generator:
+def build_standard_form(spectrum, eigenops, bath, gammas,
+                        rate_tensors: RateTensors | None = None) -> Generator:
     """Assemble the secular generator: Lindblad dissipator plus frequency shift.
 
     gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
+    rate_tensors: the same generator's RateTensors, if built; the generator
+    keeps them with the spectrum for its eigenbasis blocks.
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas)
     h_a = spectrum.hamiltonian
@@ -241,6 +262,8 @@ def build_standard_form(spectrum, eigenops, bath, gammas) -> Generator:
         mode="secular",
         h_ls=h_ls,
         policy=None,
+        spectrum=spectrum,
+        rate_tensors=rate_tensors,
     )
 
 
@@ -330,9 +353,21 @@ class RateTensors:
 
 
 def _secular_support(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs (p, q) with label[p] == label[q], in lexicographic order."""
+    """All pairs (p, q) with label[p] == label[q], in lexicographic order.
+
+    Raises DimensionError before allocating when one label holds more than
+    MAX_TENSOR_DIM gaps: its share of the support is that count squared, the
+    size of the generator block the label makes.
+    """
+    sizes = np.bincount(label)
+    if sizes.max() > MAX_TENSOR_DIM:
+        raise DimensionError(
+            f"{sizes.max()} eigenbasis gaps share one Bohr frequency; their "
+            f"secular block would be {sizes.max()}x{sizes.max()}, "
+            f"cap is {MAX_TENSOR_DIM}"
+        )
     order = np.argsort(label, kind="stable")  # ascending p within each label
-    count = np.bincount(label)[label]  # partners of each p
+    count = sizes[label]  # partners of each p
     start = np.searchsorted(label[order], label)  # where they sit in order
     p = np.repeat(np.arange(label.size), count)
     offset = np.arange(p.size) - np.repeat(np.cumsum(count) - count, count)
@@ -461,6 +496,33 @@ def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduc
     )
 
 
+def _eigenbasis_entries(rate_tensors: RateTensors, h_eig=None):
+    """(row, col, value) entries of the secular generator in the energy
+    eigenbasis, with rho_ab at flat index a + d b (column stacking):
+
+        d rho_ab = sum_(m n supported) K(a m, b n) rho_mn
+                   + (X rho + rho X^+)_ab,   X = -1/2 kappa^T - i h_eig
+
+    h_eig None leaves the dissipator alone. The K scatter and the X terms
+    can meet on one (row, col), so entries are to be summed, not assigned.
+    """
+    kap = rate_tensors.kappa
+    dim = kap.shape[0]
+    a, m, b, n = rate_tensors.index.T
+    left = -0.5 * kap.T  # X
+    right = -0.5 * kap.T  # X^+, kappa being hermitian
+    if h_eig is not None:
+        left = left - 1j * h_eig
+        right = right + 1j * h_eig
+    # (X rho)_ic gets X[i, j] rho_jc and (rho X^+)_ci gets rho_cj X^+[j, i]
+    i, j = np.nonzero((left != 0) | (right.T != 0))
+    c = np.arange(dim)
+    rows = (a + dim * b, (i[:, None] + dim * c).ravel(), (c + dim * i[:, None]).ravel())
+    cols = (m + dim * n, (j[:, None] + dim * c).ravel(), (c + dim * j[:, None]).ravel())
+    vals = (rate_tensors.K, np.repeat(left[i, j], dim), np.repeat(right[j, i], dim))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
     """Dissipator as a superoperator in the energy eigenbasis, built from the
     rate tensors alone:
@@ -469,18 +531,111 @@ def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
                    - 1/2 sum_a'' kappa(a'', a) rho_a''b
                    - 1/2 sum_b'' kappa(b, b'') rho_ab''
 
-    that is, the K scatter plus rho -> -1/2 (kappa^T rho + rho kappa^T).
-    This is the generic degenerate-safe kernel; the standard-form dissipator
-    rotated to the eigenbasis must match it entry for entry.
+    that is, the K scatter plus rho -> -1/2 (kappa^T rho + rho kappa^T),
+    in column stacking. It places the entries the Bohr blocks are built
+    from; the standard-form dissipator rotated to the eigenbasis must match
+    it entry for entry, unless Bohr frequencies chain across multiplets
+    (see build_bohr_blocks).
     """
-    kap = rate_tensors.kappa
-    dim = kap.shape[0]
-    a, m, b, n = rate_tensors.index.T
-    eye = np.eye(dim)
-    # column stacking: rho_ij sits at flat index i + dim * j
-    mat = -0.5 * (np.kron(eye, kap.T) + np.kron(kap, eye))
-    mat[a + dim * b, m + dim * n] += rate_tensors.K
+    dim = rate_tensors.kappa.shape[0]
+    rows, cols, vals = _eigenbasis_entries(rate_tensors)
+    mat = np.zeros((dim * dim, dim * dim), dtype=complex)
+    np.add.at(mat, (rows, cols), vals)
     return mat
+
+
+@dataclass(frozen=True)
+class BohrBlocks:
+    """A secular generator on the energy eigenbasis, split into the blocks
+    it never couples across.
+
+    rho_eig = V^+ rho V with V = basis, and rho_eig[a, b] sits at flat index
+    a + d b. The generator maps the coherence rho_mn into rho_ab only when
+    the gaps w_n - w_m and w_b - w_a snap to the same Bohr frequency, so it
+    is block diagonal with one block per Spectrum.bohr_index label; the
+    populations form the zero-frequency block. groups holds one
+    (index, matrices) pair per block size s: index (n, s) lists each
+    block's flat indices in ascending order, and matrices (n, s, s) is the
+    generator restricted to them.
+    """
+
+    basis: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def build_bohr_blocks(spectrum: Spectrum, rate_tensors: RateTensors,
+                      h_eff) -> BohrBlocks | None:
+    """The Bohr-frequency blocks of the secular generator with rate tensors
+    rate_tensors and effective hamiltonian h_eff, without forming its
+    d^2 x d^2 matrix.
+
+    Each block gathers the K scatter, -1/2 (kappa^T rho + rho kappa^T) and
+    -i [V^+ h_eff V, rho] on its coherences. The rotated h_eff is kept on
+    same-multiplet entries only; elsewhere it holds rotation rounding. An
+    entry that crosses labels, which only tolerance chaining of Bohr
+    frequencies makes, merges the blocks of its two labels.
+
+    Returns None when chaining also links levels of different multiplets
+    in the escape sum sum_a K(a m, a n): kappa keeps same-multiplet pairs
+    only, so the blocks would drop terms the standard form keeps. Raises
+    DimensionError before allocating when the largest block exceeds
+    MAX_TENSOR_DIM.
+    """
+    dim = spectrum.dim
+    a, m, b, n = rate_tensors.index.T
+    midx = spectrum.multiplet_index
+    if np.any((a == b) & (midx[m] != midx[n])):
+        return None
+    v = spectrum.basis
+    same = midx[:, None] == midx[None, :]
+    h_eig = np.where(same, v.conj().T @ h_eff @ v, 0.0)
+    rows, cols, vals = _eigenbasis_entries(rate_tensors, h_eig)
+
+    block = spectrum.bohr_index.ravel(order="F")  # label of rho_ab at a + d b
+    cross = block[rows] != block[cols]
+    if cross.any():
+        block = _merge_labels(block, block[rows[cross]], block[cols[cross]])
+    sizes = np.bincount(block)
+    if sizes.max() > MAX_TENSOR_DIM:
+        raise DimensionError(
+            f"largest secular block would be {sizes.max()}x{sizes.max()}, "
+            f"cap is {MAX_TENSOR_DIM}"
+        )
+    order = np.argsort(block, kind="stable")  # by block, ascending within
+    start = np.cumsum(sizes) - sizes
+    pos = np.empty(dim * dim, dtype=int)  # place of each index in its block
+    pos[order] = np.arange(dim * dim) - start[block[order]]
+    # entries by the size of their block, in their own order within a size
+    row_size = sizes[block[rows]]
+    by_size = np.argsort(row_size, kind="stable")
+    groups = []
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        ids = np.flatnonzero(sizes == size)
+        slot = np.zeros(sizes.size, dtype=int)
+        slot[ids] = np.arange(ids.size)
+        lo, hi = np.searchsorted(row_size, (size, size + 1), sorter=by_size)
+        keep = by_size[lo:hi]
+        r, c = rows[keep], cols[keep]
+        mats = np.zeros((ids.size, size, size), dtype=complex)
+        np.add.at(mats, (slot[block[r]], pos[r], pos[c]), vals[keep])
+        groups.append((order[start[ids][:, None] + np.arange(size)], mats))
+    return BohrBlocks(basis=v, groups=tuple(groups))
+
+
+def _merge_labels(label: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """label with the labels src[i] and dst[i] merged for every i, and
+    transitively (union-find); merged labels take one of their numbers."""
+    parent = list(range(int(label.max()) + 1))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in set(zip(src.tolist(), dst.tolist())):
+        parent[root(x)] = root(y)
+    return np.array([root(x) for x in range(len(parent))])[label]
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +708,11 @@ def derive_generator(
     # K read this one table, and a table bath that misses a Bohr frequency
     # is rejected here
     gammas = np.array([gamma_matrix(bath, w) for w in bohr_frequencies(spectrum).values])
+    rt = build_rate_tensors(spectrum, ops, gammas)
     if mode == "secular":
-        gen = build_standard_form(spectrum, eigenops, bath, gammas)
+        gen = build_standard_form(spectrum, eigenops, bath, gammas, rate_tensors=rt)
     else:
         gen = build_presecular(spectrum, eigenops, bath, gammas, policy)
-
-    rt = build_rate_tensors(spectrum, ops, gammas)
     red = pauli_equations(rt, spectrum)
     return DeriveResult(
         generator=gen,

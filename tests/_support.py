@@ -42,6 +42,18 @@ def nondegenerate_hamiltonian(rng, dim, min_gap=0.3, span=4.0):
     raise RuntimeError("could not sample a well-gapped hamiltonian")
 
 
+def rate_table_bath(spec, n_channels, rng):
+    """Random PSD Gamma and hermitian Delta at every Bohr frequency."""
+    from lindforge import bohr_frequencies, table_bath
+
+    entries = []
+    for omega in bohr_frequencies(spec).values:
+        m = crandn(rng, n_channels, n_channels)
+        entries.append((float(omega), 0.3 * m @ m.conj().T,
+                        0.2 * random_hermitian(rng, n_channels)))
+    return table_bath(entries)
+
+
 def record_eigh(monkeypatch, key=lambda m: np.shape(m)[0]):
     """Wrap np.linalg.eigh; returns the list of key(matrix) per call."""
     seen = []

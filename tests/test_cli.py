@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lindforge.cli
 import lindforge.dynamics
 from lindforge import (
     FiniteBath,
@@ -278,12 +279,13 @@ def test_evolve_non_finite_state_is_propagation_failure(tmp_path, capsys):
     assert "nan" not in out_path.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("gamma", [1e300, 1e306])
+@pytest.mark.parametrize("gamma", [1e300, 1e306, 5e307])
 def test_evolve_rk4_refuses_an_unbounded_step_count(tmp_path, capsys, monkeypatch,
                                                     gamma):
     # rates of 1e300 make the norm-bound step rule ask for about 7e302 steps,
-    # and at 1e306 the count overflows to inf; it is checked before the
-    # first step, and stderr holds the JSON error alone
+    # at 1e306 the count overflows to inf, and at 5e307 the norm bound
+    # itself does; it is checked before the first step, no warning is
+    # raised, and stderr holds the JSON error alone
     data = flat_thermal_data()
     data["bath"]["gamma"] = gamma
     path = write_scenario(tmp_path, data)
@@ -294,7 +296,10 @@ def test_evolve_rk4_refuses_an_unbounded_step_count(tmp_path, capsys, monkeypatc
         return rhs
 
     monkeypatch.setattr(lindforge.dynamics, "rhs_function", no_stepping)
-    code, out, err = run_cli(capsys, "evolve", path, "--method", "rk4")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "evolve", path, "--method", "rk4")
+    assert caught == []
     assert code == 3
     assert out == ""
     error = json.loads(err)["error"]
@@ -384,6 +389,31 @@ def test_non_finite_defect_or_tolerance_fails_its_check():
     assert math.copysign(1.0, _largest([-0.0], 0.0)) == 1.0
 
 
+def ladder_data(levels):
+    dim = len(levels)
+    ladder = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    return flat_thermal_data(system={"eigenvalues": levels},
+                             couplings=[{"A": cm(ladder + ladder.T)}],
+                             times={"t_max": 1.0, "samples": 3})
+
+
+def test_evolve_caps_the_largest_secular_block_not_d_squared(tmp_path, capsys):
+    # d = 91: d^2 = 8281 is above MAX_TENSOR_DIM = 8192, but a non-degenerate
+    # spectrum's largest block is its d populations
+    path = write_scenario(tmp_path, ladder_data([float(n) for n in range(91)]))
+    code, out, err = run_cli(capsys, "evolve", path)
+    assert (code, err) == (0, "")
+    assert len(out.strip().split("\n")) == 4
+    # fully degenerate, every coherence shares the zero frequency: one
+    # 8281 x 8281 block, refused before the rate tensors are allocated
+    path = write_scenario(tmp_path, ladder_data([1.0] * 91))
+    code, out, err = run_cli(capsys, "evolve", path)
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "resource"
+    assert "secular block would be 8281x8281" in error["message"]
+
+
 def test_evolve_is_deterministic(tmp_path, capsys):
     path = write_scenario(tmp_path, flat_thermal_data())
     _, out1, _ = run_cli(capsys, "evolve", path)
@@ -457,21 +487,24 @@ def test_free_picture_matches_dense_interaction_picture():
         assert np.abs(_reduced_rotated_state(psi, h_a, bath, t) - dense).max() < 1e-12
 
 
-def ladder_comb_scenario():
-    """A 4-level ladder coupled to an 8-mode comb: joint dimension 1024."""
+def ladder_comb_data(modes=8):
+    """A 4-level ladder coupled to a comb of modes: joint dimension 4 * 2^modes."""
     ladder = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1)
-    data = flat_thermal_data(
+    return flat_thermal_data(
         system={"eigenvalues": [0.0, 1.0, 2.0, 3.0]},
         bath={
             "kind": "finite",
             "modes": [{"frequency": 0.8 + 0.05 * i, "coupling": 0.02}
-                      for i in range(8)],
+                      for i in range(modes)],
             "temperature": 1.0,
             "broadening": 0.2,
         },
         couplings=[{"A": cm(ladder + ladder.T)}],
     )
-    return loads_scenario(json.dumps(data))
+
+
+def ladder_comb_scenario():
+    return loads_scenario(json.dumps(ladder_comb_data()))
 
 
 def test_battery_forms_no_joint_sized_matrix():
@@ -489,6 +522,47 @@ def test_battery_forms_no_joint_sized_matrix():
     assert "picture-reduction-invariance" in {c["name"] for c in checks}
     assert all(c["status"] == "pass" for c in checks)
     assert peak < 1024 * 1024 * 16
+
+
+def test_verify_runs_the_picture_check_past_joint_dimension_1024(tmp_path, capsys):
+    # a 9-mode comb under the 4-level ladder: joint dimension 2048
+    path = write_scenario(tmp_path, ladder_comb_data(modes=9))
+    code, out, _ = run_cli(capsys, "verify", path)
+    report = json.loads(out)
+    picture = [c for c in report["checks"]
+               if c["name"] == "picture-reduction-invariance"]
+    assert len(picture) == 1
+    assert picture[0]["status"] == "pass"
+    assert report["all_checks_pass"]
+    assert code == 0
+
+
+def test_stationarity_builds_each_time_propagator_once(monkeypatch):
+    rng = np.random.default_rng(14)
+    sz = sigma_ops()[2]
+    data = flat_thermal_data(
+        bath={"kind": "finite", "hamiltonian": cm(random_hermitian(rng, 4)),
+              "temperature": 1.0},
+        couplings=[{"A": SX, "X": cm(0.05 * random_hermitian(rng, 4))},
+                   {"A": cm(sz), "X": cm(0.05 * random_hermitian(rng, 4))}],
+    )
+    sc = loads_scenario(json.dumps(data))
+    res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
+                           policy=sc.policy)
+    builds, calls = [], []
+    propagator = FiniteBath._propagator
+    two_time = lindforge.cli.two_time_correlation
+    monkeypatch.setattr(FiniteBath, "_propagator",
+                        lambda bath, t: builds.append(t) or propagator(bath, t))
+    monkeypatch.setattr(lindforge.cli, "two_time_correlation",
+                        lambda *args: calls.append(args) or two_time(*args))
+    checks = run_checks(sc, res)
+    assert all(c["status"] == "pass" for c in checks)
+    # 6 k^2 correlations on the dense route, as before, whose 12 k^2
+    # unitaries take ten distinct times; one more is the picture check's
+    assert sc.bath.channel_count == 2
+    assert len(calls) == 6 * 2 * 2
+    assert len(builds) == len(set(builds)) == 11
 
 
 def test_battery_diagonalises_no_bath_or_joint_matrix(monkeypatch):

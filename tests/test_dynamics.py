@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lindforge.dynamics
+import lindforge.generator
 
 from lindforge import (
     DimensionError,
@@ -16,6 +17,7 @@ from lindforge import (
     PropagationError,
     SecularPolicy,
     apply_rhs,
+    build_spectrum,
     derive_generator,
     exact_oracle,
     flat_thermal_bath,
@@ -33,6 +35,7 @@ from _support import (
     random_density,
     random_hermitian,
     random_unitary,
+    rate_table_bath,
     record_eigh,
     sigma_ops,
 )
@@ -112,6 +115,133 @@ def test_liouvillian_matches_rhs(options):
     for _ in range(5):
         rho = random_density(rng, 2)
         assert np.abs(unvec(mat @ vec(rho), 2) - apply_rhs(gen, rho)).max() < 1e-12
+
+
+def dense_expm_states(rho0, g, times):
+    """The dense reference for propagate's expm: the d^2 x d^2 superoperator
+    exponentiated afresh for every step."""
+    import scipy.linalg
+
+    mat = generator_superoperator_matrix(g)
+    v = vec(rho0)
+    states = [rho0]
+    for gap in np.diff(times):
+        v = scipy.linalg.expm(mat * gap) @ v
+        states.append(unvec(v, g.dim))
+    return np.array(states)
+
+
+def random_secular_result(levels, n_channels, rotated, tol, seed):
+    rng = np.random.default_rng(seed)
+    dim = len(levels)
+    u = random_unitary(rng, dim) if rotated else np.eye(dim)
+    h = u @ np.diag(np.array(levels, dtype=complex)) @ u.conj().T
+    ops = [random_hermitian(rng, dim) for _ in range(n_channels)]
+    bath = rate_table_bath(build_spectrum(h, tol), n_channels, rng)
+    return derive_generator(h, bath, ops, degeneracy_tol=tol), random_density(rng, dim)
+
+
+# levels, channels, user basis rotated, degeneracy tolerance (None: default)
+BLOCK_CASES = {
+    "nondegenerate": ([0.0, 0.9, 2.1, 3.8], 1, False, None),
+    "degenerate": ([0.0, 0.0, 1.3, 1.3, 1.3, 2.9], 1, False, None),
+    "rotated": ([0.0, 0.9, 2.1, 3.8], 1, True, None),
+    "two-channel": ([0.0, 0.9, 2.1, 3.8], 2, True, None),
+    "shared-gap": ([0.0, 1.0, 2.0, 3.5], 1, True, None),
+    # two channels with off-diagonal Delta: the Lamb shift mixes a multiplet
+    "lamb-shift-mixes-multiplet": ([0.0, 0.0, 1.3, 1.3, 1.3, 2.9], 2, True, None),
+    # gaps 0.52, 0.56 and 0.59 chain into one Bohr frequency whose K entries
+    # cross labels, which merges their blocks
+    "chained-merge": ([0.0, 0.52, 1.69, 2.25, 2.41, 3.0], 2, True, 0.05),
+}
+# unequal steps, so several exponentials are cached
+BLOCK_TIMES = [0.0, 0.5, 1.0, 1.7, 2.4, 4.0, 5.6]
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_secular_expm_blocks_match_dense_superoperator(case):
+    levels, n_channels, rotated, tol = BLOCK_CASES[case]
+    res, rho0 = random_secular_result(levels, n_channels, rotated, tol,
+                                      [71, len(case)])
+    g = res.generator
+    blocks = g.bohr_blocks
+    assert blocks is not None
+    got = propagate(rho0, g, BLOCK_TIMES).states
+    want = dense_expm_states(rho0, g, BLOCK_TIMES)
+    assert np.abs(got - want).max() < 1e-12
+    # each block's indices, in ascending order, cover every coherence once
+    index = np.concatenate([idx.ravel() for idx, _ in blocks.groups])
+    assert np.array_equal(np.sort(index), np.arange(g.dim ** 2))
+    labels = res.spectrum.bohr_index.ravel(order="F")
+    n_labels = np.unique(labels).size
+    n_blocks = sum(len(idx) for idx, _ in blocks.groups)
+    if case == "chained-merge":
+        assert n_blocks < n_labels
+    else:
+        assert n_blocks == n_labels
+        for idx, _ in blocks.groups:
+            assert (labels[idx] == labels[idx[:, :1]]).all()
+    if case == "lamb-shift-mixes-multiplet":
+        v = res.spectrum.basis
+        h_ls = v.conj().T @ g.h_ls @ v
+        assert abs(h_ls[2, 3]) > 1e-3
+
+
+def test_chaining_across_multiplets_keeps_the_superoperator_route():
+    # gaps 1.0 and 1.16 from level 0 chain into one Bohr frequency, so the
+    # escape sum links levels 1 and 2 of different multiplets; kappa leaves
+    # that out, and the dense route keeps it
+    res, rho0 = random_secular_result([0.0, 1.0, 1.16, 2.08], 2, True, 0.1, 72)
+    assert res.generator.bohr_blocks is None
+    got = propagate(rho0, res.generator, BLOCK_TIMES).states
+    assert np.abs(got - dense_expm_states(rho0, res.generator, BLOCK_TIMES)).max() < 1e-12
+
+
+def test_zero_block_is_the_pauli_matrix():
+    res, _ = random_secular_result([0.0, 0.9, 2.1, 3.8], 2, True, None, 73)
+    dim = res.spectrum.dim
+    populations = np.arange(dim) * (dim + 1)  # rho_aa at a + d a
+    zero = [mats[r] for index, mats in res.generator.bohr_blocks.groups
+            for r in range(len(index)) if np.array_equal(index[r], populations)]
+    assert len(zero) == 1
+    pauli = res.pauli.gain - np.diag(res.pauli.escape)
+    assert np.abs(zero[0] - pauli).max() < 1e-12 * np.abs(pauli).max()
+
+
+def test_derive_hands_the_secular_generator_its_spectrum_and_rate_tensors():
+    sx = sigma_ops()[0]
+    h = np.diag([0.0, OMEGA0]).astype(complex)
+    res = derive_generator(h, damping_bath(GAMMA, 0.05), [sx])
+    assert res.generator.spectrum is res.spectrum
+    assert res.generator.rate_tensors is res.rate_tensors
+    pre = derive_generator(h, damping_bath(GAMMA, 0.05), [sx], mode="presecular",
+                           policy=SecularPolicy(dt=3.0 / OMEGA0, filter="F-weighted"))
+    assert pre.generator.bohr_blocks is None
+
+
+def test_secular_expm_never_forms_the_superoperator(monkeypatch):
+    def refuse(g):
+        raise AssertionError("superoperator formed")
+
+    monkeypatch.setattr(lindforge.dynamics, "generator_superoperator_matrix", refuse)
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    times = np.linspace(0.0, 5.0, 11)
+    traj = propagate(rho0, damping_generator(GAMMA, 0.05), times)
+    assert traj.complete
+    # presecular and hand-built generators keep the superoperator route
+    presecular = damping_generator(GAMMA, 0.05, mode="presecular",
+                                   policy=SecularPolicy(dt=3.0 / OMEGA0,
+                                                        filter="F-weighted"))
+    for gen in (presecular, negative_rate_generator()):
+        with pytest.raises(AssertionError, match="superoperator formed"):
+            propagate(rho0, gen, times)
+
+
+def test_largest_block_is_capped_before_allocation(monkeypatch):
+    gen = damping_generator(GAMMA)  # blocks: the 2 x 2 populations, two 1 x 1
+    monkeypatch.setattr(lindforge.generator, "MAX_TENSOR_DIM", 1)
+    with pytest.raises(DimensionError, match="largest secular block would be 2x2"):
+        propagate(np.eye(2, dtype=complex) / 2, gen, [0.0, 1.0])
 
 
 def test_excited_population_decays_exponentially():

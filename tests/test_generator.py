@@ -20,12 +20,14 @@ from lindforge import (
     secular_filter,
     table_bath,
 )
+from lindforge.generator import build_bohr_blocks
 
 from _support import (
     crandn,
     random_density,
     random_hermitian,
     random_unitary,
+    rate_table_bath,
     reference_kernel,
     reference_lamb_shift,
     reference_pauli,
@@ -283,6 +285,23 @@ def test_kernel_matches_standard_form_dissipator_nondegenerate():
     assert np.abs((l_full - l_comm) - l_kernel).max() < RHS_TOL * scale
 
 
+def test_kernel_is_block_diagonal_with_the_bohr_blocks():
+    # the kernel and the blocks are placed from the same entries: with no
+    # hamiltonian the blocks are the kernel's diagonal blocks, and the
+    # kernel is zero outside them
+    rng = np.random.default_rng(49)
+    h, ops, bath = random_table_scenario(rng, [0.0, 0.0, 1.3, 1.3, 1.3, 2.9])
+    res = derive_generator(h, bath, ops)
+    kernel = kernel_superoperator_matrix(res.rate_tensors)
+    blocks = build_bohr_blocks(res.spectrum, res.rate_tensors, np.zeros_like(h))
+    rest = kernel.copy()
+    for index, mats in blocks.groups:
+        for idx, mat in zip(index, mats):
+            assert np.array_equal(kernel[np.ix_(idx, idx)], mat)
+            rest[np.ix_(idx, idx)] = 0.0
+    assert not rest.any()
+
+
 def test_population_sector_follows_pauli_equations():
     rng = np.random.default_rng(46)
     h, ops, bath = random_table_scenario(rng, [0.0, 0.9, 2.1, 3.8])
@@ -409,16 +428,6 @@ SPECTRA = {
     # levels 1 and 2 of different multiplets share a gap from level 0
     "chained-gap": ([0.0, 1.0, 1.16, 2.08], 0.1),
 }
-
-
-def rate_table_bath(spec, n_channels, rng):
-    """Random PSD Gamma and hermitian Delta at every Bohr frequency."""
-    entries = []
-    for omega in bohr_frequencies(spec).values:
-        m = crandn(rng, n_channels, n_channels)
-        entries.append((float(omega), 0.3 * m @ m.conj().T,
-                        0.2 * random_hermitian(rng, n_channels)))
-    return table_bath(entries)
 
 
 @pytest.mark.parametrize("bath_kind", ["table", "flat-thermal", "finite"])

@@ -131,6 +131,7 @@ class FiniteBath:
         self._sigma.flags.writeable = False
         self._x_eig = [v.conj().T @ x @ v for x in self.coupling_ops]
         self.transitions = _transitions(self._x_eig, self._energies, self._populations)
+        self._unitaries = {}  # _propagator's, by time
 
     @property
     def dim(self) -> int:
@@ -145,9 +146,14 @@ class FiniteBath:
         return self._sigma
 
     def _propagator(self, t: float) -> np.ndarray:
-        """e^{-i H_B t} from the cached eigendecomposition."""
-        v = self._basis
-        return (v * np.exp(-1j * self._energies * t)) @ v.conj().T
+        """e^{-i H_B t} from the cached eigendecomposition, built once per t
+        and kept (read-only) for the bath's lifetime."""
+        u = self._unitaries.get(t)
+        if u is None:
+            v = self._basis
+            u = self._unitaries[t] = (v * np.exp(-1j * self._energies * t)) @ v.conj().T
+            u.flags.writeable = False
+        return u
 
     def _shifted(self, shifts) -> FiniteBath:
         """Copy with X_alpha -> X_alpha - shifts[alpha] * 1, same eigenbasis.
@@ -291,19 +297,14 @@ def correlation_function(bath: FiniteBath, alpha: int, beta: int, tau: float) ->
     return complex(np.sum(weights * np.exp(1j * nu * tau)))
 
 
-def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2: float,
-                         propagator=None) -> complex:
+def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2: float) -> complex:
     """G_ab(t1, t2) = Tr{X_a^dag(t1) X_b(t2) sigma_B} via explicit unitaries.
 
     Deliberately a separate route from correlation_function (dense Heisenberg
     operators instead of the eigenbasis sum) so stationarity can be tested.
-    U(t) = e^{-i H_B t} comes from propagator(t), by default built from the
-    bath's one eigendecomposition on every call; callers that evaluate many
-    pairs of the same times pass a caching one.
     """
-    propagator = propagator or bath._propagator
-    u1 = propagator(t1)
-    u2 = propagator(t2)
+    u1 = bath._propagator(t1)
+    u2 = bath._propagator(t2)
     xa = u1.conj().T @ bath.coupling_ops[alpha] @ u1
     xb = u2.conj().T @ bath.coupling_ops[beta] @ u2
     # Tr{A^+ B} = sum_ij conj(A_ij) B_ij, one product fewer than the trace

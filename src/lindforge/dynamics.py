@@ -186,14 +186,18 @@ def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
     dim = v.shape[0]
     y0 = vec(v.conj().T @ rho @ v)
     gaps = np.diff(t)
-    # keys of the distinct float gaps, then of each step; first is the step
-    # whose gap is exponentiated for its key, as in the dense route
+    # the distinct float gaps, their keys, and the key of each step; each
+    # key exponentiates the smallest of its gaps
     raw, raw_step = np.unique(gaps, return_inverse=True)
-    keys = np.array([_gap_key(gap) for gap in raw.tolist()])[raw_step]
-    _, first, step = np.unique(keys, return_index=True, return_inverse=True)
+    _, smallest, raw_key = np.unique([_gap_key(gap) for gap in raw.tolist()],
+                                     return_index=True, return_inverse=True)
+    step = raw_key[raw_step]
+    # runs of consecutive steps with one key (a uniform grid is one run)
+    starts = [0] + (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist()
+    runs = list(zip(starts, starts[1:] + [gaps.size]))
     samples = np.empty((gaps.size, dim * dim), dtype=complex)
     for index, mats in blocks.groups:
-        arg = gaps[first, None, None, None] * mats  # (distinct gaps, n, s, s)
+        arg = raw[smallest, None, None, None] * mats  # (distinct gaps, n, s, s)
         if mats.shape[1] == 1:
             # 1 x 1 blocks: exp, and the factors multiply up along the steps
             factors = np.exp(arg[:, :, 0, 0])[step]
@@ -202,11 +206,28 @@ def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
         props = scipy.linalg.expm(arg)
         y = y0[index][:, :, None]
         out = np.empty((gaps.size,) + y.shape, dtype=complex)
-        for k, key in enumerate(step.tolist()):
-            y = out[k] = props[key] @ y
+        for start, stop in runs:
+            _powers_applied(props[step[start]], y, out[start:stop])
+            y = out[stop - 1]
         samples[:, index] = out[..., 0]
-    # unvec of each sample: flat index a + d b holds rho[a, b]
-    return v @ samples.reshape(-1, dim, dim).transpose(0, 2, 1) @ v.conj().T
+    # sample k reshaped is rho_k^T, so V rho_k V^+ = (conj(V) rho_k^T V^T)^T,
+    # with the right factor of every sample in one product
+    right = (samples.reshape(-1, dim) @ v.T).reshape(-1, dim, dim)
+    return (v.conj() @ right).transpose(0, 2, 1)
+
+
+def _powers_applied(p, y, out) -> None:
+    """out[k] = p^(k+1) y for stacks p (n, s, s) and y (n, s, 1), in about
+    log2(len(out)) batched products: the m terms known so far are advanced
+    by p^m at once, and p^m is then squared."""
+    out[0] = p @ y
+    done = 1
+    while done < len(out):
+        count = min(done, len(out) - done)
+        np.matmul(p, out[:count], out=out[done:done + count])  # p is p^done
+        done += count
+        if done < len(out):
+            p = p @ p
 
 
 def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:

@@ -241,12 +241,12 @@ def _collect_terms(spectrum, eigenops, bath, gammas):
 
 
 def build_standard_form(spectrum, eigenops, bath, gammas,
-                        rate_tensors: RateTensors | None = None) -> Generator:
+                        rate_tensors: RateTensors) -> Generator:
     """Assemble the secular generator: Lindblad dissipator plus frequency shift.
 
     gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
-    rate_tensors: the same generator's RateTensors, if built; the generator
-    keeps them with the spectrum for its eigenbasis blocks.
+    rate_tensors: the RateTensors built from the same spectrum and gammas;
+    the generator keeps them with the spectrum for its eigenbasis blocks.
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas)
     h_a = spectrum.hamiltonian
@@ -496,24 +496,21 @@ def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduc
     )
 
 
-def _eigenbasis_entries(rate_tensors: RateTensors, h_eig=None):
+def _eigenbasis_entries(rate_tensors: RateTensors, h_eig: np.ndarray):
     """(row, col, value) entries of the secular generator in the energy
     eigenbasis, with rho_ab at flat index a + d b (column stacking):
 
         d rho_ab = sum_(m n supported) K(a m, b n) rho_mn
                    + (X rho + rho X^+)_ab,   X = -1/2 kappa^T - i h_eig
 
-    h_eig None leaves the dissipator alone. The K scatter and the X terms
+    h_eig = 0 leaves the dissipator alone. The K scatter and the X terms
     can meet on one (row, col), so entries are to be summed, not assigned.
     """
     kap = rate_tensors.kappa
     dim = kap.shape[0]
     a, m, b, n = rate_tensors.index.T
-    left = -0.5 * kap.T  # X
-    right = -0.5 * kap.T  # X^+, kappa being hermitian
-    if h_eig is not None:
-        left = left - 1j * h_eig
-        right = right + 1j * h_eig
+    left = -0.5 * kap.T - 1j * h_eig  # X
+    right = -0.5 * kap.T + 1j * h_eig  # X^+, kappa being hermitian
     # (X rho)_ic gets X[i, j] rho_jc and (rho X^+)_ci gets rho_cj X^+[j, i]
     i, j = np.nonzero((left != 0) | (right.T != 0))
     c = np.arange(dim)
@@ -538,7 +535,7 @@ def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
     (see build_bohr_blocks).
     """
     dim = rate_tensors.kappa.shape[0]
-    rows, cols, vals = _eigenbasis_entries(rate_tensors)
+    rows, cols, vals = _eigenbasis_entries(rate_tensors, np.zeros((dim, dim)))
     mat = np.zeros((dim * dim, dim * dim), dtype=complex)
     np.add.at(mat, (rows, cols), vals)
     return mat
@@ -601,41 +598,48 @@ def build_bohr_blocks(spectrum: Spectrum, rate_tensors: RateTensors,
             f"largest secular block would be {sizes.max()}x{sizes.max()}, "
             f"cap is {MAX_TENSOR_DIM}"
         )
-    order = np.argsort(block, kind="stable")  # by block, ascending within
-    start = np.cumsum(sizes) - sizes
+    # blocks ranked by size, then label; flat indices by block, ascending
+    ranked = np.argsort(sizes, kind="stable")
+    ranked = ranked[sizes[ranked] > 0]
+    rank = np.empty_like(sizes)
+    rank[ranked] = np.arange(ranked.size)
+    order = np.argsort(rank[block], kind="stable")
+    size = sizes[ranked]
+    first = np.cumsum(size) - size  # where each block starts in order
     pos = np.empty(dim * dim, dtype=int)  # place of each index in its block
-    pos[order] = np.arange(dim * dim) - start[block[order]]
-    # entries by the size of their block, in their own order within a size
-    row_size = sizes[block[rows]]
-    by_size = np.argsort(row_size, kind="stable")
+    pos[order] = np.arange(dim * dim) - first[rank[block[order]]]
+    # one buffer holds the blocks back to back, each row-major
+    offset = np.cumsum(size * size) - size * size
+    row_block = rank[block[rows]]
+    flat = np.zeros(offset[-1] + size[-1] ** 2, dtype=complex)
+    np.add.at(flat, offset[row_block] + pos[rows] * size[row_block] + pos[cols], vals)
     groups = []
-    for size in np.unique(sizes[sizes > 0]).tolist():
-        ids = np.flatnonzero(sizes == size)
-        slot = np.zeros(sizes.size, dtype=int)
-        slot[ids] = np.arange(ids.size)
-        lo, hi = np.searchsorted(row_size, (size, size + 1), sorter=by_size)
-        keep = by_size[lo:hi]
-        r, c = rows[keep], cols[keep]
-        mats = np.zeros((ids.size, size, size), dtype=complex)
-        np.add.at(mats, (slot[block[r]], pos[r], pos[c]), vals[keep])
-        groups.append((order[start[ids][:, None] + np.arange(size)], mats))
+    _, group_start, group_count = np.unique(size, return_index=True, return_counts=True)
+    for lo, n in zip(group_start.tolist(), group_count.tolist()):
+        s = int(size[lo])
+        groups.append((order[first[lo]:first[lo] + n * s].reshape(n, s),
+                       flat[offset[lo]:offset[lo] + n * s * s].reshape(n, s, s)))
     return BohrBlocks(basis=v, groups=tuple(groups))
 
 
 def _merge_labels(label: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """label with the labels src[i] and dst[i] merged for every i, and
-    transitively (union-find); merged labels take one of their numbers."""
-    parent = list(range(int(label.max()) + 1))
+    transitively; merged labels take the smallest of their numbers.
 
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in set(zip(src.tolist(), dst.tolist())):
-        parent[root(x)] = root(y)
-    return np.array([root(x) for x in range(len(parent))])[label]
+    Every label points at the smallest label reached so far; each round
+    lowers both ends of every pair to their common minimum and then jumps
+    pointers, until no pair has ends that disagree.
+    """
+    root = np.arange(int(label.max()) + 1)
+    while True:
+        low = np.minimum(root[src], root[dst])
+        new = root.copy()
+        np.minimum.at(new, src, low)
+        np.minimum.at(new, dst, low)
+        new = new[new]
+        if (new == root).all():
+            return root[label]
+        root = new
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +714,7 @@ def derive_generator(
     gammas = np.array([gamma_matrix(bath, w) for w in bohr_frequencies(spectrum).values])
     rt = build_rate_tensors(spectrum, ops, gammas)
     if mode == "secular":
-        gen = build_standard_form(spectrum, eigenops, bath, gammas, rate_tensors=rt)
+        gen = build_standard_form(spectrum, eigenops, bath, gammas, rt)
     else:
         gen = build_presecular(spectrum, eigenops, bath, gammas, policy)
     red = pauli_equations(rt, spectrum)

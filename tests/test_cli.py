@@ -549,11 +549,11 @@ def test_stationarity_builds_each_time_propagator_once(monkeypatch):
     sc = loads_scenario(json.dumps(data))
     res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
                            policy=sc.policy)
-    builds, calls = [], []
+    unitaries, calls = [], []
     propagator = FiniteBath._propagator
     two_time = lindforge.cli.two_time_correlation
     monkeypatch.setattr(FiniteBath, "_propagator",
-                        lambda bath, t: builds.append(t) or propagator(bath, t))
+                        lambda bath, t: unitaries.append(propagator(bath, t)) or unitaries[-1])
     monkeypatch.setattr(lindforge.cli, "two_time_correlation",
                         lambda *args: calls.append(args) or two_time(*args))
     checks = run_checks(sc, res)
@@ -562,7 +562,8 @@ def test_stationarity_builds_each_time_propagator_once(monkeypatch):
     # unitaries take ten distinct times; one more is the picture check's
     assert sc.bath.channel_count == 2
     assert len(calls) == 6 * 2 * 2
-    assert len(builds) == len(set(builds)) == 11
+    assert len(unitaries) == 12 * 2 * 2 + 1
+    assert len({id(u) for u in unitaries}) == 11
 
 
 def test_battery_diagonalises_no_bath_or_joint_matrix(monkeypatch):

@@ -197,6 +197,17 @@ def test_chaining_across_multiplets_keeps_the_superoperator_route():
     assert np.abs(got - dense_expm_states(rho0, res.generator, BLOCK_TIMES)).max() < 1e-12
 
 
+def test_block_route_steps_through_runs_of_equal_gaps():
+    # 21 equal steps, one longer step, then three of the first length again:
+    # runs of 21, 1 and 3 steps, the first and last on one exponential
+    times = np.concatenate([np.linspace(0.0, 2.0, 22), 2.5 + np.arange(4) * (2.0 / 21)])
+    for case in ("degenerate", "two-channel"):
+        res, rho0 = random_secular_result(*BLOCK_CASES[case], 74)
+        got = propagate(rho0, res.generator, times).states
+        want = dense_expm_states(rho0, res.generator, times)
+        assert np.abs(got - want).max() < 1e-12
+
+
 def test_zero_block_is_the_pauli_matrix():
     res, _ = random_secular_result([0.0, 0.9, 2.1, 3.8], 2, True, None, 73)
     dim = res.spectrum.dim

@@ -193,8 +193,8 @@ def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
                                      return_index=True, return_inverse=True)
     step = raw_key[raw_step]
     # runs of consecutive steps with one key (a uniform grid is one run)
-    starts = [0] + (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist()
-    runs = list(zip(starts, starts[1:] + [gaps.size]))
+    bounds = [0] + (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist() + [gaps.size]
+    runs = [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
     samples = np.empty((gaps.size, dim * dim), dtype=complex)
     for index, mats in blocks.groups:
         arg = raw[smallest, None, None, None] * mats  # (distinct gaps, n, s, s)

@@ -206,6 +206,8 @@ def test_block_route_steps_through_runs_of_equal_gaps():
         got = propagate(rho0, res.generator, times).states
         want = dense_expm_states(rho0, res.generator, times)
         assert np.abs(got - want).max() < 1e-12
+        # a grid of one sample has no step at all
+        assert np.array_equal(propagate(rho0, res.generator, [0.0]).states, [rho0])
 
 
 def test_zero_block_is_the_pauli_matrix():

@@ -40,6 +40,10 @@ from .linalg import (
 WEIGHT_CUTOFF = 1e-12
 # fraction of |G(0)| the correlation envelope must stay under to count as decayed
 DECAY_THRESHOLD = 0.05
+# unitaries e^{-i H_B t} a bath keeps: the two times of one two-time
+# correlation (a bath lives as long as its scenario, so every unitary it
+# keeps adds to the memory peak of the work that follows)
+PROPAGATOR_CACHE = 2
 
 
 def _boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
@@ -131,7 +135,7 @@ class FiniteBath:
         self._sigma.flags.writeable = False
         self._x_eig = [v.conj().T @ x @ v for x in self.coupling_ops]
         self.transitions = _transitions(self._x_eig, self._energies, self._populations)
-        self._unitaries = {}  # _propagator's, by time
+        self._unitaries = {}  # _propagator's, by time, least recent first
 
     @property
     def dim(self) -> int:
@@ -146,13 +150,17 @@ class FiniteBath:
         return self._sigma
 
     def _propagator(self, t: float) -> np.ndarray:
-        """e^{-i H_B t} from the cached eigendecomposition, built once per t
-        and kept (read-only) for the bath's lifetime."""
-        u = self._unitaries.get(t)
+        """e^{-i H_B t} from the cached eigendecomposition (read-only). The
+        PROPAGATOR_CACHE most recently used times keep theirs, so repeated
+        correlations over one pair of times build each unitary once."""
+        u = self._unitaries.pop(t, None)
         if u is None:
             v = self._basis
-            u = self._unitaries[t] = (v * np.exp(-1j * self._energies * t)) @ v.conj().T
+            u = (v * np.exp(-1j * self._energies * t)) @ v.conj().T
             u.flags.writeable = False
+        self._unitaries[t] = u  # most recent last
+        if len(self._unitaries) > PROPAGATOR_CACHE:
+            del self._unitaries[next(iter(self._unitaries))]
         return u
 
     def _shifted(self, shifts) -> FiniteBath:

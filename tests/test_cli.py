@@ -564,6 +564,8 @@ def test_stationarity_builds_each_time_propagator_once(monkeypatch):
     assert len(calls) == 6 * 2 * 2
     assert len(unitaries) == 12 * 2 * 2 + 1
     assert len({id(u) for u in unitaries}) == 11
+    # and the bath keeps only the last two
+    assert len(sc.bath._unitaries) == 2
 
 
 def test_battery_diagonalises_no_bath_or_joint_matrix(monkeypatch):

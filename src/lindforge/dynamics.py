@@ -1,9 +1,10 @@
 """Propagation of the reduced density matrix and the exact reference dynamics.
 
 Two independent routes produce time series here. propagate() integrates a
-derived master-equation generator (matrix exponential, of the secular
-generator's Bohr-frequency blocks or of the whole superoperator, or classical
-RK4). exact_oracle() ignores the generator entirely: it builds the
+derived master-equation generator (matrix exponential of its blocks, or
+classical RK4): a secular generator splits into one block per Bohr
+frequency, and any other generator is the one-block case, its whole
+superoperator. exact_oracle() ignores the generator entirely: it builds the
 full system+bath hamiltonian, evolves the composite state unitarily from a
 factorized initial condition, and partial-traces at each sample time. The
 oracle makes no weak-coupling, Markov or secular approximation, so any
@@ -26,7 +27,6 @@ from .linalg import (
     hermiticity_defect,
     kron_matmul,
     matrix_exponential_unitary,
-    unvec,
     vec,
 )
 from .spectral import bohr_frequencies
@@ -157,30 +157,12 @@ def _gap_key(gap: float) -> float:
     return float(np.format_float_scientific(gap, precision=12))
 
 
-def _expm_dense(rho, g: Generator, t) -> list:
-    """The states at t[1:] from the exponential of the d^2 x d^2
-    superoperator, one per distinct time gap."""
-    import scipy.linalg  # only the expm routes need scipy; import it here
-
-    mat = generator_superoperator_matrix(g)
-    v = vec(rho)
-    cache: dict = {}
-    states = []
-    for gap in np.diff(t).tolist():
-        key = _gap_key(gap)
-        if key not in cache:
-            cache[key] = scipy.linalg.expm(mat * gap)
-        v = cache[key] @ v
-        states.append(unvec(v, g.dim))
-    return states
-
-
 def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
-    """The states at t[1:] from the Bohr-frequency blocks: rho rotated into
-    the eigenbasis once, one batched exponential per block size over the
-    distinct time gaps (exp for 1 x 1 blocks), and every sample rotated
-    back in one product."""
-    import scipy.linalg
+    """The states at t[1:] from the generator's blocks: rho rotated into
+    the block basis once, one batched exponential per block size over the
+    distinct time gaps, stepped by squaring along each run of equal gaps,
+    and every sample rotated back in one product."""
+    import scipy.linalg  # only the expm route needs scipy; import it here
 
     v = blocks.basis
     dim = v.shape[0]
@@ -198,11 +180,6 @@ def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
     samples = np.empty((gaps.size, dim * dim), dtype=complex)
     for index, mats in blocks.groups:
         arg = raw[smallest, None, None, None] * mats  # (distinct gaps, n, s, s)
-        if mats.shape[1] == 1:
-            # 1 x 1 blocks: exp, and the factors multiply up along the steps
-            factors = np.exp(arg[:, :, 0, 0])[step]
-            samples[:, index[:, 0]] = y0[index[:, 0]] * np.cumprod(factors, axis=0)
-            continue
         props = scipy.linalg.expm(arg)
         y = y0[index][:, :, None]
         out = np.empty((gaps.size,) + y.shape, dtype=complex)
@@ -233,15 +210,16 @@ def _powers_applied(p, y, out) -> None:
 def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     """Integrate d rho / dt = rhs(rho) and sample at the given times.
 
-    method 'expm' uses one exponential per distinct time gap, reused across
-    equal gaps. A secular generator from derive_generator is exponentiated
-    block by block on the energy eigenbasis (Generator.bohr_blocks); any
-    other generator through its d^2 x d^2 superoperator matrix. 'rk4' is
+    method 'expm' exponentiates the generator block by block, once per
+    distinct time gap, and steps by squaring along runs of equal gaps. A
+    secular generator from derive_generator has its Bohr-frequency blocks on
+    the energy eigenbasis (Generator.bohr_blocks); any other generator is one
+    block, its d^2 x d^2 superoperator matrix on the identity basis. 'rk4' is
     classical fourth-order stepping on the standard form with step size at
     most (1/20) / ||L||.
 
-    Raises DimensionError before allocating when the largest block, or for
-    the superoperator d^2, exceeds MAX_TENSOR_DIM, and before the first
+    Raises DimensionError before allocating when the largest block (d^2 for
+    the superoperator) exceeds MAX_TENSOR_DIM, and before the first
     step when rk4 would take more than RK4_MAX_STEPS steps (or a non-finite
     number of them). Raises PropagationError (partial trajectory attached)
     as soon as a sampled state has an eigenvalue below -1e-6 or a
@@ -256,9 +234,11 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     if method == "expm":
         blocks = g.bohr_blocks
         if blocks is None:
-            states += _expm_dense(rho, g, t)
-        else:
-            states += list(_expm_blocks(rho, blocks, t))
+            # no Bohr split: the whole superoperator is the one block
+            mat = generator_superoperator_matrix(g)
+            blocks = BohrBlocks(basis=np.eye(g.dim, dtype=complex),
+                                groups=((np.arange(mat.shape[0])[None], mat[None]),))
+        states += list(_expm_blocks(rho, blocks, t))
     else:
         rhs = rhs_function(g)
         bound = _rhs_norm_bound(g)

@@ -554,6 +554,10 @@ class BohrBlocks:
     (index, matrices) pair per block size s: index (n, s) lists each
     block's flat indices in ascending order, and matrices (n, s, s) is the
     generator restricted to them.
+
+    A generator without this split (presecular, hand-built, or chained
+    across multiplets) is the one-block case: basis the identity and a
+    single group holding its d^2 x d^2 superoperator matrix.
     """
 
     basis: np.ndarray

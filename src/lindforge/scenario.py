@@ -49,7 +49,12 @@ from .bath import (
     table_bath,
 )
 from .generator import SecularPolicy
-from .linalg import DimensionError, hermiticity_defect, validate_density_matrix
+from .linalg import (
+    MAX_TENSOR_DIM,
+    DimensionError,
+    hermiticity_defect,
+    validate_density_matrix,
+)
 
 # largest times.samples accepted; checked before the time grid is allocated
 MAX_TIME_SAMPLES = 100_000
@@ -160,6 +165,12 @@ def _parse_system(node) -> np.ndarray:
     has_e = "eigenvalues" in node
     if has_h == has_e:
         _fail("system", "give exactly one of 'hamiltonian' or 'eigenvalues'")
+    # the level count is the list length; refuse it before any d x d array
+    key = "hamiltonian" if has_h else "eigenvalues"
+    if isinstance(node[key], list) and len(node[key]) > MAX_TENSOR_DIM:
+        raise DimensionError(
+            f"system.{key}: {len(node[key])} levels exceed the cap of {MAX_TENSOR_DIM}"
+        )
     if has_h:
         h = complex_matrix_from_json(node["hamiltonian"], "system.hamiltonian")
         defect = hermiticity_defect(h)

@@ -29,6 +29,7 @@ from lindforge.cli import (
     trajectory_csv_rows,
 )
 from lindforge.dynamics import Trajectory
+from lindforge.linalg import MAX_TENSOR_DIM
 from lindforge.scenario import MAX_TIME_SAMPLES, load_scenario, loads_scenario
 
 from _support import (
@@ -601,6 +602,19 @@ def test_times_samples_cap_is_resource_error(tmp_path, capsys):
         error = json.loads(err)["error"]
         assert error["type"] == "resource"
         assert "times.samples" in error["message"]
+
+
+def test_system_level_cap_is_resource_error(tmp_path, capsys):
+    # cap + 1 levels are refused before any d x d array is allocated; the
+    # hamiltonian's rows are not even read
+    for system in ({"eigenvalues": [0.0] * (MAX_TENSOR_DIM + 1)},
+                   {"hamiltonian": [[]] * (MAX_TENSOR_DIM + 1)}):
+        path = write_scenario(tmp_path, flat_thermal_data(system=system))
+        code, out, err = run_cli(capsys, "evolve", path)
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "resource"
+        assert f"{MAX_TENSOR_DIM + 1} levels exceed" in error["message"]
 
 
 def test_verify_corrupted_table_fails_battery(tmp_path, capsys):

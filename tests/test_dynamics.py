@@ -131,14 +131,15 @@ def dense_expm_states(rho0, g, times):
     return np.array(states)
 
 
-def random_secular_result(levels, n_channels, rotated, tol, seed):
+def random_secular_result(levels, n_channels, rotated, tol, seed, **options):
     rng = np.random.default_rng(seed)
     dim = len(levels)
     u = random_unitary(rng, dim) if rotated else np.eye(dim)
     h = u @ np.diag(np.array(levels, dtype=complex)) @ u.conj().T
     ops = [random_hermitian(rng, dim) for _ in range(n_channels)]
     bath = rate_table_bath(build_spectrum(h, tol), n_channels, rng)
-    return derive_generator(h, bath, ops, degeneracy_tol=tol), random_density(rng, dim)
+    return (derive_generator(h, bath, ops, degeneracy_tol=tol, **options),
+            random_density(rng, dim))
 
 
 # levels, channels, user basis rotated, degeneracy tolerance (None: default)
@@ -190,7 +191,7 @@ def test_secular_expm_blocks_match_dense_superoperator(case):
 def test_chaining_across_multiplets_keeps_the_superoperator_route():
     # gaps 1.0 and 1.16 from level 0 chain into one Bohr frequency, so the
     # escape sum links levels 1 and 2 of different multiplets; kappa leaves
-    # that out, and the dense route keeps it
+    # that out, and the one superoperator block keeps it
     res, rho0 = random_secular_result([0.0, 1.0, 1.16, 2.08], 2, True, 0.1, 72)
     assert res.generator.bohr_blocks is None
     got = propagate(rho0, res.generator, BLOCK_TIMES).states
@@ -201,13 +202,29 @@ def test_block_route_steps_through_runs_of_equal_gaps():
     # 21 equal steps, one longer step, then three of the first length again:
     # runs of 21, 1 and 3 steps, the first and last on one exponential
     times = np.concatenate([np.linspace(0.0, 2.0, 22), 2.5 + np.arange(4) * (2.0 / 21)])
+    cases = []
     for case in ("degenerate", "two-channel"):
         res, rho0 = random_secular_result(*BLOCK_CASES[case], 74)
-        got = propagate(rho0, res.generator, times).states
-        want = dense_expm_states(rho0, res.generator, times)
-        assert np.abs(got - want).max() < 1e-12
+        cases.append((res.generator, rho0))
+    # a presecular and a hand-built generator have no Bohr blocks: they step
+    # as the one superoperator block
+    res, rho0 = random_secular_result(*BLOCK_CASES["two-channel"], 75,
+                                      mode="presecular",
+                                      policy=SecularPolicy(dt=3.0, filter="F-weighted"))
+    cases.append((res.generator, rho0))
+    rng = np.random.default_rng(76)
+    ops = (random_hermitian(rng, 3) + 1j * random_hermitian(rng, 3),)
+    hand_built = Generator(
+        h_eff=random_hermitian(rng, 3),
+        dissipator_terms=(DissipatorTerm(omega=1.0, gamma=np.array([[0.4]]), ops=ops),),
+        mode="secular")
+    cases.append((hand_built, random_density(rng, 3)))
+    for g, rho0 in cases:
+        got = propagate(rho0, g, times).states
+        assert np.abs(got - dense_expm_states(rho0, g, times)).max() < 1e-12
         # a grid of one sample has no step at all
-        assert np.array_equal(propagate(rho0, res.generator, [0.0]).states, [rho0])
+        assert np.array_equal(propagate(rho0, g, [0.0]).states, [rho0])
+    assert [g.bohr_blocks is None for g, _ in cases] == [False, False, True, True]
 
 
 def test_zero_block_is_the_pauli_matrix():

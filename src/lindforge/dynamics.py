@@ -1,14 +1,15 @@
 """Propagation of the reduced density matrix and the exact reference dynamics.
 
-Two independent routes produce time series here. propagate() integrates a
-derived master-equation generator (matrix exponential of its blocks, or
-classical RK4): a secular generator splits into one block per Bohr
-frequency, and any other generator is the one-block case, its whole
-superoperator. exact_oracle() ignores the generator entirely: it builds the
-full system+bath hamiltonian, evolves the composite state unitarily from a
-factorized initial condition, and partial-traces at each sample time. The
-oracle makes no weak-coupling, Markov or secular approximation, so any
-disagreement beyond the two-timescale error budget points at the derivation.
+Two independent routes produce time series here. propagate() steps a
+derived master-equation generator block by block, by the matrix exponential
+or the classical RK4 step polynomial of each block: for expm a secular
+generator splits into one block per Bohr frequency, and any other generator,
+like every RK4 run, is one block, its whole superoperator. exact_oracle()
+ignores the generator entirely: it builds the full system+bath hamiltonian,
+evolves the composite state unitarily from a factorized initial condition,
+and partial-traces at each sample time. The oracle makes no weak-coupling,
+Markov or secular approximation, so any disagreement beyond the
+two-timescale error budget points at the derivation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import AnalyticBath, FiniteBath, estimate_correlation_time, gamma_matrix
-from .generator import BohrBlocks, Generator, generator_superoperator_matrix, rhs_function
+from .generator import BohrBlocks, Generator, generator_superoperator_matrix
+from .generator import rhs_function  # unused here; bench/tracing.py wraps it on this module
 from .linalg import (
     DimensionError,
     as_operator,
@@ -37,7 +39,7 @@ POSITIVITY_FLOOR = -1e-6
 ORACLE_DIM_CAP = 1024
 # rk4 step control: step <= RK4_STEP_FACTOR / (norm bound of the generator)
 RK4_STEP_FACTOR = 1.0 / 20.0
-# most rk4 steps one propagate may take; checked before the first step
+# most rk4 steps one propagate may take; checked before any is taken
 RK4_MAX_STEPS = 1_000_000
 
 
@@ -124,11 +126,8 @@ def _sample_diagnostics(state):
 
 
 def _rhs_norm_bound(g: Generator) -> float:
-    """Crude spectral-norm bound on the generator, used for rk4 step control.
-
-    Rates near the float limit overflow it to inf, which the step cap in
-    propagate refuses.
-    """
+    """Crude spectral-norm bound on the generator for rk4 step control; rates
+    near the float limit overflow it to inf, which _rk4_propagator refuses."""
     big_g, left, right = g.pieces
     norms = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
     with np.errstate(over="ignore"):
@@ -157,19 +156,17 @@ def _gap_key(gap: float) -> float:
     return float(np.format_float_scientific(gap, precision=12))
 
 
-def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
+def _block_states(rho, blocks: BohrBlocks, t, propagator) -> np.ndarray:
     """The states at t[1:] from the generator's blocks: rho rotated into
-    the block basis once, one batched exponential per block size over the
-    distinct time gaps, stepped by squaring along each run of equal gaps,
+    the block basis once, one batched propagator(gaps, matrices) per block
+    size over the distinct time gaps, stepped along each run of equal gaps,
     and every sample rotated back in one product."""
-    import scipy.linalg  # only the expm route needs scipy; import it here
-
     v = blocks.basis
     dim = v.shape[0]
     y0 = vec(v.conj().T @ rho @ v)
     gaps = np.diff(t)
     # the distinct float gaps, their keys, and the key of each step; each
-    # key exponentiates the smallest of its gaps
+    # key propagates over the smallest of its gaps
     raw, raw_step = np.unique(gaps, return_inverse=True)
     _, smallest, raw_key = np.unique([_gap_key(gap) for gap in raw.tolist()],
                                      return_index=True, return_inverse=True)
@@ -179,8 +176,7 @@ def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
     runs = [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
     samples = np.empty((gaps.size, dim * dim), dtype=complex)
     for index, mats in blocks.groups:
-        arg = raw[smallest, None, None, None] * mats  # (distinct gaps, n, s, s)
-        props = scipy.linalg.expm(arg)
+        props = propagator(raw[smallest], mats)  # (distinct gaps, n, s, s)
         y = y0[index][:, :, None]
         out = np.empty((gaps.size,) + y.shape, dtype=complex)
         for start, stop in runs:
@@ -194,86 +190,89 @@ def _expm_blocks(rho, blocks: BohrBlocks, t) -> np.ndarray:
 
 
 def _powers_applied(p, y, out) -> None:
-    """out[k] = p^(k+1) y for stacks p (n, s, s) and y (n, s, 1), in about
-    log2(len(out)) batched products: the m terms known so far are advanced
-    by p^m at once, and p^m is then squared."""
+    """out[k] = p^(k+1) y for stacks p (n, s, s) and y (n, s, 1). While more
+    than s terms remain, the m known are advanced by p^m at once and p^m is
+    squared; the last s or fewer take plain steps, cheaper than a square."""
     out[0] = p @ y
     done = 1
-    while done < len(out):
+    while len(out) - done > p.shape[-1]:
+        power = power @ power if done > 1 else p  # p^done
         count = min(done, len(out) - done)
-        np.matmul(p, out[:count], out=out[done:done + count])  # p is p^done
+        np.matmul(power, out[:count], out=out[done:done + count])
         done += count
-        if done < len(out):
-            p = p @ p
+    for k in range(done, len(out)):
+        np.matmul(p, out[k - 1], out=out[k])
+
+
+def _rk4_propagator(g: Generator, gaps):
+    """n classical rk4 steps of size gap/n <= RK4_STEP_FACTOR / (norm bound of
+    g) as one propagator T4(B gap/n)^n, since a step of size h on a linear
+    generator B is exactly T4(hB) = 1 + hB + (hB)^2/2 + (hB)^3/6 + (hB)^4/24.
+    Raises DimensionError when the gaps take more than RK4_MAX_STEPS steps."""
+    bound = _rhs_norm_bound(g)
+    h_max = RK4_STEP_FACTOR / bound if bound != 0 else math.inf
+    with np.errstate(divide="ignore", over="ignore"):  # refused just below
+        total = float(np.maximum(1.0, np.ceil(gaps / h_max)).sum())  # NaN for a NaN bound
+    if not total <= RK4_MAX_STEPS:
+        raise DimensionError(f"rk4 would take {total:.3g} steps (generator norm "
+                             f"bound {bound:.3g}), cap is {RK4_MAX_STEPS}")
+
+    def propagator(key_gaps, mats):
+        eye, props = np.eye(mats.shape[-1]), []
+        for gap in key_gaps.tolist():
+            n_steps = max(1, math.ceil(gap / h_max))
+            a = (gap / n_steps) * mats
+            t4 = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+            props.append(np.linalg.matrix_power(t4, n_steps))
+        return np.array(props)
+    return propagator
 
 
 def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     """Integrate d rho / dt = rhs(rho) and sample at the given times.
 
-    method 'expm' exponentiates the generator block by block, once per
-    distinct time gap, and steps by squaring along runs of equal gaps. A
-    secular generator from derive_generator has its Bohr-frequency blocks on
-    the energy eigenbasis (Generator.bohr_blocks); any other generator is one
-    block, its d^2 x d^2 superoperator matrix on the identity basis. 'rk4' is
-    classical fourth-order stepping on the standard form with step size at
-    most (1/20) / ||L||.
+    Both methods make one propagator per block and distinct time gap and
+    square it along long runs of equal gaps. 'expm' exponentiates the
+    Bohr-frequency blocks of a secular generator from derive_generator, or
+    else the one block, the d^2 x d^2 superoperator on the identity basis.
+    'rk4' takes classical steps of at most (1/20) / ||L|| on that one block.
 
     Raises DimensionError before allocating when the largest block (d^2 for
-    the superoperator) exceeds MAX_TENSOR_DIM, and before the first
-    step when rk4 would take more than RK4_MAX_STEPS steps (or a non-finite
-    number of them). Raises PropagationError (partial trajectory attached)
-    as soon as a sampled state has an eigenvalue below -1e-6 or a
-    non-finite entry.
+    the superoperator) exceeds MAX_TENSOR_DIM, and before forming it when rk4
+    would take more than RK4_MAX_STEPS (or non-finitely many) steps. Raises
+    PropagationError, with the partial trajectory, at the first sample with
+    an eigenvalue below -1e-6, a trace defect above 1e-6 or a non-finite entry.
     """
     t = _check_times(times)
     rho = _check_initial_state(rho0, g.dim)
-    if method not in ("expm", "rk4"):
-        raise ValueError(f"unknown method {method!r}; expected 'expm' or 'rk4'")
-
-    states = [rho.copy()]
     if method == "expm":
+        import scipy.linalg  # only expm needs scipy; import it here
         blocks = g.bohr_blocks
-        if blocks is None:
-            # no Bohr split: the whole superoperator is the one block
-            mat = generator_superoperator_matrix(g)
-            blocks = BohrBlocks(basis=np.eye(g.dim, dtype=complex),
-                                groups=((np.arange(mat.shape[0])[None], mat[None]),))
-        states += list(_expm_blocks(rho, blocks, t))
+        propagator = lambda gaps, mats: scipy.linalg.expm(gaps[:, None, None, None] * mats)
+    elif method == "rk4":
+        blocks, propagator = None, _rk4_propagator(g, np.diff(t))
     else:
-        rhs = rhs_function(g)
-        bound = _rhs_norm_bound(g)
-        h_max = RK4_STEP_FACTOR / bound if bound != 0 else math.inf
-        gaps = np.diff(t)
-        with np.errstate(divide="ignore", over="ignore"):  # refused just below
-            steps = np.maximum(1.0, np.ceil(gaps / h_max))  # NaN for a NaN bound
-            total = float(steps.sum())
-        if not total <= RK4_MAX_STEPS:
-            raise DimensionError(
-                f"rk4 would take {total:.3g} steps (generator norm bound "
-                f"{bound:.3g}), cap is {RK4_MAX_STEPS}"
-            )
-        cur = rho.astype(complex)
-        for gap, n_steps in zip(gaps.tolist(), steps.astype(int).tolist()):
-            h = gap / n_steps
-            for _ in range(n_steps):
-                k1 = rhs(cur)
-                k2 = rhs(cur + 0.5 * h * k1)
-                k3 = rhs(cur + 0.5 * h * k2)
-                k4 = rhs(cur + h * k3)
-                cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states.append(cur.copy())
+        raise ValueError(f"unknown method {method!r}; expected 'expm' or 'rk4'")
+    if blocks is None:
+        # the whole superoperator, from the standard form, is the one block
+        mat = generator_superoperator_matrix(g)
+        blocks = BohrBlocks(basis=np.eye(g.dim, dtype=complex),
+                            groups=((np.arange(mat.shape[0])[None], mat[None]),))
+    states = [rho.copy()] + list(_block_states(rho, blocks, t, propagator))
 
-    # per-sample diagnostics, aborting at the first positivity loss or the
-    # first non-finite sample (whose minimum eigenvalue counts as NaN)
+    # diagnostics up to the first failing sample (a non-finite one has NaN)
     diags = []
     for k, state in enumerate(states):
         d = _sample_diagnostics(state) if np.isfinite(state).all() else (math.nan,) * 3
-        if not d[2] >= POSITIVITY_FLOOR:
+        positive = d[2] >= POSITIVITY_FLOOR
+        if not (positive and d[0] <= 1e-6):  # the trace tolerance rho0 is held to
+            tolerance, name, defect = (("trace", "trace defect", d[0]) if positive
+                                       else ("positivity", "min eigenvalue", d[2]))
             raise PropagationError(
-                f"state left the positivity tolerance at t={t[k]:.6g}: "
-                f"min eigenvalue {d[2]:.3e}",
+                f"state left the {tolerance} tolerance at t={t[k]:.6g}: "
+                f"{name} {defect:.3e}",
                 time=float(t[k]),
-                defect=d[2],
+                defect=defect,
                 partial=_build_trajectory(t[:k], states[:k], diags, method,
                                           complete=False),
             )

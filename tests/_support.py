@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 
@@ -106,13 +108,44 @@ def reference_pieces(g):
     return big_g, pairs
 
 
-def reference_rhs(g, rho):
-    big_g, pairs = reference_pieces(g)
+def reference_rhs(g, rho, pieces=None):
+    """rhs(rho) from the pairs of reference_pieces(g), or of pieces, its
+    result, when given; the pairs may come stacked as a (P, 2, d, d) array."""
+    big_g, pairs = reference_pieces(g) if pieces is None else pieces
+    dim = g.dim
+    pairs = np.asarray(pairs, dtype=complex).reshape(-1, 2, dim, dim)
     h = g.h_eff
     out = -1j * (h @ rho - rho @ h) + big_g @ rho + rho @ big_g.conj().T
-    for left, right in pairs:
-        out = out + left @ rho @ right
-    return out
+    # sum_p (L_p rho) R_p as one (d, P d) x (P d, d) product
+    left_rho = (pairs[:, 0].reshape(-1, dim) @ rho).reshape(-1, dim, dim)
+    return out + (left_rho.transpose(1, 0, 2).reshape(dim, len(pairs) * dim)
+                  @ pairs[:, 1].reshape(-1, dim))
+
+
+def reference_rk4_states(rho0, g, times):
+    """Classical rk4 on reference_rhs, one step at a time: each time gap in
+    n equal steps, n the smallest count with gap / n at most
+    RK4_STEP_FACTOR / (norm bound of g), the reference for propagate's rk4."""
+    from lindforge.dynamics import RK4_STEP_FACTOR, _rhs_norm_bound
+
+    big_g, pairs = reference_pieces(g)
+    pieces = (big_g, np.asarray(pairs, dtype=complex))  # stacked once
+    rhs = lambda rho: reference_rhs(g, rho, pieces)
+    bound = _rhs_norm_bound(g)
+    h_max = RK4_STEP_FACTOR / bound if bound != 0 else math.inf
+    cur = np.asarray(rho0, dtype=complex)
+    states = [cur]
+    for gap in np.diff(times).tolist():
+        n_steps = max(1, math.ceil(gap / h_max))
+        h = gap / n_steps
+        for _ in range(n_steps):
+            k1 = rhs(cur)
+            k2 = rhs(cur + 0.5 * h * k1)
+            k3 = rhs(cur + 0.5 * h * k2)
+            k4 = rhs(cur + h * k3)
+            cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(cur)
+    return np.array(states)
 
 
 def reference_lamb_shift(g):

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -280,23 +281,51 @@ def test_evolve_non_finite_state_is_propagation_failure(tmp_path, capsys):
     assert "nan" not in out_path.read_text(encoding="utf-8")
 
 
+THERMAL_QUBIT = (pathlib.Path(__file__).parents[1] / "demos" / "scenarios"
+                 / "thermal_qubit.json")
+
+
+@pytest.mark.parametrize("gamma, code", [(1e8, 0), (1e12, 1), (1e15, 1)])
+def test_evolve_refuses_a_state_that_loses_its_trace(tmp_path, capsys, gamma, code):
+    # stiff rates round the expm of the population block off its unit
+    # column sums: the first step misses the trace by 3.3e-5 at gamma 1e12
+    # and by 7.8e-2 at 1e15; the partial CSV keeps the samples before it
+    data = json.loads(THERMAL_QUBIT.read_text(encoding="utf-8"))
+    data["bath"]["gamma"] = gamma
+    path = write_scenario(tmp_path, data)
+    out_path = tmp_path / "traj.csv"
+    got, out, err = run_cli(capsys, "evolve", path, "--out", str(out_path))
+    assert got == code
+    assert out == ""
+    rows = out_path.read_text(encoding="utf-8").strip().split("\n")
+    defects = [float(row.split(",")[-2]) for row in rows[1:]]
+    assert max(defects) <= 1e-6
+    if code == 0:
+        assert err == ""
+        assert len(rows) == 82  # header and the 81 samples
+        return
+    error = json.loads(err)["error"]
+    assert error["type"] == "propagation"
+    assert "trace defect" in error["message"]
+    assert len(rows) < 82
+
+
 @pytest.mark.parametrize("gamma", [1e300, 1e306, 5e307])
 def test_evolve_rk4_refuses_an_unbounded_step_count(tmp_path, capsys, monkeypatch,
                                                     gamma):
     # rates of 1e300 make the norm-bound step rule ask for about 7e302 steps,
     # at 1e306 the count overflows to inf, and at 5e307 the norm bound
-    # itself does; it is checked before the first step, no warning is
-    # raised, and stderr holds the JSON error alone
+    # itself does; it is checked before the d^2 x d^2 superoperator is
+    # formed, no warning is raised, and stderr holds the JSON error alone
     data = flat_thermal_data()
     data["bath"]["gamma"] = gamma
     path = write_scenario(tmp_path, data)
 
-    def no_stepping(g):
-        def rhs(rho):
-            raise AssertionError("rk4 started stepping")
-        return rhs
+    def no_superoperator(g):
+        raise AssertionError("rk4 formed the superoperator")
 
-    monkeypatch.setattr(lindforge.dynamics, "rhs_function", no_stepping)
+    monkeypatch.setattr(lindforge.dynamics, "generator_superoperator_matrix",
+                        no_superoperator)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "evolve", path, "--method", "rk4")

@@ -37,6 +37,7 @@ from _support import (
     random_unitary,
     rate_table_bath,
     record_eigh,
+    reference_rk4_states,
     sigma_ops,
 )
 
@@ -79,11 +80,10 @@ def test_superoperator_is_capped_before_allocation():
     rho0 = np.eye(dim, dtype=complex) / dim
     with pytest.raises(DimensionError):
         generator_superoperator_matrix(gen)
-    with pytest.raises(DimensionError):
-        propagate(rho0, gen, [0.0, 1.0])
-    # rk4 never forms the matrix, so it is not capped
-    traj = propagate(rho0, gen, [0.0, 1.0], method="rk4")
-    assert np.abs(traj.states[-1] - rho0).max() == 0.0
+    # rk4 steps the same one block, so both methods refuse before allocating
+    for method in ("expm", "rk4"):
+        with pytest.raises(DimensionError, match="superoperator would be 8281x8281"):
+            propagate(rho0, gen, [0.0, 1.0], method=method)
 
 
 def test_liouvillian_of_free_evolution_has_bohr_eigenvalues():
@@ -198,16 +198,19 @@ def test_chaining_across_multiplets_keeps_the_superoperator_route():
     assert np.abs(got - dense_expm_states(rho0, res.generator, BLOCK_TIMES)).max() < 1e-12
 
 
-def test_block_route_steps_through_runs_of_equal_gaps():
-    # 21 equal steps, one longer step, then three of the first length again:
-    # runs of 21, 1 and 3 steps, the first and last on one exponential
-    times = np.concatenate([np.linspace(0.0, 2.0, 22), 2.5 + np.arange(4) * (2.0 / 21)])
+# 21 equal steps, one longer step, then three of the first length again:
+# runs of 21, 1 and 3 steps, the first and last on one step propagator
+RUNS_TIMES = np.concatenate([np.linspace(0.0, 2.0, 22),
+                             2.5 + np.arange(4) * (2.0 / 21)])
+
+
+def runs_cases():
+    """(generator, rho0) pairs: two secular generators with Bohr blocks, then
+    a presecular and a hand-built generator, which have none."""
     cases = []
     for case in ("degenerate", "two-channel"):
         res, rho0 = random_secular_result(*BLOCK_CASES[case], 74)
         cases.append((res.generator, rho0))
-    # a presecular and a hand-built generator have no Bohr blocks: they step
-    # as the one superoperator block
     res, rho0 = random_secular_result(*BLOCK_CASES["two-channel"], 75,
                                       mode="presecular",
                                       policy=SecularPolicy(dt=3.0, filter="F-weighted"))
@@ -219,12 +222,48 @@ def test_block_route_steps_through_runs_of_equal_gaps():
         dissipator_terms=(DissipatorTerm(omega=1.0, gamma=np.array([[0.4]]), ops=ops),),
         mode="secular")
     cases.append((hand_built, random_density(rng, 3)))
+    return cases
+
+
+def test_block_route_steps_through_runs_of_equal_gaps():
+    cases = runs_cases()
     for g, rho0 in cases:
-        got = propagate(rho0, g, times).states
-        assert np.abs(got - dense_expm_states(rho0, g, times)).max() < 1e-12
+        got = propagate(rho0, g, RUNS_TIMES).states
+        assert np.abs(got - dense_expm_states(rho0, g, RUNS_TIMES)).max() < 1e-12
         # a grid of one sample has no step at all
         assert np.array_equal(propagate(rho0, g, [0.0]).states, [rho0])
+    # the presecular and hand-built generators step as the one superoperator block
     assert [g.bohr_blocks is None for g, _ in cases] == [False, False, True, True]
+
+
+def test_rk4_matches_the_per_step_loop():
+    # the degenerate and hand-built cases of runs_cases; a rotated secular
+    # and a three-level presecular generator stand in for the other two,
+    # whose 4416 and 3976 steps over 104 and 1352 reference pairs would
+    # make the per-step loop slow
+    degenerate, _, _, hand_built = runs_cases()
+    rotated, rho_rotated = random_secular_result(*BLOCK_CASES["rotated"], 78)
+    presecular, rho_pre = random_secular_result(
+        [0.0, 0.9, 2.1], 1, True, None, 78, mode="presecular",
+        policy=SecularPolicy(dt=3.0, filter="F-weighted"))
+    cases = [degenerate, (rotated.generator, rho_rotated),
+             (presecular.generator, rho_pre), hand_built]
+    for g, rho0 in cases:
+        got = propagate(rho0, g, RUNS_TIMES, method="rk4").states
+        assert np.abs(got - reference_rk4_states(rho0, g, RUNS_TIMES)).max() < 1e-12
+        assert np.array_equal(propagate(rho0, g, [0.0], method="rk4").states, [rho0])
+
+
+def test_rk4_never_reads_the_bohr_blocks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Bohr blocks built")
+
+    monkeypatch.setattr(lindforge.generator, "build_bohr_blocks", refuse)
+    res, rho0 = random_secular_result(*BLOCK_CASES["degenerate"], 77)
+    traj = propagate(rho0, res.generator, BLOCK_TIMES, method="rk4")
+    assert traj.complete
+    with pytest.raises(AssertionError, match="Bohr blocks built"):
+        propagate(rho0, res.generator, BLOCK_TIMES)
 
 
 def test_zero_block_is_the_pauli_matrix():

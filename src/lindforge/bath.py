@@ -369,7 +369,10 @@ def flat_thermal_bath(
     def rate(omega: float) -> float:
         if abs(omega) < 1e-12:
             return gamma_dephasing
-        nbar = 1.0 / math.expm1(abs(omega) / temperature)
+        try:
+            nbar = 1.0 / math.expm1(abs(omega) / temperature)
+        except OverflowError:  # e^(|Omega|/T) beyond the float range
+            nbar = 0.0
         return gamma * (nbar + 1.0) if omega > 0 else gamma * nbar
 
     def gamma_fn(omega: float) -> np.ndarray:

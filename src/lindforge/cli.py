@@ -356,10 +356,9 @@ def build_report(scenario: Scenario, scenario_name: str):
     ]
 
     rt = res.rate_tensors
-    midx = spectrum.multiplet_index
-    same_multiplet = np.argwhere(midx[:, None] == midx[None, :])  # row-major
+    escape = np.argwhere(rt.escape_support)  # row-major
     k_json = _sparse_listing(rt.index, rt.K)
-    kappa_json = _sparse_listing(same_multiplet, rt.kappa[tuple(same_multiplet.T)])
+    kappa_json = _sparse_listing(escape, rt.kappa[tuple(escape.T)])
 
     timescale = None
     bath = scenario.bath

@@ -179,8 +179,8 @@ class Generator:
     @cached_property
     def bohr_blocks(self) -> BohrBlocks | None:
         """The generator as its blocks on the energy eigenbasis, built once
-        per generator by build_bohr_blocks; None unless the generator is
-        secular and carries its spectrum and rate tensors."""
+        by build_bohr_blocks for every secular generator from
+        derive_generator; None for presecular and hand-built ones."""
         if (self.mode != "secular" or self.spectrum is None
                 or self.rate_tensors is None):
             return None
@@ -342,14 +342,23 @@ class RateTensors:
     d rho_ab for the quadruple index[s] = (a, m, b, n). Only quadruples whose
     gaps w_m - w_a and w_n - w_b snap to the same Bohr frequency are stored,
     in lexicographic order, so len(K) counts the support. kappa is the dense
-    d x d escape matrix kappa(i, j) = sum_w K(w i, w j) on same-multiplet
-    pairs and zero across multiplets. pauli_equations reduces them to
-    population and coherence rates.
+    d x d escape matrix kappa(i, j) = sum_w K(w i, w j) on escape_support.
+    pauli_equations reduces them to population and coherence rates.
     """
 
     K: np.ndarray
     index: np.ndarray
     kappa: np.ndarray
+
+    @property
+    def escape_support(self) -> np.ndarray:
+        """(d, d) mask of the pairs (i, j) of every supported (w, i, w, j),
+        the terms of the escape sum: the same-multiplet pairs, and pairs
+        across multiplets where Bohr frequencies chain."""
+        a, m, b, n = self.index.T
+        mask = np.zeros(self.kappa.shape, dtype=bool)
+        mask[m[a == b], n[a == b]] = True
+        return mask
 
 
 def _secular_support(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,9 +400,7 @@ def build_rate_tensors(spectrum: Spectrum, system_ops, gammas) -> RateTensors:
     a, m = np.divmod(p, dim)
     b, n = np.divmod(q, dim)
     kap = np.zeros((dim, dim), dtype=complex)
-    midx = spectrum.multiplet_index
-    escape = (a == b) & (midx[m] == midx[n])
-    np.add.at(kap, (m[escape], n[escape]), k_vals[escape])
+    np.add.at(kap, (m[a == b], n[a == b]), k_vals[a == b])
     return RateTensors(K=k_vals, index=np.stack([a, m, b, n], axis=1), kappa=kap)
 
 
@@ -409,6 +416,9 @@ class PauliReduction:
     Degenerate spectra get block tensors over multiplets instead: block_gain
     [(A, M)] has shape (gA, gA, gM, gM) with entries K(Aa Mm, Aa' Mm'), and
     block_escape[A] is the in-multiplet escape matrix kappa(a'', a).
+    Where Bohr frequencies chain across multiplets (flagged
+    shared-transition-frequency), the populations are not a closed block,
+    and gain, escape and block_escape are the diagonal or in-multiplet part.
     """
 
     degenerate: bool
@@ -529,10 +539,8 @@ def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
                    - 1/2 sum_b'' kappa(b, b'') rho_ab''
 
     that is, the K scatter plus rho -> -1/2 (kappa^T rho + rho kappa^T),
-    in column stacking. It places the entries the Bohr blocks are built
-    from; the standard-form dissipator rotated to the eigenbasis must match
-    it entry for entry, unless Bohr frequencies chain across multiplets
-    (see build_bohr_blocks).
+    in column stacking; the Bohr blocks hold the same entries, and it equals
+    the standard-form dissipator rotated to the eigenbasis.
     """
     dim = rate_tensors.kappa.shape[0]
     rows, cols, vals = _eigenbasis_entries(rate_tensors, np.zeros((dim, dim)))
@@ -555,9 +563,8 @@ class BohrBlocks:
     block's flat indices in ascending order, and matrices (n, s, s) is the
     generator restricted to them.
 
-    A generator without this split (presecular, hand-built, or chained
-    across multiplets) is the one-block case: basis the identity and a
-    single group holding its d^2 x d^2 superoperator matrix.
+    Presecular and hand-built generators are the one-block case: basis the
+    identity and one group holding their d^2 x d^2 superoperator matrix.
     """
 
     basis: np.ndarray
@@ -565,31 +572,22 @@ class BohrBlocks:
 
 
 def build_bohr_blocks(spectrum: Spectrum, rate_tensors: RateTensors,
-                      h_eff) -> BohrBlocks | None:
+                      h_eff) -> BohrBlocks:
     """The Bohr-frequency blocks of the secular generator with rate tensors
     rate_tensors and effective hamiltonian h_eff, without forming its
     d^2 x d^2 matrix.
 
     Each block gathers the K scatter, -1/2 (kappa^T rho + rho kappa^T) and
     -i [V^+ h_eff V, rho] on its coherences. The rotated h_eff is kept on
-    same-multiplet entries only; elsewhere it holds rotation rounding. An
-    entry that crosses labels, which only tolerance chaining of Bohr
-    frequencies makes, merges the blocks of its two labels.
-
-    Returns None when chaining also links levels of different multiplets
-    in the escape sum sum_a K(a m, a n): kappa keeps same-multiplet pairs
-    only, so the blocks would drop terms the standard form keeps. Raises
-    DimensionError before allocating when the largest block exceeds
-    MAX_TENSOR_DIM.
+    the escape support, where the Lamb shift has its entries; elsewhere it
+    holds rotation rounding. An entry that crosses labels, which only
+    tolerance chaining of Bohr frequencies makes, merges the blocks of its
+    two labels. Raises DimensionError before allocating when the largest
+    block exceeds MAX_TENSOR_DIM.
     """
     dim = spectrum.dim
-    a, m, b, n = rate_tensors.index.T
-    midx = spectrum.multiplet_index
-    if np.any((a == b) & (midx[m] != midx[n])):
-        return None
     v = spectrum.basis
-    same = midx[:, None] == midx[None, :]
-    h_eig = np.where(same, v.conj().T @ h_eff @ v, 0.0)
+    h_eig = np.where(rate_tensors.escape_support, v.conj().T @ h_eff @ v, 0.0)
     rows, cols, vals = _eigenbasis_entries(rate_tensors, h_eig)
 
     block = spectrum.bohr_index.ravel(order="F")  # label of rho_ab at a + d b

@@ -271,8 +271,8 @@ def reference_rate_tensors(spectrum, system_ops, bath):
 
     K maps (a, m, b, n) to sum_cx A_c[a, m] Gamma_xc(w) A_x[b, n]^* on every
     quadruple whose gaps w_m - w_a and w_n - w_b snap to the same Bohr
-    frequency w (nearest by argmin); kappa maps same-multiplet pairs (i, j)
-    to sum_w K(w i, w j).
+    frequency w (nearest by argmin); kappa maps every pair (i, j) that some
+    quadruple (w, i, w, j) supports to sum_w K(w i, w j).
     """
     from lindforge import bohr_frequencies, gamma_matrix
 
@@ -293,11 +293,10 @@ def reference_rate_tensors(spectrum, system_ops, bath):
         for p, (a, m) in enumerate(pairs):
             for q, (b, n) in enumerate(pairs):
                 k_map[(a, m, b, n)] = complex(k_block[p, q])
-    midx = spectrum.multiplet_index
     kap = {}
     for i in range(dim):
         for j in range(dim):
-            if midx[i] == midx[j]:
+            if any((w, i, w, j) in k_map for w in range(dim)):
                 kap[(i, j)] = sum(k_map.get((w, i, w, j), 0.0) for w in range(dim))
     return k_map, kap
 

@@ -239,6 +239,12 @@ def test_flat_thermal_bath_rates_and_detailed_balance():
     assert abs(g_up / g_down - math.exp(-omega / temp)) < 1e-12
     with pytest.raises(ValueError):
         flat_thermal_bath(0.2, math.inf)
+    # nbar past the float range of e^(|Omega|/T) is 0: e^709 is a float,
+    # e^710 is not
+    cold = flat_thermal_bath(gamma, 1e-3)
+    assert gamma_matrix(cold, -0.709)[0, 0] == gamma * (1.0 / math.expm1(709.0))
+    assert gamma_matrix(cold, -0.71)[0, 0] == 0.0
+    assert gamma_matrix(cold, 0.71)[0, 0] == gamma
 
 
 def test_table_bath_lookup_and_rejections():

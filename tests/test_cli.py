@@ -310,6 +310,60 @@ def test_evolve_refuses_a_state_that_loses_its_trace(tmp_path, capsys, gamma, co
     assert len(rows) < 82
 
 
+@pytest.mark.parametrize("change", [{"temperature": 1e-3}, {"eigenvalues": [0.0, 720.0]}],
+                         ids=["cold", "wide-gap"])
+def test_thermal_factor_beyond_the_float_range_has_no_absorption(tmp_path, capsys,
+                                                                 change):
+    # |Omega|/T above 709.78: e^(|Omega|/T) overflows a float, and nbar is 0
+    data = json.loads(THERMAL_QUBIT.read_text(encoding="utf-8"))
+    if "temperature" in change:
+        data["bath"]["temperature"] = change["temperature"]
+    else:
+        data["system"]["eigenvalues"] = change["eigenvalues"]
+    path = write_scenario(tmp_path, data)
+    for command in ("derive", "verify"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["all_checks_pass"]
+        assert "NaN" not in out and "Infinity" not in out
+    code, out, err = run_cli(capsys, "evolve", path)
+    assert (code, err) == (0, "")
+    lines = out.strip().split("\n")
+    header = lines[0].split(",")
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.isfinite(rows).all()
+    # gamma 0.25 down and none up: the excited population decays to zero
+    pop_e = rows[:, header.index("re_11")]
+    assert np.abs(pop_e - np.exp(-0.25 * rows[:, 0])).max() < 1e-8
+    assert rows[-1, header.index("re_00")] > 1.0 - 1e-4
+
+
+def test_derive_lists_kappa_across_chained_multiplets(tmp_path, capsys):
+    # the gaps 1.0 and 1.16 from level 0 chain into one Bohr frequency at
+    # tolerance 0.1, so the escape sum links levels 1 and 2 of different
+    # multiplets
+    data = json.loads(THERMAL_QUBIT.read_text(encoding="utf-8"))
+    data["system"]["eigenvalues"] = [0.0, 1.0, 1.16, 2.08]
+    data["tolerances"] = {"degeneracy": 0.1}
+    data["couplings"] = [{"A": cm(np.ones((4, 4)) - np.eye(4))}]
+    path = write_scenario(tmp_path, data)
+    code, out, _ = run_cli(capsys, "derive", path)
+    report = json.loads(out)
+    assert report["spectrum"]["multiplets"] == [[0], [1], [2], [3]]
+    assert "shared-transition-frequency" in report["pauli_flags"]
+    kappa = {tuple(row["index"]): complex(*row["value"])
+             for row in report["rate_tensors"]["kappa"]}
+    assert list(kappa) == [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+    assert abs(kappa[(1, 2)]) > 1e-3 and kappa[(2, 1)] == kappa[(1, 2)].conjugate()
+    # chained eigenoperators commute with H_A only up to the spread of
+    # their gaps, so those checks fail by design
+    failed = {c["name"] for c in report["checks"] if c["status"] != "pass"}
+    assert failed == {"eigenoperator-commutator", "eigenoperator-adjoint-commutator",
+                      "eigenoperator-invariant-commutator"}
+    assert code == 1
+
+
 @pytest.mark.parametrize("gamma", [1e300, 1e306, 5e307])
 def test_evolve_rk4_refuses_an_unbounded_step_count(tmp_path, capsys, monkeypatch,
                                                     gamma):

@@ -188,12 +188,18 @@ def test_secular_expm_blocks_match_dense_superoperator(case):
         assert abs(h_ls[2, 3]) > 1e-3
 
 
-def test_chaining_across_multiplets_keeps_the_superoperator_route():
-    # gaps 1.0 and 1.16 from level 0 chain into one Bohr frequency, so the
-    # escape sum links levels 1 and 2 of different multiplets; kappa leaves
-    # that out, and the one superoperator block keeps it
-    res, rho0 = random_secular_result([0.0, 1.0, 1.16, 2.08], 2, True, 0.1, 72)
-    assert res.generator.bohr_blocks is None
+# gaps 1.0 and 1.16 from level 0 chain into one Bohr frequency, so the
+# escape sum links levels 1 and 2 of different multiplets
+CHAINED_GAP = ([0.0, 1.0, 1.16, 2.08], 2, True, 0.1)
+
+
+def test_chaining_across_multiplets_steps_on_the_bohr_blocks():
+    res, rho0 = random_secular_result(*CHAINED_GAP, 72)
+    kappa = res.rate_tensors.kappa
+    assert abs(kappa[1, 2]) > 1e-3 * np.abs(kappa).max()
+    blocks = res.generator.bohr_blocks
+    assert blocks is not None
+    assert max(idx.shape[1] for idx, _ in blocks.groups) < res.spectrum.dim ** 2
     got = propagate(rho0, res.generator, BLOCK_TIMES).states
     assert np.abs(got - dense_expm_states(rho0, res.generator, BLOCK_TIMES)).max() < 1e-12
 
@@ -297,6 +303,8 @@ def test_secular_expm_never_forms_the_superoperator(monkeypatch):
     times = np.linspace(0.0, 5.0, 11)
     traj = propagate(rho0, damping_generator(GAMMA, 0.05), times)
     assert traj.complete
+    chained, rho_chained = random_secular_result(*CHAINED_GAP, 72)
+    assert propagate(rho_chained, chained.generator, times).complete
     # presecular and hand-built generators keep the superoperator route
     presecular = damping_generator(GAMMA, 0.05, mode="presecular",
                                    policy=SecularPolicy(dt=3.0 / OMEGA0,

@@ -285,6 +285,42 @@ def test_kernel_matches_standard_form_dissipator_nondegenerate():
     assert np.abs((l_full - l_comm) - l_kernel).max() < RHS_TOL * scale
 
 
+# levels, channels and degeneracy tolerance of spectra whose Bohr
+# frequencies chain: in chained-gap the gaps 1.0 and 1.16 from level 0 share
+# one, so the escape sum links levels 1 and 2 of different multiplets
+CHAINED = {
+    "chained-gap-1": ([0.0, 1.0, 1.16, 2.08], 1, 0.1),
+    "chained-gap-2": ([0.0, 1.0, 1.16, 2.08], 2, 0.1),
+    "chained-merge": ([0.0, 0.52, 1.69, 2.25, 2.41, 3.0], 2, 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAINED))
+def test_kernel_matches_rotated_standard_form_on_chained_spectra(case):
+    levels, n_channels, tol = CHAINED[case]
+    rng = np.random.default_rng([48, n_channels, len(levels)])
+    dim = len(levels)
+    u = random_unitary(rng, dim)
+    h = u @ np.diag(np.array(levels, dtype=complex)) @ u.conj().T
+    ops = [random_hermitian(rng, dim) for _ in range(n_channels)]
+    bath = rate_table_bath(build_spectrum(h, tol), n_channels, rng)
+    res = derive_generator(h, bath, ops, degeneracy_tol=tol)
+    v = res.spectrum.basis
+    # vec(V^+ rho V) = kron(V^T, V^+) vec(rho), undone by kron(V^*, V)
+    l_full = (np.kron(v.T, v.conj().T) @ generator_superoperator_matrix(res.generator)
+              @ np.kron(v.conj(), v))
+    h_eig = v.conj().T @ res.generator.h_eff @ v
+    eye = np.eye(dim)
+    l_comm = -1j * (np.kron(eye, h_eig) - np.kron(h_eig.T, eye))
+    l_kernel = kernel_superoperator_matrix(res.rate_tensors)
+    scale = np.abs(l_kernel).max()
+    assert np.abs((l_full - l_comm) - l_kernel).max() <= 1e-12 * scale
+    # the trace row: d tr(rho) / d rho_mn = sum_a L[(a, a), (m, n)] = 0
+    assert np.abs(l_kernel[np.arange(dim) * (dim + 1)].sum(axis=0)).max() <= 1e-12 * scale
+    if case.startswith("chained-gap"):
+        assert abs(res.rate_tensors.kappa[1, 2]) > 1e-3 * scale
+
+
 def test_kernel_is_block_diagonal_with_the_bohr_blocks():
     # the kernel and the blocks are placed from the same entries: with no
     # hamiltonian the blocks are the kernel's diagonal blocks, and the
@@ -459,13 +495,17 @@ def test_rate_tensors_match_dict_reference(spectrum_kind, n_channels, bath_kind)
     scale = max(abs(v) for v in k_ref.values())
     assert np.abs(rt.K - np.array([k_ref[key] for key in sorted(k_ref)])).max() \
         <= 1e-12 * scale
-    # kappa: the reference's keys are the same-multiplet pairs, zero elsewhere
+    # kappa: the reference's keys are the escape support, zero elsewhere
     assert rt.kappa.shape == (dim, dim)
     keyed = np.zeros((dim, dim), dtype=bool)
     for (i, j), val in kap_ref.items():
         keyed[i, j] = True
         assert abs(rt.kappa[i, j] - val) <= 1e-12 * scale
+    assert np.array_equal(rt.escape_support, keyed)
     assert np.all(rt.kappa[~keyed] == 0.0)
+    midx = spec.multiplet_index
+    same = midx[:, None] == midx[None, :]
+    assert np.array_equal(keyed, same) == (spectrum_kind != "chained-gap")
 
     ref = reference_pauli(k_ref, kap_ref, spec)
     assert red.flags == ref["flags"]

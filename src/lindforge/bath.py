@@ -136,6 +136,7 @@ class FiniteBath:
         self._x_eig = [v.conj().T @ x @ v for x in self.coupling_ops]
         self.transitions = _transitions(self._x_eig, self._energies, self._populations)
         self._unitaries = {}  # _propagator's, by time, least recent first
+        self._correlations = None  # estimate_correlation_time's table
 
     @property
     def dim(self) -> int:
@@ -175,6 +176,7 @@ class FiniteBath:
         new.coupling_ops = [x - s * eye for x, s in zip(self.coupling_ops, shifts)]
         new._x_eig = [x - s * eye for x, s in zip(self._x_eig, shifts)]
         new.transitions = _transitions(new._x_eig, self._energies, self._populations)
+        new._correlations = None  # shifted X, other correlations
         return new
 
     def expectation(self, x) -> complex:
@@ -496,8 +498,18 @@ def estimate_correlation_time(bath: FiniteBath) -> CorrelationTable:
     5% of the largest |G_ab(0)| throughout [tau, 2 tau]. Few-mode baths whose
     correlations recur instead of decaying are flagged non_decaying and get
     the half-period pi/nu_min of the slowest weighted Bohr frequency (zero
-    coupling gives tau_B = 0 by convention).
+    coupling gives tau_B = 0 by convention). The table is sampled once per
+    bath and kept on it, its arrays read-only.
     """
+    if bath._correlations is None:
+        table = _sampled_correlations(bath)
+        table.taus.flags.writeable = table.values.flags.writeable = False
+        bath._correlations = table
+    return bath._correlations
+
+
+def _sampled_correlations(bath: FiniteBath) -> CorrelationTable:
+    """The correlation table estimate_correlation_time keeps on the bath."""
     k = bath.channel_count
     nu = bath.transitions[2]
     weights = bath._pair_weights().reshape(k * k, -1)
@@ -551,17 +563,14 @@ def qubit_mode_bath(modes, temperature: float, broadening: float | None = None) 
     if n_modes > 12:
         raise ValueError(f"{n_modes} two-level modes would need dim {2**n_modes}")
     dim = 2**n_modes
-    number = np.diag([0.0, 1.0]).astype(complex)
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    h_b = np.zeros((dim, dim), dtype=complex)
+    # basis state n holds mode k excited where bit n_modes - 1 - k is set
+    # (mode 0 leads, as in a Kronecker chain); H_B sums in mode order
+    index = np.arange(dim)
+    energy = np.zeros(dim)
     x = np.zeros((dim, dim), dtype=complex)
     for k, (nu, g) in enumerate(modes):
-        op_h = np.array([[1.0]], dtype=complex)
-        op_x = np.array([[1.0]], dtype=complex)
-        for j in range(n_modes):
-            op_h = np.kron(op_h, number if j == k else eye2)
-            op_x = np.kron(op_x, sigma_x if j == k else eye2)
-        h_b += nu * op_h
-        x += g * op_x
+        bit = 1 << (n_modes - 1 - k)
+        energy += nu * ((index & bit) != 0)
+        x[index, index ^ bit] = g
+    h_b = np.diag(energy).astype(complex)
     return FiniteBath(h_b, temperature, [x], broadening=broadening)

@@ -5,8 +5,8 @@
     lindforge verify <scenario.json>
     lindforge oracle <scenario.json> [--coupling-scale LAMBDA]
 
-Exit codes: 0 all checks pass, 1 invariant failure, 2 input error,
-3 resource cap exceeded.
+Exit codes: 0 all checks pass, 1 invariant failure (or an eigensolver that
+did not converge), 2 input error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -600,6 +600,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         _emit_error("scenario", exc)
         return EXIT_INPUT
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not the input's fault
+        _emit_error("numerical", exc)
+        return EXIT_INVARIANT
     except ValueError as exc:
         _emit_error("input", exc)
         return EXIT_INPUT

@@ -5,11 +5,14 @@ derived master-equation generator block by block, by the matrix exponential
 or the classical RK4 step polynomial of each block: for expm a secular
 generator splits into one block per Bohr frequency, and any other generator,
 like every RK4 run, is one block, its whole superoperator. exact_oracle()
-ignores the generator entirely: it builds the full system+bath hamiltonian,
-evolves the composite state unitarily from a factorized initial condition,
-and partial-traces at each sample time. The oracle makes no weak-coupling,
-Markov or secular approximation, so any disagreement beyond the
-two-timescale error budget points at the derivation.
+ignores the generator entirely: it diagonalises the full system+bath
+hamiltonian on its symmetry blocks in the product eigenbasis of H_A and H_B
+(the connected components of the coupling pattern there, after dropping
+entries that are rounding from the rotation), evolves the composite state
+unitarily from a factorized initial condition, and partial-traces at each
+sample time. A dense bath is the one-block case. The oracle makes no
+weak-coupling, Markov or secular approximation, so any disagreement beyond
+the two-timescale error budget points at the derivation.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import AnalyticBath, FiniteBath, estimate_correlation_time, gamma_matrix
-from .generator import BohrBlocks, Generator, generator_superoperator_matrix
+from .generator import BohrBlocks, Generator, _merge_labels, generator_superoperator_matrix
 from .generator import rhs_function  # unused here; bench/tracing.py wraps it on this module
 from .linalg import (
     DimensionError,
     as_operator,
     hermiticity_defect,
-    kron_matmul,
     matrix_exponential_unitary,
     vec,
 )
@@ -37,6 +39,12 @@ from .spectral import bohr_frequencies
 POSITIVITY_FLOOR = -1e-6
 # default cap on dim_A * dim_B for the exact oracle; env var LF_MAX_DIM overrides
 ORACLE_DIM_CAP = 1024
+# an entry of a rotated oracle factor within this many ulps of the factor's
+# largest entry is rounding from the rotation (exact_oracle's rounding rule)
+ROUNDING_ULPS = 32
+# the oracle packs symmetry blocks that start within one window of this many
+# joint states into one bin
+ORACLE_BIN = 64
 # rk4 step control: step <= RK4_STEP_FACTOR / (norm bound of the generator)
 RK4_STEP_FACTOR = 1.0 / 20.0
 # most rk4 steps one propagate may take; checked before any is taken
@@ -296,11 +304,26 @@ def oracle_dimension_cap() -> int:
 def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     """Exact reduced dynamics from the full system+bath hamiltonian.
 
-    H = H_A x 1 + 1 x H_B + sum_a A_a x X_a is diagonalized once; the
-    composite state starts factorized as rho_A(0) x sigma_B (the only place a
-    product form enters) and evolves unitarily. The reduced state at each
-    sample time is assembled from the eigenphases directly, so the cost per
-    sample is d_A^2 D^2 instead of a D^3 matrix product.
+    H = H_A x 1 + 1 x H_B + sum_c A_c x X_c is diagonalised on its symmetry
+    blocks in the product eigenbasis of H_A and H_B, where it reads
+    diag(e_i + E_k) + sum_c A'_c x X'_c. Two product states (i, k) and (j, l)
+    share a block when some channel has A'_c[i, j] and X'_c[k, l] both
+    nonzero; a ladder or sigma_x coupling to a mode comb, for one, conserves
+    the parity of system level plus excited modes, so its H is two halves.
+    No joint-sized matrix is formed beyond the blocks themselves. The
+    composite state starts factorised as rho_A(0) x sigma_B (the only place
+    a product form enters) and evolves unitarily; the reduced state at each
+    sample time is summed from the eigenphases over the block pairs the
+    initial state couples.
+
+    Rounding rule: the rotated factors A'_c, X'_c and rho_A'(0) count an
+    entry within ROUNDING_ULPS (32) ulps of the matrix's largest entry as
+    rounding from the rotation, and zero. Dropping entries of at most
+    tau = 32 eps max|M| from a d x d matrix M moves it by at most
+    d tau <= 32 eps d ||M|| in the spectral norm, so the joint H moves by at
+    most 32 eps (d_A + d_B) sum_c ||A_c|| ||X_c|| (to first order in eps),
+    the reduced state at time t by at most t times that in trace distance,
+    and rho_A(0) by at most 32 eps d_A^2 in trace norm.
     """
     if not isinstance(bath, FiniteBath):
         raise TypeError("exact_oracle needs a FiniteBath (analytic baths have "
@@ -326,45 +349,188 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
             "use a smaller bath or raise LF_MAX_DIM"
         )
 
-    eye_a = np.eye(d_a, dtype=complex)
-    eye_b = np.eye(d_b, dtype=complex)
-    h = np.kron(h_a, eye_b) + np.kron(eye_a, bath.h_b)
-    for a_op, x_op in zip(ops, bath.coupling_ops):
-        h = h + np.kron(a_op, x_op)
-    h = 0.5 * (h + h.conj().T)
-    # a real joint H (a mode comb in a real basis) takes the real symmetric
-    # solver, about 3x faster at D = 1024; V then stays real below
-    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
-
-    rho_bar = _sandwich(v, rho_a0, bath.sigma())
-    p = v.reshape(d_a, d_b, total)  # p[i, k, m] = <i,k|m>
-
-    # rho_A(t)_ij = sum_mn (rho_bar * S_ij)[m,n] e^{-i w_m t} e^{+i w_n t}
-    # with S_ij = p_i^T conj(p_j); evaluated for all samples via one
-    # (n_t, D) phase matrix per side.
-    phase = np.exp(-1j * np.outer(t, w))  # e^{-i w t}
-    states = np.empty((t.size, d_a, d_a), dtype=complex)
-    for i in range(d_a):
-        for j in range(i, d_a):
-            s_ij = p[i].T @ p[j].conj()
-            c_ij = rho_bar * s_ij
-            series = ((phase @ c_ij) * phase.conj()).sum(axis=1)
-            if j == i:
-                # a population: drop the imaginary rounding dust
-                states[:, i, i] = series.real
-            else:
-                states[:, i, j] = series
-                states[:, j, i] = series.conj()
-
+    e_a, u_a = np.linalg.eigh(_real_if_real(0.5 * (h_a + h_a.conj().T)))
+    rotate = lambda m: _rounding_dropped(u_a.conj().T @ m @ u_a)
+    a_rot = [rotate(a) for a in ops]
+    x_rot = [_rounding_dropped(x) for x in bath._x_eig]
+    rho_rot = rotate(rho_a0)
+    energies = np.add.outer(e_a, bath._energies).ravel()  # at i d_B + k
+    blocks = _oracle_blocks(a_rot, x_rot, energies, d_b)
+    reduced = _reduced_states(blocks, rho_rot, bath._populations, t, d_a, d_b)
+    states = u_a @ reduced @ u_a.conj().T
+    states = 0.5 * (states + states.conj().transpose(0, 2, 1))
     return _build_trajectory(t, states, [_sample_diagnostics(s) for s in states],
                              "exact")
 
 
-def _sandwich(v: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
-    """V^+ (m_a x m_b) V with one joint-sized product; real if all are real."""
-    if not (np.iscomplexobj(v) or m_a.imag.any() or m_b.imag.any()):
-        return v.T @ kron_matmul(m_a.real, m_b.real, v)
-    return v.conj().T @ kron_matmul(m_a, m_b, v)
+def _real_if_real(m: np.ndarray) -> np.ndarray:
+    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
+
+
+def _rounding_dropped(m: np.ndarray) -> np.ndarray:
+    """m, hermitised, with every entry within ROUNDING_ULPS ulps of its
+    largest entry set to zero; real when no imaginary part is left."""
+    m = 0.5 * (m + m.conj().T)
+    mag = np.abs(m)
+    floor = ROUNDING_ULPS * np.finfo(float).eps * mag.max(initial=0.0)
+    return _real_if_real(np.where(mag > floor, m, 0.0))
+
+
+@dataclass(frozen=True)
+class _OracleBlocks:
+    """The joint eigenbasis on the symmetry blocks, packed into bins.
+
+    order lists the joint states i d_B + k block by block; bin b holds the
+    states order[start[b]:start[b] + size[b]], their eigenvalues w at the
+    same places, and eigenvectors mats[b] (block diagonal when the bin packs
+    several blocks). bin_of and pos give each joint state's bin and row.
+    """
+
+    order: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    w: np.ndarray
+    mats: tuple
+    bin_of: np.ndarray
+    pos: np.ndarray
+
+
+def _oracle_blocks(a_rot, x_rot, energies, d_b: int) -> _OracleBlocks:
+    """Connected components of the coupling pattern, each diagonalised on
+    its own (one stacked eigh per block size, the real solver for a real
+    stack). Components that start within one window of ORACLE_BIN states
+    share a bin, so the work that follows loops over at most D / ORACLE_BIN
+    bins however many components there are."""
+    total = energies.size
+    src, dst = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for a, x in zip(a_rot, x_rot):
+        i, j = np.nonzero(a)
+        k, l = np.nonzero(x)
+        src.append((i[:, None] * d_b + k).ravel())
+        dst.append((j[:, None] * d_b + l).ravel())
+    label = _merge_labels(np.arange(total), np.concatenate(src), np.concatenate(dst))
+    # components ranked by their smallest state, each one's states ascending
+    order = np.argsort(label, kind="stable")
+    comp_size = np.bincount(label)
+    comp_size = comp_size[comp_size > 0]
+    comp_start = np.cumsum(comp_size) - comp_size
+    window = comp_start // ORACLE_BIN
+    opens = np.append(True, window[1:] != window[:-1])  # a component opens a bin
+    comp_bin = np.cumsum(opens) - 1
+    bin_start = comp_start[opens]
+    bin_size = np.diff(np.append(bin_start, total))
+    offset = np.cumsum(bin_size ** 2) - bin_size ** 2  # of each bin in one buffer
+
+    w = np.empty(total)
+    solved = []
+    for s in np.unique(comp_size).tolist():
+        which = np.flatnonzero(comp_size == s)
+        at = comp_start[which][:, None] + np.arange(s)
+        i, k = np.divmod(order[at], d_b)
+        h = np.zeros((which.size, s, s), dtype=np.result_type(*a_rot, *x_rot, float))
+        for a, x in zip(a_rot, x_rot):
+            h += a[i[:, :, None], i[:, None, :]] * x[k[:, :, None], k[:, None, :]]
+        h[:, np.arange(s), np.arange(s)] += energies[order[at]]
+        w[at], v = np.linalg.eigh(_real_if_real(h))
+        solved.append((which, v))
+    flat = np.zeros(int(offset[-1] + bin_size[-1] ** 2),
+                    dtype=np.result_type(*(v for _, v in solved)))
+    for which, v in solved:
+        b = comp_bin[which][:, None, None]
+        at = (comp_start[which] - bin_start[comp_bin[which]])[:, None, None]
+        r = np.arange(v.shape[-1])
+        flat[offset[b] + (at + r[:, None]) * bin_size[b] + at + r] = v
+    mats = tuple(flat[o:o + s * s].reshape(s, s)
+                 for o, s in zip(offset.tolist(), bin_size.tolist()))
+
+    state_bin = np.repeat(comp_bin, comp_size)  # along order
+    bin_of = np.empty(total, dtype=int)
+    bin_of[order] = state_bin
+    pos = np.empty(total, dtype=int)
+    pos[order] = np.arange(total) - bin_start[state_bin]
+    return _OracleBlocks(order, bin_start, bin_size, w, mats, bin_of, pos)
+
+
+def _reduced_states(blocks: _OracleBlocks, rho_rot, pops, t, d_a: int,
+                    d_b: int) -> np.ndarray:
+    """rho_A'(t) in the H_A eigenbasis, summed over the pairs of bins
+    (B, B') that rho_A'(0) x sigma_B couples.
+
+    With P_B the eigenvectors of bin B and rho_bar = P_B^+ M P_B' the initial
+    state between the two bins, rho_A'(t)_ij gains
+    sum_mn (rho_bar * S_ij)[m, n] e^{-i w_m t} e^{+i w_n t}, where
+    S_ij = sum_k P_B[(i, k), m] conj(P_B'[(j, k), n]) runs over the bath
+    states k the two bins share. When rho_bar * S_ij is real, its phase
+    products are real GEMMs on the cos and sin tables, stacked as one.
+    """
+    n_bins, n_t = blocks.start.size, t.size
+    i, k = np.divmod(np.arange(d_a * d_a * d_b), d_a * d_b)
+    j, k = np.divmod(k, d_b)
+    left_bin = blocks.bin_of[i * d_b + k]
+    right_bin = blocks.bin_of[j * d_b + k]
+    live = (rho_rot[i, j] != 0) & (pops[k] != 0)
+    coupled = np.zeros((n_bins, n_bins), dtype=bool)
+    coupled[left_bin[live], right_bin[live]] = True
+    # one item per bin pair and i <= j, holding the bath states k they share
+    keep = np.flatnonzero((i <= j) & coupled[left_bin, right_bin])
+    key = ((left_bin[keep] * n_bins + right_bin[keep]) * d_a + i[keep]) * d_a + j[keep]
+    ranked = np.argsort(key, kind="stable")
+    keep, key = keep[ranked], key[ranked]
+    bounds = [0] + (np.flatnonzero(np.diff(key)) + 1).tolist() + [keep.size]
+
+    real = not (np.iscomplexobj(blocks.mats[0]) or np.iscomplexobj(rho_rot))
+    tables = {}
+
+    def phases(b):
+        """e^{-i w_m t} over the states of bin b; when everything is real,
+        its cos above its sin as one real table."""
+        if b not in tables:
+            lo = blocks.start[b]
+            wt = np.outer(t, blocks.w[lo:lo + blocks.size[b]])
+            tables[b] = (np.concatenate((np.cos(wt), np.sin(wt))) if real
+                         else np.exp(-1j * wt))
+        return tables[b]
+
+    out = np.zeros((n_t, d_a, d_a), dtype=complex)
+    pair = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        item = keep[lo:hi]
+        b, b2 = int(left_bin[item[0]]), int(right_bin[item[0]])
+        p, p2 = blocks.mats[b], blocks.mats[b2]
+        if (b, b2) != pair:
+            pair = (b, b2)
+            rho_bar = p.conj().T @ _state_times_block(blocks, b, b2, rho_rot, pops,
+                                                      d_a, d_b)
+        ii, jj, ks = int(i[item[0]]), int(j[item[0]]), k[item]
+        s_ij = p[blocks.pos[ii * d_b + ks]].T @ p2[blocks.pos[jj * d_b + ks]].conj()
+        g = phases(b) @ (rho_bar * s_ij)
+        ph2 = phases(b2)
+        if real:  # g is cos C above sin C
+            series = ((g[:n_t] * ph2[:n_t] + g[n_t:] * ph2[n_t:]).sum(axis=1)
+                      + 1j * (g[:n_t] * ph2[n_t:] - g[n_t:] * ph2[:n_t]).sum(axis=1))
+        else:
+            series = (g * ph2.conj()).sum(axis=1)
+        # half of each population, so adding the adjoint below fills the
+        # lower triangle and makes the populations real
+        out[:, ii, jj] += series if ii != jj else 0.5 * series
+    return out + out.conj().transpose(0, 2, 1)
+
+
+def _state_times_block(blocks: _OracleBlocks, b: int, b2: int, rho_rot, pops,
+                       d_a: int, d_b: int) -> np.ndarray:
+    """(rho_A'(0) x sigma_B) P_B' on the rows of bin B: row (i, k) sums
+    rho_A'(0)[i, j] p_k P_B'[(j, k)] over the j whose (j, k) lies in B'."""
+    lo = blocks.start[b]
+    i, k = np.divmod(blocks.order[lo:lo + blocks.size[b]], d_b)
+    p2 = blocks.mats[b2]
+    out = np.zeros((i.size, p2.shape[1]), dtype=np.result_type(rho_rot, p2))
+    for j in range(d_a):
+        target = j * d_b + k
+        rows = np.flatnonzero((blocks.bin_of[target] == b2) & (rho_rot[i, j] != 0)
+                              & (pops[k] != 0))
+        weight = rho_rot[i[rows], j] * pops[k[rows]]
+        out[rows] += weight[:, None] * p2[blocks.pos[target[rows]]]
+    return out
 
 
 def interaction_picture(op, h0, t: float, direction: str = "to") -> np.ndarray:

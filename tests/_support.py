@@ -409,3 +409,59 @@ def reference_oracle_csv_rows(lind, oracle, distances):
         cells += [_cell(oracle.states[k][i, i].real) for i in range(dim)]
         rows.append(",".join(cells))
     return rows
+
+
+def reference_exact_oracle(h_a, bath, couplings, rho_a0, times):
+    """The dense oracle route: the D x D joint H diagonalised once (the real
+    solver when it is real), the initial state V^+ (rho_A x sigma_B) V, and
+    the reduced state summed from the eigenphases one system pair at a time.
+    Returns the (n_t, d_A, d_A) states."""
+    h_a = np.asarray(h_a, dtype=complex)
+    rho_a0 = np.asarray(rho_a0, dtype=complex)
+    t = np.asarray(times, dtype=float)
+    d_a, d_b = h_a.shape[0], bath.dim
+    total = d_a * d_b
+    h = np.kron(h_a, np.eye(d_b)) + np.kron(np.eye(d_a), bath.h_b)
+    for a_op, x_op in zip(couplings, bath.coupling_ops):
+        h = h + np.kron(np.asarray(a_op, dtype=complex), x_op)
+    h = 0.5 * (h + h.conj().T)
+    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
+    sigma = bath.sigma()
+    if not (np.iscomplexobj(v) or rho_a0.imag.any() or sigma.imag.any()):
+        rho_bar = v.T @ np.kron(rho_a0.real, sigma.real) @ v
+    else:
+        rho_bar = v.conj().T @ np.kron(rho_a0, sigma) @ v
+    p = v.reshape(d_a, d_b, total)  # p[i, k, m] = <i,k|m>
+    phase = np.exp(-1j * np.outer(t, w))
+    states = np.empty((t.size, d_a, d_a), dtype=complex)
+    for i in range(d_a):
+        for j in range(i, d_a):
+            c_ij = rho_bar * (p[i].T @ p[j].conj())
+            series = ((phase @ c_ij) * phase.conj()).sum(axis=1)
+            if j == i:
+                states[:, i, i] = series.real
+            else:
+                states[:, i, j] = series
+                states[:, j, i] = series.conj()
+    return states
+
+
+def kron_chain_mode_bath(modes):
+    """H_B = sum_k nu_k n_k and X = sum_k g_k sigma_x^(k) on 2^K levels, each
+    term a Kronecker chain with mode 0 as the leading factor."""
+    n_modes = len(modes)
+    dim = 2**n_modes
+    number = np.diag([0.0, 1.0]).astype(complex)
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    eye2 = np.eye(2, dtype=complex)
+    h_b = np.zeros((dim, dim), dtype=complex)
+    x = np.zeros((dim, dim), dtype=complex)
+    for k, (nu, g) in enumerate(modes):
+        op_h = np.array([[1.0]], dtype=complex)
+        op_x = np.array([[1.0]], dtype=complex)
+        for j in range(n_modes):
+            op_h = np.kron(op_h, number if j == k else eye2)
+            op_x = np.kron(op_x, sigma_x if j == k else eye2)
+        h_b += nu * op_h
+        x += g * op_x
+    return h_b, x

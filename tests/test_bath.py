@@ -23,6 +23,7 @@ from lindforge import (
 
 from _support import (
     crandn,
+    kron_chain_mode_bath,
     random_hermitian,
     record_eigh,
     reference_correlation_time,
@@ -347,6 +348,41 @@ def test_qubit_mode_bath_structure():
     assert np.abs(np.sort(freqs) - [-1.5, -1.0, 1.0, 1.5]).max() < 1e-12
     with pytest.raises(ValueError):
         qubit_mode_bath([(1.0, 0.1)] * 13, 1.0)
+
+
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_qubit_mode_bath_matches_kron_chains(n_modes):
+    rng = np.random.default_rng(300 + n_modes)
+    modes = [(float(nu), float(g)) for nu, g in
+             zip(rng.uniform(0.5, 1.5, n_modes), rng.uniform(-0.1, 0.1, n_modes))]
+    h_b, x = kron_chain_mode_bath(modes)
+    bath = qubit_mode_bath(modes, 1.0, broadening=0.1)
+    assert np.array_equal(bath.h_b, h_b)
+    assert np.array_equal(bath.coupling_ops[0], x)
+
+
+def test_correlation_table_kept_once_per_bath():
+    rng = np.random.default_rng(36)
+    h_b = random_hermitian(rng, 6)
+    x = random_hermitian(rng, 6) + 0.7 * np.eye(6)
+    bath = FiniteBath(h_b, 0.8, [x], broadening=0.6)
+    table = estimate_correlation_time(bath)
+    assert estimate_correlation_time(bath) is table
+    with pytest.raises(ValueError):
+        table.values[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        table.taus[0] = 1.0
+    # the centred copy has other correlations: its own table, as a fresh bath's
+    shifted, _ = center_couplings(bath, [sigma_ops()[0]])
+    own = estimate_correlation_time(shifted)
+    assert own is not table
+    fresh = estimate_correlation_time(
+        FiniteBath(h_b, 0.8, shifted.coupling_ops, broadening=0.6))
+    assert np.array_equal(own.taus, fresh.taus)
+    assert np.abs(own.values - fresh.values).max() < 1e-12
+    assert own.tau_b_estimate == fresh.tau_b_estimate
+    assert np.abs(own.values - table.values).max() > 0.1
+    assert estimate_correlation_time(bath) is table
 
 
 @pytest.mark.parametrize("kind, decays", [

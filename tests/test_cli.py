@@ -833,6 +833,45 @@ def test_oracle_reports_propagation_failure(tmp_path, capsys, monkeypatch):
         assert "min eigenvalue" in error["message"]
 
 
+@pytest.mark.parametrize("command, scenario, from_oracle", [
+    ("oracle", "weak_coupling_comb.json", True),
+    ("oracle", "breakdown.json", False),
+    ("verify", "weak_coupling_comb.json", False),
+    ("verify", "thermal_qubit.json", False),
+])
+def test_failed_eigensolver_is_numerical_error(tmp_path, capsys, monkeypatch,
+                                               command, scenario, from_oracle):
+    # LinAlgError subclasses ValueError, but a solver that does not converge
+    # is not bad input: exit 1 with one JSON error of type "numerical".
+    # from_oracle: eigh fails only once the Lindblad run is done, so the
+    # exact oracle's own eigensolver is the one that fails
+    monkeypatch.chdir(tmp_path)
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    if from_oracle:
+        propagate = lindforge.cli.propagate
+
+        def propagate_then_fail(*args, **kwargs):
+            traj = propagate(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+            return traj
+
+        monkeypatch.setattr(lindforge.cli, "propagate", propagate_then_fail)
+    else:
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    path = pathlib.Path(__file__).parent.parent / "demos" / "scenarios" / scenario
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {
+        "type": "numerical", "message": "Eigenvalues did not converge"}}
+    assert not list(tmp_path.glob("*.oracle.csv"))
+
+
 def test_oracle_rejects_analytic_bath(tmp_path, capsys):
     path = write_scenario(tmp_path, flat_thermal_data())
     code, _, err = run_cli(capsys, "oracle", path)

@@ -2,6 +2,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from _support import (
     random_unitary,
     rate_table_bath,
     record_eigh,
+    reference_exact_oracle,
     reference_rk4_states,
     sigma_ops,
 )
@@ -494,13 +496,113 @@ def test_oracle_real_solver_matches_complex_basis(monkeypatch):
     rot = lambda m: u @ m @ u.conj().T
     dtypes = record_eigh(monkeypatch, key=lambda m: m.dtype)
     real = exact_oracle(h, bath, [a], rho0, times)
-    assert dtypes == [np.float64]
+    # H_A, then the symmetry blocks: every one on the real solver
+    assert len(dtypes) >= 2 and set(dtypes) == {np.dtype(np.float64)}
+    n_real = len(dtypes)
     rotated = exact_oracle(rot(h), bath, [rot(a)], rot(rho0), times)
-    assert dtypes == [np.float64, np.complex128]
+    assert dtypes[n_real:] and set(dtypes[n_real:]) == {np.dtype(np.complex128)}
     for k in range(len(times)):
         back = u.conj().T @ rotated.states[k] @ u
         assert np.abs(back - real.states[k]).max() < 1e-10
     assert np.abs(real.states[-1] - real.states[0]).max() > 1e-3
+
+
+WEAK_COMB_FREQS = (0.9466517888250567, 0.9619077807270838, 0.975023195643077,
+                   0.9904537424331107, 1.0084630566742057, 1.024893575542738,
+                   1.0373632729751479, 1.0529387866624487)
+
+
+def _ladder(dim, rng):
+    a = np.diag(rng.uniform(0.7, 1.3, dim - 1), 1).astype(complex)
+    return a + a.T
+
+
+def _oracle_case(name):
+    """(h_a, bath, couplings, rho0, times, symmetry blocks) of one case."""
+    rng = np.random.default_rng(["real-comb", "rotated-weak-comb", "coherent-comb",
+                                 "degenerate", "dense-two-channel",
+                                 "zero-coupling"].index(name) + 70)
+    times = np.linspace(0.0, 60.0, 13)
+    comb = lambda n, g: qubit_mode_bath(
+        [(f, g) for f in rng.uniform(0.9, 1.1, n)], 1.2, broadening=0.05)
+    if name == "real-comb":
+        h = np.diag([0.0, 1.02, 1.98]).astype(complex)
+        return h, comb(4, 0.05), [_ladder(3, rng)], np.eye(3) / 3, times, 2
+    if name == "rotated-weak-comb":
+        u = random_unitary(rng, 2)
+        rot = lambda m: u @ m @ u.conj().T
+        bath = qubit_mode_bath([(f, 5.0e-3) for f in WEAK_COMB_FREQS], 1.0,
+                               broadening=0.01085)
+        sx = sigma_ops()[0]
+        return (rot(np.diag([0.0, 1.0])), bath, [rot(sx)], np.eye(2) / 2,
+                np.linspace(0.0, 375.0, 61), 2)
+    if name == "coherent-comb":
+        # coherences between the parity sectors: off-diagonal block pairs
+        h = np.diag([0.0, 0.97, 2.03, 2.99]).astype(complex)
+        return h, comb(3, 0.08), [_ladder(4, rng)], random_density(rng, 4), times, 2
+    if name == "degenerate":
+        # in a rotated basis eigh picks any basis of the degenerate pair
+        u = random_unitary(rng, 3)
+        rot = lambda m: u @ m @ u.conj().T
+        h = rot(np.diag([0.0, 1.0, 1.0]))
+        return (h, comb(3, 0.06), [rot(_ladder(3, rng))], random_density(rng, 3),
+                times, None)
+    if name == "dense-two-channel":
+        bath = FiniteBath(random_hermitian(rng, 6), 1.5,
+                          [0.1 * random_hermitian(rng, 6) for _ in range(2)])
+        ops = [random_hermitian(rng, 3) for _ in range(2)]
+        return np.diag([0.0, 0.8, 1.9]), bath, ops, random_density(rng, 3), times, 1
+    # zero coupling: every product state is a block of its own
+    bath = comb(4, 0.0)
+    return (np.diag([0.0, 0.9, 2.2]), bath, [_ladder(3, rng)],
+            random_density(rng, 3), times, 48)
+
+
+@pytest.mark.parametrize("name", ["real-comb", "rotated-weak-comb",
+                                  "coherent-comb", "degenerate",
+                                  "dense-two-channel", "zero-coupling"])
+def test_block_oracle_matches_dense_reference(monkeypatch, name):
+    h, bath, ops, rho0, times, n_blocks = _oracle_case(name)
+    shapes = record_eigh(monkeypatch, key=np.shape)
+    traj = exact_oracle(h, bath, ops, rho0, times)
+    # after H_A's own, one stacked eigh per block size
+    assert shapes[0] == (h.shape[0],) * 2
+    blocks = sum(shape[0] for shape in shapes[1:])
+    assert sum(shape[0] * shape[1] for shape in shapes[1:]) == h.shape[0] * bath.dim
+    if n_blocks is not None:
+        assert blocks == n_blocks
+    want = reference_exact_oracle(h, bath, ops, rho0, times)
+    assert np.abs(traj.states - want).max() < 1e-12
+    assert traj.hermiticity_defects.max() == 0.0
+    assert np.abs(want[-1] - want[0]).max() > 1e-3 or name == "zero-coupling"
+
+
+def test_oracle_rounding_rule_splits_rotated_comb(monkeypatch):
+    # without the rounding rule, the rotation's dust on the diagonal of A'
+    # joins the two parity sectors into one block
+    h, bath, ops, rho0, times, _ = _oracle_case("rotated-weak-comb")
+    monkeypatch.setattr(lindforge.dynamics, "ROUNDING_ULPS", 0)
+    shapes = record_eigh(monkeypatch, key=np.shape)
+    exact_oracle(h, bath, ops, rho0, times[:3])
+    assert shapes[1:] == [(1, 512, 512)]
+
+
+def test_oracle_memory_on_the_largest_comb():
+    # D = 1024 (a four-level ladder against eight modes) is two blocks of 512;
+    # the dense route peaked at 66.9 MiB here
+    rng = np.random.default_rng(75)
+    bath = qubit_mode_bath([(f, 4.0e-3) for f in WEAK_COMB_FREQS], 1.0,
+                           broadening=0.01)
+    h = np.diag([0.0, 1.0, 2.01, 2.98]).astype(complex)
+    ops = [_ladder(4, rng)]
+    times = np.linspace(0.0, 375.0, 61)
+    tracemalloc.start()
+    try:
+        exact_oracle(h, bath, ops, np.eye(4) / 4, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_oracle_dimension_cap(monkeypatch):

@@ -13,8 +13,6 @@ from lindforge import (
     vec,
 )
 
-from lindforge.linalg import kron_matmul
-
 from _support import crandn, random_density, random_hermitian
 
 TOL = 1e-12
@@ -130,15 +128,3 @@ def test_vec_unvec_roundtrip_and_kron_identity():
     lhs = vec(a @ rho @ b)
     rhs = np.kron(b.T, a) @ vec(rho)
     assert np.abs(lhs - rhs).max() < TOL
-
-
-def test_kron_matmul_matches_dense_kron():
-    rng = np.random.default_rng(27)
-    for d_a, d_b, n in ((2, 3, 6), (3, 5, 4), (4, 1, 1)):
-        a = crandn(rng, d_a, d_a)
-        b = crandn(rng, d_b, d_b)
-        m = crandn(rng, d_a * d_b, n)
-        dense = np.kron(a, b) @ m
-        assert np.abs(kron_matmul(a, b, m) - dense).max() < 1e-12
-    real = kron_matmul(np.eye(2), np.ones((3, 3)), np.ones((6, 2)))
-    assert real.dtype == np.float64

@@ -180,10 +180,9 @@ class FiniteBath:
         return new
 
     def expectation(self, x) -> complex:
-        """Tr{X sigma_B}."""
+        """Tr{X sigma_B} = sum_ij X_ij (sigma_B)_ji, from the cached Gibbs state."""
         x = as_operator(x, "x")
-        x_eig = self._basis.conj().T @ x @ self._basis
-        return complex(np.sum(self._populations * np.diag(x_eig)))
+        return complex(np.sum(x * self._sigma.T))
 
     def w_matrix(self, omega: float) -> np.ndarray:
         """W(Omega) over channels, one contraction over the transition table."""

@@ -13,6 +13,8 @@ unitarily from a factorized initial condition, and partial-traces at each
 sample time. A dense bath is the one-block case. The oracle makes no
 weak-coupling, Markov or secular approximation, so any disagreement beyond
 the two-timescale error budget points at the derivation.
+
+Both routes diagnose their (n, d, d) sample stack in one density_defects pass.
 """
 
 from __future__ import annotations
@@ -27,16 +29,16 @@ from .bath import AnalyticBath, FiniteBath, estimate_correlation_time, gamma_mat
 from .generator import BohrBlocks, Generator, _merge_labels, generator_superoperator_matrix
 from .generator import rhs_function  # unused here; bench/tracing.py wraps it on this module
 from .linalg import (
+    DENSITY_TOL,
     DimensionError,
     as_operator,
+    density_defects,
     hermiticity_defect,
     matrix_exponential_unitary,
     vec,
 )
 from .spectral import bohr_frequencies
 
-# positivity floor along trajectories; below this the state is declared invalid
-POSITIVITY_FLOOR = -1e-6
 # default cap on dim_A * dim_B for the exact oracle; env var LF_MAX_DIM overrides
 ORACLE_DIM_CAP = 1024
 # an entry of a rotated oracle factor within this many ulps of the factor's
@@ -119,18 +121,11 @@ def _check_initial_state(rho0, dim: int) -> np.ndarray:
     rho = as_operator(rho0, "rho0")
     if rho.shape[0] != dim:
         raise ValueError(f"rho0 has dimension {rho.shape[0]}, generator has {dim}")
-    if abs(np.trace(rho) - 1.0) > 1e-6:
+    if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
         raise ValueError(f"rho0 trace is {np.trace(rho):.6g}, expected 1")
-    if hermiticity_defect(rho) > 1e-6:
+    if hermiticity_defect(rho) > DENSITY_TOL:
         raise ValueError("rho0 is not hermitian")
     return rho
-
-
-def _sample_diagnostics(state):
-    trace_defect = abs(np.trace(state) - 1.0)
-    herm_defect = hermiticity_defect(state)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (state + state.conj().T))[0])
-    return float(trace_defect), float(herm_defect), min_eig
 
 
 def _rhs_norm_bound(g: Generator) -> float:
@@ -141,21 +136,6 @@ def _rhs_norm_bound(g: Generator) -> float:
     with np.errstate(over="ignore"):
         bound = 2.0 * norms(g.h_eff) + 2.0 * norms(big_g)
         return float(bound + (norms(left) * norms(right)).sum())
-
-
-def _build_trajectory(times, states, diags, method: str,
-                      complete: bool = True) -> Trajectory:
-    """Trajectory from the sampled states and their _sample_diagnostics rows."""
-    trace_d, herm_d, min_e = np.array(diags, dtype=float).reshape(-1, 3).T
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        states=np.asarray(states),
-        trace_defects=trace_d,
-        hermiticity_defects=herm_d,
-        min_eigenvalues=min_e,
-        method=method,
-        complete=complete,
-    )
 
 
 def _gap_key(gap: float) -> float:
@@ -248,8 +228,10 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     Raises DimensionError before allocating when the largest block (d^2 for
     the superoperator) exceeds MAX_TENSOR_DIM, and before forming it when rk4
     would take more than RK4_MAX_STEPS (or non-finitely many) steps. Raises
-    PropagationError, with the partial trajectory, at the first sample with
-    an eigenvalue below -1e-6, a trace defect above 1e-6 or a non-finite entry.
+    PropagationError, with the samples before it as the partial trajectory,
+    at the first sample (one density_defects pass, rho0 first) with an
+    eigenvalue below -DENSITY_TOL or a non-finite entry, else a trace defect
+    above DENSITY_TOL (1e-6).
     """
     t = _check_times(times)
     rho = _check_initial_state(rho0, g.dim)
@@ -266,26 +248,24 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
         mat = generator_superoperator_matrix(g)
         blocks = BohrBlocks(basis=np.eye(g.dim, dtype=complex),
                             groups=((np.arange(mat.shape[0])[None], mat[None]),))
-    states = [rho.copy()] + list(_block_states(rho, blocks, t, propagator))
-
-    # diagnostics up to the first failing sample (a non-finite one has NaN)
-    diags = []
-    for k, state in enumerate(states):
-        d = _sample_diagnostics(state) if np.isfinite(state).all() else (math.nan,) * 3
-        positive = d[2] >= POSITIVITY_FLOOR
-        if not (positive and d[0] <= 1e-6):  # the trace tolerance rho0 is held to
-            tolerance, name, defect = (("trace", "trace defect", d[0]) if positive
-                                       else ("positivity", "min eigenvalue", d[2]))
-            raise PropagationError(
-                f"state left the {tolerance} tolerance at t={t[k]:.6g}: "
-                f"{name} {defect:.3e}",
-                time=float(t[k]),
-                defect=defect,
-                partial=_build_trajectory(t[:k], states[:k], diags, method,
-                                          complete=False),
-            )
-        diags.append(d)
-    return _build_trajectory(t, states, diags, method)
+    states = np.concatenate((rho[None], _block_states(rho, blocks, t, propagator)))
+    defects = density_defects(states)
+    trace_d, _, min_e = defects
+    positive = min_e >= -DENSITY_TOL  # False for a non-finite sample's NaN
+    failed = np.flatnonzero(~(positive & (trace_d <= DENSITY_TOL)))
+    if failed.size:
+        k = failed[0]
+        tolerance, name, defect = (("trace", "trace defect", trace_d[k]) if positive[k]
+                                   else ("positivity", "min eigenvalue", min_e[k]))
+        raise PropagationError(
+            f"state left the {tolerance} tolerance at t={t[k]:.6g}: "
+            f"{name} {defect:.3e}",
+            time=float(t[k]),
+            defect=float(defect),
+            partial=Trajectory(t[:k], states[:k], *defects[:, :k], method,
+                               complete=False),
+        )
+    return Trajectory(t, states, *defects, method)
 
 
 def oracle_dimension_cap() -> int:
@@ -359,8 +339,7 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     reduced = _reduced_states(blocks, rho_rot, bath._populations, t, d_a, d_b)
     states = u_a @ reduced @ u_a.conj().T
     states = 0.5 * (states + states.conj().transpose(0, 2, 1))
-    return _build_trajectory(t, states, [_sample_diagnostics(s) for s in states],
-                             "exact")
+    return Trajectory(t, states, *density_defects(states), "exact")
 
 
 def _real_if_real(m: np.ndarray) -> np.ndarray:

@@ -50,6 +50,7 @@ from .bath import (
 )
 from .generator import SecularPolicy
 from .linalg import (
+    DENSITY_TOL,
     MAX_TENSOR_DIM,
     DimensionError,
     hermiticity_defect,
@@ -173,9 +174,7 @@ def _parse_system(node) -> np.ndarray:
         )
     if has_h:
         h = complex_matrix_from_json(node["hamiltonian"], "system.hamiltonian")
-        defect = hermiticity_defect(h)
-        if defect > 1e-9 * max(1.0, float(np.abs(h).max())):
-            _fail("system.hamiltonian", f"not hermitian (defect {defect:.3e})")
+        _require_hermitian(h, "system.hamiltonian", coupling=False)
         return h
     evs = real_vector_from_json(node["eigenvalues"], "system.eigenvalues")
     return np.diag(evs).astype(complex)
@@ -212,11 +211,11 @@ def _parse_couplings_node(node, dim):
     return entries
 
 
-def _require_hermitian(m, path):
+def _require_hermitian(m, path, coupling=True):
     defect = hermiticity_defect(m)
     if defect > 1e-9 * max(1.0, float(np.abs(m).max())):
-        _fail(path, f"not hermitian (defect {defect:.3e}); for a non-hermitian "
-                    "pair set add_adjoint and give the bath operator X")
+        hint = "; for a non-hermitian pair set add_adjoint and give the bath operator X"
+        _fail(path, f"not hermitian (defect {defect:.3e}){hint if coupling else ''}")
 
 
 def _build_bath_and_couplings(bath_node, coupling_entries, dim):
@@ -270,9 +269,7 @@ def _build_bath_and_couplings(bath_node, coupling_entries, dim):
             return bath, [a]
 
         h_b = complex_matrix_from_json(bath_node["hamiltonian"], "bath.hamiltonian")
-        defect = hermiticity_defect(h_b)
-        if defect > 1e-9 * max(1.0, float(np.abs(h_b).max())):
-            _fail("bath.hamiltonian", f"not hermitian (defect {defect:.3e})")
+        _require_hermitian(h_b, "bath.hamiltonian", coupling=False)
         pairs = []
         any_adjoint = False
         for a, x, channel, add_adjoint, path in coupling_entries:
@@ -401,7 +398,7 @@ def _parse_initial_state(node, h_a) -> np.ndarray:
     if rho.shape[0] != dim:
         _fail("initial_state.matrix", f"has dimension {rho.shape[0]}, system "
                                       f"has {dim}")
-    report = validate_density_matrix(rho, tol=1e-6)
+    report = validate_density_matrix(rho, tol=DENSITY_TOL)
     if not report.valid:
         _fail("initial_state.matrix", f"not a density matrix: {report}")
     return rho
@@ -491,6 +488,8 @@ def loads_scenario(text: str, name: str = "<string>") -> Scenario:
             f"{name}: parse error at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except RecursionError as exc:  # json's decoder recurses once per level
+        raise ScenarioError(f"{name}: parse error: nested too deeply") from exc
     return scenario_from_data(data)
 
 

@@ -197,6 +197,13 @@ def reference_pair_terms(bath, a, b):
     return weights[mask], freqs[mask]
 
 
+def reference_expectation(bath, x):
+    """Tr{X sigma_B} as the population-weighted diagonal of X rotated into
+    the bath eigenbasis."""
+    x_eig = bath._basis.conj().T @ np.asarray(x, dtype=complex) @ bath._basis
+    return complex(np.sum(bath._populations * np.diag(x_eig)))
+
+
 def reference_w_matrix(bath, omega):
     """W_ab(omega) entry by entry and term by term over reference_pair_terms."""
     k = bath.channel_count

@@ -27,6 +27,7 @@ from _support import (
     random_hermitian,
     record_eigh,
     reference_correlation_time,
+    reference_expectation,
     reference_w_matrix,
     reference_weighted_bohr_frequencies,
     sigma_ops,
@@ -73,6 +74,23 @@ def test_center_couplings_thermal_sigma_z():
     new_bath, h_shift = center_couplings(bath, [sx])
     assert np.abs(h_shift - sx / 3.0).max() < 1e-12
     assert abs(new_bath.expectation(new_bath.coupling_ops[0])) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["dense", "comb"])
+def test_expectation_matches_the_eigenbasis_sum(kind):
+    rng = np.random.default_rng(35)
+    if kind == "dense":
+        bath = FiniteBath(random_hermitian(rng, 12), 0.7,
+                          [random_hermitian(rng, 12)], broadening=0.3)
+    else:
+        bath = qubit_mode_bath([(0.6, 0.2), (1.1, 0.1), (1.9, 0.3), (2.4, 0.15)], 0.9)
+    d = bath.dim
+    ops = [bath.coupling_ops[0], crandn(rng, d, d), np.eye(d)]
+    ops += [x.conj().T @ x for x in ops]
+    for x in ops:
+        want = reference_expectation(bath, x)
+        scale = max(abs(want), float(np.abs(x).max()))  # a sigma_x mean is 0
+        assert abs(bath.expectation(x) - want) <= 1e-13 * scale
 
 
 def test_center_couplings_matches_freshly_built_bath():

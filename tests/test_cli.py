@@ -891,3 +891,18 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_deeply_nested_json_is_scenario_error(tmp_path, capsys, command):
+    # json's decoder recurses once per level and runs out of stack first
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "scenario"
+    assert error["message"] == f"{path}: parse error: nested too deeply"

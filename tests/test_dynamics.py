@@ -427,30 +427,72 @@ def test_non_finite_state_raises_with_partial_trajectory():
     assert np.isfinite(partial.states).all()
 
 
+def record_density_defects(monkeypatch):
+    """(stack, defects) of every density_defects call dynamics makes."""
+    calls = []
+    original = lindforge.dynamics.density_defects
+
+    def recording(states):
+        calls.append((np.array(states), original(states)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lindforge.dynamics, "density_defects", recording)
+    return calls
+
+
+def assert_rows_of(traj, stack, defects):
+    n = len(traj)
+    assert np.array_equal(traj.states, stack[:n])
+    for got, want in zip(
+            (traj.trace_defects, traj.hermiticity_defects, traj.min_eigenvalues),
+            defects):
+        assert np.array_equal(got, want[:n])
+
+
 @pytest.mark.parametrize("method", ["expm", "rk4"])
 def test_propagation_failure_diagnoses_each_sample_once(monkeypatch, method):
-    calls = []
-    original = lindforge.dynamics._sample_diagnostics
-
-    def counted(state):
-        calls.append(state)
-        return original(state)
-
-    monkeypatch.setattr(lindforge.dynamics, "_sample_diagnostics", counted)
+    calls = record_density_defects(monkeypatch)
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
     times = np.linspace(0.0, 6.0, 25)
     with pytest.raises(PropagationError) as err:
-        propagate(np.diag([0.5, 0.5]).astype(complex), negative_rate_generator(),
-                  times, method=method)
+        propagate(rho0, negative_rate_generator(), times, method=method)
     partial = err.value.partial
-    # the kept samples once each, then the one that failed
-    assert len(calls) == len(partial) + 1 < len(times)
+    # one call over every sample, rho0 first, also those after the failure
+    assert len(calls) == 1
+    stack, defects = calls[0]
+    assert len(stack) == len(times) > len(partial) + 1
+    assert np.array_equal(stack[0], rho0)
+    # the partial trajectory is that call's rows before the failing one
     assert np.array_equal(partial.times, times[:len(partial)])
-    assert np.array_equal(partial.states, np.asarray(calls[:-1]))
-    for diag, want in zip(
-            (partial.trace_defects, partial.hermiticity_defects, partial.min_eigenvalues),
-            zip(*(original(state) for state in calls[:-1]))):
-        assert np.array_equal(diag, want)
+    assert_rows_of(partial, stack, defects)
+    assert defects[2][len(partial)] == err.value.defect
     assert partial.min_eigenvalues.min() >= -1e-6 > err.value.defect
+
+
+def test_failure_at_the_initial_state_keeps_an_empty_stack():
+    # rho0 passes the trace and hermiticity checks but is not positive
+    gen = derive_generator(np.diag([0.0, 1.0]), flat_thermal_bath(0.2, 1.0),
+                           [sigma_ops()[0]]).generator
+    with pytest.raises(PropagationError) as err:
+        propagate(np.diag([1.5, -0.5]).astype(complex), gen, np.linspace(0.0, 1.0, 3))
+    assert err.value.time == 0.0
+    partial = err.value.partial
+    assert len(partial) == 0
+    assert partial.states.shape == (0, 2, 2) and partial.dim == 2
+
+
+def test_oracle_diagnoses_its_samples_in_one_call(monkeypatch):
+    calls = record_density_defects(monkeypatch)
+    sx = sigma_ops()[0]
+    bath = FiniteBath(np.diag([0.0, 0.9, 2.1]), 1.0, [np.diag([1.0, 0.0, -1.0])],
+                      broadening=0.5)
+    times = np.linspace(0.0, 5.0, 9)
+    traj = exact_oracle(np.diag([0.0, 1.0]), bath, [0.2 * sx],
+                        np.diag([0.0, 1.0]), times)
+    assert len(calls) == 1
+    stack, defects = calls[0]
+    assert len(stack) == len(traj) == len(times)
+    assert_rows_of(traj, stack, defects)
 
 
 def test_oracle_zero_coupling_is_free_evolution():

@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+
+import lindforge.linalg
 
 from lindforge import (
     DimensionError,
@@ -12,6 +17,8 @@ from lindforge import (
     validate_density_matrix,
     vec,
 )
+
+from lindforge.linalg import DEFECT_CHUNK, density_defects
 
 from _support import crandn, random_density, random_hermitian
 
@@ -115,6 +122,58 @@ def test_validate_density_matrix_never_raises_on_garbage():
     assert not report.valid
     report = validate_density_matrix(np.full((3, 3), 1e300, dtype=complex))
     assert not report.valid
+    # finite, but rho + rho^+ overflows: a NaN eigenvalue, and no warning
+    report = validate_density_matrix(np.full((3, 3), 1e308, dtype=complex))
+    assert not report.valid and not report.message
+
+
+def sample_defects(state):
+    """One sample's (trace, hermiticity, smallest eigenvalue) defects, each
+    from its own scalar expression."""
+    return [abs(np.trace(state) - 1.0), hermiticity_defect(state),
+            float(np.linalg.eigvalsh(0.5 * (state + state.conj().T))[0])]
+
+
+def test_density_defects_masks_non_finite_samples_without_warnings(monkeypatch):
+    rng = np.random.default_rng(21)
+    stack = np.array([random_density(rng, 3) + 1e-3 * crandn(rng, 3, 3)
+                      for _ in range(7)])
+    stack[1, 0, 2] = np.nan
+    stack[3, 1, 1] = np.inf
+    stack[4, 2, 0] = complex(0.0, -np.inf)
+    bad = [1, 3, 4]
+    good = [0, 2, 5, 6]
+    # chunks of two mix masked and finite samples and leave a short last one
+    for chunk in (DEFECT_CHUNK, 2):
+        monkeypatch.setattr(lindforge.linalg, "DEFECT_CHUNK", chunk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            defects = density_defects(stack)
+        assert defects.shape == (3, len(stack))
+        assert np.isnan(defects[:, bad]).all()
+        for k in good:
+            report = validate_density_matrix(stack[k])
+            assert defects[:, k].tolist() == [report.trace_defect,
+                                              report.hermiticity_defect,
+                                              report.min_eigenvalue]
+            assert defects[:, k].tolist() == sample_defects(stack[k])
+    assert validate_density_matrix(stack[3]).message == "non-finite entries"
+
+
+def test_density_defects_scratch_memory_is_one_chunk():
+    rng = np.random.default_rng(22)
+    stack = np.tile(random_density(rng, 16), (20001, 1, 1))  # 78 MiB
+    chunk_bytes = DEFECT_CHUNK * 16 * 16 * stack.itemsize
+    tracemalloc.start()
+    try:
+        defects = density_defects(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(defects).all()
+    # a few chunk-sized temporaries; a whole-stack pass would allocate
+    # several times the stack
+    assert peak < 8 * chunk_bytes < stack.nbytes / 4
 
 
 def test_vec_unvec_roundtrip_and_kron_identity():

@@ -19,7 +19,9 @@ Two backends:
   function of Omega.
 
 Both answer gamma_fn(Omega)/delta_fn(Omega) with the whole k x k matrix over
-channels; gamma_matrix/delta_matrix check it at every evaluation.
+channels. gamma_matrix/delta_matrix evaluate them at one Omega or an array of
+them and check the (n, k, k) stack in one pass (rate_defects), which the
+table bath's entries and the invariant battery go through too.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ DECAY_THRESHOLD = 0.05
 # correlation (a bath lives as long as its scenario, so every unitary it
 # keeps adds to the memory peak of the work that follows)
 PROPAGATOR_CACHE = 2
+# rate matrices one pass of rate_defects reads at once
+RATE_CHUNK = 256
+# a rate matrix's hermiticity defect and negative eigenvalues must stay
+# within this factor of max(1, max |entry|)
+RATE_TOL = 1e-10
 
 
 def _boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
@@ -385,99 +392,165 @@ def flat_thermal_bath(
 def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
     """Bath from an explicit table of (omega, gamma matrix, optional delta).
 
-    Each gamma must be hermitian and positive semidefinite; violations are
-    rejected up front, naming the offending omega. A lookup takes the entry
-    nearest omega (the first in table order on a tie), matches it within
-    1e-8 * max(1, |omega|) and misses with a clear error otherwise.
+    Each gamma must be hermitian and positive semidefinite, each delta
+    hermitian, all of one size. An entry that is malformed or of another
+    size is refused as it is read, the values by one stacked rate check
+    over the entries before it; the first fault in table order is raised,
+    naming its omega. A lookup takes the entry nearest omega (the first in
+    table order on a tie), matches it within 1e-8 * max(1, |omega|) and
+    misses with a clear error otherwise.
     """
-    table: list[tuple[float, np.ndarray, np.ndarray]] = []
+    omegas, gammas, deltas, refused = [], [], [], None
     for entry in entries:
-        omega, gamma_m, delta_m = entry
-        gamma_m = as_operator(gamma_m, f"gamma at omega={omega}")
-        scale = max(1.0, float(np.abs(gamma_m).max()))
-        defect = hermiticity_defect(gamma_m)
-        if defect > 1e-10 * scale:
-            raise ValueError(
-                f"table gamma at omega={omega} is not hermitian "
-                f"(defect {defect:.3e})"
-            )
-        gamma_m = (gamma_m + gamma_m.conj().T) / 2.0
-        min_eig = float(np.linalg.eigvalsh(gamma_m).min())
-        if min_eig < -1e-10 * scale:
-            raise ValueError(
-                f"table gamma at omega={omega} is not positive semidefinite "
-                f"(min eigenvalue {min_eig:.3e})"
-            )
-        if delta_m is None:
-            delta_m = np.zeros_like(gamma_m)
-        else:
-            delta_m = as_operator(delta_m, f"delta at omega={omega}")
-            if hermiticity_defect(delta_m) > 1e-10 * max(1.0, float(np.abs(delta_m).max())):
-                raise ValueError(f"table delta at omega={omega} is not hermitian")
-            delta_m = (delta_m + delta_m.conj().T) / 2.0
-        if gamma_m.shape != delta_m.shape:
-            raise ValueError(f"gamma/delta shapes differ at omega={omega}")
-        # handed out as they are by every lookup
-        gamma_m.flags.writeable = delta_m.flags.writeable = False
-        table.append((float(omega), gamma_m, delta_m))
-    if not table:
+        try:
+            omega, gamma_m, delta_m = entry
+            gamma_m = as_operator(gamma_m, f"gamma at omega={omega}")
+            delta_m = (np.zeros_like(gamma_m) if delta_m is None
+                       else as_operator(delta_m, f"delta at omega={omega}"))
+            if gammas and gamma_m.shape != gammas[0].shape:
+                raise ValueError(f"inconsistent channel count at omega={float(omega)}")
+            if gamma_m.shape != delta_m.shape:
+                raise ValueError(f"gamma/delta shapes differ at omega={omega}")
+        except ValueError as exc:  # raised once the entries before it pass
+            refused = exc
+            break
+        omegas.append(omega)
+        gammas.append(gamma_m)
+        deltas.append(delta_m)
+    if gammas:
+        gammas, g_rows = rate_defects(np.array(gammas))
+        deltas, d_rows = rate_defects(np.array(deltas))
+        for omega, g_fail, d_fail in zip(omegas, _first_failures(g_rows, True),
+                                         _first_failures(d_rows, False)):
+            if g_fail is not None:
+                check, value = g_fail
+                raise ValueError(f"table gamma at omega={omega} " + {
+                    "finite": "has a non-finite or overflowing entry",
+                    "hermitian": f"is not hermitian (defect {value:.3e})",
+                    "positive": f"is not positive semidefinite (min eigenvalue {value:.3e})",
+                }[check])
+            if d_fail is not None:
+                raise ValueError(f"table delta at omega={omega} " + {
+                    "finite": "has a non-finite or overflowing entry",
+                    "hermitian": "is not hermitian",
+                }[d_fail[0]])
+    if refused is not None:
+        raise refused
+    if not omegas:
         raise ValueError("table bath needs at least one entry")
-    k = table[0][1].shape[0]
-    for omega, gamma_m, _ in table:
-        if gamma_m.shape[0] != k:
-            raise ValueError(f"inconsistent channel count at omega={omega}")
+    k = gammas.shape[1]
     if channel_count is not None and channel_count != k:
         raise ValueError(f"table matrices are {k}x{k}, expected {channel_count}")
-    omegas = np.array([row[0] for row in table])
+    # handed out as they are by every lookup
+    gammas.flags.writeable = deltas.flags.writeable = False
+    omegas = np.array(omegas, dtype=float)
 
-    def lookup(omega: float) -> tuple[float, np.ndarray, np.ndarray]:
+    def lookup(omega: float) -> int:
         # argmin returns the first of equally near entries
-        row = table[int(np.argmin(np.abs(omegas - omega)))]
-        if abs(row[0] - omega) > 1e-8 * max(1.0, abs(omega)):
-            known = ", ".join(f"{w:g}" for w, _, _ in table)
+        row = int(np.argmin(np.abs(omegas - omega)))
+        if abs(omegas[row] - omega) > 1e-8 * max(1.0, abs(omega)):
+            known = ", ".join(f"{w:g}" for w in omegas.tolist())
             raise ValueError(f"no table entry for omega={omega:g} (have: {known})")
         return row
 
-    return AnalyticBath(lambda omega: lookup(omega)[1],
-                        lambda omega: lookup(omega)[2], k)
+    return AnalyticBath(lambda omega: gammas[lookup(omega)],
+                        lambda omega: deltas[lookup(omega)], k)
 
 
-def _hermitian_rate_matrix(fn, omega: float, k: int, name: str):
-    """fn(omega) checked for shape, finite entries and hermiticity; returns
-    its hermitian part and the scale max(1, max |entry|) of the checks."""
+def rate_defects(stack) -> tuple[np.ndarray, np.ndarray]:
+    """The hermitian parts (m + m^+)/2 of an (n, k, k) stack of rate
+    matrices, and rows over it: max |m|, the hermiticity defect
+    max |m - m^+| and the smallest eigenvalue of the hermitian part, read
+    RATE_CHUNK matrices at a time. A matrix whose hermitian part is not
+    finite gets NaN in all three rows; overflow is reported, not warned about.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    hermitian = np.empty_like(stack)
+    rows = np.full((3, len(stack)), np.nan)
+    for lo in range(0, len(stack), RATE_CHUNK):
+        m = stack[lo:lo + RATE_CHUNK]
+        adj = m.conj().transpose(0, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = hermitian[lo:lo + RATE_CHUNK]
+            np.divide(m + adj, 2.0, out=h)
+            finite = np.flatnonzero(np.isfinite(h).all(axis=(1, 2)))
+            rows[0, lo + finite] = np.abs(m[finite]).max(axis=(1, 2), initial=0.0)
+            rows[1, lo + finite] = np.abs(m[finite] - adj[finite]).max(
+                axis=(1, 2), initial=0.0)
+        rows[2, lo + finite] = np.linalg.eigvalsh(h[finite]).min(axis=1, initial=np.inf)
+    return hermitian, rows
+
+
+def _first_failures(rows, positive: bool) -> list:
+    """Per matrix, None or the first rate check it fails, as (check, value):
+    ('finite', nan) for a non-finite hermitian part, ('hermitian', defect)
+    and, when positive, ('positive', smallest eigenvalue)."""
+    peak, skew, low = rows
+    tol = RATE_TOL * np.maximum(1.0, peak)
+    failures = [None] * len(peak)
+    checks = (("finite", np.isnan(skew), skew), ("hermitian", skew > tol, skew))
+    if positive:
+        checks += (("positive", low < -tol, low),)
+    for name, failed, value in checks:
+        for i in np.flatnonzero(failed).tolist():
+            if failures[i] is None:
+                failures[i] = (name, float(value[i]))
+    return failures
+
+
+def _rate_matrices(fn, omegas, k: int, name: str, positive: bool) -> np.ndarray:
+    """fn at each omega, once and in order, checked for shape on arrival and
+    then for finite entries, hermiticity and (when positive) positivity in
+    one rate_defects pass. The error raised is the one a check of each omega
+    in turn would raise first: a ValueError of fn (a table lookup that
+    misses) or of the shape at some omega comes after the checks of the
+    omegas before it. Returns the hermitian parts, (k, k) for a scalar omega
+    and (n, k, k) for an array of n."""
+    values = np.asarray(omegas, dtype=float)
+    stack = np.empty((values.size, k, k), dtype=complex)
+    refused, count = None, 0
     # overflow is refused below, by name and omega, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.asarray(fn(omega), dtype=complex)
-        if m.shape != (k, k):
-            raise ValueError(f"{name}({omega:g}) has shape {m.shape}, expected {(k, k)}")
-        hermitian = (m + m.conj().T) / 2.0
-    if not np.isfinite(hermitian).all():
-        raise ValueError(f"{name}({omega:g}) has a non-finite or overflowing entry")
-    scale = max(1.0, float(np.abs(m).max()))
-    if hermiticity_defect(m) > 1e-10 * scale:
-        raise ValueError(f"{name}({omega:g}) is not hermitian")
-    return hermitian, scale
+        for omega in values.ravel().tolist():
+            try:
+                m = np.asarray(fn(omega), dtype=complex)
+                if m.shape != (k, k):
+                    raise ValueError(
+                        f"{name}({omega:g}) has shape {m.shape}, expected {(k, k)}")
+            except ValueError as exc:  # raised once the omegas before it pass
+                refused = exc
+                break
+            stack[count] = m
+            count += 1
+    hermitian, rows = rate_defects(stack[:count])
+    for omega, failure in zip(values.ravel().tolist(), _first_failures(rows, positive)):
+        if failure is not None:
+            check, value = failure
+            raise ValueError(f"{name}({omega:g}) " + {
+                "finite": "has a non-finite or overflowing entry",
+                "hermitian": "is not hermitian",
+                "positive": f"is not positive semidefinite (min eigenvalue {value:.3e})",
+            }[check])
+    if refused is not None:
+        raise refused
+    return hermitian.reshape(values.shape + (k, k))
 
 
-def gamma_matrix(bath, omega: float) -> np.ndarray:
-    """Gamma(Omega) over channels: hermitian, positive semidefinite."""
-    g, scale = _hermitian_rate_matrix(bath.gamma_fn, omega, bath.channel_count,
-                                      "Gamma")
-    min_eig = float(np.linalg.eigvalsh(g).min())
-    if min_eig < -1e-10 * scale:
-        raise ValueError(
-            f"Gamma({omega:g}) is not positive semidefinite "
-            f"(min eigenvalue {min_eig:.3e})"
-        )
-    return g
+def gamma_matrix(bath, omega) -> np.ndarray:
+    """Gamma(Omega) over channels: hermitian, positive semidefinite.
+
+    omega is one frequency, giving the k x k matrix, or an array of n,
+    giving their (n, k, k) stack from one stacked check."""
+    return _rate_matrices(bath.gamma_fn, omega, bath.channel_count, "Gamma", True)
 
 
-def delta_matrix(bath, omega: float) -> np.ndarray:
-    """Delta(Omega) over channels: hermitian, feeds the Lamb shift."""
+def delta_matrix(bath, omega) -> np.ndarray:
+    """Delta(Omega) over channels: hermitian, feeds the Lamb shift. omega
+    is one frequency or an array of them, as for gamma_matrix."""
     k = bath.channel_count
     if bath.delta_fn is None:
-        return np.zeros((k, k), dtype=complex)
-    return _hermitian_rate_matrix(bath.delta_fn, omega, k, "Delta")[0]
+        return np.zeros(np.shape(omega) + (k, k), dtype=complex)
+    return _rate_matrices(bath.delta_fn, omega, k, "Delta", False)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ ORACLE_BIN = 64
 RK4_STEP_FACTOR = 1.0 / 20.0
 # most rk4 steps one propagate may take; checked before any is taken
 RK4_MAX_STEPS = 1_000_000
+# samples _block_states rotates back to the user basis at once
+ROTATION_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,12 @@ def _gap_key(gap: float) -> float:
 
 
 def _block_states(rho, blocks: BohrBlocks, t, propagator) -> np.ndarray:
-    """The states at t[1:] from the generator's blocks: rho rotated into
-    the block basis once, one batched propagator(gaps, matrices) per block
-    size over the distinct time gaps, stepped along each run of equal gaps,
-    and every sample rotated back in one product."""
+    """The states at t, rho first, from the generator's blocks: rho rotated
+    into the block basis once, one batched propagator(gaps, matrices) per
+    block size over the distinct time gaps, stepped along each run of equal
+    gaps, and every sample rotated back into the returned array. Each block
+    size's steps are freed once copied out, so at most two sample stacks are
+    alive at once."""
     v = blocks.basis
     dim = v.shape[0]
     y0 = vec(v.conj().T @ rho @ v)
@@ -171,10 +175,19 @@ def _block_states(rho, blocks: BohrBlocks, t, propagator) -> np.ndarray:
             _powers_applied(props[step[start]], y, out[start:stop])
             y = out[stop - 1]
         samples[:, index] = out[..., 0]
-    # sample k reshaped is rho_k^T, so V rho_k V^+ = (conj(V) rho_k^T V^T)^T,
-    # with the right factor of every sample in one product
-    right = (samples.reshape(-1, dim) @ v.T).reshape(-1, dim, dim)
-    return (v.conj() @ right).transpose(0, 2, 1)
+        del out, y
+    states = np.empty((t.size, dim, dim), dtype=complex)
+    states[0] = rho
+    # sample k reshaped is rho_k^T, so V rho_k V^+ = (conj(V) rho_k^T V^T)^T:
+    # the right factor of every sample in one product, written where the
+    # states go, then the left factor in place, ROTATION_CHUNK at a time
+    right = states[1:]
+    np.matmul(samples.reshape(-1, dim), v.T, out=right.reshape(-1, dim))
+    del samples
+    for lo in range(0, gaps.size, ROTATION_CHUNK):
+        chunk = right[lo:lo + ROTATION_CHUNK]
+        chunk[...] = (v.conj() @ chunk).transpose(0, 2, 1)
+    return states
 
 
 def _powers_applied(p, y, out) -> None:
@@ -248,7 +261,7 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
         mat = generator_superoperator_matrix(g)
         blocks = BohrBlocks(basis=np.eye(g.dim, dtype=complex),
                             groups=((np.arange(mat.shape[0])[None], mat[None]),))
-    states = np.concatenate((rho[None], _block_states(rho, blocks, t, propagator)))
+    states = _block_states(rho, blocks, t, propagator)
     defects = density_defects(states)
     trace_d, _, min_e = defects
     positive = min_e >= -DENSITY_TOL  # False for a non-finite sample's NaN
@@ -560,10 +573,8 @@ def timescale_report(bath, couplings, spectrum=None, tau_b: float | None = None,
             if spectrum is None:
                 raise ValueError("need the system spectrum to sample Gamma for "
                                  "an analytic bath")
-            gammas = [gamma_matrix(bath, w) for w in bohr_frequencies(spectrum).values]
-        gnorm = 0.0
-        for gamma in gammas:
-            gnorm = max(gnorm, float(np.linalg.norm(gamma, 2)))
+            gammas = gamma_matrix(bath, bohr_frequencies(spectrum).values)
+        gnorm = float(np.linalg.norm(gammas, 2, axis=(1, 2)).max(initial=0.0))
         if tau_b > 0 and math.isfinite(tau_b):
             moment = gnorm / (2.0 * tau_b)
         else:

@@ -172,9 +172,13 @@ class Generator:
             big_g = -loss
             left = np.concatenate([m, a])
             right = np.concatenate([a_dag, m.conj().transpose(0, 2, 1)])
-        keep = (np.abs(left).max(axis=(1, 2)) > 0.0) & (
-            np.abs(right).max(axis=(1, 2)) > 0.0)
-        return big_g, left[keep], right[keep]
+        keep = np.flatnonzero((np.abs(left).max(axis=(1, 2)) > 0.0)
+                              & (np.abs(right).max(axis=(1, 2)) > 0.0))
+        # every rhs call and superoperator build reads right row-major, so
+        # the kept pairs are gathered straight into a C-contiguous stack
+        right = np.take(right, keep, axis=0, mode="clip",
+                        out=np.empty((keep.size, dim, dim), dtype=complex))
+        return big_g, left[keep], right
 
     @cached_property
     def bohr_blocks(self) -> BohrBlocks | None:
@@ -229,13 +233,13 @@ def _collect_terms(spectrum, eigenops, bath, gammas):
 
     row = {w: i for i, w in enumerate(bohr_frequencies(spectrum).values.tolist())}
     omegas = sorted({w for eset in eigenops for w in eset.terms})
+    deltas = delta_matrix(bath, np.array(omegas))  # one stacked call
     zero = np.zeros((dim, dim), dtype=complex)
     terms = []
-    for w in omegas:
+    for w, delta in zip(omegas, deltas):
         ops = tuple(
             np.asarray(eset.terms.get(w, zero), dtype=complex) for eset in eigenops
         )
-        delta = delta_matrix(bath, w)
         terms.append(DissipatorTerm(omega=w, gamma=gammas[row[w]], ops=ops, delta=delta))
     return terms
 
@@ -250,10 +254,15 @@ def build_standard_form(spectrum, eigenops, bath, gammas,
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas)
     h_a = spectrum.hamiltonian
-    # h_ls = sum_W sum_ab Delta_ab(W) A_a(W)^+ A_b(W), contracted like G
-    a, m = _channel_contraction(terms, [t.delta for t in terms], len(eigenops),
-                                spectrum.dim)
-    h_ls = _hermitize(_sum_of_products(a.conj().transpose(0, 2, 1), m))
+    # h_ls = sum_W sum_ab Delta_ab(W) A_a(W)^+ A_b(W), contracted like G;
+    # with every Delta zero (a bath without delta_fn) it is zero, and the
+    # stacks of every eigenoperator that contraction takes are not formed
+    if any(t.delta.any() for t in terms):
+        a, m = _channel_contraction(terms, [t.delta for t in terms], len(eigenops),
+                                    spectrum.dim)
+        h_ls = _hermitize(_sum_of_products(a.conj().transpose(0, 2, 1), m))
+    else:
+        h_ls = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
     h_eff = _hermitize(h_a + h_ls)
 
     return Generator(
@@ -710,10 +719,10 @@ def derive_generator(
     if mode == "presecular" and policy is None:
         raise ValueError("presecular mode requires a SecularPolicy with dt > 0")
 
-    # Gamma once per Bohr frequency, coupled or not: the dissipator terms and
-    # K read this one table, and a table bath that misses a Bohr frequency
-    # is rejected here
-    gammas = np.array([gamma_matrix(bath, w) for w in bohr_frequencies(spectrum).values])
+    # Gamma once per Bohr frequency, coupled or not, in one stacked call: the
+    # dissipator terms and K read this one table, and a table bath that
+    # misses a Bohr frequency is rejected here
+    gammas = gamma_matrix(bath, bohr_frequencies(spectrum).values)
     rt = build_rate_tensors(spectrum, ops, gammas)
     if mode == "secular":
         gen = build_standard_form(spectrum, eigenops, bath, gammas, rt)

@@ -18,6 +18,8 @@ from .linalg import as_operator, hermitian_eigendecomposition
 
 # entries below this magnitude do not earn an eigenoperator of their own
 NEGLIGIBLE_ENTRY = 1e-14
+# d x d eigenoperator pieces one stacked product handles at once
+STACK_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -63,22 +65,16 @@ class Spectrum:
         mirrored, computed once and shared read-only."""
         reps = self.multiplet_frequencies
         tol = self.degeneracy_tol
-        diffs = sorted(
-            float(reps[m] - reps[n])
-            for m in range(len(reps))
-            for n in range(len(reps))
-            if reps[m] - reps[n] > tol
-        )
-        positives: list[float] = []
-        cluster: list[float] = []
-        for d in diffs:
-            if cluster and d - cluster[-1] > tol:
-                positives.append(float(np.mean(cluster)))
-                cluster = []
-            cluster.append(d)
-        if cluster:
-            positives.append(float(np.mean(cluster)))
-        values = np.array([-x for x in reversed(positives)] + [0.0] + positives)
+        diffs = (reps[:, None] - reps[None, :]).ravel()
+        diffs = np.sort(diffs[diffs > tol])
+        # single linkage on the sorted gaps; each cluster's mean is one np.mean
+        # (a lone gap is its own mean)
+        starts = np.flatnonzero(np.diff(diffs, prepend=-np.inf) > tol)
+        positives = diffs[starts]
+        sizes = np.diff(np.append(starts, diffs.size))
+        for i in np.flatnonzero(sizes > 1).tolist():
+            positives[i] = np.mean(diffs[starts[i]:starts[i] + sizes[i]])
+        values = np.concatenate((-positives[::-1], [0.0], positives))
         values.flags.writeable = False
         return BohrFrequencySet(values=values)
 
@@ -196,14 +192,21 @@ def eigenoperator_decomposition(a_op, s: Spectrum) -> EigenOperatorSet:
 
     Every matrix element is assigned to its nearest Bohr frequency, so the
     pieces always sum back to a_op exactly; near-zero pieces (all entries below
-    1e-14) are dropped.
+    1e-14) are dropped. The kept pieces are masked out of the rotated a_op and
+    rotated back STACK_CHUNK at a time, one stacked product per chunk. Each
+    piece is kept as its own d x d array: small blocks reuse memory that
+    earlier work freed, where one (n, d, d) block of all pieces (5 MB at
+    d = 24) raised the peak resident size of a benchmark pass by as much.
     """
     a_eig = eigenbasis_operator(a_op, s)
+    label = s.bohr_index
+    peak = np.zeros(s.bohr_set.values.size)
+    np.maximum.at(peak, label.ravel(), np.abs(a_eig).ravel())
+    kept = np.flatnonzero(peak >= NEGLIGIBLE_ENTRY)
     v = s.basis
-    terms: dict[float, np.ndarray] = {}
-    for k, omega in enumerate(bohr_frequencies(s).values):
-        piece = _bohr_piece(a_eig, s, k)
-        if np.abs(piece).max() < NEGLIGIBLE_ENTRY:
-            continue
-        terms[float(omega)] = v @ piece @ v.conj().T
-    return EigenOperatorSet(terms=terms)
+    v_dag = v.conj().T
+    rotated = []
+    for lo in range(0, kept.size, STACK_CHUNK):
+        pieces = a_eig * (label == kept[lo:lo + STACK_CHUNK, None, None])
+        rotated.extend(piece.copy() for piece in (v @ pieces) @ v_dag)
+    return EigenOperatorSet(terms=dict(zip(s.bohr_set.values[kept].tolist(), rotated)))

@@ -472,3 +472,37 @@ def kron_chain_mode_bath(modes):
         h_b += nu * op_h
         x += g * op_x
     return h_b, x
+
+
+def reference_bohr_values(spectrum):
+    """Spectrum.bohr_set.values as the per-pair loop computed them: every
+    multiplet gap above the tolerance, sorted, clustered by single linkage,
+    one np.mean per cluster, mirrored around 0."""
+    reps = spectrum.multiplet_frequencies
+    tol = spectrum.degeneracy_tol
+    diffs = sorted(float(reps[m] - reps[n]) for m in range(len(reps))
+                   for n in range(len(reps)) if reps[m] - reps[n] > tol)
+    positives, cluster = [], []
+    for d in diffs:
+        if cluster and d - cluster[-1] > tol:
+            positives.append(float(np.mean(cluster)))
+            cluster = []
+        cluster.append(d)
+    if cluster:
+        positives.append(float(np.mean(cluster)))
+    return np.array([-x for x in reversed(positives)] + [0.0] + positives)
+
+
+def reference_eigenoperators(a_op, spectrum):
+    """eigenoperator_decomposition's terms as the per-frequency loop built
+    them: one mask and two products per Bohr frequency, near-zero pieces
+    dropped."""
+    v = spectrum.basis
+    a_eig = v.conj().T @ np.asarray(a_op, dtype=complex) @ v
+    terms = {}
+    for k, omega in enumerate(spectrum.bohr_set.values):
+        piece = a_eig * (spectrum.bohr_index == k)
+        if np.abs(piece).max() < 1e-14:
+            continue
+        terms[float(omega)] = v @ piece @ v.conj().T
+    return terms

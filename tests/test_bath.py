@@ -478,3 +478,163 @@ def test_transition_table_is_read_only():
     for array in bath.transitions:
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def _rate_baths():
+    rng = np.random.default_rng(81)
+    omegas = np.array([-2.5, -1.0, 0.0, 0.4, 1.0, 2.5])
+    entries = []
+    for omega in omegas:
+        m = crandn(rng, 2, 2)
+        entries.append((omega, m @ m.conj().T, random_hermitian(rng, 2)))
+    sx, _, sz, _ = sigma_ops()
+    finite = FiniteBath(random_hermitian(rng, 4), 0.8,
+                        [np.kron(sx, np.eye(2)), np.kron(np.eye(2), sz)])
+    return omegas, {
+        "table": table_bath(entries),
+        "flat-thermal": flat_thermal_bath(0.4, 0.9, gamma_dephasing=0.1, channel_count=2),
+        "finite": finite,
+    }
+
+
+@pytest.mark.parametrize("kind", ["table", "flat-thermal", "finite"])
+def test_stacked_rates_equal_the_scalar_calls(kind):
+    omegas, baths = _rate_baths()
+    bath = baths[kind]
+    for fn in (gamma_matrix, delta_matrix):
+        stack = fn(bath, omegas)
+        assert stack.shape == (len(omegas), 2, 2)
+        for omega, m in zip(omegas, stack):
+            assert m.tobytes() == fn(bath, omega).tobytes()
+        assert fn(bath, omegas[:0]).shape == (0, 2, 2)
+
+
+def _faulty_bath(matrices):
+    """An analytic bath that answers each omega in matrices with its matrix
+    (Gamma and Delta alike) and misses any other omega like a table."""
+    def lookup(omega):
+        if omega not in matrices:
+            raise ValueError(f"no table entry for omega={omega:g}")
+        return matrices[omega]
+    return AnalyticBath(lookup, lookup, channel_count=2)
+
+
+GOOD = np.eye(2)
+NEGATIVE = np.diag([0.2, -0.7])
+SKEW = np.array([[0.2, 0.05], [0.3, 0.2]])
+INFINITE = np.array([[np.inf, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("name, matrices, omegas, message", [
+    ("non-PSD before non-hermitian", {0.1: GOOD, 0.2: NEGATIVE, 0.3: SKEW},
+     [0.1, 0.2, 0.3], r"Gamma\(0.2\) is not positive semidefinite"),
+    ("non-hermitian before non-PSD", {0.1: SKEW, 0.2: NEGATIVE},
+     [0.1, 0.2], r"Gamma\(0.1\) is not hermitian"),
+    ("non-finite before non-hermitian", {0.1: GOOD, 0.2: INFINITE, 0.3: SKEW},
+     [0.1, 0.2, 0.3], r"Gamma\(0.2\) has a non-finite"),
+    ("lookup miss after a bad entry", {0.1: NEGATIVE, 0.2: GOOD},
+     [0.1, 0.2, 0.5], r"Gamma\(0.1\) is not positive semidefinite"),
+    ("shape after a bad entry", {0.1: SKEW, 0.2: np.zeros(2)},
+     [0.1, 0.2], r"Gamma\(0.1\) is not hermitian"),
+    ("lookup miss after good entries", {0.1: GOOD, 0.2: NEGATIVE},
+     [0.1, 0.5, 0.2], r"no table entry for omega=0.5"),
+    ("shape after good entries", {0.1: GOOD, 0.2: np.zeros(2), 0.3: SKEW},
+     [0.1, 0.2, 0.3], r"Gamma\(0.2\) has shape \(2,\)"),
+])
+def test_stacked_rate_check_raises_the_first_per_omega_error(name, matrices, omegas,
+                                                              message):
+    bath = _faulty_bath(matrices)
+    with pytest.raises(ValueError, match=message):
+        gamma_matrix(bath, np.array(omegas))
+    # the per-omega loop raises the same error first
+    with pytest.raises(ValueError, match=message):
+        for omega in omegas:
+            gamma_matrix(bath, omega)
+
+
+def test_stacked_delta_check_ignores_positivity():
+    bath = _faulty_bath({0.1: NEGATIVE, 0.2: SKEW})
+    assert delta_matrix(bath, np.array([0.1]))[0].tobytes() == NEGATIVE.astype(
+        complex).tobytes()
+    with pytest.raises(ValueError, match=r"Delta\(0.2\) is not hermitian"):
+        delta_matrix(bath, np.array([0.1, 0.2]))
+
+
+def _message(fn):
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_rate_error_messages_are_unchanged():
+    wide = np.array([[1.5e308, 0.0], [0.0, 1.0]]) * (1 + 1j)
+    expected = {
+        "shape": ("Gamma(0.5) has shape (2,), expected (2, 2)",
+                  "Delta(-1.25) has shape (2,), expected (2, 2)"),
+        "non-finite": ("Gamma(0.5) has a non-finite or overflowing entry",
+                       "Delta(-1.25) has a non-finite or overflowing entry"),
+        "overflow": ("Gamma(0.5) has a non-finite or overflowing entry",
+                     "Delta(-1.25) has a non-finite or overflowing entry"),
+        "skew": ("Gamma(0.5) is not hermitian", "Delta(-1.25) is not hermitian"),
+        "negative": ("Gamma(0.5) is not positive semidefinite "
+                     "(min eigenvalue -7.000e-01)", None),
+    }
+    matrices = {"shape": np.zeros(2), "non-finite": INFINITE, "overflow": wide,
+                "skew": SKEW, "negative": NEGATIVE}
+    for case, (gamma_msg, delta_msg) in expected.items():
+        m = matrices[case]
+        bath = AnalyticBath(lambda omega, m=m: m, lambda omega, m=m: m, 2)
+        for omega in (0.5, np.array([0.5])):
+            assert _message(lambda: gamma_matrix(bath, omega)) == gamma_msg, case
+        for omega in (-1.25, np.array([-1.25])):
+            assert _message(lambda: delta_matrix(bath, omega)) == delta_msg, case
+
+    tables = {
+        "table gamma at omega=0.7 is not hermitian (defect 2.500e-01)":
+            [(0.7, SKEW, None)],
+        "table gamma at omega=-2.1 is not positive semidefinite "
+        "(min eigenvalue -5.000e-01)":
+            [(-2.1, np.diag([0.2, -0.5]), None)],
+        "table delta at omega=0.7 is not hermitian": [(0.7, GOOD, SKEW)],
+        "gamma/delta shapes differ at omega=0.7": [(0.7, GOOD, np.eye(3))],
+        "gamma at omega=0.7 must be a square matrix, got shape (2,)":
+            [(0.7, np.zeros(2), None)],
+        "gamma at omega=0.7 contains non-finite entries": [(0.7, INFINITE, None)],
+        "inconsistent channel count at omega=1.0": [(0.7, GOOD, None), (1, np.eye(3), None)],
+        "table bath needs at least one entry": [],
+        "table gamma at omega=1.1 is not positive semidefinite "
+        "(min eigenvalue -1.000e+00)":
+            [(0.7, GOOD, None), (1.1, np.diag([1.0, -1.0]), None),
+             (1.5, np.array([[0.0, 1.0], [0.0, 0.0]]), None)],
+    }
+    for message, entries in tables.items():
+        assert _message(lambda: table_bath(entries)) == message
+    assert (_message(lambda: table_bath([(0.7, GOOD, None)], channel_count=3))
+            == "table matrices are 2x2, expected 3")
+    bath = table_bath([(0.7, GOOD, None)])
+    for fn in (gamma_matrix, delta_matrix):
+        for omega in (0.3, np.array([0.7, 0.3])):
+            assert _message(lambda: fn(bath, omega)) == \
+                "no table entry for omega=0.3 (have: 0.7)"
+
+
+@pytest.mark.parametrize("entries, message", [
+    # an earlier entry's bad delta comes before a later entry's bad gamma
+    ([(0.7, GOOD, SKEW), (1.1, NEGATIVE, None)], "table delta at omega=0.7"),
+    # an entry's gamma comes before its own delta
+    ([(0.7, NEGATIVE, SKEW)], "table gamma at omega=0.7 is not positive"),
+    # the value checks of the entries before a malformed or wrongly sized
+    # one come first, and that entry comes before the entries after it
+    ([(0.7, SKEW, None), (1.1, np.zeros(2), None)], "table gamma at omega=0.7"),
+    ([(0.7, GOOD, None), (1.1, np.zeros(2), None), (1.5, SKEW, None)],
+     "gamma at omega=1.1 must be a square matrix"),
+    ([(0.7, NEGATIVE, None), (1.1, np.eye(3), None)], "table gamma at omega=0.7"),
+    ([(0.7, GOOD, None), (1.1, np.eye(3), None), (1.5, SKEW, None)],
+     "inconsistent channel count at omega=1.1"),
+    ([(0.7, GOOD, None), (1.1, SKEW, np.eye(3))], "gamma/delta shapes differ at omega=1.1"),
+])
+def test_table_bath_rejects_the_first_bad_entry_in_table_order(entries, message):
+    with pytest.raises(ValueError, match=message):
+        table_bath(entries)

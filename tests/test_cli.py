@@ -906,3 +906,44 @@ def test_deeply_nested_json_is_scenario_error(tmp_path, capsys, command):
     error = json.loads(lines[0])["error"]
     assert error["type"] == "scenario"
     assert error["message"] == f"{path}: parse error: nested too deeply"
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_battery_passes_without_dissipator_terms(channels):
+    zero = cm(np.zeros((2, 2)))
+    couplings = ([{"A": zero}] if channels == 1 else
+                 [{"A": zero, "channel": c} for c in range(channels)])
+    coupled = [{"A": SX}] if channels == 1 else [{"A": SX, "channel": c}
+                                                 for c in range(channels)]
+    names = []
+    for couplings_node in (couplings, coupled):
+        data = flat_thermal_data(couplings=couplings_node)
+        sc = loads_scenario(json.dumps(data))
+        res = derive_generator(sc.h_a, sc.bath, sc.couplings)
+        checks = run_checks(sc, res)
+        assert all(c["status"] == "pass" for c in checks), checks
+        names.append([c["name"] for c in checks])
+    assert res.generator.dissipator_terms  # the coupled run has terms
+    assert names[0] == names[1]
+
+
+def test_bad_table_entry_is_named_by_derive_and_failed_by_verify(tmp_path, capsys):
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
+    data = json.loads((demo / "four_level_table.json").read_text())
+    for entry in data["bath"]["entries"]:
+        if entry["omega"] == -2.1:
+            entry["gamma"] = [[[-0.5, 0.0]]]
+    path = write_scenario(tmp_path, data, "four_level_table.json")
+    code, out, err = run_cli(capsys, "derive", path)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "scenario"
+    assert "omega=-2.1" in error["message"]
+    code, out, _ = run_cli(capsys, "verify", path)
+    assert code == 1
+    report = json.loads(out)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("gamma-table-validity", "fail")]
+    assert "omega=-2.1" in report["checks"][0]["defect"]

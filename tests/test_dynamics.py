@@ -737,3 +737,29 @@ def test_derive_and_rk4_leave_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", script, str(src)], capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_propagate_holds_at_most_two_sample_stacks(method):
+    # d = 16 on a 20001-sample grid: one (n, d, d) stack of states is 82 MB.
+    # Rotating the samples back in place of a fresh product, and freeing each
+    # block size's steps once copied out, keeps the peak near two stacks
+    # (the per-step samples and the states), where three to four were alive
+    rng = np.random.default_rng(16)
+    dim = 16
+    h = np.diag(np.arange(dim) + 0.01 * rng.standard_normal(dim)).astype(complex)
+    ladder = np.diag(np.ones(dim - 1), 1).astype(complex)
+    res = derive_generator(h, flat_thermal_bath(0.05, 1.0), [ladder + ladder.T])
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[-1, -1] = 1.0
+    times = np.linspace(0.0, 20.0, 20001)
+    stack = times.size * dim * dim * 16
+    res.generator.bohr_blocks  # built before the measurement, as for any run
+    tracemalloc.start()
+    try:
+        traj = propagate(rho0, res.generator, times, method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.complete and traj.states.flags.c_contiguous
+    assert peak < 2.5 * stack

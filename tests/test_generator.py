@@ -207,6 +207,41 @@ def test_contracted_form_matches_term_by_term_reference(seed):
             assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("mode", ["secular", "presecular"])
+def test_pieces_store_both_factors_row_major(mode):
+    rng = np.random.default_rng(310)
+    h, ops, bath = random_table_scenario(rng, [0.0, 0.7, 1.9, 3.2])
+    policy = SecularPolicy(dt=3.0, filter="F-weighted") if mode == "presecular" else None
+    gen = derive_generator(h, bath, ops, mode=mode, policy=policy).generator
+    big_g, left, right = gen.pieces
+    assert left.flags.c_contiguous and right.flags.c_contiguous
+    # the rhs reads the factors as they are stored
+    rho = random_density(rng, 4)
+    expected = reference_rhs(gen, rho)
+    assert np.abs(apply_rhs(gen, rho) - expected).max() < 1e-12 * np.abs(expected).max()
+
+
+def test_lamb_shift_without_delta_is_zero_without_contracting(monkeypatch):
+    rng = np.random.default_rng(311)
+    h = np.diag([0.0, 0.7, 1.9, 3.2]).astype(complex)
+    ops = [random_hermitian(rng, 4) for _ in range(2)]
+    bath = flat_thermal_bath(0.3, 0.8, gamma_dephasing=0.05, channel_count=2)
+    contracted = []
+    original = lindforge.generator._channel_contraction
+
+    def counted(terms, rates, *args):
+        contracted.append(len(terms))
+        return original(terms, rates, *args)
+
+    monkeypatch.setattr(lindforge.generator, "_channel_contraction", counted)
+    gen = derive_generator(h, bath, ops).generator
+    assert contracted == []  # no Lamb-shift contraction over zero Delta
+    assert not gen.h_ls.any()
+    assert gen.h_eff.tobytes() == (0.5 * (h + h.conj().T)).tobytes()
+    gen.pieces  # the dissipator still contracts its Gamma
+    assert contracted == [len(gen.dissipator_terms)]
+
+
 @pytest.mark.parametrize("levels, rotated", [
     ([0.0, 0.8, 2.1], False),
     ([0.0, 0.8, 2.1, 3.7], True),
@@ -552,18 +587,16 @@ def coupling_free_table_scenario(rng, cover_all=True):
 
 
 @pytest.mark.parametrize("mode", ["secular", "presecular"])
-def test_rates_evaluated_once_per_frequency(monkeypatch, mode):
+def test_rates_evaluated_once_per_frequency(mode):
     rng = np.random.default_rng(62)
     h, ops, bath = coupling_free_table_scenario(rng)
     calls = {"gamma": [], "delta": []}
-    for name in calls:
-        original = getattr(lindforge.generator, f"{name}_matrix")
+    for name, seen in calls.items():
+        def counted(omega, fn=getattr(bath, f"{name}_fn"), seen=seen):
+            seen.append(omega)
+            return fn(omega)
 
-        def counted(bath, omega, original=original, seen=calls[name]):
-            seen.append(float(omega))
-            return original(bath, omega)
-
-        monkeypatch.setattr(lindforge.generator, f"{name}_matrix", counted)
+        setattr(bath, f"{name}_fn", counted)
     policy = SecularPolicy(dt=4.0, filter="F-weighted") if mode == "presecular" else None
     res = derive_generator(h, bath, ops, mode=mode, policy=policy)
     bohr = bohr_frequencies(res.spectrum).values.tolist()

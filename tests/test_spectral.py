@@ -159,3 +159,55 @@ def test_bohr_index_is_the_nearest_bohr_frequency():
         nearest = np.abs(gaps[:, :, None] - values[None, None, :]).argmin(axis=2)
         assert spec.bohr_index.shape == (dim, dim)
         assert np.array_equal(spec.bohr_index, nearest)
+
+
+def _ladder(dim):
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+
+
+BOHR_SPECTRA = {
+    # (hamiltonian, degeneracy tolerance)
+    "degenerate": (np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 2.5]).astype(complex), None),
+    # a coarse tolerance chains the gaps 0.92-1.16 into one Bohr frequency
+    "chained-gap": (np.diag([0.0, 1.0, 1.16, 2.08]).astype(complex), 0.1),
+    "chained-merge": (np.diag([0.0, 0.52, 1.69, 2.25, 2.41, 3.0]).astype(complex), 0.05),
+    "ladder-91": (_ladder(91), None),
+    "rotated-random": (None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOHR_SPECTRA))
+def test_bohr_set_matches_the_per_pair_loop(case):
+    from _support import reference_bohr_values
+
+    h, tol = BOHR_SPECTRA[case]
+    if h is None:
+        rng = np.random.default_rng(91)
+        h = random_hermitian(rng, 7)
+    spec = build_spectrum(h, degeneracy_tol=tol)
+    got, want = spec.bohr_set.values, reference_bohr_values(spec)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bit for bit, signs of zero too
+
+
+@pytest.mark.parametrize("case", sorted(BOHR_SPECTRA))
+def test_eigenoperator_split_matches_the_per_frequency_loop(case):
+    from _support import reference_eigenoperators
+
+    h, tol = BOHR_SPECTRA[case]
+    rng = np.random.default_rng(92)
+    if h is None:
+        h = random_hermitian(rng, 7)
+    spec = build_spectrum(h, degeneracy_tol=tol)
+    dim = spec.dim
+    # a rotated coupling, so every piece is a dense product
+    a_op = random_hermitian(rng, dim)
+    a_op[0, dim - 1] = a_op[dim - 1, 0] = 0.0
+    decomp = eigenoperator_decomposition(a_op, spec)
+    want = reference_eigenoperators(a_op, spec)
+    assert list(decomp.terms) == list(want)  # same kept frequencies, ascending
+    for omega, piece in want.items():
+        got = decomp.terms[omega]
+        assert got.tobytes() == piece.tobytes()
+        assert got.base is None  # its own array, not a view of a stack
+

@@ -20,8 +20,8 @@ Two backends:
 
 Both answer gamma_fn(Omega)/delta_fn(Omega) with the whole k x k matrix over
 channels. gamma_matrix/delta_matrix evaluate them at one Omega or an array of
-them and check the (n, k, k) stack in one pass (rate_defects), which the
-table bath's entries and the invariant battery go through too.
+them and check the (n, k, k) stack in one linalg.matrix_defects pass, which
+the table bath's entries and the invariant battery go through too.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .linalg import (
     as_operator,
     hermiticity_defect,
     hermitian_eigendecomposition,
+    hermitian_part,
+    matrix_defects,
     tensor_product,
 )
 
@@ -46,8 +48,6 @@ DECAY_THRESHOLD = 0.05
 # correlation (a bath lives as long as its scenario, so every unitary it
 # keeps adds to the memory peak of the work that follows)
 PROPAGATOR_CACHE = 2
-# rate matrices one pass of rate_defects reads at once
-RATE_CHUNK = 256
 # a rate matrix's hermiticity defect and negative eigenvalues must stay
 # within this factor of max(1, max |entry|)
 RATE_TOL = 1e-10
@@ -235,8 +235,7 @@ def center_couplings(bath: FiniteBath, system_ops) -> tuple[FiniteBath, np.ndarr
     h_shift = np.zeros((dim_a, dim_a), dtype=complex)
     for mean, a in zip(means, system_ops):
         h_shift = h_shift + mean * a
-    h_shift = (h_shift + h_shift.conj().T) / 2.0
-    return bath._shifted(means), h_shift
+    return bath._shifted(means), hermitian_part(h_shift)
 
 
 def _canonical_sign(m: np.ndarray, scale: float) -> float:
@@ -279,7 +278,7 @@ def hermitize_coupling(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
         x_scale = max(float(np.abs(x).max()), 1e-300)
         q = (a + a.conj().T) / math.sqrt(2.0)
         p = 1j * (a - a.conj().T) / math.sqrt(2.0)
-        q_bath = (x + x.conj().T) / math.sqrt(2.0) / 2.0
+        q_bath = hermitian_part(x) / math.sqrt(2.0)
         p_bath = -1j * (x - x.conj().T) / math.sqrt(2.0) / 2.0
         for sys_op, bath_op in ((q, q_bath), (p, p_bath)):
             if np.abs(sys_op).max() <= 1e-13 * a_scale:
@@ -418,10 +417,9 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
         gammas.append(gamma_m)
         deltas.append(delta_m)
     if gammas:
-        gammas, g_rows = rate_defects(np.array(gammas))
-        deltas, d_rows = rate_defects(np.array(deltas))
-        for omega, g_fail, d_fail in zip(omegas, _first_failures(g_rows, True),
-                                         _first_failures(d_rows, False)):
+        gammas, deltas = np.array(gammas), np.array(deltas)
+        for omega, g_fail, d_fail in zip(omegas, _rate_failures(gammas, True),
+                                         _rate_failures(deltas, False)):
             if g_fail is not None:
                 check, value = g_fail
                 raise ValueError(f"table gamma at omega={omega} " + {
@@ -457,35 +455,13 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
                         lambda omega: deltas[lookup(omega)], k)
 
 
-def rate_defects(stack) -> tuple[np.ndarray, np.ndarray]:
-    """The hermitian parts (m + m^+)/2 of an (n, k, k) stack of rate
-    matrices, and rows over it: max |m|, the hermiticity defect
-    max |m - m^+| and the smallest eigenvalue of the hermitian part, read
-    RATE_CHUNK matrices at a time. A matrix whose hermitian part is not
-    finite gets NaN in all three rows; overflow is reported, not warned about.
-    """
-    stack = np.asarray(stack, dtype=complex)
-    hermitian = np.empty_like(stack)
-    rows = np.full((3, len(stack)), np.nan)
-    for lo in range(0, len(stack), RATE_CHUNK):
-        m = stack[lo:lo + RATE_CHUNK]
-        adj = m.conj().transpose(0, 2, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = hermitian[lo:lo + RATE_CHUNK]
-            np.divide(m + adj, 2.0, out=h)
-            finite = np.flatnonzero(np.isfinite(h).all(axis=(1, 2)))
-            rows[0, lo + finite] = np.abs(m[finite]).max(axis=(1, 2), initial=0.0)
-            rows[1, lo + finite] = np.abs(m[finite] - adj[finite]).max(
-                axis=(1, 2), initial=0.0)
-        rows[2, lo + finite] = np.linalg.eigvalsh(h[finite]).min(axis=1, initial=np.inf)
-    return hermitian, rows
-
-
-def _first_failures(rows, positive: bool) -> list:
-    """Per matrix, None or the first rate check it fails, as (check, value):
-    ('finite', nan) for a non-finite hermitian part, ('hermitian', defect)
-    and, when positive, ('positive', smallest eigenvalue)."""
-    peak, skew, low = rows
+def _rate_failures(stack, positive: bool) -> list:
+    """One matrix_defects pass over an (n, k, k) stack of rate matrices,
+    which replaces each by its hermitian part. Per matrix, None or the first
+    rate check it fails, as (check, value): ('finite', nan) for a non-finite
+    hermitian part, ('hermitian', defect) and, when positive, ('positive',
+    smallest eigenvalue)."""
+    _, peak, skew, low = matrix_defects(stack, out=stack)
     tol = RATE_TOL * np.maximum(1.0, peak)
     failures = [None] * len(peak)
     checks = (("finite", np.isnan(skew), skew), ("hermitian", skew > tol, skew))
@@ -501,7 +477,7 @@ def _first_failures(rows, positive: bool) -> list:
 def _rate_matrices(fn, omegas, k: int, name: str, positive: bool) -> np.ndarray:
     """fn at each omega, once and in order, checked for shape on arrival and
     then for finite entries, hermiticity and (when positive) positivity in
-    one rate_defects pass. The error raised is the one a check of each omega
+    one matrix_defects pass. The error raised is the one a check of each omega
     in turn would raise first: a ValueError of fn (a table lookup that
     misses) or of the shape at some omega comes after the checks of the
     omegas before it. Returns the hermitian parts, (k, k) for a scalar omega
@@ -522,8 +498,7 @@ def _rate_matrices(fn, omegas, k: int, name: str, positive: bool) -> np.ndarray:
                 break
             stack[count] = m
             count += 1
-    hermitian, rows = rate_defects(stack[:count])
-    for omega, failure in zip(values.ravel().tolist(), _first_failures(rows, positive)):
+    for omega, failure in zip(values.ravel().tolist(), _rate_failures(stack[:count], positive)):
         if failure is not None:
             check, value = failure
             raise ValueError(f"{name}({omega:g}) " + {
@@ -533,7 +508,7 @@ def _rate_matrices(fn, omegas, k: int, name: str, positive: bool) -> np.ndarray:
             }[check])
     if refused is not None:
         raise refused
-    return hermitian.reshape(values.shape + (k, k))
+    return stack.reshape(values.shape + (k, k))
 
 
 def gamma_matrix(bath, omega) -> np.ndarray:
@@ -599,8 +574,8 @@ def _sampled_correlations(bath: FiniteBath) -> CorrelationTable:
     nu_min = float(nonzero.min())
     nu_max = float(nonzero.max())
     t_end = 8.0 * math.pi / nu_min
-    dt = math.pi / (16.0 * nu_max)
-    n = int(min(4096, max(64, math.ceil(t_end / dt))))
+    dt = math.pi / 16.0 / nu_max  # 16 nu_max may overflow; pi / 16 is exact
+    n = max(64, math.ceil(min(t_end / dt, 4096.0)))
     taus = np.linspace(0.0, t_end, n)
     # one phase row per distinct frequency: the table is sorted by nu, so the
     # transitions of one frequency are contiguous and summed onto its row

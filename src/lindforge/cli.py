@@ -25,7 +25,6 @@ from .bath import (
     delta_matrix,
     gamma_matrix,
     half_fourier_w,
-    rate_defects,
     two_time_correlation,
 )
 from .dynamics import (
@@ -38,7 +37,9 @@ from .dynamics import (
 from .generator import derive_generator, rhs_function
 from .linalg import (
     DimensionError,
+    hermitian_part,
     hermiticity_defect,
+    matrix_defects,
     matrix_exponential_unitary,
 )
 from .scenario import (
@@ -146,10 +147,10 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
     checks.append(_check("eigenoperator-invariant-commutator", _largest(d_inv, 0.0),
                          ctol * a_scale))
 
-    # rate matrices: hermitian, positive semidefinite, by the stacked rate check
+    # rate matrices: hermitian, positive semidefinite, by one matrix_defects pass
     n_ch = len(a_ops)
     gammas = np.array([t.gamma for t in g.dissipator_terms]).reshape(-1, n_ch, n_ch)
-    peak, skew, low = rate_defects(gammas)[1]
+    _, peak, skew, low = matrix_defects(gammas)
     g_scale = _largest(peak, 1.0)
     checks.append(_check("gamma-hermiticity", _largest(skew, 0.0), 1e-10 * g_scale))
     checks.append(_check("gamma-positivity", _largest(-low, 0.0), 1e-8 * g_scale))
@@ -504,8 +505,7 @@ def cmd_verify(scenario_path: str) -> int:
 
 
 def trace_distance(rho1, rho2) -> float:
-    diff = 0.5 * (rho1 - rho2)
-    diff = 0.5 * (diff + diff.conj().T)
+    diff = hermitian_part(0.5 * (rho1 - rho2))
     return float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 

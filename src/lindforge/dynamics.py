@@ -14,7 +14,7 @@ sample time. A dense bath is the one-block case. The oracle makes no
 weak-coupling, Markov or secular approximation, so any disagreement beyond
 the two-timescale error budget points at the derivation.
 
-Both routes diagnose their (n, d, d) sample stack in one density_defects pass.
+Both routes diagnose their (n, d, d) sample stack in one matrix_defects pass.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from .linalg import (
     DENSITY_TOL,
     DimensionError,
     as_operator,
-    density_defects,
+    hermitian_part,
     hermiticity_defect,
+    matrix_defects,
     matrix_exponential_unitary,
     vec,
 )
@@ -242,9 +243,9 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     the superoperator) exceeds MAX_TENSOR_DIM, and before forming it when rk4
     would take more than RK4_MAX_STEPS (or non-finitely many) steps. Raises
     PropagationError, with the samples before it as the partial trajectory,
-    at the first sample (one density_defects pass, rho0 first) with an
-    eigenvalue below -DENSITY_TOL or a non-finite entry, else a trace defect
-    above DENSITY_TOL (1e-6).
+    at the first sample (one matrix_defects pass, rho0 first) with an
+    eigenvalue below -DENSITY_TOL or a hermitian part that is not finite,
+    else a trace defect above DENSITY_TOL (1e-6).
     """
     t = _check_times(times)
     rho = _check_initial_state(rho0, g.dim)
@@ -262,8 +263,7 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
         blocks = BohrBlocks(basis=np.eye(g.dim, dtype=complex),
                             groups=((np.arange(mat.shape[0])[None], mat[None]),))
     states = _block_states(rho, blocks, t, propagator)
-    defects = density_defects(states)
-    trace_d, _, min_e = defects
+    trace_d, _, herm_d, min_e = matrix_defects(states)
     positive = min_e >= -DENSITY_TOL  # False for a non-finite sample's NaN
     failed = np.flatnonzero(~(positive & (trace_d <= DENSITY_TOL)))
     if failed.size:
@@ -275,10 +275,10 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
             f"{name} {defect:.3e}",
             time=float(t[k]),
             defect=float(defect),
-            partial=Trajectory(t[:k], states[:k], *defects[:, :k], method,
-                               complete=False),
+            partial=Trajectory(t[:k], states[:k], trace_d[:k], herm_d[:k], min_e[:k],
+                               method, complete=False),
         )
-    return Trajectory(t, states, *defects, method)
+    return Trajectory(t, states, trace_d, herm_d, min_e, method)
 
 
 def oracle_dimension_cap() -> int:
@@ -342,7 +342,7 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
             "use a smaller bath or raise LF_MAX_DIM"
         )
 
-    e_a, u_a = np.linalg.eigh(_real_if_real(0.5 * (h_a + h_a.conj().T)))
+    e_a, u_a = np.linalg.eigh(_real_if_real(hermitian_part(h_a)))
     rotate = lambda m: _rounding_dropped(u_a.conj().T @ m @ u_a)
     a_rot = [rotate(a) for a in ops]
     x_rot = [_rounding_dropped(x) for x in bath._x_eig]
@@ -350,9 +350,9 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     energies = np.add.outer(e_a, bath._energies).ravel()  # at i d_B + k
     blocks = _oracle_blocks(a_rot, x_rot, energies, d_b)
     reduced = _reduced_states(blocks, rho_rot, bath._populations, t, d_a, d_b)
-    states = u_a @ reduced @ u_a.conj().T
-    states = 0.5 * (states + states.conj().transpose(0, 2, 1))
-    return Trajectory(t, states, *density_defects(states), "exact")
+    states = hermitian_part(u_a @ reduced @ u_a.conj().T)
+    trace_d, _, herm_d, min_e = matrix_defects(states)
+    return Trajectory(t, states, trace_d, herm_d, min_e, "exact")
 
 
 def _real_if_real(m: np.ndarray) -> np.ndarray:
@@ -362,7 +362,7 @@ def _real_if_real(m: np.ndarray) -> np.ndarray:
 def _rounding_dropped(m: np.ndarray) -> np.ndarray:
     """m, hermitised, with every entry within ROUNDING_ULPS ulps of its
     largest entry set to zero; real when no imaginary part is left."""
-    m = 0.5 * (m + m.conj().T)
+    m = hermitian_part(m)
     mag = np.abs(m)
     floor = ROUNDING_ULPS * np.finfo(float).eps * mag.max(initial=0.0)
     return _real_if_real(np.where(mag > floor, m, 0.0))

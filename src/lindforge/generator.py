@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .bath import delta_matrix, gamma_matrix
-from .linalg import MAX_TENSOR_DIM, DimensionError, as_operator, hermiticity_defect
+from .linalg import MAX_TENSOR_DIM, DimensionError, as_hermitian, as_operator, hermitian_part
 from .spectral import (
     EigenOperatorSet,
     Spectrum,
@@ -166,7 +166,7 @@ class Generator:
         if secular:
             # Gamma is hermitian, so the mirror pairs (A, M^+) sum to the same
             # superoperator as (M, A^+); they are folded in at full rate
-            big_g = -0.5 * _hermitize(loss)
+            big_g = -0.5 * hermitian_part(loss)
             left, right = m, a_dag
         else:
             big_g = -loss
@@ -189,10 +189,6 @@ class Generator:
                 or self.rate_tensors is None):
             return None
         return build_bohr_blocks(self.spectrum, self.rate_tensors, self.h_eff)
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
 
 
 def _channel_contraction(terms, rates, n_ch: int, dim: int):
@@ -260,10 +256,10 @@ def build_standard_form(spectrum, eigenops, bath, gammas,
     if any(t.delta.any() for t in terms):
         a, m = _channel_contraction(terms, [t.delta for t in terms], len(eigenops),
                                     spectrum.dim)
-        h_ls = _hermitize(_sum_of_products(a.conj().transpose(0, 2, 1), m))
+        h_ls = hermitian_part(_sum_of_products(a.conj().transpose(0, 2, 1), m))
     else:
         h_ls = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
-    h_eff = _hermitize(h_a + h_ls)
+    h_eff = hermitian_part(h_a + h_ls)
 
     return Generator(
         h_eff=h_eff,
@@ -692,9 +688,7 @@ def derive_generator(
     from .bath import FiniteBath, center_couplings
     from .spectral import build_spectrum
 
-    h_a = as_operator(h_a, "system hamiltonian")
-    if hermiticity_defect(h_a) > 1e-9 * max(1.0, np.abs(h_a).max()):
-        raise ValueError("system hamiltonian is not hermitian")
+    h_a = as_hermitian(h_a, "system hamiltonian")
     ops = [as_operator(a, f"couplings[{i}]") for i, a in enumerate(couplings)]
     if len(ops) != bath.channel_count:
         raise ValueError(
@@ -707,7 +701,7 @@ def derive_generator(
         bath, shift = center_couplings(bath, ops)
         if np.abs(shift).max() > 0.0:
             h_shift = shift
-            h_a = _hermitize(h_a + shift)
+            h_a = hermitian_part(h_a + shift)
 
     spectrum = build_spectrum(h_a, degeneracy_tol=degeneracy_tol)
     eigenops = tuple(

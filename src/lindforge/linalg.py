@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # as_hermitian's tolerance, relative to max(1, max |h|)
 # trace, hermiticity and positivity (-DENSITY_TOL) tolerance of a density matrix
 DENSITY_TOL = 1e-6
-DEFECT_CHUNK = 512  # samples density_defects diagnoses at once
+MATRIX_CHUNK = 256  # matrices matrix_defects reads at once
 
 # kron of two operators beyond this output dimension is almost certainly a
 # mistake (dense complex storage would exceed ~1 GiB)
@@ -62,28 +62,43 @@ def partial_trace_bath(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ikjk->ij", r)
 
 
+def hermitian_part(m) -> np.ndarray:
+    """(m + m^+)/2 of a matrix, or of each matrix of an (n, d, d) stack. An
+    entry that overflows is inf or NaN, without a warning."""
+    m = np.asarray(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
 def hermiticity_defect(m) -> float:
+    """max |m - m^+|, without an eigen-solve; inf, not a warning, on overflow."""
     m = np.asarray(m, dtype=complex)
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    with np.errstate(over="ignore"):
+        return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+
+
+def as_hermitian(h, name: str = "hamiltonian") -> np.ndarray:
+    """as_operator, refusing a hermiticity defect above DEFAULT_TOL relative
+    to max(1, max |h|)."""
+    h = as_operator(h, name)
+    defect = hermiticity_defect(h)
+    scale = max(1.0, float(np.abs(h).max())) if h.size else 1.0
+    if defect > DEFAULT_TOL * scale:
+        raise ValueError(
+            f"{name} is not hermitian: defect {defect:.3e} exceeds "
+            f"{DEFAULT_TOL:.1e} * {scale:.3e}"
+        )
+    return h
 
 
 def hermitian_eigendecomposition(h):
-    """Eigendecomposition of a hermitian matrix (defect at most DEFAULT_TOL
-    relative to max(1, max |h|)).
+    """Eigendecomposition of a hermitian matrix, as as_hermitian admits it.
 
     Returns (eigenvalues ascending, eigenvector matrix V) with h = V diag(w) V^dag.
     Eigenvector phases are gauged so the largest-magnitude entry of each column
     is real and positive, which makes the output deterministic for a given input.
     """
-    h = as_operator(h, "hamiltonian")
-    defect = hermiticity_defect(h)
-    scale = max(1.0, float(np.abs(h).max())) if h.size else 1.0
-    if defect > DEFAULT_TOL * scale:
-        raise ValueError(
-            f"matrix is not hermitian: defect {defect:.3e} exceeds "
-            f"{DEFAULT_TOL:.1e} * {scale:.3e}"
-        )
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(as_hermitian(h))
     # fix the per-column phase gauge
     anchors = np.argmax(np.abs(v), axis=0)
     for col, row in enumerate(anchors):
@@ -131,7 +146,7 @@ class ValidationReport:
 
 
 def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Hermiticity, unit trace and positivity by density_defects. Reports, never throws."""
+    """Hermiticity, unit trace and positivity by matrix_defects. Reports, never throws."""
     try:
         a = np.asarray(rho, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -140,29 +155,31 @@ def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> ValidationReport:
         return ValidationReport(
             np.nan, np.nan, np.nan, 0, tol, f"not a square matrix: shape {a.shape}"
         )
-    trace, herm, min_eig = density_defects(a[None])[:, 0].tolist()
-    message = "non-finite entries" if np.isnan(herm) else ""  # a masked sample
+    trace, _, herm, min_eig = matrix_defects(a[None])[:, 0].tolist()
+    message = "" if np.isfinite(a).all() else "non-finite entries"
     return ValidationReport(herm, trace, min_eig, a.shape[0], tol, message)
 
 
-def density_defects(states) -> np.ndarray:
-    """Rows |Tr rho - 1|, max |rho - rho^+| and smallest eigenvalue of
-    (rho + rho^+)/2 over an (n, d, d) stack, read DEFECT_CHUNK samples at a
-    time. A sample with a non-finite entry is masked before any arithmetic
-    and gets NaN in all three rows; a finite one whose arithmetic overflows
-    gets an infinite defect or a NaN eigenvalue, without a warning."""
-    states = np.asarray(states)
-    out = np.full((3, len(states)), np.nan)
-    for lo in range(0, len(states), DEFECT_CHUNK):
-        chunk = states[lo:lo + DEFECT_CHUNK]
-        finite = np.flatnonzero(np.isfinite(chunk).all(axis=(1, 2)))
-        s = chunk[finite]
-        adj = s.conj().transpose(0, 2, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = np.trace(s, axis1=1, axis2=2) - 1.0
-            out[0, lo + finite] = np.hypot(trace.real, trace.imag)
-            out[1, lo + finite] = np.abs(s - adj).max(axis=(1, 2))
-            h = 0.5 * (s + adj)
-        solvable = np.isfinite(h).all(axis=(1, 2))  # eigvalsh may raise on inf
-        out[2, lo + finite[solvable]] = np.linalg.eigvalsh(h[solvable])[:, 0]
-    return out
+def matrix_defects(stack, out=None) -> np.ndarray:
+    """The one check of density and rate matrices: rows |Tr m - 1|, max |m|,
+    max |m - m^+| and the smallest eigenvalue of (m + m^+)/2 over an
+    (n, d, d) stack, MATRIX_CHUNK matrices at a time. A matrix whose
+    hermitian part is not finite gets NaN in all four rows, without a
+    warning. out, when given (the stack itself, say), gets the hermitian parts."""
+    stack = np.asarray(stack, dtype=complex)
+    rows = np.full((4, len(stack)), np.nan)
+    for lo in range(0, len(stack), MATRIX_CHUNK):
+        m = stack[lo:lo + MATRIX_CHUNK]
+        h = hermitian_part(m)
+        finite = np.isfinite(h).all(axis=(1, 2))
+        at = lo + np.flatnonzero(finite)
+        m = m[finite]
+        with np.errstate(over="ignore"):
+            trace = np.trace(m, axis1=1, axis2=2) - 1.0
+            rows[0, at] = np.hypot(trace.real, trace.imag)
+            rows[1, at] = np.abs(m).max(axis=(1, 2), initial=0.0)
+            rows[2, at] = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+        rows[3, at] = np.linalg.eigvalsh(h[finite]).min(axis=1, initial=np.inf)
+        if out is not None:
+            out[lo:lo + MATRIX_CHUNK] = h
+    return rows

@@ -50,9 +50,11 @@ from .bath import (
 )
 from .generator import SecularPolicy
 from .linalg import (
+    DEFAULT_TOL,
     DENSITY_TOL,
     MAX_TENSOR_DIM,
     DimensionError,
+    hermitian_part,
     hermiticity_defect,
     validate_density_matrix,
 )
@@ -177,6 +179,7 @@ def _parse_system(node) -> np.ndarray:
         _require_hermitian(h, "system.hamiltonian", coupling=False)
         return h
     evs = real_vector_from_json(node["eigenvalues"], "system.eigenvalues")
+    _require_finite_hermitian_part(evs[:, None, None], "system.eigenvalues")  # 1 x 1 levels
     return np.diag(evs).astype(complex)
 
 
@@ -211,9 +214,16 @@ def _parse_couplings_node(node, dim):
     return entries
 
 
+def _require_finite_hermitian_part(m, path):
+    """The overflow rule of the rate matrices: (m + m^+)/2 must be finite."""
+    if not np.isfinite(hermitian_part(m)).all():
+        _fail(path, "has a non-finite or overflowing entry")
+
+
 def _require_hermitian(m, path, coupling=True):
+    _require_finite_hermitian_part(m, path)
     defect = hermiticity_defect(m)
-    if defect > 1e-9 * max(1.0, float(np.abs(m).max())):
+    if defect > DEFAULT_TOL * max(1.0, float(np.abs(m).max())):
         hint = "; for a non-hermitian pair set add_adjoint and give the bath operator X"
         _fail(path, f"not hermitian (defect {defect:.3e}){hint if coupling else ''}")
 
@@ -243,12 +253,14 @@ def _build_bath_and_couplings(bath_node, coupling_entries, dim):
             modes_node = bath_node["modes"]
             if not isinstance(modes_node, list) or not modes_node:
                 _fail("bath.modes", "expected a non-empty list")
-            modes = []
+            modes, top = [], 0.0
             for i, m in enumerate(modes_node):
                 _expect_dict(m, f"bath.modes[{i}]", required=("frequency", "coupling"))
                 f = _expect_number(m["frequency"], f"bath.modes[{i}].frequency")
                 if not f > 0:
                     _fail(f"bath.modes[{i}].frequency", f"must be positive, got {f}")
+                top += f  # the top level of H_B, every mode so far excited
+                _require_finite_hermitian_part(np.array([[top]]), f"bath.modes[{i}].frequency")
                 g = _expect_number(m["coupling"], f"bath.modes[{i}].coupling")
                 modes.append((f, g))
             bath = qubit_mode_bath(modes, temperature, broadening=broadening)
@@ -374,7 +386,7 @@ def _parse_initial_state(node, h_a) -> np.ndarray:
         if node == "maximally-mixed":
             return np.eye(dim, dtype=complex) / dim
         if node in ("ground", "excited"):
-            w, v = np.linalg.eigh(0.5 * (h_a + h_a.conj().T))
+            w, v = np.linalg.eigh(hermitian_part(h_a))
             col = v[:, 0] if node == "ground" else v[:, -1]
             return np.outer(col, col.conj())
         _fail("initial_state", f"unknown named state {node!r}; expected "

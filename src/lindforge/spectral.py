@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_operator, hermitian_eigendecomposition
+from .linalg import as_operator, hermitian_eigendecomposition, hermitian_part
 
 # entries below this magnitude do not earn an eigenoperator of their own
 NEGLIGIBLE_ENTRY = 1e-14
@@ -54,8 +54,7 @@ class Spectrum:
     def hamiltonian(self) -> np.ndarray:
         """H_A = V diag(frequencies) V^+ rebuilt from the eigendecomposition
         and hermitised, computed once and shared read-only."""
-        h = (self.basis * self.frequencies) @ self.basis.conj().T
-        h = 0.5 * (h + h.conj().T)
+        h = hermitian_part((self.basis * self.frequencies) @ self.basis.conj().T)
         h.flags.writeable = False
         return h
 

@@ -348,6 +348,15 @@ def test_correlation_time_single_mode_recurs():
     assert abs(table.tau_b_estimate - math.pi / nu) < 1e-12
 
 
+def test_correlation_time_grid_at_a_frequency_near_the_float_limit():
+    # 16 nu_max overflows at nu = 1e308; the grid step pi / 16 / nu_max does not
+    bath = qubit_mode_bath([(1.0, 0.1), (1e308, 0.1)], 1.0, broadening=0.1)
+    table = estimate_correlation_time(bath)
+    assert len(table.taus) >= 64
+    assert np.isfinite(table.taus).all() and np.isfinite(table.values).all()
+    assert 0.0 < table.tau_b_estimate < math.inf
+
+
 def test_correlation_time_commuting_coupling_never_decays():
     bath = FiniteBath(np.diag([0.0, 1.0]), 1.0, [np.diag([1.0, 2.0])], broadening=1.0)
     table = estimate_correlation_time(bath)

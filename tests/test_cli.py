@@ -947,3 +947,104 @@ def test_bad_table_entry_is_named_by_derive_and_failed_by_verify(tmp_path, capsy
     assert [(c["name"], c["status"]) for c in report["checks"]] == [
         ("gamma-table-validity", "fail")]
     assert "omega=-2.1" in report["checks"][0]["defect"]
+
+
+def run_cli_strict(capsys, *argv):
+    """run_cli with every warning recorded: (code, out, err, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    return code, out, err, caught
+
+
+def one_scenario_error(err):
+    """The message of the one JSON error line of type scenario on stderr."""
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "scenario"
+    return error["message"]
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
+@pytest.mark.parametrize("top", [1e308, -1e308, 1.7e308])
+def test_overflowing_system_levels_are_refused_at_parse_time(tmp_path, capsys,
+                                                               command, top):
+    # diag(0, top) is finite, but its hermitian part overflows in the sum
+    path = write_scenario(tmp_path, flat_thermal_data(system={"eigenvalues": [0.0, top]}))
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, out, caught) == (2, "", [])
+    assert one_scenario_error(err) == (
+        "system.eigenvalues: has a non-finite or overflowing entry")
+    h = {"hamiltonian": cm(np.diag([0.0, top]))}
+    path = write_scenario(tmp_path, flat_thermal_data(system=h))
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, out, caught) == (2, "", [])
+    assert one_scenario_error(err) == (
+        "system.hamiltonian: has a non-finite or overflowing entry")
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
+def test_large_finite_system_levels_still_derive(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, flat_thermal_data(system={"eigenvalues": [0.0, 1e300]}))
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, err, caught) == (0, "", [])
+
+
+def test_overflowing_coupling_pair_gives_one_json_line(tmp_path, capsys):
+    # A - A^+ overflows; the hermitian part is zero and finite
+    a = np.array([[0.0, -1e308], [1e308, 0.0]])
+    path = write_scenario(tmp_path, flat_thermal_data(couplings=[{"A": cm(a)}]))
+    code, out, err, caught = run_cli_strict(capsys, "derive", path)
+    assert (code, out, caught) == (2, "", [])
+    assert one_scenario_error(err).startswith(
+        "couplings[0].A: not hermitian (defect inf)")
+
+
+@pytest.mark.parametrize("frequency, code", [(1e308, 2), (1e200, 0)])
+def test_mode_frequency_near_the_float_limit(tmp_path, capsys, frequency, code):
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
+    data = json.loads((demo / "weak_coupling_comb.json").read_text())
+    data["bath"]["modes"][1]["frequency"] = frequency
+    path = write_scenario(tmp_path, data)
+    got, out, err, caught = run_cli_strict(capsys, "derive", path)
+    assert (got, caught) == (code, [])
+    if code:
+        # the top level of H_B, the sum of the frequencies, overflows its
+        # hermitian part
+        assert out == ""
+        assert one_scenario_error(err) == (
+            "bath.modes[1].frequency: has a non-finite or overflowing entry")
+    else:
+        assert err == ""
+
+        def refuse(token):
+            raise AssertionError(f"{token} in the report")
+
+        json.loads(out, parse_constant=refuse)
+
+
+def test_fock_decay_above_the_dense_cap_is_binomial(tmp_path, capsys):
+    # d = 91 ladder at nbar = 0 (omega / T = 1000 overflows expm1) with a flat
+    # bath: the T = 0 damped oscillator, whose Fock state |n0> decays as
+    # p_k(t) = C(n0, k) q^k (1 - q)^(n0 - k), q = exp(-gamma t)
+    dim, gamma = 91, 0.1
+    data = ladder_data([float(n) for n in range(dim)])
+    data["bath"] = {"kind": "flat-thermal", "gamma": gamma, "temperature": 1e-3}
+    data["times"] = {"t_max": 30.0, "samples": 31}
+    path = write_scenario(tmp_path, data)
+    code, out, err = run_cli(capsys, "evolve", path)
+    assert (code, err) == (0, "")
+    lines = out.strip().split("\n")
+    header = lines[0].split(",")
+    columns = [header.index(f"re_{k}_{k}") for k in range(dim)]
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 31
+    n0 = dim - 1
+    worst = 0.0
+    for row in rows:
+        q = math.exp(-gamma * float(row[0]))
+        for k, col in enumerate(columns):
+            exact = math.comb(n0, k) * q**k * (1.0 - q) ** (n0 - k)
+            worst = max(worst, abs(float(row[col]) - exact))
+    assert worst < 1e-12

@@ -427,31 +427,32 @@ def test_non_finite_state_raises_with_partial_trajectory():
     assert np.isfinite(partial.states).all()
 
 
-def record_density_defects(monkeypatch):
-    """(stack, defects) of every density_defects call dynamics makes."""
+def record_matrix_defects(monkeypatch):
+    """(stack, defects) of every matrix_defects call dynamics makes."""
     calls = []
-    original = lindforge.dynamics.density_defects
+    original = lindforge.dynamics.matrix_defects
 
     def recording(states):
         calls.append((np.array(states), original(states)))
         return calls[-1][1]
 
-    monkeypatch.setattr(lindforge.dynamics, "density_defects", recording)
+    monkeypatch.setattr(lindforge.dynamics, "matrix_defects", recording)
     return calls
 
 
 def assert_rows_of(traj, stack, defects):
     n = len(traj)
     assert np.array_equal(traj.states, stack[:n])
+    trace, _, herm, low = defects
     for got, want in zip(
             (traj.trace_defects, traj.hermiticity_defects, traj.min_eigenvalues),
-            defects):
+            (trace, herm, low)):
         assert np.array_equal(got, want[:n])
 
 
 @pytest.mark.parametrize("method", ["expm", "rk4"])
 def test_propagation_failure_diagnoses_each_sample_once(monkeypatch, method):
-    calls = record_density_defects(monkeypatch)
+    calls = record_matrix_defects(monkeypatch)
     rho0 = np.diag([0.5, 0.5]).astype(complex)
     times = np.linspace(0.0, 6.0, 25)
     with pytest.raises(PropagationError) as err:
@@ -465,7 +466,7 @@ def test_propagation_failure_diagnoses_each_sample_once(monkeypatch, method):
     # the partial trajectory is that call's rows before the failing one
     assert np.array_equal(partial.times, times[:len(partial)])
     assert_rows_of(partial, stack, defects)
-    assert defects[2][len(partial)] == err.value.defect
+    assert defects[3][len(partial)] == err.value.defect
     assert partial.min_eigenvalues.min() >= -1e-6 > err.value.defect
 
 
@@ -482,7 +483,7 @@ def test_failure_at_the_initial_state_keeps_an_empty_stack():
 
 
 def test_oracle_diagnoses_its_samples_in_one_call(monkeypatch):
-    calls = record_density_defects(monkeypatch)
+    calls = record_matrix_defects(monkeypatch)
     sx = sigma_ops()[0]
     bath = FiniteBath(np.diag([0.0, 0.9, 2.1]), 1.0, [np.diag([1.0, 0.0, -1.0])],
                       broadening=0.5)

@@ -18,7 +18,7 @@ from lindforge import (
     vec,
 )
 
-from lindforge.linalg import DEFECT_CHUNK, density_defects
+from lindforge.linalg import MATRIX_CHUNK, hermitian_part, matrix_defects
 
 from _support import crandn, random_density, random_hermitian
 
@@ -108,6 +108,10 @@ def test_hermiticity_defect_example():
     # both corners +0.01i, so M - M^dag has off-diagonal entries 0.02i
     m = np.array([[0.6, 0.01j], [0.01j, 0.4]])
     assert abs(hermiticity_defect(m) - 0.02) < TOL
+    # m - m^+ overflows: inf, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermiticity_defect(np.array([[0.0, -1e308], [1e308, 0.0]])) == np.inf
 
 
 def test_validate_density_matrix_reports_negative_eigenvalue():
@@ -128,9 +132,10 @@ def test_validate_density_matrix_never_raises_on_garbage():
 
 
 def sample_defects(state):
-    """One sample's (trace, hermiticity, smallest eigenvalue) defects, each
-    from its own scalar expression."""
-    return [abs(np.trace(state) - 1.0), hermiticity_defect(state),
+    """One sample's (trace defect, max |entry|, hermiticity defect, smallest
+    eigenvalue) rows, each from its own scalar expression."""
+    return [abs(np.trace(state) - 1.0), float(np.abs(state).max()),
+            hermiticity_defect(state),
             float(np.linalg.eigvalsh(0.5 * (state + state.conj().T))[0])]
 
 
@@ -143,30 +148,52 @@ def test_density_defects_masks_non_finite_samples_without_warnings(monkeypatch):
     stack[4, 2, 0] = complex(0.0, -np.inf)
     bad = [1, 3, 4]
     good = [0, 2, 5, 6]
+    # a rate-shaped (n, k, k) stack: positive 2 x 2 matrices, one non-finite,
+    # one finite whose hermitian part overflows, and a skew pair whose
+    # hermitian part is finite but whose hermiticity defect overflows
+    rates = np.array([random_density(rng, 2) for _ in range(6)])
+    rates[1, 0, 1] = np.nan
+    rates[3] = np.array([[1.5e308, 0.0], [0.0, 1.0]]) * (1 + 1j)
+    rates[4] = np.array([[0.0, -1e308], [1e308, 0.0]])
+    rate_bad = [1, 3]
     # chunks of two mix masked and finite samples and leave a short last one
-    for chunk in (DEFECT_CHUNK, 2):
-        monkeypatch.setattr(lindforge.linalg, "DEFECT_CHUNK", chunk)
+    for chunk in (MATRIX_CHUNK, 2):
+        monkeypatch.setattr(lindforge.linalg, "MATRIX_CHUNK", chunk)
+        hermitian = np.empty_like(rates)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            defects = density_defects(stack)
-        assert defects.shape == (3, len(stack))
+            defects = matrix_defects(stack)
+            rate_rows = matrix_defects(rates, out=hermitian)
+            expected_hermitian = hermitian_part(rates)
+        assert defects.shape == (4, len(stack))
         assert np.isnan(defects[:, bad]).all()
         for k in good:
             report = validate_density_matrix(stack[k])
-            assert defects[:, k].tolist() == [report.trace_defect,
-                                              report.hermiticity_defect,
-                                              report.min_eigenvalue]
+            assert defects[[0, 2, 3], k].tolist() == [report.trace_defect,
+                                                      report.hermiticity_defect,
+                                                      report.min_eigenvalue]
             assert defects[:, k].tolist() == sample_defects(stack[k])
+        assert rate_rows.shape == (4, len(rates))
+        assert np.isnan(rate_rows[:, rate_bad]).all()
+        for k in sorted(set(range(len(rates))) - set(rate_bad)):
+            assert rate_rows[:, k].tolist() == sample_defects(rates[k])
+        assert rate_rows[2, 4] == np.inf
+        assert hermitian.tobytes() == expected_hermitian.tobytes()
     assert validate_density_matrix(stack[3]).message == "non-finite entries"
+    # finite entries: not valid, with NaN rows and no message
+    report = validate_density_matrix(rates[3])
+    assert not report.valid and not report.message
+    assert np.isnan([report.trace_defect, report.hermiticity_defect,
+                     report.min_eigenvalue]).all()
 
 
 def test_density_defects_scratch_memory_is_one_chunk():
     rng = np.random.default_rng(22)
     stack = np.tile(random_density(rng, 16), (20001, 1, 1))  # 78 MiB
-    chunk_bytes = DEFECT_CHUNK * 16 * 16 * stack.itemsize
+    chunk_bytes = MATRIX_CHUNK * 16 * 16 * stack.itemsize
     tracemalloc.start()
     try:
-        defects = density_defects(stack)
+        defects = matrix_defects(stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -20,8 +20,9 @@ The secular generator takes c = delta(W', W) and C = Gamma. Because Gamma
 is hermitian the mirror pairs sum to the same superoperator as the first
 list, so they are folded in at full rate: L = M, R = A^+, G = -B/2 with
 B = sum A^+ M. Its frequency shift h_ls = sum_W sum_ab Delta_ab(W)
-A_a(W)^+ A_b(W) is kept in h_eff = h_a + h_ls. With an exact-match filter
-the presecular generator collapses back to the secular one.
+A_a(W)^+ A_b(W), from RateTensors.lamb_shift, is kept in h_eff = h_a + h_ls.
+With an exact-match filter the presecular generator collapses back to the
+secular one.
 
 In the energy eigenbasis the secular generator couples two coherences only
 when their gaps snap to the same Bohr frequency, so it splits into one block
@@ -188,7 +189,8 @@ class Generator:
         if (self.mode != "secular" or self.spectrum is None
                 or self.rate_tensors is None):
             return None
-        return build_bohr_blocks(self.spectrum, self.rate_tensors, self.h_eff)
+        h_eig = np.diag(self.spectrum.frequencies) + self.rate_tensors.lamb_shift
+        return build_bohr_blocks(self.spectrum, self.rate_tensors, h_eig)
 
 
 def _channel_contraction(terms, rates, n_ch: int, dim: int):
@@ -206,10 +208,10 @@ def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(dim, n_p * dim) @ y.reshape(n_p * dim, dim)
 
 
-def _collect_terms(spectrum, eigenops, bath, gammas):
+def _collect_terms(spectrum, eigenops, bath, gammas, deltas):
     """Shared preamble of the two builders: channel-aligned eigenoperators
-    grouped by transition frequency, with Gamma read from the table gammas
-    (aligned with bohr_frequencies(spectrum)) and Delta from the bath."""
+    grouped by transition frequency, with Gamma and Delta read from the
+    tables gammas and deltas (aligned with bohr_frequencies(spectrum))."""
     if not eigenops:
         raise ValueError("need at least one coupling channel")
     n_ch = len(eigenops)
@@ -229,66 +231,56 @@ def _collect_terms(spectrum, eigenops, bath, gammas):
 
     row = {w: i for i, w in enumerate(bohr_frequencies(spectrum).values.tolist())}
     omegas = sorted({w for eset in eigenops for w in eset.terms})
-    deltas = delta_matrix(bath, np.array(omegas))  # one stacked call
     zero = np.zeros((dim, dim), dtype=complex)
     terms = []
-    for w, delta in zip(omegas, deltas):
+    for w in omegas:
         ops = tuple(
             np.asarray(eset.terms.get(w, zero), dtype=complex) for eset in eigenops
         )
-        terms.append(DissipatorTerm(omega=w, gamma=gammas[row[w]], ops=ops, delta=delta))
+        terms.append(DissipatorTerm(w, gammas[row[w]], ops, deltas[row[w]]))
     return terms
 
 
-def build_standard_form(spectrum, eigenops, bath, gammas,
+def build_standard_form(spectrum, eigenops, bath, gammas, deltas,
                         rate_tensors: RateTensors) -> Generator:
     """Assemble the secular generator: Lindblad dissipator plus frequency shift.
 
-    gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
-    rate_tensors: the RateTensors built from the same spectrum and gammas;
-    the generator keeps them with the spectrum for its eigenbasis blocks.
+    gammas, deltas: (n, k, k) stacks of Gamma(w), Delta(w) over w in
+    bohr_frequencies(spectrum). rate_tensors: the RateTensors built from them;
+    h_ls is their Lamb shift in the user basis, and the generator keeps them
+    with the spectrum for its eigenbasis blocks.
     """
-    terms = _collect_terms(spectrum, eigenops, bath, gammas)
-    h_a = spectrum.hamiltonian
-    # h_ls = sum_W sum_ab Delta_ab(W) A_a(W)^+ A_b(W), contracted like G;
-    # with every Delta zero (a bath without delta_fn) it is zero, and the
-    # stacks of every eigenoperator that contraction takes are not formed
-    if any(t.delta.any() for t in terms):
-        a, m = _channel_contraction(terms, [t.delta for t in terms], len(eigenops),
-                                    spectrum.dim)
-        h_ls = hermitian_part(_sum_of_products(a.conj().transpose(0, 2, 1), m))
-    else:
-        h_ls = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
-    h_eff = hermitian_part(h_a + h_ls)
+    terms = _collect_terms(spectrum, eigenops, bath, gammas, deltas)
+    v, shift = spectrum.basis, rate_tensors.lamb_shift
+    # a zero Lamb shift is not rotated, so h_eff keeps the bytes of h_a + 0
+    h_ls = hermitian_part(v @ shift @ v.conj().T) if shift.any() else np.zeros_like(shift)
+    h_eff = hermitian_part(spectrum.hamiltonian + h_ls)
 
     return Generator(
         h_eff=h_eff,
         dissipator_terms=tuple(terms),
         mode="secular",
         h_ls=h_ls,
-        policy=None,
         spectrum=spectrum,
         rate_tensors=rate_tensors,
     )
 
 
-def build_presecular(spectrum, eigenops, bath, gammas,
+def build_presecular(spectrum, eigenops, bath, gammas, deltas,
                      policy: SecularPolicy) -> Generator:
     """Assemble the coarse-grained generator with cross-frequency terms.
 
     The frequency shift is not split out: each (W', W) pair enters through the
     half-Fourier matrix W(W) = Gamma(W)/2 + i Delta(W), and the free part of
-    h_eff is the bare system hamiltonian. gammas as for build_standard_form.
+    h_eff is the bare system hamiltonian. gammas, deltas as for build_standard_form.
     """
     if policy.dt is None or not policy.dt > 0:
         raise ValueError("presecular generator requires policy.dt > 0")
-    terms = _collect_terms(spectrum, eigenops, bath, gammas)
-    h_a = spectrum.hamiltonian
+    terms = _collect_terms(spectrum, eigenops, bath, gammas, deltas)
     return Generator(
-        h_eff=h_a,
+        h_eff=spectrum.hamiltonian,
         dissipator_terms=tuple(terms),
         mode="presecular",
-        h_ls=None,
         policy=policy,
     )
 
@@ -348,12 +340,14 @@ class RateTensors:
     gaps w_m - w_a and w_n - w_b snap to the same Bohr frequency are stored,
     in lexicographic order, so len(K) counts the support. kappa is the dense
     d x d escape matrix kappa(i, j) = sum_w K(w i, w j) on escape_support.
+    lamb_shift = V^+ h_ls V is kappa^T with Delta in place of Gamma.
     pauli_equations reduces them to population and coherence rates.
     """
 
     K: np.ndarray
     index: np.ndarray
     kappa: np.ndarray
+    lamb_shift: np.ndarray
 
     @property
     def escape_support(self) -> np.ndarray:
@@ -388,12 +382,13 @@ def _secular_support(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, order[start[p] + offset]
 
 
-def build_rate_tensors(spectrum: Spectrum, system_ops, gammas) -> RateTensors:
-    """Gain tensor K(a m, b n) = sum_cx A_c[a, m] Gamma_xc(w) A_x[b, n]^* and
-    escape matrix kappa on the secular support.
+def build_rate_tensors(spectrum: Spectrum, system_ops, gammas, deltas) -> RateTensors:
+    """Gain tensor K(a m, b n) = sum_cx A_c[a, m] Gamma_xc(w) A_x[b, n]^*,
+    escape matrix kappa and Lamb shift on the secular support.
 
     system_ops: the coupling operators, one per channel, in the user basis.
-    gammas: (n, k, k) stack of Gamma(w) over w in bohr_frequencies(spectrum).
+    gammas, deltas: (n, k, k) stacks of Gamma(w), Delta(w) over w in
+    bohr_frequencies(spectrum).
     """
     dim = spectrum.dim
     e = np.array([eigenbasis_operator(a, spectrum)
@@ -404,9 +399,16 @@ def build_rate_tensors(spectrum: Spectrum, system_ops, gammas) -> RateTensors:
     k_vals = np.einsum("sx,xs->s", u[p], e[:, q].conj())
     a, m = np.divmod(p, dim)
     b, n = np.divmod(q, dim)
+    esc = a == b
     kap = np.zeros((dim, dim), dtype=complex)
-    np.add.at(kap, (m[a == b], n[a == b]), k_vals[a == b])
-    return RateTensors(K=k_vals, index=np.stack([a, m, b, n], axis=1), kappa=kap)
+    np.add.at(kap, (m[esc], n[esc]), k_vals[esc])
+    lamb = np.zeros((dim, dim), dtype=complex)
+    if np.any(deltas):  # the escape sum again, Delta for Gamma, transposed
+        u = np.einsum("cp,pxc->px", e, np.asarray(deltas)[label])
+        ls_vals = np.einsum("sx,xs->s", u[p[esc]], e[:, q[esc]].conj())
+        np.add.at(lamb, (n[esc], m[esc]), ls_vals)
+    return RateTensors(K=k_vals, index=np.stack([a, m, b, n], axis=1), kappa=kap,
+                       lamb_shift=hermitian_part(lamb))
 
 
 @dataclass(frozen=True)
@@ -577,22 +579,18 @@ class BohrBlocks:
 
 
 def build_bohr_blocks(spectrum: Spectrum, rate_tensors: RateTensors,
-                      h_eff) -> BohrBlocks:
+                      h_eig) -> BohrBlocks:
     """The Bohr-frequency blocks of the secular generator with rate tensors
-    rate_tensors and effective hamiltonian h_eff, without forming its
-    d^2 x d^2 matrix.
+    rate_tensors and effective hamiltonian h_eig, given in the energy
+    eigenbasis, without forming its d^2 x d^2 matrix.
 
     Each block gathers the K scatter, -1/2 (kappa^T rho + rho kappa^T) and
-    -i [V^+ h_eff V, rho] on its coherences. The rotated h_eff is kept on
-    the escape support, where the Lamb shift has its entries; elsewhere it
-    holds rotation rounding. An entry that crosses labels, which only
-    tolerance chaining of Bohr frequencies makes, merges the blocks of its
-    two labels. Raises DimensionError before allocating when the largest
-    block exceeds MAX_TENSOR_DIM.
+    -i [h_eig, rho] on its coherences. An entry that crosses labels, which
+    only tolerance chaining of Bohr frequencies makes, merges the blocks of
+    its two labels. Raises DimensionError before allocating when the
+    largest block exceeds MAX_TENSOR_DIM.
     """
     dim = spectrum.dim
-    v = spectrum.basis
-    h_eig = np.where(rate_tensors.escape_support, v.conj().T @ h_eff @ v, 0.0)
     rows, cols, vals = _eigenbasis_entries(rate_tensors, h_eig)
 
     block = spectrum.bohr_index.ravel(order="F")  # label of rho_ab at a + d b
@@ -626,7 +624,7 @@ def build_bohr_blocks(spectrum: Spectrum, rate_tensors: RateTensors,
         s = int(size[lo])
         groups.append((order[first[lo]:first[lo] + n * s].reshape(n, s),
                        flat[offset[lo]:offset[lo] + n * s * s].reshape(n, s, s)))
-    return BohrBlocks(basis=v, groups=tuple(groups))
+    return BohrBlocks(basis=spectrum.basis, groups=tuple(groups))
 
 
 def _merge_labels(label: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -713,15 +711,16 @@ def derive_generator(
     if mode == "presecular" and policy is None:
         raise ValueError("presecular mode requires a SecularPolicy with dt > 0")
 
-    # Gamma once per Bohr frequency, coupled or not, in one stacked call: the
-    # dissipator terms and K read this one table, and a table bath that
-    # misses a Bohr frequency is rejected here
-    gammas = gamma_matrix(bath, bohr_frequencies(spectrum).values)
-    rt = build_rate_tensors(spectrum, ops, gammas)
+    # Gamma and Delta once per Bohr frequency, coupled or not, one stacked
+    # call each: the terms and the rate tensors read these tables, and a
+    # table bath that misses a Bohr frequency is rejected here
+    omegas = bohr_frequencies(spectrum).values
+    gammas, deltas = gamma_matrix(bath, omegas), delta_matrix(bath, omegas)
+    rt = build_rate_tensors(spectrum, ops, gammas, deltas)
     if mode == "secular":
-        gen = build_standard_form(spectrum, eigenops, bath, gammas, rt)
+        gen = build_standard_form(spectrum, eigenops, bath, gammas, deltas, rt)
     else:
-        gen = build_presecular(spectrum, eigenops, bath, gammas, policy)
+        gen = build_presecular(spectrum, eigenops, bath, gammas, deltas, policy)
     red = pauli_equations(rt, spectrum)
     return DeriveResult(
         generator=gen,

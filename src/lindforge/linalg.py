@@ -145,7 +145,7 @@ class ValidationReport:
         )
 
 
-def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_density_matrix(rho, tol: float = DENSITY_TOL) -> ValidationReport:
     """Hermiticity, unit trace and positivity by matrix_defects. Reports, never throws."""
     try:
         a = np.asarray(rho, dtype=complex)

@@ -51,7 +51,6 @@ from .bath import (
 from .generator import SecularPolicy
 from .linalg import (
     DEFAULT_TOL,
-    DENSITY_TOL,
     MAX_TENSOR_DIM,
     DimensionError,
     hermitian_part,
@@ -305,6 +304,8 @@ def _build_bath_and_couplings(bath_node, coupling_entries, dim):
                 channels = hermitize_coupling(pairs)
             except ValueError as exc:
                 _fail("couplings", str(exc))
+            if not channels:  # each bath part fell below 1e-13 of its system part
+                _fail("couplings", "no hermitian channel is left with the adjoints")
         else:
             for (a, x), (_, _, _, _, path) in zip(pairs, coupling_entries):
                 _require_hermitian(a, f"{path}.A")
@@ -410,7 +411,7 @@ def _parse_initial_state(node, h_a) -> np.ndarray:
     if rho.shape[0] != dim:
         _fail("initial_state.matrix", f"has dimension {rho.shape[0]}, system "
                                       f"has {dim}")
-    report = validate_density_matrix(rho, tol=DENSITY_TOL)
+    report = validate_density_matrix(rho)
     if not report.valid:
         _fail("initial_state.matrix", f"not a density matrix: {report}")
     return rho

@@ -1001,6 +1001,24 @@ def test_overflowing_coupling_pair_gives_one_json_line(tmp_path, capsys):
         "couplings[0].A: not hermitian (defect inf)")
 
 
+@pytest.mark.parametrize("command", ["derive", "oracle"])
+def test_adjoint_pair_that_leaves_no_channel_names_couplings(tmp_path, capsys,
+                                                             monkeypatch, command):
+    # next to the 1e308 entry of A the bath part 0.1 sigma_- falls below
+    # hermitize_coupling's 1e-13 cut, so every channel is dropped
+    monkeypatch.chdir(tmp_path)
+    a = np.array([[0.0, 1.0], [1e308, 0.0]])
+    data = flat_thermal_data(
+        bath={"kind": "finite", "hamiltonian": cm(np.diag([0.0, 0.9])),
+              "temperature": 2.0, "broadening": 0.5},
+        couplings=[{"A": cm(a), "X": cm(0.1 * sigma_ops()[3]), "add_adjoint": True}],
+    )
+    path = write_scenario(tmp_path, data)
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, out, caught) == (2, "", [])
+    assert one_scenario_error(err).startswith("couplings: no hermitian channel is left")
+
+
 @pytest.mark.parametrize("frequency, code", [(1e308, 2), (1e200, 0)])
 def test_mode_frequency_near_the_float_limit(tmp_path, capsys, frequency, code):
     demo = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"

@@ -345,6 +345,55 @@ def test_rk4_agrees_with_expm():
     assert t_rk4.trace_defects.max() < RK4_TRACE_TOL
 
 
+@pytest.mark.parametrize("rotated", [False, True], ids=["eigenbasis", "rotated"])
+def test_lamb_shifted_coherence_follows_its_closed_form(rotated):
+    # with Gamma(0) = 0 the coherence rho_01 decouples: it turns at the
+    # Lamb-shifted gap omega0 + Delta(omega0) - Delta(-omega0) and decays at
+    # the Pauli coherence rate, along the whole trajectory
+    rng = np.random.default_rng(64)
+    sx, _, _, _ = sigma_ops()
+    one = np.array([[1.0]], dtype=complex)
+    delta_down, delta_up, gamma_up = 0.043, -0.017, 0.08
+    bath = table_bath([(OMEGA0, GAMMA * one, delta_down * one),
+                       (-OMEGA0, gamma_up * one, delta_up * one),
+                       (0.0, 0.0 * one, None)])
+    u = random_unitary(rng, 2) if rotated else np.eye(2, dtype=complex)
+    h = u @ np.diag([0.0, OMEGA0]).astype(complex) @ u.conj().T
+    res = derive_generator(h, bath, [u @ sx @ u.conj().T])
+    decay = res.pauli.coherence_decay[0, 1]
+    assert abs(decay - 0.5 * (GAMMA + gamma_up)) < 1e-14
+    rho0 = random_density(rng, 2)
+    times = np.linspace(0.0, 20.0, 41)
+    want = rho0[0, 1] * np.exp((1j * (OMEGA0 + delta_down - delta_up) - decay) * times)
+    for method, tol in (("expm", 1e-13), ("rk4", 1e-6)):
+        traj = propagate(u @ rho0 @ u.conj().T, res.generator, times, method=method)
+        got = (u.conj().T @ traj.states @ u)[:, 0, 1]
+        assert np.abs(got - want).max() < tol, method
+
+
+@pytest.mark.parametrize("dim", [60, 91])
+def test_coherent_state_stays_coherent_above_the_dense_cap(dim):
+    # the T = 0 damped oscillator (omega / T = 1000 overflows expm1, so
+    # nbar = 0, and a flat bath has no Lamb shift): |alpha> stays
+    # |alpha e^{-(gamma/2 + i) t}>, at d = 91 past the superoperator cap
+    gamma, alpha = 0.1, 2.0
+    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    h = np.diag(np.arange(float(dim))).astype(complex)
+    res = derive_generator(h, flat_thermal_bath(gamma, 1e-3), [lower + lower.conj().T])
+
+    def coherent(z):
+        amp = np.empty(dim, dtype=complex)
+        amp[0] = np.exp(-0.5 * abs(z) ** 2)
+        for n in range(1, dim):
+            amp[n] = amp[n - 1] * z / math.sqrt(n)
+        return np.outer(amp, amp.conj())
+
+    times = np.linspace(0.0, 30.0, 31)
+    traj = propagate(coherent(alpha), res.generator, times)
+    want = np.array([coherent(alpha * np.exp(-(0.5 * gamma + 1j) * t)) for t in times])
+    assert np.abs(traj.states - want).max() < 1e-13
+
+
 def test_thermal_stationary_state_obeys_detailed_balance():
     sx, _, _, _ = sigma_ops()
     omega, temp = 1.0, 1.0

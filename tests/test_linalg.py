@@ -18,7 +18,7 @@ from lindforge import (
     vec,
 )
 
-from lindforge.linalg import MATRIX_CHUNK, hermitian_part, matrix_defects
+from lindforge.linalg import DENSITY_TOL, MATRIX_CHUNK, hermitian_part, matrix_defects
 
 from _support import crandn, random_density, random_hermitian
 
@@ -119,6 +119,16 @@ def test_validate_density_matrix_reports_negative_eigenvalue():
     assert abs(report.min_eigenvalue - (-0.5)) < TOL
     assert abs(report.trace_defect) < TOL
     assert not report.valid
+
+
+@pytest.mark.parametrize("defect, valid", [(1e-7, True), (1e-5, False)])
+def test_validate_density_matrix_defaults_to_the_density_tolerance(defect, valid):
+    # DENSITY_TOL = 1e-6: a hermiticity defect of 1e-7 passes, 1e-5 does not
+    rho = np.array([[0.5, defect], [0.0, 0.5]], dtype=complex)
+    report = validate_density_matrix(rho)
+    assert report.tol == DENSITY_TOL
+    assert report.hermiticity_defect == defect
+    assert report.valid is valid
 
 
 def test_validate_density_matrix_never_raises_on_garbage():

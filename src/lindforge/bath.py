@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    as_hermitian,
     as_operator,
     hermiticity_defect,
     hermitian_eigendecomposition,
@@ -130,17 +131,32 @@ class FiniteBath:
                     f"coupling_ops[{i}] dim {x.shape[0]} does not match bath dim "
                     f"{self.h_b.shape[0]}"
                 )
-        self._energies, self._basis = hermitian_eigendecomposition(self.h_b)
+        if np.count_nonzero(self.h_b) == np.count_nonzero(self.h_b.diagonal()):
+            # a diagonal H_B (a mode comb's) has the permutation that sorts its
+            # levels for eigenbasis: no eigen-solve, and index gathers where the
+            # dense route multiplies by exact zeros and ones
+            levels = as_hermitian(self.h_b).diagonal().real
+            self._order = np.argsort(levels, kind="stable")
+            self._energies = levels[self._order]
+        else:
+            self._order = None
+            self._energies, self._vectors = hermitian_eigendecomposition(self.h_b)
         self._populations = _boltzmann_weights(self._energies, self.temperature)
         if broadening is None:
             broadening = default_broadening(self._energies)
         if broadening <= 0:
             raise ValueError(f"broadening must be positive, got {broadening}")
         self.broadening = float(broadening)
-        v = self._basis
-        self._sigma = (v * self._populations) @ v.conj().T
+        if self._order is None:
+            v = self._vectors
+            self._sigma = (v * self._populations) @ v.conj().T
+            self._x_eig = [v.conj().T @ x @ v for x in self.coupling_ops]
+        else:
+            o = self._order
+            self._sigma = np.zeros_like(self.h_b)
+            self._sigma[o, o] = self._populations
+            self._x_eig = [x[np.ix_(o, o)] for x in self.coupling_ops]
         self._sigma.flags.writeable = False
-        self._x_eig = [v.conj().T @ x @ v for x in self.coupling_ops]
         self.transitions = _transitions(self._x_eig, self._energies, self._populations)
         self._unitaries = {}  # _propagator's, by time, least recent first
         self._correlations = None  # estimate_correlation_time's table
@@ -153,23 +169,54 @@ class FiniteBath:
     def channel_count(self) -> int:
         return len(self.coupling_ops)
 
+    @property
+    def _basis(self) -> np.ndarray:
+        """The eigenvectors V, h_b = V diag(energies) V^+; for a diagonal H_B
+        the permutation matrix of _order, built only when asked for."""
+        if self._order is None:
+            return self._vectors
+        return np.eye(self.dim, dtype=complex)[:, self._order]
+
     def sigma(self) -> np.ndarray:
         """The Gibbs density matrix sigma_B (read-only, computed once)."""
         return self._sigma
 
     def _propagator(self, t: float) -> np.ndarray:
-        """e^{-i H_B t} from the cached eigendecomposition (read-only). The
-        PROPAGATOR_CACHE most recently used times keep theirs, so repeated
-        correlations over one pair of times build each unitary once."""
+        """e^{-i H_B t} from the cached eigendecomposition (read-only); for a
+        diagonal H_B, its diagonal of phases e^{-i E t} in the user basis.
+        The PROPAGATOR_CACHE most recently used times keep theirs, so
+        repeated correlations over one pair of times build each once."""
         u = self._unitaries.pop(t, None)
         if u is None:
-            v = self._basis
-            u = (v * np.exp(-1j * self._energies * t)) @ v.conj().T
+            if self._order is None:
+                v = self._vectors
+                u = (v * np.exp(-1j * self._energies * t)) @ v.conj().T
+            else:
+                u = np.exp(-1j * self.h_b.diagonal().real * t)
             u.flags.writeable = False
         self._unitaries[t] = u  # most recent last
         if len(self._unitaries) > PROPAGATOR_CACHE:
             del self._unitaries[next(iter(self._unitaries))]
         return u
+
+    def _heisenberg(self, x: np.ndarray, t: float) -> np.ndarray:
+        """X(t) = U^+ X U for U = e^{-i H_B t}, in the user basis; elementwise
+        by the phases of a diagonal H_B."""
+        u = self._propagator(t)
+        if self._order is None:
+            return u.conj().T @ x @ u
+        return u.conj()[:, None] * x * u
+
+    def _times_sigma(self, m: np.ndarray) -> np.ndarray:
+        """m sigma_B; elementwise by the populations of a diagonal H_B."""
+        if self._order is None:
+            return m @ self._sigma
+        return m * self._sigma.diagonal()
+
+    def _times_conj_propagator(self, m: np.ndarray, t: float) -> np.ndarray:
+        """m conj(e^{-i H_B t}); elementwise by the phases of a diagonal H_B."""
+        u = self._propagator(t).conj()
+        return m @ u if self._order is None else m * u
 
     def _shifted(self, shifts) -> FiniteBath:
         """Copy with X_alpha -> X_alpha - shifts[alpha] * 1, same eigenbasis.
@@ -315,15 +362,15 @@ def correlation_function(bath: FiniteBath, alpha: int, beta: int, tau: float) ->
 def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2: float) -> complex:
     """G_ab(t1, t2) = Tr{X_a^dag(t1) X_b(t2) sigma_B} via explicit unitaries.
 
-    Deliberately a separate route from correlation_function (dense Heisenberg
-    operators instead of the eigenbasis sum) so stationarity can be tested.
+    Deliberately a separate route from correlation_function (Heisenberg
+    operators in the user basis instead of the eigenbasis sum) so
+    stationarity can be tested. For a diagonal H_B the unitaries and sigma_B
+    are applied elementwise, skipping only the products with exact zeros.
     """
-    u1 = bath._propagator(t1)
-    u2 = bath._propagator(t2)
-    xa = u1.conj().T @ bath.coupling_ops[alpha] @ u1
-    xb = u2.conj().T @ bath.coupling_ops[beta] @ u2
+    xa = bath._heisenberg(bath.coupling_ops[alpha], t1)
+    xb = bath._heisenberg(bath.coupling_ops[beta], t2)
     # Tr{A^+ B} = sum_ij conj(A_ij) B_ij, one product fewer than the trace
-    return complex(np.sum(xa.conj() * (xb @ bath.sigma())))
+    return complex(np.sum(xa.conj() * bath._times_sigma(xb)))
 
 
 def half_fourier_w(bath: FiniteBath, alpha: int, beta: int, omega: float) -> complex:
@@ -342,6 +389,9 @@ class AnalyticBath:
     gamma_fn(omega) returns the k x k matrix Gamma(omega) over channels;
     delta_fn likewise for the Lamb-shift matrix Delta (default 0). Shape,
     hermiticity and positivity of Gamma are enforced at every sampled omega.
+    A callable whose attribute stacked is true also takes an (n,) array of
+    omegas and returns the (n, k, k) stack of their matrices, so a stacked
+    rate call makes one call of it instead of n.
     """
 
     def __init__(self, gamma_fn, delta_fn=None, channel_count: int = 1):
@@ -397,7 +447,8 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
     over the entries before it; the first fault in table order is raised,
     naming its omega. A lookup takes the entry nearest omega (the first in
     table order on a tie), matches it within 1e-8 * max(1, |omega|) and
-    misses with a clear error otherwise.
+    misses with a clear error otherwise. It answers an array of omegas
+    with one search over the sorted distinct omegas.
     """
     omegas, gammas, deltas, refused = [], [], [], None
     for entry in entries:
@@ -442,17 +493,42 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
     # handed out as they are by every lookup
     gammas.flags.writeable = deltas.flags.writeable = False
     omegas = np.array(omegas, dtype=float)
+    # the distinct omegas ascending, each with its first row in table order
+    values, first = np.unique(omegas, return_index=True)
+    top = len(values) - 1
 
-    def lookup(omega: float) -> int:
-        # argmin returns the first of equally near entries
-        row = int(np.argmin(np.abs(omegas - omega)))
-        if abs(omegas[row] - omega) > 1e-8 * max(1.0, abs(omega)):
-            known = ", ".join(f"{w:g}" for w in omegas.tolist())
-            raise ValueError(f"no table entry for omega={omega:g} (have: {known})")
+    def lookup(omega):
+        """The row of the entry nearest omega, or the rows of an array of
+        omegas: the row np.argmin(|omegas - omega|) gives, the first of
+        equally near entries. The nearest distinct omega is one of the two
+        around omega's place in values. Where a hit is possible, distances
+        are exact (Sterbenz), so only equal omegas tie, except for
+        0 < |omega| <= 4e-8, where rounding can tie distinct entries: such
+        omegas (and NaN) take argmin."""
+        w = np.asarray(omega, dtype=float)
+        hi = np.minimum(np.searchsorted(values, w), top)
+        lo = np.maximum(hi - 1, 0)
+        d_lo, d_hi = np.abs(values[lo] - w), np.abs(values[hi] - w)
+        row = np.where(d_lo < d_hi, first[lo], np.where(
+            d_hi < d_lo, first[hi], np.minimum(first[lo], first[hi])))
+        inexact = ~(np.abs(w) > 4e-8) & (w != 0)
+        for i in np.flatnonzero(inexact).tolist():
+            row.flat[i] = np.argmin(np.abs(omegas - w.flat[i]))
+        missed = np.abs(omegas[row] - w) > 1e-8 * np.maximum(1.0, np.abs(w))
+        if missed.any():
+            known = ", ".join(f"{x:g}" for x in omegas.tolist())
+            raise ValueError(f"no table entry for omega={w.flat[np.argmax(missed)]:g} "
+                             f"(have: {known})")
         return row
 
-    return AnalyticBath(lambda omega: gammas[lookup(omega)],
-                        lambda omega: deltas[lookup(omega)], k)
+    def gamma_fn(omega):
+        return gammas[lookup(omega)]
+
+    def delta_fn(omega):
+        return deltas[lookup(omega)]
+
+    gamma_fn.stacked = delta_fn.stacked = True
+    return AnalyticBath(gamma_fn, delta_fn, k)
 
 
 def _rate_failures(stack, positive: bool) -> list:
@@ -480,14 +556,23 @@ def _rate_matrices(fn, omegas, k: int, name: str, positive: bool) -> np.ndarray:
     one matrix_defects pass. The error raised is the one a check of each omega
     in turn would raise first: a ValueError of fn (a table lookup that
     misses) or of the shape at some omega comes after the checks of the
-    omegas before it. Returns the hermitian parts, (k, k) for a scalar omega
-    and (n, k, k) for an array of n."""
+    omegas before it. A stacked fn is called once on an array of omegas;
+    when that raises or gives another shape, the omegas go one by one to
+    find the first error. Returns the hermitian parts, (k, k) for a scalar
+    omega and (n, k, k) for an array of n."""
     values = np.asarray(omegas, dtype=float)
     stack = np.empty((values.size, k, k), dtype=complex)
     refused, count = None, 0
+    if getattr(fn, "stacked", False) and values.ndim == 1:
+        try:
+            m = np.asarray(fn(values), dtype=complex)
+        except ValueError:  # a table miss: the loop below finds the first error
+            m = None
+        if m is not None and m.shape == stack.shape:
+            stack[:], count = m, values.size
     # overflow is refused below, by name and omega, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for omega in values.ravel().tolist():
+        for omega in values.ravel().tolist()[count:]:
             try:
                 m = np.asarray(fn(omega), dtype=complex)
                 if m.shape != (k, k):

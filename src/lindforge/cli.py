@@ -272,7 +272,7 @@ def _reduced_rotated_state(psi, h_a, bath: FiniteBath, t: float) -> np.ndarray:
     U_A^+ psi conj(U_B), so no joint-sized matrix is formed.
     """
     u_a = matrix_exponential_unitary(h_a, t)
-    moved = u_a.conj().T @ psi @ bath._propagator(t).conj()
+    moved = bath._times_conj_propagator(u_a.conj().T @ psi, t)
     return moved @ moved.conj().T
 
 

@@ -11,15 +11,18 @@ from lindforge import (
     default_broadening,
     delta_matrix,
     estimate_correlation_time,
+    exact_oracle,
     flat_thermal_bath,
     gamma_matrix,
     gibbs_state,
     half_fourier_w,
+    hermitian_eigendecomposition,
     hermitize_coupling,
     qubit_mode_bath,
     table_bath,
     two_time_correlation,
 )
+from lindforge.bath import _boltzmann_weights, _transitions
 
 from _support import (
     crandn,
@@ -323,6 +326,53 @@ def test_table_lookup_tie_goes_to_first_entry():
         assert gamma_matrix(bath, 1.0 - h / 2)[0, 0] == 0.2
 
 
+def test_table_lookup_is_argmin_on_an_unsorted_table_with_ties():
+    # out of order; 0.5 three times; 2.0 exactly h from two entries;
+    # -1.2e-8 rounds to one distance from -3e-9 and the float below it; a
+    # tie goes to the entry first in table order, as np.argmin has it
+    tiny, h = -3e-9, 2.0**-30
+    omegas = [2.0 + h, 0.5, -2.0, 0.5, 3.0, tiny, 0.0, np.nextafter(tiny, -1.0),
+              0.5, -0.25, 1.5, -1e-300, 2.0 - h, 1.5]
+    assert abs(-1.2e-8 - tiny) == abs(-1.2e-8 - np.nextafter(tiny, -1.0))
+    bath = table_bath([(w, (i + 1.0) * np.eye(1), -(i + 1.0) * np.eye(1))
+                       for i, w in enumerate(omegas)])
+    queries = [2.0, -1.2e-8, 0.0, -1e-301, 1e-300, 5e-9, -2.0 + 1e-9, 0.5, 1.5 - 1e-9,
+               3.0 + 2e-8, 2.0 - h / 2, 0.5 + 2**-40, np.nextafter(tiny, 1.0)]
+    queries += omegas
+    rows = [int(np.argmin(np.abs(np.array(omegas) - w))) for w in queries]
+    assert rows[:3] == [0, 5, 6]
+    calls = []
+    for name, sign in (("gamma_fn", 1.0), ("delta_fn", -1.0)):
+        fn = getattr(bath, name)
+
+        def counted(omega, fn=fn):
+            calls.append(np.shape(omega))
+            return fn(omega)
+
+        counted.stacked = True
+        setattr(bath, name, counted)
+        rate = gamma_matrix if name == "gamma_fn" else delta_matrix
+        want = sign * (np.array(rows) + 1.0)
+        assert np.array_equal(rate(bath, np.array(queries))[:, 0, 0], want)
+        assert [rate(bath, w)[0, 0] for w in queries] == want.tolist()
+    # one call answers each stack, one call each scalar omega
+    assert calls == ([(len(queries),)] + [()] * len(queries)) * 2
+
+
+def test_table_lookup_misses_name_the_first_miss_in_order():
+    bath = table_bath([(1.0, np.eye(1), None), (-1.0, 2.0 * np.eye(1), None)])
+    known = "(have: 1, -1)"
+    for fn in (gamma_matrix, delta_matrix):
+        for omegas, miss in (([1.0, 0.5, 2.0], 0.5), ([-1.0, 1.0 + 2e-8, 0.5], 1.00000002),
+                             ([1.0 + 1e-8, 3e-9], 3e-09)):
+            with pytest.raises(ValueError) as err:
+                fn(bath, np.array(omegas))
+            assert str(err.value) == f"no table entry for omega={miss:g} {known}"
+        # within 1e-8 * max(1, |omega|) is a match
+        hits = fn(bath, np.array([1.0 + 1e-8, -1.0 - 0.9e-8]))[:, 0, 0]
+        assert hits.tolist() == ([1.0, 2.0] if fn is gamma_matrix else [0.0, 0.0])
+
+
 @pytest.mark.parametrize("shape", [(), (2,), (1, 1), (3, 3), (2, 1)])
 def test_analytic_bath_rejects_wrongly_shaped_matrix(shape):
     bath = AnalyticBath(lambda omega: np.zeros(shape), lambda omega: np.zeros(shape),
@@ -386,6 +436,78 @@ def test_qubit_mode_bath_matches_kron_chains(n_modes):
     bath = qubit_mode_bath(modes, 1.0, broadening=0.1)
     assert np.array_equal(bath.h_b, h_b)
     assert np.array_equal(bath.coupling_ops[0], x)
+
+
+@pytest.mark.parametrize("kind, d", [("comb", 4), ("comb", 256), ("levels", 24)])
+def test_diagonal_bath_is_the_dense_route_bitwise(kind, d, monkeypatch):
+    # on distinct levels the dense route's products multiply by exact zeros
+    # and ones, so the diagonal route's gathers give the same bytes
+    rng = np.random.default_rng(390 + d)
+    sizes = record_eigh(monkeypatch)
+    if kind == "comb":
+        n = d.bit_length() - 1
+        bath = qubit_mode_bath(list(zip(rng.uniform(0.5, 1.5, n),
+                                        rng.uniform(-0.1, 0.1, n))), 0.8)
+    else:  # distinct levels of both signs in no order, two channels
+        levels = rng.permutation(np.linspace(-3.0, 2.0, d))
+        bath = FiniteBath(np.diag(levels), 1.3,
+                          [random_hermitian(rng, d), random_hermitian(rng, d)])
+    assert bath.dim == d and sizes == []
+    w, v = hermitian_eigendecomposition(bath.h_b)
+    p = _boltzmann_weights(w, bath.temperature)
+    x_eig = [v.conj().T @ x @ v for x in bath.coupling_ops]
+    same = lambda a, b: a.tobytes() == b.tobytes()
+    assert same(bath._energies, w) and same(bath._basis, v)
+    assert same(bath._populations, p)
+    assert same(bath.sigma(), (v * p) @ v.conj().T)
+    assert all(same(a, b) for a, b in zip(bath._x_eig, x_eig))
+    assert all(same(a, b) for a, b in zip(bath.transitions, _transitions(x_eig, w, p)))
+
+
+def _turned(bath, rng):
+    """The same bath in a basis turned by a real orthogonal matrix: H_B is
+    no longer diagonal, so FiniteBath takes the dense route."""
+    q, _ = np.linalg.qr(rng.standard_normal((bath.dim, bath.dim)))
+    return FiniteBath(q @ bath.h_b @ q.T, bath.temperature,
+                      [q @ x @ q.T for x in bath.coupling_ops], bath.broadening)
+
+
+@pytest.mark.parametrize("kind, d", [("comb", 4), ("comb", 64), ("levels", 6),
+                                     ("levels", 64)])
+def test_degenerate_diagonal_bath_agrees_with_the_dense_route(kind, d):
+    # eigh may order equal levels otherwise than the stable argsort (with
+    # OpenBLAS it does at dimension 64), so the routes agree in what they
+    # compute, not in bytes
+    rng = np.random.default_rng(398)
+    if kind == "comb":
+        n = d.bit_length() - 1  # equal mode frequencies repeat levels
+        bath = qubit_mode_bath([(1.0, 0.05), (0.5, 0.03)] * (n // 2) + [(1.0, 0.04)] * (n % 2),
+                               0.9, broadening=0.2)
+    else:  # a few negative and positive levels, each repeated
+        levels = rng.choice([-1.5, -0.25, 0.0, 0.75, 2.0], d)
+        bath = FiniteBath(np.diag(levels), 1.1, [random_hermitian(rng, d, 0.05),
+                                                random_hermitian(rng, d, 0.05)],
+                          broadening=0.3)
+    dense = _turned(bath, rng)
+    assert bath._order is not None and dense._order is None
+    k = bath.channel_count
+    for a in range(k):
+        for b in range(k):
+            for tau in (-0.7, 0.0, 1.3, 9.0):
+                assert abs(correlation_function(bath, a, b, tau)
+                           - correlation_function(dense, a, b, tau)) < 1e-12
+            for t1, t2 in ((0.0, 0.0), (0.4, 1.7), (2.3, -0.6)):
+                assert abs(two_time_correlation(bath, a, b, t1, t2)
+                           - two_time_correlation(dense, a, b, t1, t2)) < 1e-12
+    for omega in (-2.0, 0.0, 0.5, 1.0):
+        assert np.abs(bath.w_matrix(omega) - dense.w_matrix(omega)).max() < 1e-12
+    sx, _, sz, _ = sigma_ops()
+    couplings = [sx, sz][:k]
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    times = np.linspace(0.0, 12.0, 7)
+    states = exact_oracle(np.diag([0.0, 1.0]), bath, couplings, rho0, times).states
+    dense_states = exact_oracle(np.diag([0.0, 1.0]), dense, couplings, rho0, times).states
+    assert np.abs(states - dense_states).max() < 1e-12
 
 
 def test_correlation_table_kept_once_per_bath():

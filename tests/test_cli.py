@@ -653,25 +653,32 @@ def test_stationarity_builds_each_time_propagator_once(monkeypatch):
 
 
 def test_battery_diagonalises_no_bath_or_joint_matrix(monkeypatch):
+    # a mode comb's H_B is diagonal: loading it sorts its levels, and the
+    # battery applies its unitaries elementwise; neither diagonalises d_B
     data = flat_thermal_data(
         bath={
             "kind": "finite",
-            "modes": [{"frequency": 0.9, "coupling": 0.05},
-                      {"frequency": 1.0, "coupling": 0.06},
-                      {"frequency": 1.2, "coupling": 0.04}],
+            "modes": [{"frequency": 0.9 + 0.031 * i, "coupling": 0.05 - 0.002 * i}
+                      for i in range(10)],
             "temperature": 1.0,
             "broadening": 0.3,
         }
     )
+    sizes = record_eigh(monkeypatch)
     sc = loads_scenario(json.dumps(data))
     res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
                            policy=sc.policy)
-    sizes = record_eigh(monkeypatch)
+    calls = []
+    two_time = lindforge.cli.two_time_correlation
+    monkeypatch.setattr(lindforge.cli, "two_time_correlation",
+                        lambda *args: calls.append(args) or two_time(*args))
     checks = run_checks(sc, res)
     assert {c["name"] for c in checks} >= {"correlation-stationarity",
                                            "picture-reduction-invariance"}
     assert all(c["status"] == "pass" for c in checks)
+    assert sc.bath.dim == 1024 and sc.bath.channel_count == 1
     assert sizes and max(sizes) == sc.dim < sc.bath.dim
+    assert len(calls) == 6
 
 
 def test_times_samples_cap_is_resource_error(tmp_path, capsys):

@@ -94,20 +94,30 @@ def default_broadening(bath_energies: np.ndarray) -> float:
 
 
 def _transitions(x_eig, energies, populations):
-    """(amp, pop, nu) over every transition z -> xi that some channel carries
-    and whose p(z) is nonzero: amp[c, s] = <xi|X_c|z>, pop[s] = p(z) and
-    nu[s] = E_z - E_xi, read-only and sorted by nu (stably, so transitions of
-    one frequency stay in (z, xi) order)."""
+    """The table (amp, pop, nu) over every transition z -> xi that some
+    channel carries and whose p(z) is nonzero: amp[c, s] = <xi|X_c|z>,
+    pop[s] = p(z) and nu[s] = E_z - E_xi, read-only and sorted by nu (stably,
+    so transitions of one frequency stay in (z, xi) order); and the levels
+    z and xi of each transition, in the same order."""
     k, dim = len(x_eig), len(energies)
     # amps[c, z, xi] = <xi|X_c|z>
     amps = np.asarray(x_eig, dtype=complex).reshape(k, dim, dim).transpose(0, 2, 1)
     z, xi = np.nonzero((amps != 0).any(axis=0) & (populations != 0)[:, None])
     nu = energies[z] - energies[xi]
     order = np.argsort(nu, kind="stable")
-    table = (amps[:, z, xi][:, order], populations[z][order], nu[order])
+    z, xi = z[order], xi[order]
+    table = (amps[:, z, xi], populations[z], nu[order])
     for array in table:
         array.flags.writeable = False
-    return table
+    return table, z, xi
+
+
+def _carries_weight(pair_weights) -> np.ndarray:
+    """Per transition: on some channel pair, a weight above WEIGHT_CUTOFF
+    times that pair's largest."""
+    mags = np.abs(pair_weights)
+    cut = WEIGHT_CUTOFF * mags.max(axis=2, keepdims=True, initial=0.0)
+    return (mags > cut).any(axis=(0, 1))
 
 
 class FiniteBath:
@@ -115,6 +125,10 @@ class FiniteBath:
 
     transitions is the read-only table (amp, pop, nu) that every correlation
     function, half-range transform and rate matrix of the bath sums over.
+    A transition whose frequency is within 1e-12 * max(1, level) of zero,
+    for the larger magnitude of its two levels, counts as static: exact
+    levels of a diagonal H_B round only in their own digits, while every
+    level of a dense eigen-solve carries the rounding of the largest one.
     """
 
     def __init__(self, h_b, temperature: float, coupling_ops, broadening: float | None = None):
@@ -157,7 +171,7 @@ class FiniteBath:
             self._sigma[o, o] = self._populations
             self._x_eig = [x[np.ix_(o, o)] for x in self.coupling_ops]
         self._sigma.flags.writeable = False
-        self.transitions = _transitions(self._x_eig, self._energies, self._populations)
+        self._tabulate()
         self._unitaries = {}  # _propagator's, by time, least recent first
         self._correlations = None  # estimate_correlation_time's table
 
@@ -168,6 +182,17 @@ class FiniteBath:
     @property
     def channel_count(self) -> int:
         return len(self.coupling_ops)
+
+    def _tabulate(self) -> None:
+        """transitions from _x_eig, and _static: per transition, whether its
+        frequency is zero within rounding of its levels."""
+        self.transitions, z, xi = _transitions(self._x_eig, self._energies,
+                                               self._populations)
+        levels = np.abs(self._energies)
+        if self._order is None:  # a dense eigen-solve rounds like its largest level
+            levels = np.full_like(levels, levels.max())
+        scale = np.maximum(levels[z], levels[xi])
+        self._static = np.abs(self.transitions[2]) <= 1e-12 * np.maximum(1.0, scale)
 
     @property
     def _basis(self) -> np.ndarray:
@@ -229,7 +254,7 @@ class FiniteBath:
         new.__dict__.update(self.__dict__)
         new.coupling_ops = [x - s * eye for x, s in zip(self.coupling_ops, shifts)]
         new._x_eig = [x - s * eye for x, s in zip(self._x_eig, shifts)]
-        new.transitions = _transitions(new._x_eig, self._energies, self._populations)
+        new._tabulate()
         new._correlations = None  # shifted X, other correlations
         return new
 
@@ -256,9 +281,7 @@ class FiniteBath:
         """Bath Bohr frequencies that actually carry correlation weight: on
         some channel pair, a transition weight above WEIGHT_CUTOFF times that
         pair's largest."""
-        mags = np.abs(self._pair_weights())
-        cut = WEIGHT_CUTOFF * mags.max(axis=2, keepdims=True, initial=0.0)
-        return np.unique(self.transitions[2][(mags > cut).any(axis=(0, 1))])
+        return np.unique(self.transitions[2][_carries_weight(self._pair_weights())])
 
     def _pair_weights(self) -> np.ndarray:
         """weights[a, b, s] = p(z) <z|X_a^dag|xi><xi|X_b|z> on every transition."""
@@ -629,9 +652,11 @@ def estimate_correlation_time(bath: FiniteBath) -> CorrelationTable:
     tau_B is the smallest sampled tau such that every |G_ab(tau')| stays below
     5% of the largest |G_ab(0)| throughout [tau, 2 tau]. Few-mode baths whose
     correlations recur instead of decaying are flagged non_decaying and get
-    the half-period pi/nu_min of the slowest weighted Bohr frequency (zero
-    coupling gives tau_B = 0 by convention). The table is sampled once per
-    bath and kept on it, its arrays read-only.
+    the half-period pi/nu_min of the slowest weighted Bohr frequency that is
+    not static (zero coupling gives tau_B = 0 by convention). The table is
+    sampled once per bath and kept on it, its arrays read-only; it takes one
+    cos/sin phase row per distinct |nu|, which the frequencies -|nu| read
+    conjugated.
     """
     if bath._correlations is None:
         table = _sampled_correlations(bath)
@@ -644,11 +669,11 @@ def _sampled_correlations(bath: FiniteBath) -> CorrelationTable:
     """The correlation table estimate_correlation_time keeps on the bath."""
     k = bath.channel_count
     nu = bath.transitions[2]
-    weights = bath._pair_weights().reshape(k * k, -1)
+    pair = bath._pair_weights()
+    weights = pair.reshape(k * k, -1)
     g0 = weights.sum(axis=1)
     scale0 = float(np.abs(g0).max(initial=0.0))
-    freqs = bath.weighted_bohr_frequencies()
-    nonzero = np.abs(freqs)[np.abs(freqs) > 1e-12 * max(1.0, np.abs(freqs).max() if len(freqs) else 1.0)]
+    nonzero = np.abs(nu[_carries_weight(pair) & ~bath._static])
     if scale0 <= 0.0:
         # nothing couples: no memory at all
         return CorrelationTable(np.array([0.0]), np.zeros((k, k, 1), dtype=complex),
@@ -662,22 +687,57 @@ def _sampled_correlations(bath: FiniteBath) -> CorrelationTable:
     dt = math.pi / 16.0 / nu_max  # 16 nu_max may overflow; pi / 16 is exact
     n = max(64, math.ceil(min(t_end / dt, 4096.0)))
     taus = np.linspace(0.0, t_end, n)
-    # one phase row per distinct frequency: the table is sorted by nu, so the
-    # transitions of one frequency are contiguous and summed onto its row
+    # one coefficient per distinct frequency: the table is sorted by nu, so
+    # the transitions of one frequency are contiguous and summed together
     union, starts = np.unique(nu, return_index=True)
     coef = np.add.reduceat(weights, starts, axis=1)
-    values = np.empty((k * k, n), dtype=complex)
-    for start in range(0, n, 512):
-        stop = min(start + 512, n)
-        values[:, start:stop] = coef @ np.exp(1j * np.outer(union, taus[start:stop]))
-    values = values.reshape(k, k, n)
+    # one phase row per distinct |nu|: fl(-nu tau) = -fl(nu tau), so the
+    # phases of -|nu| are the conjugates of those of |nu|. The coefficients
+    # of +|nu| stand above the conjugated ones of -|nu|, and
+    # values = C+ P + conj(conj(C-) P) for the phase rows P
+    mags, row = np.unique(np.abs(union), return_inverse=True)
+    signed = np.zeros((2, k * k, mags.size), dtype=complex)
+    negative = union < 0
+    signed[0][:, row[~negative]] = coef[:, ~negative]
+    signed[1][:, row[negative]] = coef[:, negative].conj()
+    signed = signed.reshape(2 * k * k, mags.size)
+    # a product |nu| tau past the float range takes the phase of its value
+    # scaled by 2^-squarings, squared that many times (each squaring doubles
+    # the rounding, so the row is good to about 2^squarings eps)
+    with np.errstate(over="ignore"):
+        far = np.flatnonzero(np.isinf(mags * t_end))
+    squarings = 0
+    if far.size:
+        squarings = math.ceil(math.log2(mags[-1] / np.finfo(float).max * t_end)) + 1
+        mags[far] = np.ldexp(mags[far], -squarings)
+    chunk = min(n, 512)
+    arg = np.empty((mags.size, chunk))
+    phase = np.empty((mags.size, chunk), dtype=complex)
+    sums = np.empty((2 * k * k, n), dtype=complex)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        width = stop - start
+        np.multiply.outer(mags, taus[start:stop], out=arg[:, :width])
+        np.cos(arg[:, :width], out=phase.real[:, :width])
+        np.sin(arg[:, :width], out=phase.imag[:, :width])
+        if far.size:
+            reduced = phase[far, :width]
+            for _ in range(squarings):
+                reduced *= reduced
+            phase[far, :width] = reduced
+        sums[:, start:stop] = signed @ phase[:, :width]
+    values = (sums[:k * k] + sums[k * k:].conj()).reshape(k, k, n)
     envelope = np.abs(values).max(axis=(0, 1))
     threshold = DECAY_THRESHOLD * scale0
     below = envelope <= threshold
-    # on the uniform grid the window [tau_i, 2 tau_i] is exactly indices i..2i
-    for i in range(1, (n - 1) // 2 + 1):
-        if below[i : 2 * i + 1].all():
-            return CorrelationTable(taus, values, float(taus[i]), False)
+    # on the uniform grid the window [tau_i, 2 tau_i] is exactly indices
+    # i..2i, so it holds when the first index at or after i that is not
+    # below lies past 2i
+    above = np.append(np.flatnonzero(~below), n)
+    i = np.arange(1, (n - 1) // 2 + 1)
+    holds = above[np.searchsorted(above, i)] > 2 * i
+    if holds.any():
+        return CorrelationTable(taus, values, float(taus[i[holds.argmax()]]), False)
     return CorrelationTable(taus, values, math.pi / nu_min, True)
 
 

@@ -56,6 +56,8 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 CHECK_SEED = 11
+# bath-side states the picture check compares at once, as d_B x this blocks
+BATH_SIDE_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +243,40 @@ def _finite_bath_checks(scenario: Scenario, res, bath: FiniteBath) -> list[dict]
     checks.append(_check("half-fourier-split", _largest(w_defect, 0.0),
                          1e-12 * _largest(np.abs(gm), 1.0)))
 
-    # partial trace commutes with the free propagator U = U_A x U_B; the
-    # check works on the d_A x d_B amplitude matrix, so it runs at any size
+    # partial traces commute with the free propagator U = U_A x U_B; the
+    # check works on the d_A x d_B amplitude matrix M of U^+ |psi>, so it
+    # runs at any size. Tr_B = M M^+ cannot see U_B, so the bath side
+    # Tr_A = M^T conj(M) is held to U_B^+ Tr_A|psi><psi| U_B = P^T conj(P)
+    # for P = psi conj(U_B), U_B taken directly from the phases of a
+    # diagonal H_B or from one exponential of a dense one
     d_a = scenario.dim
     d_b = bath.dim
     rng = np.random.default_rng(CHECK_SEED + 1)
     psi = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
     psi = psi.reshape(d_a, d_b) / np.linalg.norm(psi)
     t_probe = 0.37 / max(1.0, _free_hamiltonian_scale(scenario.h_a, bath.h_b))
-    lhs = _reduced_rotated_state(psi, scenario.h_a, bath, t_probe)
+    moved = _rotated_amplitudes(psi, scenario.h_a, bath, t_probe)
     rhs_val = interaction_picture(psi @ psi.conj().T, scenario.h_a, t_probe, "to")
+    h_b = bath.h_b
+    if np.count_nonzero(h_b) == np.count_nonzero(h_b.diagonal()):
+        p = psi * np.exp(1j * h_b.diagonal().real * t_probe)
+    else:
+        p = psi @ matrix_exponential_unitary(h_b, t_probe).conj()
     checks.append(_check("picture-reduction-invariance",
-                         float(np.abs(lhs - rhs_val).max()), 1e-11))
+                         max(float(np.abs(moved @ moved.conj().T - rhs_val).max()),
+                             _bath_side_defect(moved, p)), 1e-11))
     return checks
+
+
+def _bath_side_defect(m, p) -> float:
+    """max |m^T conj(m) - p^T conj(p)|, the d_B x d_B bath-side states of
+    two amplitude matrices, compared BATH_SIDE_CHUNK columns at a time."""
+    worst = 0.0
+    for lo in range(0, m.shape[1], BATH_SIDE_CHUNK):
+        cols = slice(lo, lo + BATH_SIDE_CHUNK)
+        gap = m.T @ m[:, cols].conj() - p.T @ p[:, cols].conj()
+        worst = max(worst, float(np.abs(gap).max()))
+    return worst
 
 
 def _free_hamiltonian_scale(h_a, h_b) -> float:
@@ -264,16 +287,14 @@ def _free_hamiltonian_scale(h_a, h_b) -> float:
     return max(float(diagonal), off_diagonal(h_a), off_diagonal(h_b))
 
 
-def _reduced_rotated_state(psi, h_a, bath: FiniteBath, t: float) -> np.ndarray:
-    """Tr_B[U^+ |psi><psi| U] for U = e^{-i H_A t} x e^{-i H_B t}, from the
-    d_A x d_B amplitude matrix psi[i, k] = <i, k|psi>.
-
-    Tr_B |psi><psi| = psi psi^+, and U^+ |psi> has the amplitude matrix
-    U_A^+ psi conj(U_B), so no joint-sized matrix is formed.
+def _rotated_amplitudes(psi, h_a, bath: FiniteBath, t: float) -> np.ndarray:
+    """The amplitude matrix of U^+ |psi> for U = e^{-i H_A t} x e^{-i H_B t},
+    from the d_A x d_B amplitude matrix psi[i, k] = <i, k|psi>: it is
+    U_A^+ psi conj(U_B), so no joint-sized matrix is formed. A state with
+    amplitude matrix M has Tr_B = M M^+ and Tr_A = M^T conj(M).
     """
     u_a = matrix_exponential_unitary(h_a, t)
-    moved = bath._times_conj_propagator(u_a.conj().T @ psi, t)
-    return moved @ moved.conj().T
+    return bath._times_conj_propagator(u_a.conj().T @ psi, t)
 
 
 # ---------------------------------------------------------------------------

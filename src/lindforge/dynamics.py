@@ -8,11 +8,13 @@ like every RK4 run, is one block, its whole superoperator. exact_oracle()
 ignores the generator entirely: it diagonalises the full system+bath
 hamiltonian on its symmetry blocks in the product eigenbasis of H_A and H_B
 (the connected components of the coupling pattern there, after dropping
-entries that are rounding from the rotation), evolves the composite state
-unitarily from a factorized initial condition, and partial-traces at each
-sample time. A dense bath is the one-block case. The oracle makes no
-weak-coupling, Markov or secular approximation, so any disagreement beyond
-the two-timescale error budget points at the derivation.
+entries that are rounding from the rotation, with the eigenvector phases
+of H_A chosen to make the couplings real where some choice does), evolves
+the composite state unitarily from a factorized initial condition, and
+partial-traces at each sample time. A dense bath is the one-block case.
+The oracle makes no weak-coupling, Markov or secular approximation, so any
+disagreement beyond the two-timescale error budget points at the
+derivation.
 
 Both routes diagnose their (n, d, d) sample stack in one matrix_defects pass.
 """
@@ -309,14 +311,20 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     sample time is summed from the eigenphases over the block pairs the
     initial state couples.
 
+    Real gauge: the phases of H_A's eigenvectors are free. Where one choice
+    of them makes every A'_c real, the oracle works in it (_real_gauge), so
+    a coupling written in a complex system basis still gives real blocks,
+    the real solver and real phase products.
+
     Rounding rule: the rotated factors A'_c, X'_c and rho_A'(0) count an
-    entry within ROUNDING_ULPS (32) ulps of the matrix's largest entry as
-    rounding from the rotation, and zero. Dropping entries of at most
-    tau = 32 eps max|M| from a d x d matrix M moves it by at most
-    d tau <= 32 eps d ||M|| in the spectral norm, so the joint H moves by at
-    most 32 eps (d_A + d_B) sum_c ||A_c|| ||X_c|| (to first order in eps),
-    the reduced state at time t by at most t times that in trace distance,
-    and rho_A(0) by at most 32 eps d_A^2 in trace norm.
+    entry, and an imaginary part, within ROUNDING_ULPS (32) ulps of the
+    matrix's largest entry as rounding from the rotation, and zero. Either
+    moves an entry of a d x d matrix M by at most tau = 32 eps max|M|, so M
+    moves by at most d tau <= 32 eps d ||M|| in the spectral norm, the joint
+    H by at most 32 eps (d_A + d_B) sum_c ||A_c|| ||X_c|| (to first order in
+    eps), the reduced state at time t by at most t times that in trace
+    distance, and rho_A(0) by at most 32 eps d_A^2 in trace norm. The gauge
+    is a diagonal unitary and changes none of these norms.
     """
     if not isinstance(bath, FiniteBath):
         raise TypeError("exact_oracle needs a FiniteBath (analytic baths have "
@@ -343,10 +351,9 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
         )
 
     e_a, u_a = np.linalg.eigh(_real_if_real(hermitian_part(h_a)))
-    rotate = lambda m: _rounding_dropped(u_a.conj().T @ m @ u_a)
-    a_rot = [rotate(a) for a in ops]
+    u_a, a_rot = _real_gauge(u_a, ops)
     x_rot = [_rounding_dropped(x) for x in bath._x_eig]
-    rho_rot = rotate(rho_a0)
+    rho_rot = _rounding_dropped(u_a.conj().T @ rho_a0 @ u_a)
     energies = np.add.outer(e_a, bath._energies).ravel()  # at i d_B + k
     blocks = _oracle_blocks(a_rot, x_rot, energies, d_b)
     reduced = _reduced_states(blocks, rho_rot, bath._populations, t, d_a, d_b)
@@ -360,12 +367,51 @@ def _real_if_real(m: np.ndarray) -> np.ndarray:
 
 
 def _rounding_dropped(m: np.ndarray) -> np.ndarray:
-    """m, hermitised, with every entry within ROUNDING_ULPS ulps of its
-    largest entry set to zero; real when no imaginary part is left."""
+    """m, hermitised, with every entry and every imaginary part within
+    ROUNDING_ULPS ulps of its largest entry set to zero; real when no
+    imaginary part is left."""
     m = hermitian_part(m)
     mag = np.abs(m)
     floor = ROUNDING_ULPS * np.finfo(float).eps * mag.max(initial=0.0)
-    return _real_if_real(np.where(mag > floor, m, 0.0))
+    m = np.where(mag > floor, m, 0.0)
+    if np.iscomplexobj(m):
+        m.imag[np.abs(m.imag) <= floor] = 0.0
+    return _real_if_real(m)
+
+
+def _real_gauge(u_a, ops):
+    """The eigenvectors u_a, their free phases chosen so that every rotated
+    coupling A'_c = u_a^+ A_c u_a is real, and those A'_c (rounding dropped).
+
+    Along a spanning tree of the pattern of the A'_c, c_j = c_i |A'_ij| / A'_ij
+    for the first channel with A'_ij nonzero makes that entry |A'_ij|. Where
+    a cycle of some channel's entries still carries a phase, no gauge makes
+    it real, and the phases stay all ones, as they do when every A'_c is
+    real already."""
+    rotate = lambda u: [_rounding_dropped(u.conj().T @ a @ u) for a in ops]
+    plain = rotate(u_a)
+    if not any(np.iscomplexobj(a) for a in plain):
+        return u_a, plain
+    stack = np.array(plain, dtype=complex)  # (channels, d, d)
+    first = (stack != 0).argmax(axis=0)
+    entry = np.take_along_axis(stack, first[None], axis=0)[0]
+    phases = np.ones(u_a.shape[0], dtype=complex)
+    seen = np.zeros(u_a.shape[0], dtype=bool)
+    for root in range(seen.size):
+        if seen[root]:
+            continue
+        seen[root] = True
+        tree = [root]
+        for i in tree:  # grows as it is read: a breadth-first search
+            new = np.flatnonzero((entry[i] != 0) & ~seen)
+            phases[new] = phases[i] * np.abs(entry[i, new]) / entry[i, new]
+            seen[new] = True
+            tree.extend(new.tolist())
+    gauged_u = u_a * phases
+    gauged = rotate(gauged_u)
+    if any(np.iscomplexobj(a) for a in gauged):
+        return u_a, plain
+    return gauged_u, gauged
 
 
 @dataclass(frozen=True)
@@ -542,7 +588,8 @@ def timescale_report(bath, couplings, spectrum=None, tau_b: float | None = None,
     """Grade the two-timescale assumption for the given microscopic data.
 
     Finite baths get tau_B from the correlation-function estimator and the
-    interaction strength from the exact second moment <X^+ X>_B. Analytic
+    interaction strength from the exact second moment <X^+ X>_B, summed over
+    the bath's transition table. Analytic
     baths carry no correlation data, so tau_b must be supplied; their strength
     is inferred as max_W ||Gamma(W)||_2 / (2 tau_b) over the spectrum's Bohr
     frequencies (Gamma ~ 2 * moment * tau_B at the order-of-magnitude level).
@@ -558,11 +605,11 @@ def timescale_report(bath, couplings, spectrum=None, tau_b: float | None = None,
             table = estimate_correlation_time(bath)
             tau_b = table.tau_b_estimate
             non_decaying = table.non_decaying
-        moment = 0.0
-        for alpha in range(bath.channel_count):
-            x = bath.coupling_ops[alpha]
-            moment = max(moment, bath.expectation(x.conj().T @ x).real)
-        v_strength = math.sqrt(max(moment, 0.0)) * a_norm
+        # <X_a^+ X_a>_B = sum_z p(z) sum_xi |<xi|X_a|z>|^2, a sum over the
+        # transition table (the pairs it leaves out contribute zero)
+        amp, pop, _ = bath.transitions
+        moment = float((pop * (amp.real ** 2 + amp.imag ** 2)).sum(axis=1).max(initial=0.0))
+        v_strength = math.sqrt(moment) * a_norm
     elif isinstance(bath, AnalyticBath):
         if tau_b is None:
             raise ValueError(

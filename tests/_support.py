@@ -247,8 +247,13 @@ def reference_correlation_time(bath):
     freqs = reference_weighted_bohr_frequencies(bath)
     top = np.abs(freqs).max() if len(freqs) else 1.0
     nonzero = np.abs(freqs)[np.abs(freqs) > 1e-12 * max(1.0, top)]
-    if scale0 <= 0.0 or len(nonzero) == 0:
-        raise ValueError("reference covers decaying or recurring baths only")
+    if scale0 <= 0.0:
+        raise ValueError("reference covers coupled baths only")
+    if len(nonzero) == 0:
+        # constant correlations: G(0) on the one-sample grid
+        values = np.array([[np.sum(weights) for weights, _ in row] for row in pair_data],
+                          dtype=complex)
+        return CorrelationTable(np.array([0.0]), values[:, :, None], math.inf, True)
     nu_min = float(nonzero.min())
     nu_max = float(nonzero.max())
     t_end = 8.0 * math.pi / nu_min

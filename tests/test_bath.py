@@ -461,7 +461,7 @@ def test_diagonal_bath_is_the_dense_route_bitwise(kind, d, monkeypatch):
     assert same(bath._populations, p)
     assert same(bath.sigma(), (v * p) @ v.conj().T)
     assert all(same(a, b) for a, b in zip(bath._x_eig, x_eig))
-    assert all(same(a, b) for a, b in zip(bath.transitions, _transitions(x_eig, w, p)))
+    assert all(same(a, b) for a, b in zip(bath.transitions, _transitions(x_eig, w, p)[0]))
 
 
 def _turned(bath, rng):
@@ -557,6 +557,34 @@ def test_correlation_time_matches_per_pair_reference(kind, decays):
     assert np.abs(table.values - ref.values).max() < 1e-12
     assert table.tau_b_estimate == ref.tau_b_estimate
     assert table.non_decaying == ref.non_decaying
+
+
+@pytest.mark.parametrize("kind", ["low-temperature", "first-window", "commuting"])
+def test_correlation_table_edge_cases_match_reference(kind):
+    if kind == "low-temperature":
+        # zero Gibbs weights leave some -nu of the table without its +nu
+        bath = _table_test_bath(kind)
+        nu = bath.transitions[2]
+        assert not np.isin(-nu[nu < 0], nu).all()
+    elif kind == "first-window":
+        # a near-degenerate pair stretches the grid, and 24 levels at
+        # infinite temperature have dephased by its first step
+        rng = np.random.default_rng(5)
+        levels = np.sort(rng.uniform(0.0, 10.0, 24))
+        levels[1] = levels[0] + 1e-3
+        bath = FiniteBath(np.diag(levels), math.inf, [random_hermitian(rng, 24)],
+                          broadening=0.4)
+    else:  # X commutes with H_B: only nu = 0 carries weight
+        bath = FiniteBath(np.diag([0.0, 1.0]), 1.0, [np.diag([1.0, 2.0])], broadening=1.0)
+    table = estimate_correlation_time(bath)
+    ref = reference_correlation_time(bath)
+    assert np.array_equal(table.taus, ref.taus)
+    assert table.values.shape == ref.values.shape
+    assert np.abs(table.values - ref.values).max() < 1e-12
+    assert table.tau_b_estimate == ref.tau_b_estimate
+    assert table.non_decaying == ref.non_decaying
+    if kind == "first-window":
+        assert table.tau_b_estimate == table.taus[1] and not table.non_decaying
 
 
 def _table_test_bath(kind):

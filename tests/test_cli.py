@@ -12,6 +12,7 @@ import lindforge.dynamics
 from lindforge import (
     FiniteBath,
     derive_generator,
+    estimate_correlation_time,
     exact_oracle,
     interaction_picture,
     partial_trace_bath,
@@ -22,7 +23,7 @@ from lindforge.cli import (
     _check,
     _free_hamiltonian_scale,
     _largest,
-    _reduced_rotated_state,
+    _rotated_amplitudes,
     build_report,
     main,
     run_checks,
@@ -554,8 +555,8 @@ def test_verify_finite_bath_runs_correlation_checks(tmp_path, capsys):
 
 def test_free_picture_matches_dense_interaction_picture():
     # the battery's amplitude-matrix route, U_A^+ psi conj(U_B) reduced to
-    # the system, against the dense rotation of |psi><psi| by the joint H_0
-    # followed by the partial trace
+    # the system and to the bath, against the dense rotation of |psi><psi|
+    # by the joint H_0 followed by each partial trace
     rng = np.random.default_rng(41)
     for d_a, d_b in ((2, 3), (3, 5), (4, 2), (1, 4)):
         h_a = random_hermitian(rng, d_a, scale=1.5)
@@ -567,8 +568,11 @@ def test_free_picture_matches_dense_interaction_picture():
         psi /= np.linalg.norm(psi)
         t = float(rng.uniform(0.1, 2.0))
         rho_ab = np.outer(psi.ravel(), psi.ravel().conj())
-        dense = partial_trace_bath(interaction_picture(rho_ab, h0, t, "to"), d_a, d_b)
-        assert np.abs(_reduced_rotated_state(psi, h_a, bath, t) - dense).max() < 1e-12
+        rotated = interaction_picture(rho_ab, h0, t, "to")
+        m = _rotated_amplitudes(psi, h_a, bath, t)
+        assert np.abs(m @ m.conj().T - partial_trace_bath(rotated, d_a, d_b)).max() < 1e-12
+        bath_side = np.einsum("ikil->kl", rotated.reshape(d_a, d_b, d_a, d_b))
+        assert np.abs(m.T @ m.conj() - bath_side).max() < 1e-12
 
 
 def ladder_comb_data(modes=8):
@@ -619,6 +623,33 @@ def test_verify_runs_the_picture_check_past_joint_dimension_1024(tmp_path, capsy
     assert picture[0]["status"] == "pass"
     assert report["all_checks_pass"]
     assert code == 0
+
+
+@pytest.mark.parametrize("bath_kind", ["comb", "dense"])
+@pytest.mark.parametrize("fault", ["no-phases", "unconjugated"])
+def test_picture_check_sees_the_bath_propagator(monkeypatch, bath_kind, fault):
+    # Tr_B is the same under any unitary on the bath, so only the bath-side
+    # state can tell a wrong conj(U_B) from the right one
+    if bath_kind == "comb":
+        sc = loads_scenario(json.dumps(ladder_comb_data(modes=5)))
+    else:
+        rng = np.random.default_rng(42)
+        sc = loads_scenario(json.dumps(flat_thermal_data(bath={
+            "kind": "finite", "hamiltonian": cm(random_hermitian(rng, 6)),
+            "temperature": 1.0, "broadening": 0.4},
+            couplings=[{"A": SX, "X": cm(random_hermitian(rng, 6, scale=0.05))}])))
+    res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
+                           policy=sc.policy)
+    picture = lambda: [c["status"] for c in run_checks(sc, res)
+                       if c["name"] == "picture-reduction-invariance"]
+    assert picture() == ["pass"]
+    right = FiniteBath._times_conj_propagator
+    if fault == "no-phases":
+        wrong = lambda self, m, t: m
+    else:  # conj(e^{+i H_B t}): U_B itself for a real H_B, else U_B^T
+        wrong = lambda self, m, t: right(self, m, -t)
+    monkeypatch.setattr(FiniteBath, "_times_conj_propagator", wrong)
+    assert picture() == ["fail"]
 
 
 def test_stationarity_builds_each_time_propagator_once(monkeypatch):
@@ -1073,3 +1104,25 @@ def test_fock_decay_above_the_dense_cap_is_binomial(tmp_path, capsys):
             exact = math.comb(n0, k) * q**k * (1.0 - q) ** (n0 - k)
             worst = max(worst, abs(float(row[col]) - exact))
     assert worst < 1e-12
+
+
+def test_far_mode_leaves_the_comb_its_correlation_grid(tmp_path, capsys):
+    # a frequency counts as zero only within rounding of its own levels, so
+    # one mode at 5e307 does not hide the seven near 1: the table spans
+    # eight periods of the slowest of them, as without the far mode (whose
+    # levels are differences like (a + nu_0) - a, an ulp or two off nu_0),
+    # and its far phases stay finite
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
+    data = json.loads((demo / "weak_coupling_comb.json").read_text())
+    plain = estimate_correlation_time(load_scenario(demo / "weak_coupling_comb.json").bath)
+    data["bath"]["modes"][1]["frequency"] = 5e307
+    path = write_scenario(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = estimate_correlation_time(load_scenario(path).bath)
+    assert table.taus[-1] == plain.taus[-1]
+    assert math.isclose(table.taus[-1], 8.0 * math.pi / 0.9466517888250567, rel_tol=1e-15)
+    assert len(table.taus) == 4096
+    assert math.isfinite(table.tau_b_estimate) and np.isfinite(table.values).all()
+    code, out, err, caught = run_cli_strict(capsys, "derive", path)
+    assert (code, err, caught) == (0, "", [])

@@ -574,7 +574,8 @@ def test_oracle_preserves_trace_with_coupling():
 
 def test_oracle_real_solver_matches_complex_basis(monkeypatch):
     # a mode comb gives a real joint H (real symmetric solver); the same
-    # physics written in a complex-rotated system basis takes the complex one
+    # physics written in a complex-rotated system basis diagonalises H_A on
+    # the complex solver, and its real gauge puts the blocks on the real one
     rng = np.random.default_rng(67)
     bath = qubit_mode_bath([(0.95, 0.03), (1.0, 0.04), (1.06, 0.035)], 1.0,
                            broadening=0.1)
@@ -592,11 +593,42 @@ def test_oracle_real_solver_matches_complex_basis(monkeypatch):
     assert len(dtypes) >= 2 and set(dtypes) == {np.dtype(np.float64)}
     n_real = len(dtypes)
     rotated = exact_oracle(rot(h), bath, [rot(a)], rot(rho0), times)
-    assert dtypes[n_real:] and set(dtypes[n_real:]) == {np.dtype(np.complex128)}
+    assert dtypes[n_real] == np.dtype(np.complex128)
+    assert dtypes[n_real + 1:] and set(dtypes[n_real + 1:]) == {np.dtype(np.float64)}
     for k in range(len(times)):
         back = u.conj().T @ rotated.states[k] @ u
         assert np.abs(back - real.states[k]).max() < 1e-10
     assert np.abs(real.states[-1] - real.states[0]).max() > 1e-3
+
+
+@pytest.mark.parametrize("case", ["phase-cycle", "two-channel-gauge"])
+def test_oracle_real_gauge_only_where_one_exists(monkeypatch, case):
+    # the product A_01 A_12 A_20 = i of the cycle is the same in every gauge,
+    # so that coupling stays complex; two channels that are real in one
+    # basis share its gauge, however the system basis is turned
+    rng = np.random.default_rng(68)
+    u = random_unitary(rng, 3)
+    rot = lambda m: u @ m @ u.conj().T
+    h = rot(np.diag([0.0, 0.97, 2.03]))
+    if case == "phase-cycle":
+        bath = qubit_mode_bath([(0.95, 0.04), (1.04, 0.05)], 1.1, broadening=0.1)
+        ops = [rot(np.array([[0, 1, 1], [1, 0, 1j], [1, -1j, 0]]))]
+    else:
+        x1 = np.diag([0.3, -0.1, 0.0, 0.2]) + np.diag([0.06, 0.05, 0.07], 1)
+        x2 = np.diag([0.04, 0.05], 2) + np.diag([0.03], 3)
+        bath = FiniteBath(np.diag([0.0, 0.93, 1.06, 2.01]), 1.2,
+                          [x1 + x1.T, x2 + x2.T], broadening=0.2)
+        ladder = np.diag([1.0, 0.8], 1) + np.diag([0.3, -0.2, 0.5])
+        ops = [rot(ladder + ladder.T), rot(np.diag([0.6], 2) + np.diag([0.6], -2))]
+    rho0 = rot(random_density(rng, 3))
+    times = np.linspace(0.0, 30.0, 9)
+    dtypes = record_eigh(monkeypatch, key=lambda m: m.dtype)
+    traj = exact_oracle(h, bath, ops, rho0, times)
+    blocks = set(dtypes[1:])
+    assert blocks == {np.dtype(np.complex128 if case == "phase-cycle" else np.float64)}
+    want = reference_exact_oracle(h, bath, ops, rho0, times)
+    assert np.abs(traj.states - want).max() < 1e-12
+    assert np.abs(want[-1] - want[0]).max() > 1e-3
 
 
 WEAK_COMB_FREQS = (0.9466517888250567, 0.9619077807270838, 0.975023195643077,

@@ -34,6 +34,7 @@ import numpy as np
 from .linalg import (
     as_hermitian,
     as_operator,
+    cluster_starts,
     hermiticity_defect,
     hermitian_eigendecomposition,
     hermitian_part,
@@ -74,23 +75,21 @@ def gibbs_state(h_b, temperature: float) -> np.ndarray:
 def default_broadening(bath_energies: np.ndarray) -> float:
     """4x the mean level spacing of the bath Bohr frequencies.
 
-    Bohr frequencies within 1e-9 * max(1, max |E|) of each other count as one.
-    Needs at least two distinct Bohr frequencies; otherwise there is no spacing
-    to speak of and the caller must supply a broadening explicitly.
+    Bohr frequencies count once per cluster (linalg.cluster_starts at
+    1e-9 * max(1, max |E|)), at its lowest value. Needs at least two; otherwise
+    there is no spacing to speak of and the caller must supply a broadening.
     """
     w = np.asarray(bath_energies, dtype=float)
     dedup_tol = 1e-9 * max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-    diffs = np.sort((w[:, None] - w[None, :]).ravel())
-    distinct = [diffs[0]]
-    for d in diffs[1:]:
-        if d - distinct[-1] > dedup_tol:
-            distinct.append(d)
-    if len(distinct) < 2:
+    diffs = (w[:, None] - w[None, :]).ravel()
+    diffs.sort()
+    starts = cluster_starts(diffs, dedup_tol)
+    if starts.size < 2:
         raise ValueError(
             "bath has fewer than two distinct Bohr frequencies; "
             "supply an explicit broadening"
         )
-    return 4.0 * (distinct[-1] - distinct[0]) / (len(distinct) - 1)
+    return 4.0 * (diffs[starts[-1]] - diffs[0]) / (starts.size - 1)
 
 
 def _transitions(x_eig, energies, populations):
@@ -293,7 +292,8 @@ def center_couplings(bath: FiniteBath, system_ops) -> tuple[FiniteBath, np.ndarr
     """Shift each X_alpha by -<X_alpha>_B so Tr{X' sigma_B} = 0.
 
     Returns the shifted bath and the compensating system-hamiltonian term
-    sum_alpha <X_alpha>_B A_alpha, so the total physics is unchanged.
+    sum_alpha <X_alpha>_B A_alpha, so the total physics is unchanged. When
+    every mean is exactly zero, the shifted bath is the input bath itself.
     """
     system_ops = [as_operator(a, f"system_ops[{i}]") for i, a in enumerate(system_ops)]
     if len(system_ops) != bath.channel_count:
@@ -305,7 +305,7 @@ def center_couplings(bath: FiniteBath, system_ops) -> tuple[FiniteBath, np.ndarr
     h_shift = np.zeros((dim_a, dim_a), dtype=complex)
     for mean, a in zip(means, system_ops):
         h_shift = h_shift + mean * a
-    return bath._shifted(means), hermitian_part(h_shift)
+    return bath if not any(means) else bath._shifted(means), hermitian_part(h_shift)
 
 
 def _canonical_sign(m: np.ndarray, scale: float) -> float:

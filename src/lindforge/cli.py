@@ -185,7 +185,7 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
     checks.append(_check("rhs-hermiticity-preservation", _largest(herm_defect, 0.0),
                          1e-12 * rhs_scale))
     checks.append(_check("rhs-adjoint-consistency", _largest(adj_defect, 0.0),
-                         1e-12 * _largest([np.abs(g.h_eff).max() * 10], rhs_scale)))
+                         1e-12 * _largest([10 * float(np.abs(g.h_eff).max())], rhs_scale)))
 
     bath = scenario.bath
     if isinstance(bath, FiniteBath):

@@ -33,11 +33,12 @@ from .generator import rhs_function  # unused here; bench/tracing.py wraps it on
 from .linalg import (
     DENSITY_TOL,
     DimensionError,
+    as_hermitian,
     as_operator,
     hermitian_part,
-    hermiticity_defect,
     matrix_defects,
     matrix_exponential_unitary,
+    validate_density_matrix,
     vec,
 )
 from .spectral import bohr_frequencies
@@ -122,14 +123,16 @@ def _check_times(times) -> np.ndarray:
     return t
 
 
-def _check_initial_state(rho0, dim: int) -> np.ndarray:
-    rho = as_operator(rho0, "rho0")
+def _check_initial_state(rho0, dim: int, name: str = "rho0") -> np.ndarray:
+    """rho0, refused unless validate_density_matrix finds it valid."""
+    rho = as_operator(rho0, name)
     if rho.shape[0] != dim:
-        raise ValueError(f"rho0 has dimension {rho.shape[0]}, generator has {dim}")
-    if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
-        raise ValueError(f"rho0 trace is {np.trace(rho):.6g}, expected 1")
-    if hermiticity_defect(rho) > DENSITY_TOL:
-        raise ValueError("rho0 is not hermitian")
+        raise ValueError(f"{name} has dimension {rho.shape[0]}, expected {dim}")
+    r = validate_density_matrix(rho)
+    if not r.valid:  # NaN defects (an overflowing hermitian part) are invalid
+        raise ValueError(f"{name} is not a density matrix within {r.tol:g}: trace defect "
+                         f"{r.trace_defect:.3e}, hermiticity defect {r.hermiticity_defect:.3e}, "
+                         f"min eigenvalue {r.min_eigenvalue:.3e}")
     return rho
 
 
@@ -241,7 +244,8 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     else the one block, the d^2 x d^2 superoperator on the identity basis.
     'rk4' takes classical steps of at most (1/20) / ||L|| on that one block.
 
-    Raises DimensionError before allocating when the largest block (d^2 for
+    Raises ValueError for a rho0 that _check_initial_state refuses, and
+    DimensionError before allocating when the largest block (d^2 for
     the superoperator) exceeds MAX_TENSOR_DIM, and before forming it when rk4
     would take more than RK4_MAX_STEPS (or non-finitely many) steps. Raises
     PropagationError, with the samples before it as the partial trajectory,
@@ -309,7 +313,8 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     composite state starts factorised as rho_A(0) x sigma_B (the only place
     a product form enters) and evolves unitarily; the reduced state at each
     sample time is summed from the eigenphases over the block pairs the
-    initial state couples.
+    initial state couples. H_A must pass as_hermitian and rho_a0 the
+    initial-state check of propagate, or ValueError is raised.
 
     Real gauge: the phases of H_A's eigenvectors are free. Where one choice
     of them makes every A'_c real, the oracle works in it (_real_gauge), so
@@ -329,13 +334,11 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     if not isinstance(bath, FiniteBath):
         raise TypeError("exact_oracle needs a FiniteBath (analytic baths have "
                         "no microscopic hamiltonian to diagonalize)")
-    h_a = as_operator(h_a, "system hamiltonian")
-    rho_a0 = as_operator(rho_a0, "rho_a0")
+    h_a = as_hermitian(h_a, "system hamiltonian")
     t = _check_times(times)
     d_a = h_a.shape[0]
     d_b = bath.dim
-    if rho_a0.shape[0] != d_a:
-        raise ValueError(f"rho_a0 has dimension {rho_a0.shape[0]}, system has {d_a}")
+    rho_a0 = _check_initial_state(rho_a0, d_a, "rho_a0")
     ops = [as_operator(a, f"couplings[{i}]") for i, a in enumerate(couplings)]
     if len(ops) != bath.channel_count:
         raise ValueError(

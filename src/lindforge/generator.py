@@ -388,7 +388,7 @@ def build_rate_tensors(spectrum: Spectrum, system_ops, gammas, deltas) -> RateTe
 
     system_ops: the coupling operators, one per channel, in the user basis.
     gammas, deltas: (n, k, k) stacks of Gamma(w), Delta(w) over w in
-    bohr_frequencies(spectrum).
+    bohr_frequencies(spectrum). A Lamb shift that overflows raises ValueError.
     """
     dim = spectrum.dim
     e = np.array([eigenbasis_operator(a, spectrum)
@@ -404,11 +404,15 @@ def build_rate_tensors(spectrum: Spectrum, system_ops, gammas, deltas) -> RateTe
     np.add.at(kap, (m[esc], n[esc]), k_vals[esc])
     lamb = np.zeros((dim, dim), dtype=complex)
     if np.any(deltas):  # the escape sum again, Delta for Gamma, transposed
-        u = np.einsum("cp,pxc->px", e, np.asarray(deltas)[label])
-        ls_vals = np.einsum("sx,xs->s", u[p[esc]], e[:, q[esc]].conj())
-        np.add.at(lamb, (n[esc], m[esc]), ls_vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.einsum("cp,pxc->px", e, np.asarray(deltas)[label])
+            ls_vals = np.einsum("sx,xs->s", u[p[esc]], e[:, q[esc]].conj())
+            np.add.at(lamb, (n[esc], m[esc]), ls_vals)
+    lamb = hermitian_part(lamb)
+    if not np.isfinite(lamb).all():
+        raise ValueError("Delta: the escape sum of the Lamb shift overflows")
     return RateTensors(K=k_vals, index=np.stack([a, m, b, n], axis=1), kappa=kap,
-                       lamb_shift=hermitian_part(lamb))
+                       lamb_shift=lamb)
 
 
 @dataclass(frozen=True)
@@ -438,25 +442,15 @@ class PauliReduction:
     flags: tuple[str, ...]
 
 
-def _distinct_gap_check(spectrum: Spectrum) -> bool:
-    """True when no two distinct multiplet pairs share a transition frequency.
-
-    The closest two gaps are neighbours once sorted, so only adjacent
-    differences need comparing with the tolerance.
-    """
-    freqs = spectrum.multiplet_frequencies
-    upper = np.triu_indices(len(freqs), k=1)
-    gaps = np.sort(np.abs(freqs[None, :] - freqs[:, None])[upper])
-    return not np.any(np.diff(gaps) <= spectrum.degeneracy_tol)
-
-
 def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduction:
     """Reduce the rate tensors to population and coherence equations."""
     dim = spectrum.dim
     k_vals, kap = rate_tensors.K, rate_tensors.kappa
     a, m, b, n = rate_tensors.index.T
     degenerate = any(g > 1 for g in spectrum.degeneracies)
-    gaps_ok = _distinct_gap_check(spectrum)
+    # M multiplets have distinct pair gaps when each is a Bohr frequency of its own
+    n_mult = len(spectrum.multiplets)
+    gaps_ok = spectrum.bohr_set.values.size == n_mult * (n_mult - 1) + 1
     flags = []
     if degenerate:
         flags.append("degenerate-multiplets")

@@ -114,6 +114,23 @@ def matrix_exponential_unitary(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def cluster_starts(values, tol: float) -> np.ndarray:
+    """Where each cluster of ascending values starts, by single linkage: a
+    gap above tol to the previous value opens a new cluster, so a chain of
+    smaller gaps is one cluster however far it spans."""
+    return np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+
+
+def cluster_means(values, starts) -> np.ndarray:
+    """Each cluster's np.mean, taken once per cluster of more than one value
+    (a lone value is its own mean)."""
+    means = values[starts]
+    sizes = np.diff(np.append(starts, len(values)))
+    for i in np.flatnonzero(sizes > 1).tolist():
+        means[i] = np.mean(values[starts[i]:starts[i] + sizes[i]])
+    return means
+
+
 def vec(rho) -> np.ndarray:
     """Column-stack a matrix (Fortran order), so vec(A rho B) = kron(B^T, A) vec(rho)."""
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_operator, hermitian_eigendecomposition, hermitian_part
+from .linalg import (as_operator, cluster_means, cluster_starts, hermitian_eigendecomposition,
+                     hermitian_part)
 
 # entries below this magnitude do not earn an eigenoperator of their own
 NEGLIGIBLE_ENTRY = 1e-14
@@ -63,16 +64,9 @@ class Spectrum:
         """All differences of multiplet frequencies, deduplicated and
         mirrored, computed once and shared read-only."""
         reps = self.multiplet_frequencies
-        tol = self.degeneracy_tol
         diffs = (reps[:, None] - reps[None, :]).ravel()
-        diffs = np.sort(diffs[diffs > tol])
-        # single linkage on the sorted gaps; each cluster's mean is one np.mean
-        # (a lone gap is its own mean)
-        starts = np.flatnonzero(np.diff(diffs, prepend=-np.inf) > tol)
-        positives = diffs[starts]
-        sizes = np.diff(np.append(starts, diffs.size))
-        for i in np.flatnonzero(sizes > 1).tolist():
-            positives[i] = np.mean(diffs[starts[i]:starts[i] + sizes[i]])
+        diffs = np.sort(diffs[diffs > self.degeneracy_tol])
+        positives = cluster_means(diffs, cluster_starts(diffs, self.degeneracy_tol))
         values = np.concatenate((-positives[::-1], [0.0], positives))
         values.flags.writeable = False
         return BohrFrequencySet(values=values)
@@ -121,31 +115,22 @@ def build_spectrum(h_a, degeneracy_tol: float | None = None) -> Spectrum:
     w, v = hermitian_eigendecomposition(h_a)
     if degeneracy_tol is None:
         degeneracy_tol = 1e-9 * float(np.abs(w).max()) if w.size else 0.0
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > degeneracy_tol:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    warnings = []
-    for g in groups:
-        spread = float(w[g[-1]] - w[g[0]])
-        if spread > degeneracy_tol:
-            warnings.append(
-                f"multiplet around {float(np.mean(w[g])):.6g} chains over a spread "
-                f"{spread:.3e} larger than the tolerance {degeneracy_tol:.3e}"
-            )
-    reps = np.array([float(np.mean(w[g])) for g in groups])
-    index = np.empty(len(w), dtype=int)
-    for n, g in enumerate(groups):
-        index[g] = n
+    starts = cluster_starts(w, degeneracy_tol)
+    stops = np.append(starts[1:], len(w))
+    reps = cluster_means(w, starts)
+    spreads = w[stops - 1] - w[starts]
+    warnings = [
+        f"multiplet around {float(reps[n]):.6g} chains over a spread "
+        f"{float(spreads[n]):.3e} larger than the tolerance {degeneracy_tol:.3e}"
+        for n in np.flatnonzero(spreads > degeneracy_tol).tolist()
+    ]
     return Spectrum(
         dim=len(w),
         frequencies=w,
         basis=v,
-        multiplets=tuple(tuple(g) for g in groups),
+        multiplets=tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), stops.tolist())),
         multiplet_frequencies=reps,
-        multiplet_index=index,
+        multiplet_index=np.repeat(np.arange(len(starts)), stops - starts),
         degeneracy_tol=float(degeneracy_tol),
         warnings=tuple(warnings),
     )

@@ -317,11 +317,7 @@ def reference_pauli(k_map, kap, spectrum):
     """pauli_equations by loops over the dicts of reference_rate_tensors:
     returns a dict of PauliReduction's fields."""
     dim = spectrum.dim
-    freqs = spectrum.multiplet_frequencies
-    gaps = [abs(freqs[q] - freqs[p]) for p in range(len(freqs))
-            for q in range(p + 1, len(freqs))]
-    gaps_ok = not any(abs(gaps[x] - gaps[y]) <= spectrum.degeneracy_tol
-                      for x in range(len(gaps)) for y in range(x + 1, len(gaps)))
+    gaps_ok = reference_gaps_distinct(spectrum)
     degenerate = any(g > 1 for g in spectrum.degeneracies)
     flags = (("degenerate-multiplets",) if degenerate else ()) + (
         () if gaps_ok else ("shared-transition-frequency",))
@@ -511,3 +507,54 @@ def reference_eigenoperators(a_op, spectrum):
             continue
         terms[float(omega)] = v @ piece @ v.conj().T
     return terms
+
+
+def reference_multiplets(w, tol):
+    """build_spectrum's clustering as the per-level loop made it: a gap above
+    tol to the previous level opens a new multiplet. Returns the multiplets,
+    their np.mean frequencies, the multiplet index of each level and the
+    chain warnings."""
+    groups = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] > tol:
+            groups.append([i])
+        else:
+            groups[-1].append(i)
+    warnings = []
+    for g in groups:
+        spread = float(w[g[-1]] - w[g[0]])
+        if spread > tol:
+            warnings.append(
+                f"multiplet around {float(np.mean(w[g])):.6g} chains over a spread "
+                f"{spread:.3e} larger than the tolerance {tol:.3e}")
+    reps = np.array([float(np.mean(w[g])) for g in groups])
+    index = np.empty(len(w), dtype=int)
+    for n, g in enumerate(groups):
+        index[g] = n
+    return tuple(tuple(g) for g in groups), reps, index, tuple(warnings)
+
+
+def reference_default_broadening(bath_energies):
+    """default_broadening as the greedy per-difference loop computed it: a
+    sorted difference counts as new when it lies more than the tolerance past
+    the last one kept."""
+    w = np.asarray(bath_energies, dtype=float)
+    dedup_tol = 1e-9 * max(1.0, float(np.abs(w).max()))
+    diffs = np.sort((w[:, None] - w[None, :]).ravel())
+    distinct = [diffs[0]]
+    for d in diffs[1:]:
+        if d - distinct[-1] > dedup_tol:
+            distinct.append(d)
+    if len(distinct) < 2:
+        raise ValueError("fewer than two distinct Bohr frequencies")
+    return 4.0 * (distinct[-1] - distinct[0]) / (len(distinct) - 1)
+
+
+def reference_gaps_distinct(spectrum):
+    """PauliReduction.all_gaps_distinct by the pairwise rule: no two gaps
+    between multiplet frequencies within the tolerance of each other."""
+    freqs = spectrum.multiplet_frequencies
+    gaps = [abs(freqs[q] - freqs[p]) for p in range(len(freqs))
+            for q in range(p + 1, len(freqs))]
+    return not any(abs(gaps[x] - gaps[y]) <= spectrum.degeneracy_tol
+                   for x in range(len(gaps)) for y in range(x + 1, len(gaps)))

@@ -30,6 +30,7 @@ from _support import (
     random_hermitian,
     record_eigh,
     reference_correlation_time,
+    reference_default_broadening,
     reference_expectation,
     reference_w_matrix,
     reference_weighted_bohr_frequencies,
@@ -58,6 +59,54 @@ def test_default_broadening_examples():
     assert abs(default_broadening(np.array([0.0, nu])) - 4.0 * nu) < EXACT_TOL
     with pytest.raises(ValueError):
         default_broadening(np.array([1.0, 1.0]))
+
+
+_COMB_RNG = np.random.default_rng(1990)
+BROADENING_COMBS = [[(float(nu), 0.05) for nu in _COMB_RNG.uniform(0.5, 1.5, n)]
+                    for n in range(2, 11)] + [
+    [(1.0, 0.05)] * 6,  # one frequency: degenerate levels
+    [(0.5 * k, 0.05) for k in range(1, 7)],  # commensurate
+    [(0.9466517888250567, 0.005), (0.9619077807270838, 0.005),
+     (1e-10, 0.005)],  # a mode below the tolerance
+]
+
+
+@pytest.mark.parametrize("modes", BROADENING_COMBS)
+def test_default_broadening_matches_the_greedy_loop(modes):
+    # single linkage and the greedy loop agree wherever no run of
+    # sub-tolerance steps spans more than the tolerance
+    bath = qubit_mode_bath(modes, 0.8)
+    want = reference_default_broadening(bath._energies)
+    assert bath.broadening == default_broadening(bath._energies) == want
+    levels = np.random.default_rng(len(modes)).permutation(bath._energies)
+    assert default_broadening(levels) == want
+
+
+def test_default_broadening_counts_a_chain_of_bohr_frequencies_once():
+    # steps of 0.6e-9 below the tolerance 1e-9 (1 + 1.2e-9) chain the
+    # differences near -1, 0 and 1 into three frequencies; the greedy loop
+    # kept one more wherever the chain passed the tolerance, seven in all
+    top = 1.0 + 1.2e-9
+    levels = np.array([0.0, 1.0, 1.0 + 0.6e-9, top])
+    chained = 4.0 * (1.0 + top) / 2
+    assert reference_default_broadening(levels) == 4.0 * (top + top) / 6
+    assert default_broadening(levels) == chained
+    x = np.ones((4, 4)) - np.eye(4)
+    assert FiniteBath(np.diag(levels), 1.0, [x]).broadening == chained
+
+
+def test_center_couplings_keeps_a_centred_comb():
+    # every <X>_B of a comb is exactly zero: no copy, and a zero shift
+    bath = qubit_mode_bath([(0.8, 0.1), (1.1, 0.2), (1.3, 0.05)], 0.7)
+    assert bath.expectation(bath.coupling_ops[0]) == 0
+    shifted, h_shift = center_couplings(bath, [sigma_ops()[0]])
+    assert shifted is bath
+    assert h_shift.shape == (2, 2) and not h_shift.any()
+    copied = bath._shifted([0j])  # what the shift would have been
+    assert copied.coupling_ops[0].tobytes() == bath.coupling_ops[0].tobytes()
+    for got, want in zip(copied.transitions, bath.transitions):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(copied._static, bath._static)
 
 
 def test_center_couplings_identity_bath_operator():

@@ -1126,3 +1126,51 @@ def test_far_mode_leaves_the_comb_its_correlation_grid(tmp_path, capsys):
     assert math.isfinite(table.tau_b_estimate) and np.isfinite(table.values).all()
     code, out, err, caught = run_cli_strict(capsys, "derive", path)
     assert (code, err, caught) == (0, "", [])
+
+
+def lamb_shift_data(delta, a, mode):
+    # the thermal_qubit demo on a three-entry table with Delta = [[delta]]
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
+    data = json.loads((demo / "thermal_qubit.json").read_text())
+    data["bath"] = {"kind": "table", "entries": [
+        {"omega": w, "gamma": cm([[0.1]]), "delta": cm([[delta]])} for w in (-1.0, 0.0, 1.0)]}
+    data["couplings"][0]["A"] = cm(a)
+    if mode == "presecular":
+        data["policy"] = {"mode": "presecular", "filter": "F-weighted", "dt": 5}
+    return data
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
+@pytest.mark.parametrize("mode", ["secular", "presecular"])
+def test_overflowing_lamb_shift_is_an_input_error(tmp_path, capsys, mode, command):
+    # the escape sum of Delta = 1e307 over A = [[3, 3], [3, -3]] overflows:
+    # build_rate_tensors refuses it in both modes, before either builder
+    path = write_scenario(tmp_path, lamb_shift_data(1e307, [[3, 3], [3, -3]], mode))
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, out, caught) == (2, "", [])
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "input" and error["message"].startswith("Delta:")
+
+
+@pytest.mark.parametrize("command, want", [("derive", 1), ("verify", 1), ("evolve", 0)])
+@pytest.mark.parametrize("mode", ["secular", "presecular"])
+def test_finite_lamb_shift_near_the_float_limit_warns_nothing(tmp_path, capsys,
+                                                               mode, command, want):
+    # Delta = 8e307 with A = sigma_x keeps the Lamb shift finite; the
+    # battery's scale arithmetic runs without a warning, and a check whose
+    # tolerance overflows fails
+    path = write_scenario(tmp_path, lamb_shift_data(8e307, [[0, 1], [1, 0]], mode))
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, err, caught) == (want, "", [])
+    if command == "evolve":
+        cells = [float(x) for line in out.splitlines()[1:] for x in line.split(",")]
+        assert cells and all(math.isfinite(x) for x in cells)
+        return
+
+    def refuse(token):
+        raise AssertionError(f"{token} in the output")
+
+    checks = json.loads(out, parse_constant=refuse)["checks"]
+    assert any(c["status"] == "fail" for c in checks)

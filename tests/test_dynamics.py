@@ -519,16 +519,34 @@ def test_propagation_failure_diagnoses_each_sample_once(monkeypatch, method):
     assert partial.min_eigenvalues.min() >= -1e-6 > err.value.defect
 
 
-def test_failure_at_the_initial_state_keeps_an_empty_stack():
-    # rho0 passes the trace and hermiticity checks but is not positive
-    gen = derive_generator(np.diag([0.0, 1.0]), flat_thermal_bath(0.2, 1.0),
-                           [sigma_ops()[0]]).generator
-    with pytest.raises(PropagationError) as err:
-        propagate(np.diag([1.5, -0.5]).astype(complex), gen, np.linspace(0.0, 1.0, 3))
-    assert err.value.time == 0.0
-    partial = err.value.partial
-    assert len(partial) == 0
-    assert partial.states.shape == (0, 2, 2) and partial.dim == 2
+BAD_INITIAL_STATES = {
+    "trace-2": np.eye(2),
+    "not-hermitian": np.array([[0.5, 0.3], [0.0, 0.5]]),
+    "negative": np.diag([1.5, -0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INITIAL_STATES))
+def test_bad_initial_states_are_refused_by_propagate_and_oracle(case):
+    # the one initial-state check: propagate refuses before any sample, the
+    # oracle before any diagonalisation; diag(1.5, -0.5) passes the trace
+    # and hermiticity checks but is not positive
+    rho0 = BAD_INITIAL_STATES[case].astype(complex)
+    h_a, sx = np.diag([0.0, 1.0]), sigma_ops()[0]
+    gen = derive_generator(h_a, flat_thermal_bath(0.2, 1.0), [sx]).generator
+    times = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="^rho0 "):
+        propagate(rho0, gen, times)
+    bath = qubit_mode_bath([(0.9, 0.05), (1.1, 0.05)], 1.0, broadening=0.1)
+    with pytest.raises(ValueError, match="^rho_a0 "):
+        exact_oracle(h_a, bath, [sx], rho0, times)
+
+
+def test_oracle_refuses_a_non_hermitian_system_hamiltonian():
+    bath = qubit_mode_bath([(0.9, 0.05), (1.1, 0.05)], 1.0, broadening=0.1)
+    with pytest.raises(ValueError, match="system hamiltonian is not hermitian"):
+        exact_oracle(np.array([[0.0, 1.0], [0.0, 1.0]]), bath, [sigma_ops()[0]],
+                     np.eye(2) / 2, np.linspace(0.0, 1.0, 3))
 
 
 def test_oracle_diagnoses_its_samples_in_one_call(monkeypatch):

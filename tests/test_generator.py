@@ -611,3 +611,32 @@ def test_table_must_cover_coupling_free_bohr_frequency():
     h, ops, bath = coupling_free_table_scenario(rng, cover_all=False)
     with pytest.raises(ValueError, match="no table entry for omega=3"):
         derive_generator(h, bath, ops)
+
+
+def test_all_gaps_distinct_matches_the_pairwise_rule():
+    # distinct pair gaps are read off the size of the Bohr set; the pairwise
+    # rule compares every two gaps between multiplet frequencies
+    from _support import reference_gaps_distinct
+
+    rng = np.random.default_rng(4412)
+    spectra = [([0.0, 1.0, 2.0], None), ([0.0, 1.0, 2.5], None),
+               ([0.0, 0.0, 1.0, 2.0], None), ([0.0, 1.0, 2.0 + 2e-9], 1e-9),
+               ([0.0, 1.0, 2.0 + 5e-10], 1e-9), ([0.0, 1.0, 1.16, 2.08], 0.1),
+               ([0.0], None)]
+    for trial in range(30):
+        levels = np.sort(rng.uniform(0.0, 4.0, int(rng.integers(2, 8))))
+        if trial % 2:
+            levels = np.round(levels * 2) / 2  # degeneracies and shared gaps
+        spectra.append((levels.tolist(), None))
+    seen = set()
+    for levels, tol in spectra:
+        dim = len(levels)
+        u = random_unitary(rng, dim)
+        h = u @ np.diag(np.array(levels, dtype=complex)) @ u.conj().T
+        res = derive_generator(h, flat_thermal_bath(0.3, 1.2), [random_hermitian(rng, dim)],
+                               degeneracy_tol=tol)
+        want = reference_gaps_distinct(res.spectrum)
+        assert res.pauli.all_gaps_distinct is want
+        assert ("shared-transition-frequency" in res.pauli.flags) is not want
+        seen.add(want)
+    assert seen == {True, False}

@@ -211,3 +211,42 @@ def test_eigenoperator_split_matches_the_per_frequency_loop(case):
         assert got.tobytes() == piece.tobytes()
         assert got.base is None  # its own array, not a view of a stack
 
+
+
+def _multiplet_spectra():
+    """Seeded spectra for the clustering rule: rotated levels with forced
+    degeneracies (eigh splits them by rounding), diagonal chains of
+    sub-tolerance steps that span more than the tolerance, and the Bohr-set
+    cases."""
+    rng = np.random.default_rng(2020)
+    cases = []
+    for trial in range(24):
+        dim = int(rng.integers(2, 13))
+        levels = rng.uniform(-3.0, 3.0, dim)
+        levels[rng.integers(0, dim, dim // 2)] = levels[0]  # forced repeats
+        u = random_unitary(rng, dim)
+        cases.append((u @ np.diag(levels.astype(complex)) @ u.conj().T, None))
+    for trial in range(12):
+        tol = 1e-3
+        steps = rng.choice([0.3 * tol, 0.7 * tol, 5.0 * tol, 0.4], size=int(rng.integers(1, 12)))
+        levels = np.cumsum(np.concatenate(([rng.uniform(-1.0, 1.0)], steps)))
+        cases.append((np.diag(levels).astype(complex), tol))
+    cases += [BOHR_SPECTRA[k] for k in sorted(BOHR_SPECTRA) if BOHR_SPECTRA[k][0] is not None]
+    return cases
+
+
+def test_multiplets_match_the_per_level_loop():
+    from _support import reference_multiplets
+
+    chained = 0
+    for h, tol in _multiplet_spectra():
+        spec = build_spectrum(h, degeneracy_tol=tol)
+        multiplets, reps, index, warnings = reference_multiplets(
+            spec.frequencies, spec.degeneracy_tol)
+        assert spec.multiplets == multiplets
+        assert spec.multiplet_frequencies.tobytes() == reps.tobytes()
+        assert spec.multiplet_index.dtype == index.dtype
+        assert np.array_equal(spec.multiplet_index, index)
+        assert spec.warnings == warnings
+        chained += bool(warnings)
+    assert chained >= 3  # the chains are exercised, not only clean gaps

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    as_hermitian,
     as_operator,
     cluster_starts,
     hermiticity_defect,
+    hermitian_diagonal,
     hermitian_eigendecomposition,
     hermitian_part,
     matrix_defects,
@@ -148,7 +148,7 @@ class FiniteBath:
             # a diagonal H_B (a mode comb's) has the permutation that sorts its
             # levels for eigenbasis: no eigen-solve, and index gathers where the
             # dense route multiplies by exact zeros and ones
-            levels = as_hermitian(self.h_b).diagonal().real
+            levels = hermitian_diagonal(self.h_b)
             self._order = np.argsort(levels, kind="stable")
             self._energies = levels[self._order]
         else:
@@ -258,9 +258,12 @@ class FiniteBath:
         return new
 
     def expectation(self, x) -> complex:
-        """Tr{X sigma_B} = sum_ij X_ij (sigma_B)_ji, from the cached Gibbs state."""
+        """Tr{X sigma_B} = sum_ij X_ij (sigma_B)_ji, from the cached Gibbs
+        state; sum_i X_ii p_i over the diagonal sigma_B of a diagonal H_B."""
         x = as_operator(x, "x")
-        return complex(np.sum(x * self._sigma.T))
+        if self._order is None:
+            return complex(np.sum(x * self._sigma.T))
+        return complex(x.diagonal() @ self._sigma.diagonal())
 
     def w_matrix(self, omega: float) -> np.ndarray:
         """W(Omega) over channels, one contraction over the transition table."""

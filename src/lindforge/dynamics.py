@@ -35,6 +35,7 @@ from .linalg import (
     DimensionError,
     as_hermitian,
     as_operator,
+    expm,
     hermitian_part,
     matrix_defects,
     matrix_exponential_unitary,
@@ -239,9 +240,10 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     """Integrate d rho / dt = rhs(rho) and sample at the given times.
 
     Both methods make one propagator per block and distinct time gap and
-    square it along long runs of equal gaps. 'expm' exponentiates the
-    Bohr-frequency blocks of a secular generator from derive_generator, or
-    else the one block, the d^2 x d^2 superoperator on the identity basis.
+    square it along long runs of equal gaps. 'expm' exponentiates (by
+    linalg.expm, numpy's scaling and squaring) the Bohr-frequency blocks of
+    a secular generator from derive_generator, or else the one block, the
+    d^2 x d^2 superoperator on the identity basis.
     'rk4' takes classical steps of at most (1/20) / ||L|| on that one block.
 
     Raises ValueError for a rho0 that _check_initial_state refuses, and
@@ -256,9 +258,8 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     t = _check_times(times)
     rho = _check_initial_state(rho0, g.dim)
     if method == "expm":
-        import scipy.linalg  # only expm needs scipy; import it here
         blocks = g.bohr_blocks
-        propagator = lambda gaps, mats: scipy.linalg.expm(gaps[:, None, None, None] * mats)
+        propagator = lambda gaps, mats: expm(gaps[:, None, None, None] * mats)
     elif method == "rk4":
         blocks, propagator = None, _rk4_propagator(g, np.diff(t))
     else:

@@ -388,20 +388,24 @@ def build_rate_tensors(spectrum: Spectrum, system_ops, gammas, deltas) -> RateTe
 
     system_ops: the coupling operators, one per channel, in the user basis.
     gammas, deltas: (n, k, k) stacks of Gamma(w), Delta(w) over w in
-    bohr_frequencies(spectrum). A Lamb shift that overflows raises ValueError.
+    bohr_frequencies(spectrum). A gain tensor, escape matrix or Lamb shift
+    that overflows raises ValueError, naming Gamma or Delta.
     """
     dim = spectrum.dim
     e = np.array([eigenbasis_operator(a, spectrum)
                   for a in system_ops]).reshape(len(system_ops), dim * dim)
     label = spectrum.bohr_index.ravel()  # flat gap index a d + m -> Bohr index
     p, q = _secular_support(label)
-    u = np.einsum("cp,pxc->px", e, np.asarray(gammas)[label])  # sum_c A_c Gamma_xc
-    k_vals = np.einsum("sx,xs->s", u[p], e[:, q].conj())
     a, m = np.divmod(p, dim)
     b, n = np.divmod(q, dim)
     esc = a == b
     kap = np.zeros((dim, dim), dtype=complex)
-    np.add.at(kap, (m[esc], n[esc]), k_vals[esc])
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.einsum("cp,pxc->px", e, np.asarray(gammas)[label])  # sum_c A_c Gamma_xc
+        k_vals = np.einsum("sx,xs->s", u[p], e[:, q].conj())
+        np.add.at(kap, (m[esc], n[esc]), k_vals[esc])
+    if not (np.isfinite(k_vals).all() and np.isfinite(kap).all()):
+        raise ValueError("Gamma: the gain tensor K or its escape sum kappa overflows")
     lamb = np.zeros((dim, dim), dtype=complex)
     if np.any(deltas):  # the escape sum again, Delta for Gamma, transposed
         with np.errstate(over="ignore", invalid="ignore"):

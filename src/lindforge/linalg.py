@@ -77,18 +77,34 @@ def hermiticity_defect(m) -> float:
         return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def as_hermitian(h, name: str = "hamiltonian") -> np.ndarray:
-    """as_operator, refusing a hermiticity defect above DEFAULT_TOL relative
-    to max(1, max |h|)."""
-    h = as_operator(h, name)
-    defect = hermiticity_defect(h)
-    scale = max(1.0, float(np.abs(h).max())) if h.size else 1.0
+def _refuse_hermiticity_defect(defect: float, largest: float, name: str) -> None:
+    scale = max(1.0, largest)
     if defect > DEFAULT_TOL * scale:
         raise ValueError(
             f"{name} is not hermitian: defect {defect:.3e} exceeds "
             f"{DEFAULT_TOL:.1e} * {scale:.3e}"
         )
+
+
+def as_hermitian(h, name: str = "hamiltonian") -> np.ndarray:
+    """as_operator, refusing a hermiticity defect above DEFAULT_TOL relative
+    to max(1, max |h|)."""
+    h = as_operator(h, name)
+    _refuse_hermiticity_defect(hermiticity_defect(h), float(np.abs(h).max(initial=0.0)), name)
     return h
+
+
+def hermitian_diagonal(h, name: str = "hamiltonian") -> np.ndarray:
+    """The real levels of a diagonal matrix, refused as as_hermitian refuses
+    the matrix, from its diagonal alone: max |h| and max |h - h^+| are the
+    diagonal's."""
+    d = np.asarray(h, dtype=complex).diagonal()
+    if not np.isfinite(d).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    with np.errstate(over="ignore"):
+        defect = float(np.abs(d - d.conj()).max(initial=0.0))
+    _refuse_hermiticity_defect(defect, float(np.abs(d).max(initial=0.0)), name)
+    return d.real
 
 
 def hermitian_eigendecomposition(h):
@@ -112,6 +128,120 @@ def matrix_exponential_unitary(h, t: float) -> np.ndarray:
     """exp(-i h t) for hermitian h, via eigendecomposition."""
     w, v = hermitian_eigendecomposition(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005): the [m/m] Pade
+# approximant of exp meets double precision up to 1-norm PADE_THETA[m], with
+# the numerator coefficients PADE_COEFFS[m] (the denominator alternates signs)
+PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+              7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_DEGREES = tuple(PADE_THETA)
+_THETAS = np.array(list(PADE_THETA.values()))
+_DIAGONAL, _NON_FINITE = -1, -2  # expm's routes besides the degrees
+# per degree, the rows of coefficients _pade contracts with I, A^2, A^4, ...:
+# odd and even sums, and for 13 the four sums W_1, W_2, Z_1 and Z_2
+_PADE_SUMS = {m: np.array([c[1::2], c[0::2]]) for m, c in PADE_COEFFS.items() if m < 13}
+_PADE_SUMS[13] = np.array([(0.0,) + PADE_COEFFS[13][9::2], PADE_COEFFS[13][1:8:2],
+                           (0.0,) + PADE_COEFFS[13][8::2], PADE_COEFFS[13][0:7:2]])
+
+
+def _pade(a, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant of exp at each matrix A of an (n, s, s)
+    stack: (V - U)^-1 (V + U), one batched solve, where V sums the even
+    terms c_2k A^2k and U = A times the odd sum of c_2k+1 A^2k. The sums
+    are one product of _PADE_SUMS[m] with the stacked powers of A^2;
+    degree 13 takes them from A^2, A^4 and A^6 alone, as
+    U = A (A^6 W_1 + W_2) and V = A^6 Z_1 + Z_2."""
+    coeffs = _PADE_SUMS[m]
+    count = coeffs.shape[1]  # the powers I, A^2, A^4, ...
+    powers = np.empty((count,) + a.shape, dtype=a.dtype)
+    powers[0] = np.eye(a.shape[-1])
+    np.matmul(a, a, out=powers[1])
+    for k in range(2, count):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    sums = (coeffs @ powers.reshape(count, -1)).reshape((len(coeffs),) + a.shape)
+    if m == 13:
+        u = a @ (powers[3] @ sums[0] + sums[1])
+        v = powers[3] @ sums[2] + sums[3]
+    else:
+        u = a @ sums[0]
+        v = sums[1]
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm_route(m, route: int, norms) -> np.ndarray:
+    """e^A for a stack m whose matrices share one route of expm's."""
+    if route == _NON_FINITE:
+        return np.full_like(m, np.nan)
+    if route == _DIAGONAL:
+        e = np.zeros_like(m)
+        n = m.shape[-1]
+        e[:, range(n), range(n)] = np.exp(np.diagonal(m, axis1=1, axis2=2))
+        return e
+    if _DEGREES[route] < 13:
+        return _pade(m, _DEGREES[route])
+    # most squarings first, so the matrices still squaring are a prefix
+    s = np.maximum(0, np.ceil(np.log2(norms / _THETAS[-1]))).astype(int)
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    e = _pade(m[order] * np.ldexp(1.0, -s)[:, None, None], 13)
+    for live in np.searchsorted(-s, -np.arange(s[0]), side="left").tolist():
+        e[:live] = e[:live] @ e[:live]
+    e[order] = e.copy()
+    return e
+
+
+def expm(stack) -> np.ndarray:
+    """e^A for each matrix A of an (..., s, s) stack, by numpy alone.
+
+    A diagonal matrix (every 1x1 one among them) takes np.exp of its
+    diagonal, which is exact. Any other takes Higham's (2005) scaling and
+    squaring: the lowest Pade degree m of 3, 5, 7 and 9 whose PADE_THETA[m]
+    bounds its 1-norm, else degree 13 on A / 2^s with
+    s = ceil(log2(||A||_1 / PADE_THETA[13])), squared s times. Each degree
+    is one batched pass over its matrices, and each squaring takes only the
+    matrices that still need it. Any other matrix with a non-finite entry
+    gives NaN, and one whose exponential overflows inf or NaN, without a
+    warning."""
+    a = np.asarray(stack)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
+    n = a.shape[-1]
+    with np.errstate(all="ignore"):
+        if n == 1:
+            return np.exp(a)
+        flat = a.reshape(-1, n, n)
+        norms = np.abs(flat).sum(axis=1).max(axis=1)
+        # each matrix's route: the index in PADE_THETA of the lowest degree
+        # whose theta bounds its norm (13 past theta_9), else _NON_FINITE or
+        # _DIAGONAL. A diagonal matrix's norm is its largest |diagonal entry|,
+        # so only those matrices are counted out
+        route = np.searchsorted(_THETAS[:-1], norms)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            route[~finite] = _NON_FINITE
+        diag = np.diagonal(flat, axis1=1, axis2=2)
+        maybe = np.flatnonzero(norms == np.abs(diag).max(axis=1))
+        if maybe.size:
+            route[maybe[np.count_nonzero(flat[maybe], axis=(1, 2))
+                        == np.count_nonzero(diag[maybe], axis=1)]] = _DIAGONAL
+        routes = set(route.tolist())
+        if len(routes) == 1:
+            return _expm_route(flat, routes.pop(), norms).reshape(a.shape)
+        out = np.empty_like(flat)
+        for r in routes:
+            at = np.flatnonzero(route == r)
+            out[at] = _expm_route(flat[at], r, norms[at])
+    return out.reshape(a.shape)
 
 
 def cluster_starts(values, tol: float) -> np.ndarray:

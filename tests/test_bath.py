@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from lindforge import (
     two_time_correlation,
 )
 from lindforge.bath import _boltzmann_weights, _transitions
+from lindforge.linalg import as_hermitian, hermitian_diagonal
 
 from _support import (
     crandn,
@@ -128,14 +130,20 @@ def test_center_couplings_thermal_sigma_z():
     assert abs(new_bath.expectation(new_bath.coupling_ops[0])) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["dense", "comb"])
+@pytest.mark.parametrize("kind", ["dense", "comb", "levels"])
 def test_expectation_matches_the_eigenbasis_sum(kind):
+    # and the dense trace sum_ij X_ij (sigma_B)_ji, which a diagonal H_B (a
+    # comb, or levels under a full X) reads off the diagonal of X alone
     rng = np.random.default_rng(35)
     if kind == "dense":
         bath = FiniteBath(random_hermitian(rng, 12), 0.7,
                           [random_hermitian(rng, 12)], broadening=0.3)
-    else:
+    elif kind == "comb":
         bath = qubit_mode_bath([(0.6, 0.2), (1.1, 0.1), (1.9, 0.3), (2.4, 0.15)], 0.9)
+    else:
+        bath = FiniteBath(np.diag(rng.permutation(np.linspace(-1.0, 2.0, 12))), 1.3,
+                          [random_hermitian(rng, 12)], broadening=0.3)
+    assert (bath._order is None) == (kind == "dense")
     d = bath.dim
     ops = [bath.coupling_ops[0], crandn(rng, d, d), np.eye(d)]
     ops += [x.conj().T @ x for x in ops]
@@ -143,6 +151,52 @@ def test_expectation_matches_the_eigenbasis_sum(kind):
         want = reference_expectation(bath, x)
         scale = max(abs(want), float(np.abs(x).max()))  # a sigma_x mean is 0
         assert abs(bath.expectation(x) - want) <= 1e-13 * scale
+        dense = complex(np.sum(x * bath.sigma().T))
+        assert abs(bath.expectation(x) - dense) <= 1e-14 * float(np.abs(x).max())
+
+
+def test_comb_expectation_forms_no_dense_product():
+    # a 10-mode comb: one dense d_B x d_B complex array is 16 MiB, and the
+    # mean of X reads its diagonal (as_operator's finiteness mask is 1 MiB)
+    bath = qubit_mode_bath([(0.5 + 0.1 * k, 0.02) for k in range(10)], 0.8, broadening=0.1)
+    x = bath.coupling_ops[0]
+    dense = x.nbytes
+    tracemalloc.start()
+    try:
+        mean = bath.expectation(x)
+        shifted, _ = center_couplings(bath, [sigma_ops()[0]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mean == 0 and shifted is bath
+    assert peak < dense / 4
+
+
+@pytest.mark.parametrize("diagonal", [[0.0, 1.0 + 1e-3j], [0.0, 1e308j], [2e9 + 3.0j, 0.0],
+                                      [0.0, np.nan], [np.inf, 1.0]])
+def test_diagonal_hamiltonian_refusals_read_the_diagonal(diagonal):
+    # hermitian_diagonal refuses what as_hermitian refuses on the whole
+    # matrix, with its message; FiniteBath takes the diagonal route there
+    h = np.diag(np.array(diagonal, dtype=complex))
+    with pytest.raises(ValueError) as want:
+        as_hermitian(h)
+    with pytest.raises(ValueError) as got:
+        hermitian_diagonal(h)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as bath_error:
+        FiniteBath(h, 1.0, [sigma_ops()[0]], broadening=0.5)
+    finite = np.isfinite(h).all()
+    assert str(bath_error.value) == (str(want.value) if finite
+                                     else "h_b contains non-finite entries")
+
+
+def test_diagonal_hamiltonian_keeps_a_rounding_imaginary_part():
+    # an imaginary part within DEFAULT_TOL * max(1, max |h|) passes, and the
+    # levels are the real parts
+    levels = hermitian_diagonal(np.diag([0.0, 1e3 + 1e-7j, -2.0]))
+    assert levels.dtype == float and levels.tolist() == [0.0, 1e3, -2.0]
+    bath = FiniteBath(np.diag([0.0, 1.0 + 1e-12j]), 1.0, [sigma_ops()[0]], broadening=0.5)
+    assert bath._order is not None and bath._energies.tolist() == [0.0, 1.0]
 
 
 def test_center_couplings_matches_freshly_built_bath():

@@ -1128,12 +1128,13 @@ def test_far_mode_leaves_the_comb_its_correlation_grid(tmp_path, capsys):
     assert (code, err, caught) == (0, "", [])
 
 
-def lamb_shift_data(delta, a, mode):
-    # the thermal_qubit demo on a three-entry table with Delta = [[delta]]
+def qubit_table_data(gamma, delta, a, mode):
+    # the thermal_qubit demo on a three-entry table with Gamma = [[gamma]]
+    # and Delta = [[delta]]
     demo = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
     data = json.loads((demo / "thermal_qubit.json").read_text())
     data["bath"] = {"kind": "table", "entries": [
-        {"omega": w, "gamma": cm([[0.1]]), "delta": cm([[delta]])} for w in (-1.0, 0.0, 1.0)]}
+        {"omega": w, "gamma": cm([[gamma]]), "delta": cm([[delta]])} for w in (-1.0, 0.0, 1.0)]}
     data["couplings"][0]["A"] = cm(a)
     if mode == "presecular":
         data["policy"] = {"mode": "presecular", "filter": "F-weighted", "dt": 5}
@@ -1145,7 +1146,7 @@ def lamb_shift_data(delta, a, mode):
 def test_overflowing_lamb_shift_is_an_input_error(tmp_path, capsys, mode, command):
     # the escape sum of Delta = 1e307 over A = [[3, 3], [3, -3]] overflows:
     # build_rate_tensors refuses it in both modes, before either builder
-    path = write_scenario(tmp_path, lamb_shift_data(1e307, [[3, 3], [3, -3]], mode))
+    path = write_scenario(tmp_path, qubit_table_data(0.1, 1e307, [[3, 3], [3, -3]], mode))
     code, out, err, caught = run_cli_strict(capsys, command, path)
     assert (code, out, caught) == (2, "", [])
     lines = err.splitlines()
@@ -1161,7 +1162,7 @@ def test_finite_lamb_shift_near_the_float_limit_warns_nothing(tmp_path, capsys,
     # Delta = 8e307 with A = sigma_x keeps the Lamb shift finite; the
     # battery's scale arithmetic runs without a warning, and a check whose
     # tolerance overflows fails
-    path = write_scenario(tmp_path, lamb_shift_data(8e307, [[0, 1], [1, 0]], mode))
+    path = write_scenario(tmp_path, qubit_table_data(0.1, 8e307, [[0, 1], [1, 0]], mode))
     code, out, err, caught = run_cli_strict(capsys, command, path)
     assert (code, err, caught) == (want, "", [])
     if command == "evolve":
@@ -1174,3 +1175,18 @@ def test_finite_lamb_shift_near_the_float_limit_warns_nothing(tmp_path, capsys,
 
     checks = json.loads(out, parse_constant=refuse)["checks"]
     assert any(c["status"] == "fail" for c in checks)
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
+@pytest.mark.parametrize("mode", ["secular", "presecular"])
+def test_overflowing_gamma_is_an_input_error(tmp_path, capsys, mode, command):
+    # the escape sum kappa of Gamma = 1e307 over A = [[3, 3], [3, -3]]
+    # overflows: build_rate_tensors refuses it in both modes, before either
+    # builder, with one JSON error and no warning
+    path = write_scenario(tmp_path, qubit_table_data(1e307, 0.0, [[3, 3], [3, -3]], mode))
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, out, caught) == (2, "", [])
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "input" and error["message"].startswith("Gamma:")

@@ -839,6 +839,41 @@ def test_derive_and_rk4_leave_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_no_route_loads_scipy(tmp_path):
+    # propagate's expm is lindforge.linalg.expm: neither it, the exact
+    # oracle nor any subcommand imports a scipy module
+    script = (
+        "import contextlib, io, pathlib, sys; sys.path.insert(0, sys.argv[1])\n"
+        "import numpy as np\n"
+        "from lindforge import (derive_generator, exact_oracle, flat_thermal_bath,\n"
+        "                       propagate, qubit_mode_bath)\n"
+        "from lindforge.cli import main\n"
+        "sx = np.array([[0.0, 1.0], [1.0, 0.0]])\n"
+        "rho = np.diag([0.0, 1.0])\n"
+        "g = derive_generator(np.diag([0.0, 1.0]), flat_thermal_bath(0.1, 1.0), [sx]).generator\n"
+        "propagate(rho, g, [0.0, 1.0, 2.0, 3.5], method='expm')\n"
+        "bath = qubit_mode_bath([(0.9, 0.05), (1.1, 0.04)], 1.0, broadening=0.1)\n"
+        "exact_oracle(np.diag([0.0, 1.0]), bath, [sx], rho, [0.0, 1.0, 2.0])\n"
+        "demos = pathlib.Path(sys.argv[2])\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for name in ('thermal_qubit', 'four_level_table', 'weak_coupling_comb'):\n"
+        "        scenario = str(demos / f'{name}.json')\n"
+        "        codes += [main(['derive', scenario]), main(['verify', scenario]),\n"
+        "                  main(['evolve', scenario, '--method', 'expm', '--out', 'e.csv']),\n"
+        "                  main(['evolve', scenario, '--method', 'rk4', '--out', 'r.csv'])]\n"
+        "    codes.append(main(['oracle', str(demos / 'weak_coupling_comb.json')]))\n"
+        "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = pathlib.Path(lindforge.dynamics.__file__).parents[1]
+    demos = pathlib.Path(__file__).parents[1] / "demos" / "scenarios"
+    out = subprocess.run([sys.executable, "-c", script, str(src), str(demos)],
+                         capture_output=True, text=True, timeout=300, check=True,
+                         cwd=tmp_path)
+    assert out.stdout.strip() == f"{[0] * 13} []"
+    assert (tmp_path / "weak_coupling_comb.oracle.csv").exists()
+
+
 @pytest.mark.parametrize("method", ["expm", "rk4"])
 def test_propagate_holds_at_most_two_sample_stacks(method):
     # d = 16 on a 20001-sample grid: one (n, d, d) stack of states is 82 MB.

@@ -18,7 +18,14 @@ from lindforge import (
     vec,
 )
 
-from lindforge.linalg import DENSITY_TOL, MATRIX_CHUNK, hermitian_part, matrix_defects
+from lindforge.linalg import (
+    DENSITY_TOL,
+    MATRIX_CHUNK,
+    PADE_THETA,
+    expm,
+    hermitian_part,
+    matrix_defects,
+)
 
 from _support import crandn, random_density, random_hermitian
 
@@ -224,3 +231,79 @@ def test_vec_unvec_roundtrip_and_kron_identity():
     lhs = vec(a @ rho @ b)
     rhs = np.kron(b.T, a) @ vec(rho)
     assert np.abs(lhs - rhs).max() < TOL
+
+
+def _relative_to_scipy(stack):
+    """Per matrix: max |expm - scipy's| over max |scipy's|."""
+    import scipy.linalg
+
+    got, want = expm(stack), scipy.linalg.expm(stack)
+    assert np.isfinite(want).all()
+    return np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+
+
+def test_expm_matches_scipy_on_mixed_degree_stacks():
+    # each stack mixes 1-norms from 1e-3 to 1e3: every Pade degree (3, 5, 7,
+    # 9 and 13), and 13 with 0 to 8 squarings, in one call
+    rng = np.random.default_rng(22)
+    norms = np.array([1e-3, 0.1, 0.5, 1.5, 4.0, 30.0, 1e3])
+    assert sorted(set(np.searchsorted(list(PADE_THETA.values()), norms).tolist())) == [0, 1, 2, 3, 4, 5]
+    worst = 0.0
+    for n in (2, 3, 5, 8, 16, 33, 64):  # 1 x 1 blocks are np.exp, as in scipy
+        stack = crandn(rng, norms.size, n, n)
+        stack *= (norms / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+        worst = max(worst, _relative_to_scipy(stack).max())
+    assert worst < 1e-12
+
+
+def test_expm_of_stiff_blocks():
+    # a diagonal block (every 1x1 one) is np.exp of its diagonal, as in
+    # scipy, up to norms of 1e12; a dense stiff block is as close as the
+    # backward error of scaling and squaring allows any route: eps ||A||_1
+    import scipy.linalg
+
+    rng = np.random.default_rng(23)
+    for scale in (1e4, 1e8, 1e12):
+        diagonal = np.zeros((3, 4, 4), dtype=complex)
+        diagonal[:, range(4), range(4)] = -np.logspace(-3, np.log10(scale), 4) + 1j * scale
+        single = -scale * rng.uniform(0.0, 1.0, (5, 1, 1)) + 1j * scale * rng.standard_normal((5, 1, 1))
+        for stack in (diagonal, single):
+            assert np.array_equal(expm(stack), scipy.linalg.expm(stack))
+        # a rate matrix: columns sum to zero, off-diagonal entries up to scale
+        rates = rng.uniform(0.0, scale, (2, 4, 4))
+        rates[:, range(4), range(4)] = 0.0
+        rates[:, range(4), range(4)] = -rates.sum(axis=1)
+        bound = np.finfo(float).eps * np.abs(rates).sum(axis=1).max(axis=1)
+        assert (_relative_to_scipy(rates) < np.maximum(bound, 1e-12)).all()
+
+
+def test_expm_keeps_the_stack_shape_and_a_real_input_real():
+    rng = np.random.default_rng(24)
+    stack = rng.standard_normal((2, 3, 4, 4))
+    got = expm(stack)
+    assert got.shape == stack.shape and got.dtype == float
+    for index in np.ndindex(2, 3):
+        assert np.abs(got[index] - expm(stack[index])).max() < 1e-14 * np.abs(got[index]).max()
+    assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    assert np.array_equal(expm(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+def test_expm_of_a_non_finite_or_overflowing_block_warns_nothing():
+    # with warnings as errors: a non-finite entry makes a dense block NaN
+    # (a diagonal one is np.exp of its diagonal), an exponential past the
+    # float range is inf or NaN, and the other blocks of the stack are
+    # untouched
+    ok = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    blocks = [ok, [[np.nan, 1.0], [0.0, 1.0]], [[0.0, np.inf], [1.0, 0.0]],
+              [[1e300, 1.0], [1.0, 0.0]], [[800.0, 1.0], [0.0, 0.0]],
+              [[np.inf, 0.0], [0.0, 1.0]], ok]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expm(np.array(blocks, dtype=complex))
+        single = expm(np.array([[[np.nan]], [[1e300]], [[0.0]]]))
+    assert np.isnan(got[1]).all() and np.isnan(got[2]).all()
+    assert not np.isfinite(got[3]).all() and not np.isfinite(got[4]).all()
+    assert got[5, 0, 0].real == np.inf and got[5, 1, 1] == np.e
+    rotation = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
+    assert np.abs(got[0] - rotation).max() < 1e-15 and np.array_equal(got[0], got[6])
+    assert np.isnan(single[0, 0, 0]) and single[1, 0, 0] == np.inf and single[2, 0, 0] == 1.0

@@ -156,10 +156,11 @@ def _gap_key(gap: float) -> float:
 def _block_states(rho, blocks: BohrBlocks, t, propagator) -> np.ndarray:
     """The states at t, rho first, from the generator's blocks: rho rotated
     into the block basis once, one batched propagator(gaps, matrices) per
-    block size over the distinct time gaps, stepped along each run of equal
-    gaps, and every sample rotated back into the returned array. Each block
-    size's steps are freed once copied out, so at most two sample stacks are
-    alive at once."""
+    block size over the distinct time gaps, and stepped along each run of
+    equal gaps straight into the returned array, where each sample's row
+    holds the block sizes' entries back to back. The rows are then put back
+    in order and rotated into the user basis in place, ROTATION_CHUNK
+    samples at a time, so one sample stack is alive."""
     v = blocks.basis
     dim = v.shape[0]
     y0 = vec(v.conj().T @ rho @ v)
@@ -173,27 +174,26 @@ def _block_states(rho, blocks: BohrBlocks, t, propagator) -> np.ndarray:
     # runs of consecutive steps with one key (a uniform grid is one run)
     bounds = [0] + (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist() + [gaps.size]
     runs = [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
-    samples = np.empty((gaps.size, dim * dim), dtype=complex)
+    states = np.empty((t.size, dim, dim), dtype=complex)
+    states[0] = rho
+    rows = states[1:].reshape(gaps.size, dim * dim)
+    col = 0
     for index, mats in blocks.groups:
         props = propagator(raw[smallest], mats)  # (distinct gaps, n, s, s)
         y = y0[index][:, :, None]
-        out = np.empty((gaps.size,) + y.shape, dtype=complex)
+        # this block size's columns of rows, a view split into its blocks
+        out = rows[:, col:col + index.size].reshape((gaps.size,) + y.shape)
         for start, stop in runs:
             _powers_applied(props[step[start]], y, out[start:stop])
             y = out[stop - 1]
-        samples[:, index] = out[..., 0]
-        del out, y
-    states = np.empty((t.size, dim, dim), dtype=complex)
-    states[0] = rho
-    # sample k reshaped is rho_k^T, so V rho_k V^+ = (conj(V) rho_k^T V^T)^T:
-    # the right factor of every sample in one product, written where the
-    # states go, then the left factor in place, ROTATION_CHUNK at a time
-    right = states[1:]
-    np.matmul(samples.reshape(-1, dim), v.T, out=right.reshape(-1, dim))
-    del samples
-    for lo in range(0, gaps.size, ROTATION_CHUNK):
-        chunk = right[lo:lo + ROTATION_CHUNK]
-        chunk[...] = (v.conj() @ chunk).transpose(0, 2, 1)
+        col += index.size
+    # row k in flat-index order is rho_k^T, so V rho_k V^+ =
+    # (conj(V) rho_k^T V^T)^T
+    order = np.argsort(np.concatenate([index.ravel() for index, _ in blocks.groups]))
+    for lo in range(1, t.size, ROTATION_CHUNK):
+        chunk = states[lo:lo + ROTATION_CHUNK]
+        right = chunk.reshape(-1, dim * dim)[:, order].reshape(-1, dim) @ v.T
+        chunk[...] = (v.conj() @ right.reshape(chunk.shape)).transpose(0, 2, 1)
     return states
 
 

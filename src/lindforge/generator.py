@@ -21,8 +21,8 @@ is hermitian the mirror pairs sum to the same superoperator as the first
 list, so they are folded in at full rate: L = M, R = A^+, G = -B/2 with
 B = sum A^+ M. Its frequency shift h_ls = sum_W sum_ab Delta_ab(W)
 A_a(W)^+ A_b(W), from RateTensors.lamb_shift, is kept in h_eff = h_a + h_ls.
-With an exact-match filter the presecular generator collapses back to the
-secular one.
+As the window dt grows, F(W' - W) tends to delta(W', W) and the presecular
+generator tends to the secular one.
 
 In the energy eigenbasis the secular generator couples two coherences only
 when their gaps snap to the same Bohr frequency, so it splits into one block
@@ -59,36 +59,15 @@ def coarse_graining_f(x, dt: float):
 
 @dataclass(frozen=True)
 class SecularPolicy:
-    """How transition-frequency pairs (W', W) are weighted.
+    """The coarse-graining window dt > 0 of the presecular generator, which
+    weights every transition-frequency pair (W', W) by
+    coarse_graining_f(W' - W, dt)."""
 
-    filter 'exact-match' keeps only W' == W with weight 1.
-    filter 'F-weighted' weights every pair by coarse_graining_f(W' - W, dt)
-    and requires dt > 0.
-    """
-
-    dt: float | None = None
-    filter: str = "exact-match"
+    dt: float
 
     def __post_init__(self):
-        if self.filter not in ("exact-match", "F-weighted"):
-            raise ValueError(
-                f"unknown secular filter {self.filter!r}; "
-                "expected 'exact-match' or 'F-weighted'"
-            )
-        if self.filter == "F-weighted":
-            if self.dt is None or not self.dt > 0:
-                raise ValueError("F-weighted policy requires dt > 0")
-
-
-def secular_filter(omega_prime, omega, policy: SecularPolicy):
-    """Weight attached to the frequency pair (omega_prime, omega).
-
-    Broadcasts over arrays of frequencies.
-    """
-    diff = np.subtract(omega_prime, omega)
-    if policy.filter == "exact-match":
-        return (diff == 0).astype(complex)
-    return coarse_graining_f(diff, policy.dt)
+        if self.dt is None or not self.dt > 0:
+            raise ValueError("presecular policy requires dt > 0")
 
 
 @dataclass(frozen=True)
@@ -120,7 +99,7 @@ class DissipatorTerm:
 class Generator:
     """Right-hand side of the master equation d rho / dt = rhs(rho).
 
-    mode 'presecular' needs the SecularPolicy whose filter weights the
+    mode 'presecular' needs the SecularPolicy whose window weights the
     cross-frequency terms. A secular generator from derive_generator also
     carries the Spectrum and RateTensors it was derived with, from which
     bohr_blocks builds its eigenbasis blocks.
@@ -160,7 +139,7 @@ class Generator:
             terms[0].channel_count, dim)
         if not secular:
             omegas = np.array([t.omega for t in terms])
-            weights = secular_filter(omegas[:, None], omegas[None, :], self.policy)
+            weights = coarse_graining_f(omegas[:, None] - omegas[None, :], self.policy.dt)
             m = (weights @ m.reshape(len(terms), -1)).reshape(m.shape)
         a_dag = a.conj().transpose(0, 2, 1)
         loss = _sum_of_products(a_dag, m)
@@ -274,8 +253,6 @@ def build_presecular(spectrum, eigenops, bath, gammas, deltas,
     half-Fourier matrix W(W) = Gamma(W)/2 + i Delta(W), and the free part of
     h_eff is the bare system hamiltonian. gammas, deltas as for build_standard_form.
     """
-    if policy.dt is None or not policy.dt > 0:
-        raise ValueError("presecular generator requires policy.dt > 0")
     terms = _collect_terms(spectrum, eigenops, bath, gammas, deltas)
     return Generator(
         h_eff=spectrum.hamiltonian,

@@ -19,7 +19,7 @@ lists):
                      | {"diagonal": [p0, ...]} | {"matrix": [[...]]},
       "times":   {"t_max": 10.0, "samples": 201},
       "policy":  {"mode": "secular"}
-               | {"mode": "presecular", "filter": "exact-match" | "F-weighted",
+               | {"mode": "presecular", "filter": "F-weighted"?,
                   "dt": 1.0}?,
       "tolerances": {"degeneracy": 1e-9}?,
       "tau_b": 0.5?
@@ -64,6 +64,12 @@ MAX_TIME_SAMPLES = 100_000
 
 class ScenarioError(ValueError):
     """Anything wrong with a scenario file: parse, schema or physics errors."""
+
+
+class RateTableError(ScenarioError):
+    """A well-formed rate table whose values table_bath refuses: a Gamma
+    that is not hermitian or not positive semidefinite, a Delta that is not
+    hermitian, a non-finite entry, or matrices whose sizes do not fit."""
 
 
 def _fail(path: str, message: str):
@@ -351,7 +357,7 @@ def _build_bath_and_couplings(bath_node, coupling_entries, dim):
         try:
             bath = table_bath(entries, channel_count=len(coupling_entries))
         except ValueError as exc:
-            raise ScenarioError(f"bath.entries: {exc}") from exc
+            raise RateTableError(f"bath.entries: {exc}") from exc
         a_ops = _analytic_channel_ops(coupling_entries)
         return bath, a_ops
 
@@ -448,11 +454,12 @@ def _parse_policy(node):
     dt = _expect_number(node["dt"], "policy.dt")
     if not dt > 0:
         _fail("policy.dt", f"must be positive, got {dt}")
-    filt = node.get("filter", "exact-match")
-    if filt not in ("exact-match", "F-weighted"):
-        _fail("policy.filter", f"unknown filter {filt!r}; expected "
-                               "'exact-match' or 'F-weighted'")
-    return "presecular", SecularPolicy(dt=dt, filter=filt)
+    filt = node.get("filter", "F-weighted")
+    if filt != "F-weighted":
+        _fail("policy.filter", f"unknown filter {filt!r}; presecular takes only "
+                               "'F-weighted', and {\"mode\": \"secular\"} gives "
+                               "the secular generator")
+    return "presecular", SecularPolicy(dt=dt)
 
 
 def scenario_from_data(data: dict) -> Scenario:

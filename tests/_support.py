@@ -84,7 +84,7 @@ def reference_pieces(g):
     The secular generator keeps only W' = W with c = Gamma_ab(W) / 2, its
     frequency shift being part of h_eff.
     """
-    from lindforge import secular_filter
+    from lindforge import coarse_graining_f
 
     dim = g.dim
     big_g = np.zeros((dim, dim), dtype=complex)
@@ -96,7 +96,7 @@ def reference_pieces(g):
                     continue
                 rates = 0.5 * np.asarray(src.gamma, dtype=complex)
             else:
-                rates = secular_filter(dst.omega, src.omega, g.policy) * src.w_matrix()
+                rates = coarse_graining_f(dst.omega - src.omega, g.policy.dt) * src.w_matrix()
             for a in range(dst.channel_count):
                 dst_a_dag = dst.ops[a].conj().T
                 for b in range(src.channel_count):

@@ -125,7 +125,7 @@ def test_c03_generator_structure():
     secular = derive_generator(h, bath, coup, mode="secular").generator
     presecular = derive_generator(
         h, bath, coup, mode="presecular",
-        policy=SecularPolicy(dt=50.0 / min_gap, filter="F-weighted"),
+        policy=SecularPolicy(dt=50.0 / min_gap),
     ).generator
 
     rng = np.random.default_rng(734)
@@ -307,7 +307,7 @@ def test_c08_secular_limit():
     secular = derive_generator(h, bath, coup, mode="secular")
     presecular = derive_generator(
         h, bath, coup, mode="presecular",
-        policy=SecularPolicy(dt=dt, filter="F-weighted"),
+        policy=SecularPolicy(dt=dt),
     )
     m_sec = generator_superoperator_matrix(secular.generator)
     m_pre = generator_superoperator_matrix(presecular.generator)

@@ -987,6 +987,28 @@ def test_bad_table_entry_is_named_by_derive_and_failed_by_verify(tmp_path, capsy
     assert "omega=-2.1" in report["checks"][0]["defect"]
 
 
+@pytest.mark.parametrize("fault", ["no-gamma", "no-entries", "text-omega"])
+def test_malformed_rate_table_is_a_scenario_error_under_verify(tmp_path, capsys, fault):
+    # schema faults are refused as the file is read (exit 2), by verify as
+    # by derive; only a table whose values table_bath refuses is a failing
+    # gamma-table-validity check (exit 1)
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
+    data = json.loads((demo / "four_level_table.json").read_text())
+    entries = data["bath"]["entries"]
+    if fault == "no-gamma":
+        del entries[0]["gamma"]
+    elif fault == "no-entries":
+        entries.clear()
+    else:
+        entries[0]["omega"] = "x"
+    path = write_scenario(tmp_path, data, "four_level_table.json")
+    for command in ("derive", "verify"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, "")
+        message = one_scenario_error(err)
+        assert message.startswith("bath.entries")
+
+
 def run_cli_strict(capsys, *argv):
     """run_cli with every warning recorded: (code, out, err, warnings)."""
     with warnings.catch_warnings(record=True) as caught:
@@ -1139,6 +1161,33 @@ def qubit_table_data(gamma, delta, a, mode):
     if mode == "presecular":
         data["policy"] = {"mode": "presecular", "filter": "F-weighted", "dt": 5}
     return data
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
+@pytest.mark.parametrize("filt", ["exact-match", "nonsense", None])
+def test_presecular_takes_only_the_f_weighted_filter(tmp_path, capsys, command, filt):
+    # the secular generator comes from {"mode": "secular"} alone
+    data = qubit_table_data(0.1, 0.02, [[0, 1], [1, 0]], "presecular")
+    data["policy"]["filter"] = filt
+    path = write_scenario(tmp_path, data)
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, out, caught) == (2, "", [])
+    message = one_scenario_error(err)
+    assert message.startswith("policy.filter:") and '{"mode": "secular"}' in message
+
+
+@pytest.mark.parametrize("command", ["derive", "evolve"])
+def test_presecular_filter_defaults_to_f_weighted(tmp_path, capsys, command):
+    data = qubit_table_data(0.1, 0.02, [[0, 1], [1, 0]], "presecular")
+    outputs = []
+    for policy in ({"mode": "presecular", "filter": "F-weighted", "dt": 5},
+                   {"mode": "presecular", "dt": 5}):
+        data["policy"] = policy
+        path = write_scenario(tmp_path, data)
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, err) == (0, "") and out
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["derive", "verify", "evolve"])

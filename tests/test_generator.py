@@ -17,7 +17,6 @@ from lindforge import (
     flat_thermal_bath,
     generator_superoperator_matrix,
     kernel_superoperator_matrix,
-    secular_filter,
     table_bath,
 )
 from lindforge.generator import build_bohr_blocks
@@ -190,9 +189,7 @@ def test_contracted_form_matches_term_by_term_reference(seed):
     h, ops, bath = random_table_scenario(rng, levels, n_channels=n_channels)
     min_gap = np.diff(levels).min()
     options = [("secular", None)] + [
-        ("presecular", SecularPolicy(dt=dt, filter=filt))
-        for dt in (1.0 / min_gap, 20.0 / min_gap)
-        for filt in ("exact-match", "F-weighted")
+        ("presecular", SecularPolicy(dt=dt)) for dt in (1.0 / min_gap, 20.0 / min_gap)
     ]
     for mode, policy in options:
         gen = derive_generator(h, bath, ops, mode=mode, policy=policy).generator
@@ -211,7 +208,7 @@ def test_contracted_form_matches_term_by_term_reference(seed):
 def test_pieces_store_both_factors_row_major(mode):
     rng = np.random.default_rng(310)
     h, ops, bath = random_table_scenario(rng, [0.0, 0.7, 1.9, 3.2])
-    policy = SecularPolicy(dt=3.0, filter="F-weighted") if mode == "presecular" else None
+    policy = SecularPolicy(dt=3.0) if mode == "presecular" else None
     gen = derive_generator(h, bath, ops, mode=mode, policy=policy).generator
     big_g, left, right = gen.pieces
     assert left.flags.c_contiguous and right.flags.c_contiguous
@@ -426,28 +423,12 @@ def test_filter_values():
     # half-period point: |F| = 2/pi with phase i
     f = coarse_graining_f(math.pi / dt, dt)
     assert abs(f - 1j * 2.0 / math.pi) < 1e-12
-    exact = SecularPolicy(dt=None, filter="exact-match")
-    assert secular_filter(1.0, 1.0, exact) == 1.0
-    assert secular_filter(1.0 + 5.0 / dt, 1.0, exact) == 0.0
-    weighted = SecularPolicy(dt=dt, filter="F-weighted")
-    x = 0.75
-    assert secular_filter(1.0 + x, 1.0, weighted) == coarse_graining_f(x, dt)
-    with pytest.raises(ValueError):
-        SecularPolicy(dt=None, filter="F-weighted")
-    with pytest.raises(ValueError):
-        SecularPolicy(filter="nonsense")
 
 
-def test_presecular_exact_match_equals_secular():
-    rng = np.random.default_rng(49)
-    h, ops, bath = random_rate_scenario(rng, [0.0, 0.9, 2.1, 3.8])
-    sec = derive_generator(h, bath, ops, mode="secular")
-    policy = SecularPolicy(dt=5.0, filter="exact-match")
-    pre = derive_generator(h, bath, ops, mode="presecular", policy=policy)
-    l_sec = generator_superoperator_matrix(sec.generator)
-    l_pre = generator_superoperator_matrix(pre.generator)
-    scale = max(1.0, np.abs(l_sec).max())
-    assert np.abs(l_sec - l_pre).max() < 1e-12 * scale
+@pytest.mark.parametrize("dt", [None, 0.0, -1.0, math.nan])
+def test_secular_policy_refuses_a_window_that_is_not_positive(dt):
+    with pytest.raises(ValueError, match="dt > 0"):
+        SecularPolicy(dt=dt)
 
 
 def test_presecular_converges_to_secular_with_growing_window():
@@ -460,7 +441,7 @@ def test_presecular_converges_to_secular_with_growing_window():
     min_gap = all_gaps[all_gaps > 1e-9].min()
     defects = []
     for dt in (10.0 / min_gap, 40.0 / min_gap, 160.0 / min_gap, 2560.0 / min_gap):
-        policy = SecularPolicy(dt=dt, filter="F-weighted")
+        policy = SecularPolicy(dt=dt)
         pre = derive_generator(h, bath, ops, mode="presecular", policy=policy)
         l_pre = generator_superoperator_matrix(pre.generator)
         defects.append(np.abs(l_pre - l_sec).max())
@@ -472,7 +453,7 @@ def test_presecular_converges_to_secular_with_growing_window():
 def test_generator_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(51)
     h, ops, bath = random_rate_scenario(rng, [0.0, 0.9, 2.1, 3.8])
-    policy = SecularPolicy(dt=25.0, filter="F-weighted")
+    policy = SecularPolicy(dt=25.0)
     for mode, pol in (("secular", None), ("presecular", policy)):
         res = derive_generator(h, bath, ops, mode=mode, policy=pol)
         gen = res.generator
@@ -597,7 +578,7 @@ def test_rates_evaluated_once_per_frequency(mode):
             return fn(omega)
 
         setattr(bath, f"{name}_fn", counted)
-    policy = SecularPolicy(dt=4.0, filter="F-weighted") if mode == "presecular" else None
+    policy = SecularPolicy(dt=4.0) if mode == "presecular" else None
     res = derive_generator(h, bath, ops, mode=mode, policy=policy)
     bohr = bohr_frequencies(res.spectrum).values.tolist()
     term_omegas = [t.omega for t in res.generator.dissipator_terms]

@@ -1,28 +1,27 @@
 """Master-equation generators in standard form, plus rate tensors and Pauli reduction.
 
-Both modes reduce to one contracted standard form
+Both modes build one contracted standard form
 
     d rho / dt = -i [h_eff, rho] + G rho + rho G^+ + sum_p L_p rho R_p
 
-with the sandwich factors stored as stacked (P, d, d) arrays. Stack the
-eigenoperators as A[W, a] and contract over the source frequency and channel
-first:
+with the sandwich factors stored as stacked (P, d, d) arrays. The mode
+enters only as data: a k x k coefficient matrix C(W) per transition
+frequency W and an optional window F(W' - W). Stack the eigenoperators as
+A[W, a], let C act on the channel index at each W and F on the frequency
+index, (F Y)[W'] = sum_W F(W' - W) Y[W]; then
 
-    M[W', a] = sum_(W, b) c(W', W) C_ab(W) A_b(W).
+    M = F (C A),   L = M + C^+ (F A),   R = A^+,   G = -sum A^+ M.
 
-The presecular generator keeps the cross terms between transition
-frequencies: c = F(W' - W), the coarse-graining filter of the policy, and
-C = W = Gamma/2 + i Delta. Its pairs are (M, A_a(W')^+) and the mirror
-(A_a(W'), M^+), with G = -sum A^+ M, so the frequency shift sits inside G
-and h_eff is the bare system hamiltonian.
+L folds in the mirror (A, M^+) of each pair (M, A^+), since F is hermitian,
+F(x)^* = F(-x): N frequencies and k channels give at most P = N k pairs.
 
-The secular generator takes c = delta(W', W) and C = Gamma. Because Gamma
-is hermitian the mirror pairs sum to the same superoperator as the first
-list, so they are folded in at full rate: L = M, R = A^+, G = -B/2 with
-B = sum A^+ M. Its frequency shift h_ls = sum_W sum_ab Delta_ab(W)
-A_a(W)^+ A_b(W), from RateTensors.lamb_shift, is kept in h_eff = h_a + h_ls.
-As the window dt grows, F(W' - W) tends to delta(W', W) and the presecular
-generator tends to the secular one.
+The secular generator has no window and C = Gamma/2, which is exactly
+hermitian, so L = 2 M = Gamma A. Its frequency shift h_ls, from
+RateTensors.lamb_shift, is kept in h_eff = h_a + h_ls. The presecular
+generator takes F = coarse_graining_f over the window dt of its
+SecularPolicy and C = W = Gamma/2 + i Delta, so its frequency shift sits
+inside G and h_eff is the bare system hamiltonian; as dt grows it tends to
+the secular generator.
 
 In the energy eigenbasis the secular generator couples two coherences only
 when their gaps snap to the same Bohr frequency, so it splits into one block
@@ -31,6 +30,7 @@ per Bohr frequency, built from the rate tensors (build_bohr_blocks).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,10 +51,13 @@ def coarse_graining_f(x, dt: float):
     """Coarse-graining filter F(x) = exp(i x dt / 2) sin(x dt / 2) / (x dt / 2).
 
     F(0) = 1 and F vanishes at x = 2 pi n / dt for integer n != 0. Accepts
-    scalars or arrays of x.
+    scalars or arrays of x. Where x dt / 2 overflows, |F| <= 2 / |x dt| is
+    below 1e-308 and F is 0, without a warning.
     """
-    u = 0.5 * np.asarray(x, dtype=float) * float(dt)
-    return np.exp(1j * u) * np.sinc(u / np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 0.5 * np.asarray(x, dtype=float) * float(dt)
+        f = np.exp(1j * u) * np.sinc(u / np.pi)
+    return np.where(np.isnan(f) & ~np.isnan(u), 0.0, f)[()]
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class SecularPolicy:
     dt: float
 
     def __post_init__(self):
-        if self.dt is None or not self.dt > 0:
-            raise ValueError("presecular policy requires dt > 0")
+        if self.dt is None or not 0 < self.dt < math.inf:
+            raise ValueError("presecular policy requires a finite dt > 0")
 
 
 @dataclass(frozen=True)
@@ -99,15 +102,14 @@ class DissipatorTerm:
 class Generator:
     """Right-hand side of the master equation d rho / dt = rhs(rho).
 
-    mode 'presecular' needs the SecularPolicy whose window weights the
-    cross-frequency terms. A secular generator from derive_generator also
-    carries the Spectrum and RateTensors it was derived with, from which
-    bohr_blocks builds its eigenbasis blocks.
+    policy None makes it secular; a presecular generator holds the
+    SecularPolicy whose window weights its cross-frequency terms. A secular
+    generator from derive_generator also carries the Spectrum and
+    RateTensors it was derived with, for bohr_blocks.
     """
 
     h_eff: np.ndarray
     dissipator_terms: tuple[DissipatorTerm, ...]
-    mode: str
     h_ls: np.ndarray | None = None
     policy: SecularPolicy | None = None
     spectrum: Spectrum | None = field(default=None, compare=False, repr=False)
@@ -116,6 +118,16 @@ class Generator:
     @property
     def dim(self) -> int:
         return self.h_eff.shape[0]
+
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (N, k, k) stack of C(W) over the terms and the (N, N) window
+        F(W' - W), None for no window (see the module docstring)."""
+        terms = self.dissipator_terms
+        if self.policy is None:
+            return 0.5 * np.array([t.gamma for t in terms], dtype=complex), None
+        omegas = np.array([t.omega for t in terms])
+        return (np.array([t.w_matrix() for t in terms], dtype=complex),
+                coarse_graining_f(omegas[:, None] - omegas[None, :], self.policy.dt))
 
     @cached_property
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,44 +141,35 @@ class Generator:
         if not terms:
             empty = np.zeros((0, dim, dim), dtype=complex)
             return np.zeros((dim, dim), dtype=complex), empty, empty
-        secular = self.mode == "secular"
-        if not secular and self.policy is None:
-            raise ValueError("presecular generator needs a SecularPolicy")
-        # M[W', a] = sum_(W, b) c(W', W) C_ab(W) A_b(W): channels first, then
-        # the filter over the source frequency (c is the identity if secular)
-        a, m = _channel_contraction(
-            terms, [t.gamma if secular else t.w_matrix() for t in terms],
-            terms[0].channel_count, dim)
-        if not secular:
-            omegas = np.array([t.omega for t in terms])
-            weights = coarse_graining_f(omegas[:, None] - omegas[None, :], self.policy.dt)
-            m = (weights @ m.reshape(len(terms), -1)).reshape(m.shape)
-        a_dag = a.conj().transpose(0, 2, 1)
-        loss = _sum_of_products(a_dag, m)
-        if secular:
-            # Gamma is hermitian, so the mirror pairs (A, M^+) sum to the same
-            # superoperator as (M, A^+); they are folded in at full rate
-            big_g = -0.5 * hermitian_part(loss)
-            left, right = m, a_dag
+        rates, window = self._coefficients()
+        # M = F (C A): channels first, then the window over the source frequency
+        a, m = _channel_contraction(terms, rates, terms[0].channel_count, dim)
+        m = _windowed(window, m)
+        # the mirror pairs fold into L = M + C^+ (F A); with no window and C
+        # exactly hermitian (a secular C = Gamma/2) that term is M itself
+        rates_dag = rates.conj().transpose(0, 2, 1)
+        if window is None and np.array_equal(rates_dag, rates):
+            mirror = m
         else:
-            big_g = -loss
-            left = np.concatenate([m, a])
-            right = np.concatenate([a_dag, m.conj().transpose(0, 2, 1)])
-        keep = np.flatnonzero((np.abs(left).max(axis=(1, 2)) > 0.0)
-                              & (np.abs(right).max(axis=(1, 2)) > 0.0))
+            fa = _windowed(window, a).reshape(rates.shape[0], rates.shape[1], -1)
+            mirror = (rates_dag @ fa).reshape(m.shape)
+        a_dag = np.conjugate(a, out=a).transpose(0, 2, 1)  # A is read as A^+ from here
+        big_g = -_sum_of_products(a_dag, m)
+        m += mirror
+        keep = np.flatnonzero((np.abs(m).max(axis=(1, 2)) > 0.0)
+                              & (np.abs(a_dag).max(axis=(1, 2)) > 0.0))
         # every rhs call and superoperator build reads right row-major, so
         # the kept pairs are gathered straight into a C-contiguous stack
-        right = np.take(right, keep, axis=0, mode="clip",
+        right = np.take(a_dag, keep, axis=0, mode="clip",
                         out=np.empty((keep.size, dim, dim), dtype=complex))
-        return big_g, left[keep], right
+        return big_g, m[keep], right
 
     @cached_property
     def bohr_blocks(self) -> BohrBlocks | None:
         """The generator as its blocks on the energy eigenbasis, built once
         by build_bohr_blocks for every secular generator from
         derive_generator; None for presecular and hand-built ones."""
-        if (self.mode != "secular" or self.spectrum is None
-                or self.rate_tensors is None):
+        if self.spectrum is None or self.rate_tensors is None:
             return None
         h_eig = np.diag(self.spectrum.frequencies) + self.rate_tensors.lamb_shift
         return build_bohr_blocks(self.spectrum, self.rate_tensors, h_eig)
@@ -174,11 +177,17 @@ class Generator:
 
 def _channel_contraction(terms, rates, n_ch: int, dim: int):
     """Stack the eigenoperators as A[W, a] and contract them over the source
-    channel with k x k matrices C(W), one per term:
+    channel with the (N, k, k) stack rates of C(W), one per term:
     M[W, a] = sum_b C_ab(W) A_b(W). Returns A and M as (N k, d, d) stacks."""
     ops = np.array([t.ops for t in terms], dtype=complex).reshape(-1, n_ch, dim * dim)
-    m = np.asarray(rates, dtype=complex).reshape(-1, n_ch, n_ch) @ ops
-    return ops.reshape(-1, dim, dim), m.reshape(-1, dim, dim)
+    return ops.reshape(-1, dim, dim), (rates @ ops).reshape(-1, dim, dim)
+
+
+def _windowed(window, stack: np.ndarray) -> np.ndarray:
+    """F Y for an (N k, d, d) stack Y; Y itself when the window F is None."""
+    if window is None:
+        return stack
+    return (window @ stack.reshape(window.shape[0], -1)).reshape(stack.shape)
 
 
 def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -235,14 +244,8 @@ def build_standard_form(spectrum, eigenops, bath, gammas, deltas,
     h_ls = hermitian_part(v @ shift @ v.conj().T) if shift.any() else np.zeros_like(shift)
     h_eff = hermitian_part(spectrum.hamiltonian + h_ls)
 
-    return Generator(
-        h_eff=h_eff,
-        dissipator_terms=tuple(terms),
-        mode="secular",
-        h_ls=h_ls,
-        spectrum=spectrum,
-        rate_tensors=rate_tensors,
-    )
+    return Generator(h_eff=h_eff, dissipator_terms=tuple(terms), h_ls=h_ls,
+                     spectrum=spectrum, rate_tensors=rate_tensors)
 
 
 def build_presecular(spectrum, eigenops, bath, gammas, deltas,
@@ -254,12 +257,8 @@ def build_presecular(spectrum, eigenops, bath, gammas, deltas,
     h_eff is the bare system hamiltonian. gammas, deltas as for build_standard_form.
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas, deltas)
-    return Generator(
-        h_eff=spectrum.hamiltonian,
-        dissipator_terms=tuple(terms),
-        mode="presecular",
-        policy=policy,
-    )
+    return Generator(h_eff=spectrum.hamiltonian, dissipator_terms=tuple(terms),
+                     policy=policy)
 
 
 def rhs_function(g: Generator):

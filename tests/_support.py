@@ -81,8 +81,8 @@ def reference_pieces(g):
         c       A_b(W)  rho A_a(W')^+      - c       A_a(W')^+ A_b(W) rho
         conj(c) A_a(W') rho A_b(W)^+       - conj(c) rho A_b(W)^+ A_a(W')
 
-    The secular generator keeps only W' = W with c = Gamma_ab(W) / 2, its
-    frequency shift being part of h_eff.
+    A generator without a policy is secular: it keeps only W' = W with
+    c = Gamma_ab(W) / 2, its frequency shift being part of h_eff.
     """
     from lindforge import coarse_graining_f
 
@@ -91,7 +91,7 @@ def reference_pieces(g):
     pairs = []
     for src in g.dissipator_terms:
         for dst in g.dissipator_terms:
-            if g.mode == "secular":
+            if g.policy is None:
                 if dst.omega != src.omega:
                     continue
                 rates = 0.5 * np.asarray(src.gamma, dtype=complex)

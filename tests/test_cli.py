@@ -1191,6 +1191,23 @@ def test_presecular_filter_defaults_to_f_weighted(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
+def test_presecular_window_near_the_float_limit_runs_clean(tmp_path, capsys, command):
+    # with dt = 1e308, x dt / 2 overflows for the larger differences x of
+    # the table's Bohr frequencies, whose window weights are then 0: every
+    # command exits 0, warns nothing and writes only finite numbers
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
+    data = json.loads((demo / "four_level_table.json").read_text())
+    data["policy"] = {"mode": "presecular", "dt": 1e308}
+    code, out, err, caught = run_cli_strict(capsys, command, write_scenario(tmp_path, data))
+    assert (code, err, caught) == (0, "", [])
+    if command == "evolve":
+        cells = [float(x) for line in out.splitlines()[1:] for x in line.split(",")]
+        assert cells and all(math.isfinite(x) for x in cells)
+    else:
+        json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in the output"))
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
 @pytest.mark.parametrize("mode", ["secular", "presecular"])
 def test_overflowing_lamb_shift_is_an_input_error(tmp_path, capsys, mode, command):
     # the escape sum of Delta = 1e307 over A = [[3, 3], [3, -3]] overflows:

@@ -71,14 +71,13 @@ def damping_generator(gamma_down, gamma_up=0.0, **options):
 
 
 def test_liouvillian_of_trivial_generator_is_zero():
-    gen = Generator(h_eff=np.zeros((2, 2), dtype=complex), dissipator_terms=(), mode="secular")
+    gen = Generator(h_eff=np.zeros((2, 2), dtype=complex), dissipator_terms=())
     assert np.abs(generator_superoperator_matrix(gen)).max() == 0.0
 
 
 def test_superoperator_is_capped_before_allocation():
     dim = 91  # dim^2 = 8281 exceeds linalg.MAX_TENSOR_DIM = 8192
-    gen = Generator(h_eff=np.zeros((dim, dim), dtype=complex), dissipator_terms=(),
-                    mode="secular")
+    gen = Generator(h_eff=np.zeros((dim, dim), dtype=complex), dissipator_terms=())
     rho0 = np.eye(dim, dtype=complex) / dim
     with pytest.raises(DimensionError):
         generator_superoperator_matrix(gen)
@@ -90,7 +89,7 @@ def test_superoperator_is_capped_before_allocation():
 
 def test_liouvillian_of_free_evolution_has_bohr_eigenvalues():
     h = np.diag([0.0, OMEGA0]).astype(complex)
-    gen = Generator(h_eff=h, dissipator_terms=(), mode="secular")
+    gen = Generator(h_eff=h, dissipator_terms=())
     evals = np.sort_complex(np.linalg.eigvals(generator_superoperator_matrix(gen)))
     expected = np.sort_complex([0.0, 0.0, -1j * OMEGA0, 1j * OMEGA0])
     assert np.abs(evals - expected).max() < 1e-12
@@ -227,8 +226,7 @@ def runs_cases():
     ops = (random_hermitian(rng, 3) + 1j * random_hermitian(rng, 3),)
     hand_built = Generator(
         h_eff=random_hermitian(rng, 3),
-        dissipator_terms=(DissipatorTerm(omega=1.0, gamma=np.array([[0.4]]), ops=ops),),
-        mode="secular")
+        dissipator_terms=(DissipatorTerm(omega=1.0, gamma=np.array([[0.4]]), ops=ops),))
     cases.append((hand_built, random_density(rng, 3)))
     return cases
 
@@ -439,7 +437,6 @@ def negative_rate_generator():
     return Generator(
         h_eff=np.diag([0.0, OMEGA0]).astype(complex),
         dissipator_terms=(term,),
-        mode="secular",
     )
 
 

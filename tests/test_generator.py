@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_two_level_standard_form_matches_hand_built_lindblad():
     h = np.diag([0.0, OMEGA0]).astype(complex)
     res = derive_generator(h, two_level_table_bath(), [sx])
     gen = res.generator
-    assert gen.mode == "secular"
+    assert gen.policy is None  # secular
     assert np.abs(gen.h_ls).max() < EXACT_TOL
     assert np.abs(gen.h_eff - h).max() < EXACT_TOL
     for _ in range(5):
@@ -212,6 +213,8 @@ def test_pieces_store_both_factors_row_major(mode):
     gen = derive_generator(h, bath, ops, mode=mode, policy=policy).generator
     big_g, left, right = gen.pieces
     assert left.flags.c_contiguous and right.flags.c_contiguous
+    # one pair per term and channel: the mirror pairs fold in, in both modes
+    assert left.shape[0] == right.shape[0] == len(gen.dissipator_terms) * len(ops)
     # the rhs reads the factors as they are stored
     rho = random_density(rng, 4)
     expected = reference_rhs(gen, rho)
@@ -425,10 +428,24 @@ def test_filter_values():
     assert abs(f - 1j * 2.0 / math.pi) < 1e-12
 
 
-@pytest.mark.parametrize("dt", [None, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("dt", [None, 0.0, -1.0, math.nan, math.inf])
 def test_secular_policy_refuses_a_window_that_is_not_positive(dt):
     with pytest.raises(ValueError, match="dt > 0"):
         SecularPolicy(dt=dt)
+
+
+def test_window_too_wide_for_floats_leaves_only_equal_frequencies():
+    # x dt / 2 overflows off x = 0: F is 0 there, without a warning, and the
+    # presecular generator stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = coarse_graining_f(np.array([0.0, 4.0, -4.0]), 1e308)
+        assert f.tolist() == [1.0, 0.0, 0.0] and coarse_graining_f(4.0, 1e308) == 0.0
+        rng = np.random.default_rng(312)
+        h, ops, bath = random_table_scenario(rng, [0.0, 0.7, 1.9, 3.2])
+        gen = derive_generator(h, bath, ops, mode="presecular",
+                               policy=SecularPolicy(dt=1e308)).generator
+        assert all(np.isfinite(x).all() for x in gen.pieces)
 
 
 def test_presecular_converges_to_secular_with_growing_window():

@@ -98,14 +98,17 @@ def _transitions(x_eig, energies, populations):
     pop[s] = p(z) and nu[s] = E_z - E_xi, read-only and sorted by nu (stably,
     so transitions of one frequency stay in (z, xi) order); and the levels
     z and xi of each transition, in the same order."""
-    k, dim = len(x_eig), len(energies)
-    # amps[c, z, xi] = <xi|X_c|z>
-    amps = np.asarray(x_eig, dtype=complex).reshape(k, dim, dim).transpose(0, 2, 1)
-    z, xi = np.nonzero((amps != 0).any(axis=0) & (populations != 0)[:, None])
+    # <xi|X_c|z> = x_c[xi, z]: the pattern is read in X's own row order and
+    # the amplitudes gathered per channel, with no copy of X
+    carried = np.zeros((len(energies),) * 2, dtype=bool)
+    for x in x_eig:
+        carried |= x != 0
+    xi, z = np.nonzero(carried & (populations != 0))
     nu = energies[z] - energies[xi]
-    order = np.argsort(nu, kind="stable")
+    order = np.lexsort((xi, z, nu))  # by nu, then in (z, xi) order
     z, xi = z[order], xi[order]
-    table = (amps[:, z, xi], populations[z], nu[order])
+    amps = np.array([x[xi, z] for x in x_eig], dtype=complex)
+    table = (amps, populations[z], nu[order])
     for array in table:
         array.flags.writeable = False
     return table, z, xi

@@ -150,18 +150,22 @@ class Generator:
         rates_dag = rates.conj().transpose(0, 2, 1)
         if window is None and np.array_equal(rates_dag, rates):
             mirror = m
-        else:
-            fa = _windowed(window, a).reshape(rates.shape[0], rates.shape[1], -1)
-            mirror = (rates_dag @ fa).reshape(m.shape)
+        else:  # F A is let go as soon as C^+ has acted on it
+            mirror = _windowed(window, a).reshape(rates.shape[0], rates.shape[1], -1)
+            mirror = (rates_dag @ mirror).reshape(m.shape)
         a_dag = np.conjugate(a, out=a).transpose(0, 2, 1)  # A is read as A^+ from here
         big_g = -_sum_of_products(a_dag, m)
         m += mirror
+        del mirror
         keep = np.flatnonzero((np.abs(m).max(axis=(1, 2)) > 0.0)
                               & (np.abs(a_dag).max(axis=(1, 2)) > 0.0))
-        # every rhs call and superoperator build reads right row-major, so
-        # the kept pairs are gathered straight into a C-contiguous stack
-        right = np.take(a_dag, keep, axis=0, mode="clip",
-                        out=np.empty((keep.size, dim, dim), dtype=complex))
+        # every rhs call and superoperator build reads right row-major: the
+        # kept A^+ are gathered straight into a C-contiguous stack (np.take
+        # would first copy the transposed view whole), and A is let go
+        # before the kept M are gathered
+        cols = np.arange(dim)
+        right = a[keep[:, None, None], cols, cols[:, None]]
+        del a, a_dag
         return big_g, m[keep], right
 
     @cached_property
@@ -655,10 +659,19 @@ def derive_generator(
     couplings: list of system coupling operators, one per bath channel.
     For finite baths whose coupling operators have nonzero stationary mean,
     the mean is shifted into the system hamiltonian first (h_shift reports
-    the correction that was added to h_a).
+    the correction that was added to h_a). mode and policy say the same
+    thing twice: presecular needs its SecularPolicy, and secular refuses one
+    rather than ignore its window.
     """
     from .bath import FiniteBath, center_couplings
     from .spectral import build_spectrum
+
+    if mode not in ("secular", "presecular"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'secular' or 'presecular'")
+    if mode == "presecular" and policy is None:
+        raise ValueError("presecular mode requires a SecularPolicy with dt > 0")
+    if mode == "secular" and policy is not None:
+        raise ValueError("secular mode takes no SecularPolicy; its window is presecular")
 
     h_a = as_hermitian(h_a, "system hamiltonian")
     ops = [as_operator(a, f"couplings[{i}]") for i, a in enumerate(couplings)]
@@ -680,18 +693,13 @@ def derive_generator(
         eigenoperator_decomposition(a, spectrum) for a in ops
     )
 
-    if mode not in ("secular", "presecular"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'secular' or 'presecular'")
-    if mode == "presecular" and policy is None:
-        raise ValueError("presecular mode requires a SecularPolicy with dt > 0")
-
     # Gamma and Delta once per Bohr frequency, coupled or not, one stacked
     # call each: the terms and the rate tensors read these tables, and a
     # table bath that misses a Bohr frequency is rejected here
     omegas = bohr_frequencies(spectrum).values
     gammas, deltas = gamma_matrix(bath, omegas), delta_matrix(bath, omegas)
     rt = build_rate_tensors(spectrum, ops, gammas, deltas)
-    if mode == "secular":
+    if policy is None:
         gen = build_standard_form(spectrum, eigenops, bath, gammas, deltas, rt)
     else:
         gen = build_presecular(spectrum, eigenops, bath, gammas, deltas, policy)

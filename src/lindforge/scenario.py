@@ -25,12 +25,16 @@ lists):
       "tau_b": 0.5?
     }
 
-Coupling entries reference the bath in one of two ways: finite baths given as
-an explicit hamiltonian take an "X" matrix per entry (the bath operators ARE
-the couplings); mode baths and analytic models expose numbered channels and
-take "channel" instead. add_adjoint marks a non-hermitian (A, X) pair whose
-hermitian conjugate partner should be added and the pair rotated to hermitian
-channels before the derivation.
+Each field has one rule, kept in one place. Finite baths given as an
+explicit hamiltonian take an "X" matrix per coupling entry (the bath
+operators ARE the couplings); add_adjoint marks a non-hermitian (A, X) pair
+whose hermitian conjugate partner is added and the pair rotated to hermitian
+channels. Mode, flat-thermal and table baths expose numbered channels (a mode
+bath exactly one), and _channel_ops holds their rules: one hermitian A per
+channel, in channel order, no X, no add_adjoint. _expect_number holds the
+number rules, strict positivity included. The policy alone selects the
+generator: Scenario.policy is the presecular SecularPolicy or None, and
+Scenario.mode follows from it.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def _expect_dict(node, path, required=(), optional=()):
     return node
 
 
-def _expect_number(node, path, minimum=None, allow_inf=False) -> float:
+def _expect_number(node, path, minimum=None, positive=False, allow_inf=False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         if allow_inf and node == "inf":
             return math.inf
@@ -99,6 +103,8 @@ def _expect_number(node, path, minimum=None, allow_inf=False) -> float:
         _fail(path, "must be finite")
     if minimum is not None and x < minimum:
         _fail(path, f"must be >= {minimum}, got {x}")
+    if positive and not x > 0:
+        _fail(path, f"must be positive, got {x}")
     return x
 
 
@@ -157,7 +163,6 @@ class Scenario:
     couplings: list
     rho0: np.ndarray
     times: np.ndarray
-    mode: str
     policy: SecularPolicy | None
     degeneracy_tol: float | None
     tau_b: float | None
@@ -165,6 +170,11 @@ class Scenario:
     @property
     def dim(self) -> int:
         return self.h_a.shape[0]
+
+    @property
+    def mode(self) -> str:
+        """'presecular' when the scenario carries a window, else 'secular'."""
+        return "secular" if self.policy is None else "presecular"
 
 
 def _parse_system(node) -> np.ndarray:
@@ -188,13 +198,6 @@ def _parse_system(node) -> np.ndarray:
     return np.diag(evs).astype(complex)
 
 
-def _parse_temperature(node, path) -> float:
-    t = _expect_number(node, path, allow_inf=True)
-    if not t > 0:
-        _fail(path, f"temperature must be positive, got {t}")
-    return t
-
-
 def _parse_couplings_node(node, dim):
     if not isinstance(node, list) or not node:
         _fail("couplings", "expected a non-empty list")
@@ -212,8 +215,8 @@ def _parse_couplings_node(node, dim):
         channel = None
         if "channel" in ent:
             channel = _expect_int(ent["channel"], f"{path}.channel", minimum=0)
-        add_adjoint = bool(ent.get("add_adjoint", False))
-        if not isinstance(ent.get("add_adjoint", False), bool):
+        add_adjoint = ent.get("add_adjoint", False)
+        if not isinstance(add_adjoint, bool):
             _fail(f"{path}.add_adjoint", "expected true or false")
         entries.append((a, x, channel, add_adjoint, path))
     return entries
@@ -233,7 +236,7 @@ def _require_hermitian(m, path, coupling=True):
         _fail(path, f"not hermitian (defect {defect:.3e}){hint if coupling else ''}")
 
 
-def _build_bath_and_couplings(bath_node, coupling_entries, dim):
+def _build_bath_and_couplings(bath_node, coupling_entries):
     if not isinstance(bath_node, dict):
         _fail("bath", f"expected an object, got {type(bath_node).__name__}")
     kind = bath_node.get("kind")
@@ -243,105 +246,46 @@ def _build_bath_and_couplings(bath_node, coupling_entries, dim):
     if kind == "finite":
         _expect_dict(bath_node, "bath", required=("kind", "temperature"),
                      optional=("hamiltonian", "modes", "broadening"))
-        temperature = _parse_temperature(bath_node["temperature"], "bath.temperature")
+        temperature = _expect_number(bath_node["temperature"], "bath.temperature",
+                                     positive=True, allow_inf=True)
         broadening = None
         if "broadening" in bath_node:
-            broadening = _expect_number(bath_node["broadening"], "bath.broadening")
-            if not broadening > 0:
-                _fail("bath.broadening", f"must be positive, got {broadening}")
-        has_h = "hamiltonian" in bath_node
-        has_m = "modes" in bath_node
-        if has_h == has_m:
+            broadening = _expect_number(bath_node["broadening"], "bath.broadening",
+                                        positive=True)
+        if ("hamiltonian" in bath_node) == ("modes" in bath_node):
             _fail("bath", "give exactly one of 'hamiltonian' or 'modes'")
+        if "hamiltonian" in bath_node:
+            return _explicit_bath(bath_node["hamiltonian"], coupling_entries,
+                                  temperature, broadening)
+        modes_node = bath_node["modes"]
+        if not isinstance(modes_node, list) or not modes_node:
+            _fail("bath.modes", "expected a non-empty list")
+        modes, top = [], 0.0
+        for i, m in enumerate(modes_node):
+            _expect_dict(m, f"bath.modes[{i}]", required=("frequency", "coupling"))
+            f = _expect_number(m["frequency"], f"bath.modes[{i}].frequency", positive=True)
+            top += f  # the top level of H_B, every mode so far excited
+            _require_finite_hermitian_part(np.array([[top]]), f"bath.modes[{i}].frequency")
+            g = _expect_number(m["coupling"], f"bath.modes[{i}].coupling")
+            modes.append((f, g))
+        bath = qubit_mode_bath(modes, temperature, broadening=broadening)
 
-        if has_m:
-            modes_node = bath_node["modes"]
-            if not isinstance(modes_node, list) or not modes_node:
-                _fail("bath.modes", "expected a non-empty list")
-            modes, top = [], 0.0
-            for i, m in enumerate(modes_node):
-                _expect_dict(m, f"bath.modes[{i}]", required=("frequency", "coupling"))
-                f = _expect_number(m["frequency"], f"bath.modes[{i}].frequency")
-                if not f > 0:
-                    _fail(f"bath.modes[{i}].frequency", f"must be positive, got {f}")
-                top += f  # the top level of H_B, every mode so far excited
-                _require_finite_hermitian_part(np.array([[top]]), f"bath.modes[{i}].frequency")
-                g = _expect_number(m["coupling"], f"bath.modes[{i}].coupling")
-                modes.append((f, g))
-            bath = qubit_mode_bath(modes, temperature, broadening=broadening)
-            # mode baths expose a single built-in coupling operator
-            if len(coupling_entries) != 1:
-                _fail("couplings", "mode baths expose exactly one channel; "
-                                   f"got {len(coupling_entries)} couplings")
-            a, x, channel, add_adjoint, path = coupling_entries[0]
-            if x is not None:
-                _fail(f"{path}.X", "not allowed for mode baths (the bath "
-                                   "operator is built from the modes)")
-            if channel not in (None, 0):
-                _fail(f"{path}.channel", f"mode baths have only channel 0, got {channel}")
-            if add_adjoint:
-                _fail(f"{path}.add_adjoint", "not supported for mode baths; "
-                                             "give A hermitian")
-            _require_hermitian(a, f"{path}.A")
-            return bath, [a]
-
-        h_b = complex_matrix_from_json(bath_node["hamiltonian"], "bath.hamiltonian")
-        _require_hermitian(h_b, "bath.hamiltonian", coupling=False)
-        pairs = []
-        any_adjoint = False
-        for a, x, channel, add_adjoint, path in coupling_entries:
-            if x is None:
-                _fail(f"{path}.X", "required for finite baths given as a "
-                                   "hamiltonian (each coupling names its bath "
-                                   "operator)")
-            if channel is not None:
-                _fail(f"{path}.channel", "not allowed when X is given explicitly")
-            if x.shape[0] != h_b.shape[0]:
-                _fail(f"{path}.X", f"has dimension {x.shape[0]}, bath has "
-                                   f"{h_b.shape[0]}")
-            if add_adjoint:
-                any_adjoint = True
-                pairs.append((a, x))
-                pairs.append((a.conj().T, x.conj().T))
-            else:
-                pairs.append((a, x))
-        if any_adjoint:
-            try:
-                channels = hermitize_coupling(pairs)
-            except ValueError as exc:
-                _fail("couplings", str(exc))
-            if not channels:  # each bath part fell below 1e-13 of its system part
-                _fail("couplings", "no hermitian channel is left with the adjoints")
-        else:
-            for (a, x), (_, _, _, _, path) in zip(pairs, coupling_entries):
-                _require_hermitian(a, f"{path}.A")
-                _require_hermitian(x, f"{path}.X")
-            channels = pairs
-        a_ops = [a for a, _ in channels]
-        x_ops = [x for _, x in channels]
-        bath = FiniteBath(h_b, temperature, x_ops, broadening=broadening)
-        return bath, a_ops
-
-    if kind == "flat-thermal":
+    elif kind == "flat-thermal":
         _expect_dict(bath_node, "bath", required=("kind", "gamma", "temperature"),
                      optional=("gamma_dephasing",))
         gamma = _expect_number(bath_node["gamma"], "bath.gamma", minimum=0.0)
-        temperature = _parse_temperature(bath_node["temperature"], "bath.temperature")
-        if math.isinf(temperature):
-            _fail("bath.temperature", "flat-thermal model needs a finite "
-                                      "temperature")
+        temperature = _expect_number(bath_node["temperature"], "bath.temperature",
+                                     positive=True)
         gd = 0.0
         if "gamma_dephasing" in bath_node:
             gd = _expect_number(bath_node["gamma_dephasing"],
                                 "bath.gamma_dephasing", minimum=0.0)
         bath = flat_thermal_bath(gamma, temperature, gamma_dephasing=gd,
                                  channel_count=len(coupling_entries))
-        a_ops = _analytic_channel_ops(coupling_entries)
-        return bath, a_ops
 
-    if kind == "table":
+    elif kind == "table":
         _expect_dict(bath_node, "bath", required=("kind", "entries"))
-        entries_node = bath_node.get("entries")
+        entries_node = bath_node["entries"]
         if not isinstance(entries_node, list) or not entries_node:
             _fail("bath.entries", "expected a non-empty list")
         entries = []
@@ -358,25 +302,63 @@ def _build_bath_and_couplings(bath_node, coupling_entries, dim):
             bath = table_bath(entries, channel_count=len(coupling_entries))
         except ValueError as exc:
             raise RateTableError(f"bath.entries: {exc}") from exc
-        a_ops = _analytic_channel_ops(coupling_entries)
-        return bath, a_ops
 
-    _fail("bath.kind", f"unknown bath kind {kind!r}; expected 'finite', "
-                       "'flat-thermal' or 'table'")
+    else:
+        _fail("bath.kind", f"unknown bath kind {kind!r}; expected 'finite', "
+                           "'flat-thermal' or 'table'")
+    return bath, _channel_ops(coupling_entries, bath.channel_count)
 
 
-def _analytic_channel_ops(coupling_entries):
-    """Analytic baths expose numbered channels; couplings must use them in order."""
+def _explicit_bath(h_node, coupling_entries, temperature, broadening):
+    """A finite bath given as its hamiltonian: each coupling names its X."""
+    h_b = complex_matrix_from_json(h_node, "bath.hamiltonian")
+    _require_hermitian(h_b, "bath.hamiltonian", coupling=False)
+    pairs = []
+    for a, x, channel, add_adjoint, path in coupling_entries:
+        if x is None:
+            _fail(f"{path}.X", "required for finite baths given as a "
+                               "hamiltonian (each coupling names its bath "
+                               "operator)")
+        if channel is not None:
+            _fail(f"{path}.channel", "not allowed when X is given explicitly")
+        if x.shape[0] != h_b.shape[0]:
+            _fail(f"{path}.X", f"has dimension {x.shape[0]}, bath has "
+                               f"{h_b.shape[0]}")
+        pairs.append((a, x))
+        if add_adjoint:
+            pairs.append((a.conj().T, x.conj().T))
+    if len(pairs) > len(coupling_entries):  # an add_adjoint entry brought its partner
+        try:
+            channels = hermitize_coupling(pairs)
+        except ValueError as exc:
+            _fail("couplings", str(exc))
+        if not channels:  # each bath part fell below 1e-13 of its system part
+            _fail("couplings", "no hermitian channel is left with the adjoints")
+    else:
+        for (a, x), (_, _, _, _, path) in zip(pairs, coupling_entries):
+            _require_hermitian(a, f"{path}.A")
+            _require_hermitian(x, f"{path}.X")
+        channels = pairs
+    bath = FiniteBath(h_b, temperature, [x for _, x in channels], broadening=broadening)
+    return bath, [a for a, _ in channels]
+
+
+def _channel_ops(coupling_entries, channel_count):
+    """The numbered-channel rules of mode, flat-thermal and table baths: one
+    hermitian A per bath channel, in channel order, no X, no add_adjoint."""
+    if len(coupling_entries) != channel_count:
+        _fail("couplings", f"expected one coupling per bath channel ({channel_count}), "
+                           f"got {len(coupling_entries)}")
     a_ops = []
     for i, (a, x, channel, add_adjoint, path) in enumerate(coupling_entries):
         if x is not None:
-            _fail(f"{path}.X", "not allowed for analytic baths; reference a "
-                               "channel instead")
+            _fail(f"{path}.X", "not allowed for numbered-channel baths; "
+                               "reference a channel instead")
         if add_adjoint:
-            _fail(f"{path}.add_adjoint", "not supported for analytic baths; "
-                                         "give A hermitian")
+            _fail(f"{path}.add_adjoint", "not supported for numbered-channel "
+                                         "baths; give A hermitian")
         if channel is None:
-            if len(coupling_entries) > 1:
+            if channel_count > 1:
                 _fail(f"{path}.channel", "required when there are multiple couplings")
             channel = 0
         if channel != i:
@@ -425,9 +407,7 @@ def _parse_initial_state(node, h_a) -> np.ndarray:
 
 def _parse_times(node) -> np.ndarray:
     _expect_dict(node, "times", required=("t_max", "samples"))
-    t_max = _expect_number(node["t_max"], "times.t_max")
-    if not t_max > 0:
-        _fail("times.t_max", f"must be positive, got {t_max}")
+    t_max = _expect_number(node["t_max"], "times.t_max", positive=True)
     samples = _expect_int(node["samples"], "times.samples", minimum=2)
     if samples > MAX_TIME_SAMPLES:
         raise DimensionError(
@@ -436,30 +416,29 @@ def _parse_times(node) -> np.ndarray:
     return np.linspace(0.0, t_max, samples)
 
 
-def _parse_policy(node):
+def _parse_policy(node) -> SecularPolicy | None:
+    """The presecular window, or None for the secular generator."""
     if node is None:
-        return "secular", None
+        return None
     _expect_dict(node, "policy", required=("mode",), optional=("filter", "dt"))
     mode = node["mode"]
     if mode == "secular":
         for key in ("filter", "dt"):
             if key in node:
                 _fail(f"policy.{key}", "only valid for presecular mode")
-        return "secular", None
+        return None
     if mode != "presecular":
         _fail("policy.mode", f"unknown mode {mode!r}; expected 'secular' or "
                              "'presecular'")
     if "dt" not in node:
         _fail("policy", "presecular mode requires 'dt'")
-    dt = _expect_number(node["dt"], "policy.dt")
-    if not dt > 0:
-        _fail("policy.dt", f"must be positive, got {dt}")
+    dt = _expect_number(node["dt"], "policy.dt", positive=True)
     filt = node.get("filter", "F-weighted")
     if filt != "F-weighted":
         _fail("policy.filter", f"unknown filter {filt!r}; presecular takes only "
                                "'F-weighted', and {\"mode\": \"secular\"} gives "
                                "the secular generator")
-    return "presecular", SecularPolicy(dt=dt)
+    return SecularPolicy(dt=dt)
 
 
 def scenario_from_data(data: dict) -> Scenario:
@@ -467,25 +446,19 @@ def scenario_from_data(data: dict) -> Scenario:
                  required=("system", "bath", "couplings", "initial_state", "times"),
                  optional=("policy", "tolerances", "tau_b"))
     h_a = _parse_system(data["system"])
-    dim = h_a.shape[0]
-    coupling_entries = _parse_couplings_node(data["couplings"], dim)
-    bath, a_ops = _build_bath_and_couplings(data["bath"], coupling_entries, dim)
+    coupling_entries = _parse_couplings_node(data["couplings"], h_a.shape[0])
+    bath, a_ops = _build_bath_and_couplings(data["bath"], coupling_entries)
     rho0 = _parse_initial_state(data["initial_state"], h_a)
     times = _parse_times(data["times"])
-    mode, policy = _parse_policy(data.get("policy"))
+    policy = _parse_policy(data.get("policy"))
+    tols = _expect_dict(data.get("tolerances", {}), "tolerances", optional=("degeneracy",))
     degeneracy_tol = None
-    if "tolerances" in data:
-        tols = _expect_dict(data["tolerances"], "tolerances", optional=("degeneracy",))
-        if "degeneracy" in tols:
-            degeneracy_tol = _expect_number(tols["degeneracy"],
-                                            "tolerances.degeneracy")
-            if not degeneracy_tol > 0:
-                _fail("tolerances.degeneracy", "must be positive")
+    if "degeneracy" in tols:
+        degeneracy_tol = _expect_number(tols["degeneracy"], "tolerances.degeneracy",
+                                        positive=True)
     tau_b = None
     if "tau_b" in data:
-        tau_b = _expect_number(data["tau_b"], "tau_b")
-        if not tau_b > 0:
-            _fail("tau_b", f"must be positive, got {tau_b}")
+        tau_b = _expect_number(data["tau_b"], "tau_b", positive=True)
     return Scenario(
         data=data,
         h_a=h_a,
@@ -493,7 +466,6 @@ def scenario_from_data(data: dict) -> Scenario:
         couplings=a_ops,
         rho0=rho0,
         times=times,
-        mode=mode,
         policy=policy,
         degeneracy_tol=degeneracy_tol,
         tau_b=tau_b,

@@ -550,6 +550,21 @@ def reference_default_broadening(bath_energies):
     return 4.0 * (distinct[-1] - distinct[0]) / (len(distinct) - 1)
 
 
+def reference_transitions(x_eig, energies, populations):
+    """bath._transitions by a loop over (z, xi) in row-major order: every
+    transition z -> xi some channel carries out of a populated level,
+    sorted stably by nu = E_z - E_xi."""
+    rows = [(energies[z] - energies[xi], z, xi)
+            for z in range(len(energies)) for xi in range(len(energies))
+            if populations[z] != 0 and any(x[xi, z] != 0 for x in x_eig)]
+    rows.sort(key=lambda row: row[0])
+    z = np.array([row[1] for row in rows], dtype=np.intp)
+    xi = np.array([row[2] for row in rows], dtype=np.intp)
+    amps = np.array([[x[b, a] for a, b in zip(z, xi)] for x in x_eig], dtype=complex)
+    nu = np.array([row[0] for row in rows], dtype=float)
+    return (amps.reshape(len(x_eig), len(rows)), populations[z], nu), z, xi
+
+
 def reference_gaps_distinct(spectrum):
     """PauliReduction.all_gaps_distinct by the pairwise rule: no two gaps
     between multiplet frequencies within the tolerance of each other."""

@@ -34,6 +34,7 @@ from _support import (
     reference_correlation_time,
     reference_default_broadening,
     reference_expectation,
+    reference_transitions,
     reference_w_matrix,
     reference_weighted_bohr_frequencies,
     sigma_ops,
@@ -539,6 +540,26 @@ def test_qubit_mode_bath_matches_kron_chains(n_modes):
     bath = qubit_mode_bath(modes, 1.0, broadening=0.1)
     assert np.array_equal(bath.h_b, h_b)
     assert np.array_equal(bath.coupling_ops[0], x)
+
+
+@pytest.mark.parametrize("kind", ["comb", "levels"])
+def test_transition_table_matches_the_loop_reference(kind):
+    # ties in nu keep (z, xi) order, and unpopulated levels carry nothing
+    rng = np.random.default_rng(405)
+    if kind == "comb":  # repeated modes: many transitions share a frequency
+        bath = qubit_mode_bath([(1.0, 0.1)] * 3 + [(2.0, -0.05)] * 2, 0.005)
+        x_eig, energies, populations = bath._x_eig, bath._energies, bath._populations
+        assert (populations == 0).any()
+    else:  # repeated levels, two sparse channels, some levels unpopulated
+        energies = np.sort(np.round(rng.normal(size=12), 1))
+        x_eig = [random_hermitian(rng, 12) * (rng.random((12, 12)) < 0.4) for _ in range(2)]
+        populations = rng.random(12) * (rng.random(12) < 0.7)
+    (amps, pop, nu), z, xi = _transitions(x_eig, energies, populations)
+    (want_amps, want_pop, want_nu), want_z, want_xi = reference_transitions(
+        x_eig, energies, populations)
+    assert np.array_equal(z, want_z) and np.array_equal(xi, want_xi)
+    for got, want in ((amps, want_amps), (pop, want_pop), (nu, want_nu)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind, d", [("comb", 4), ("comb", 256), ("levels", 24)])

@@ -118,6 +118,19 @@ def test_channel_count_mismatch_is_rejected():
         derive_generator(h, flat_thermal_bath(0.1, 1.0), [sx, sz])
 
 
+@pytest.mark.parametrize("mode, policy, message", [
+    ("secular", SecularPolicy(dt=1.0), "takes no SecularPolicy"),
+    ("presecular", None, "requires a SecularPolicy"),
+    ("markov", None, "unknown mode"),
+])
+def test_mode_and_policy_must_agree(mode, policy, message):
+    # a secular derivation refuses a window rather than drop it
+    sx = sigma_ops()[0]
+    h = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises(ValueError, match=message):
+        derive_generator(h, flat_thermal_bath(0.1, 1.0), [sx], mode=mode, policy=policy)
+
+
 def test_rate_tensor_two_level_values():
     sx, _, _, _ = sigma_ops()
     h = np.diag([0.0, OMEGA0]).astype(complex)

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from lindforge import (
     scenario_from_data,
     serialize_scenario,
 )
+from lindforge.cli import main
 from lindforge.scenario import MAX_TIME_SAMPLES
 
 from _support import sigma_ops
@@ -227,3 +230,125 @@ def test_parse_error_reports_position():
 def test_load_scenario_missing_file():
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario("/nonexistent/path/scenario.json")
+
+
+# ---------------------------------------------------------------------------
+# every refusal of scenario.py, through the CLI: exit 2, one JSON scenario
+# error on stderr, its message led by the field path
+
+SM = cm(sigma_ops()[3])
+MODE_BATH = {"kind": "finite", "temperature": 1.0, "broadening": 0.4,
+             "modes": [{"frequency": 1.0, "coupling": 0.1},
+                       {"frequency": 1.4, "coupling": 0.05}]}
+EXPLICIT_BATH = {"kind": "finite", "hamiltonian": cm(np.diag([0.0, 0.9])),
+                 "temperature": 2.0, "broadening": 0.5}
+TABLE_BATH = {"kind": "table", "entries": [{"omega": w, "gamma": [[[0.1, 0.0]]]}
+                                           for w in (-1.0, 0.0, 1.0)]}
+BASES = {
+    "flat": flat_thermal_data(),
+    "modes": flat_thermal_data(bath=MODE_BATH),
+    "explicit": flat_thermal_data(bath=EXPLICIT_BATH, couplings=[{"A": SX, "X": SX}]),
+    "table": flat_thermal_data(bath=TABLE_BATH),
+}
+DELETE = object()
+INF_TEXT = "@1e999@"  # written into the file as the JSON number 1e999
+
+
+def edited_text(base, edits):
+    """The base document with each "a.b[i].c" path set (an index one past
+    the end appends, DELETE removes the key), as JSON text."""
+    data = copy.deepcopy(BASES[base])
+    for path, value in edits.items():
+        keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[keys[-1]]
+        elif isinstance(node, list) and keys[-1] == len(node):
+            node.append(value)
+        else:
+            node[keys[-1]] = value
+    return json.dumps(data).replace(f'"{INF_TEXT}"', "1e999")
+
+
+REFUSALS = [
+    # (field path the message starts with, base document, edits)
+    ("times", "flat", {"times": 5}),
+    ("tau_b", "flat", {"tau_b": INF_TEXT}),
+    ("bath.gamma", "flat", {"bath.gamma": -0.1}),
+    ("times.samples", "flat", {"times.samples": 2.5}),
+    ("couplings[0].A[0][0]", "flat", {"couplings[0].A[0][0]": [1.0, 2.0, 3.0]}),
+    ("couplings[0].A[0][1]", "flat", {"couplings[0].A[0][1]": ["1", 0.0]}),
+    ("couplings[0].A[1][0]", "flat", {"couplings[0].A[1][0]": [INF_TEXT, 0.0]}),
+    ("couplings[0].A", "flat", {"couplings[0].A": []}),
+    ("couplings[0].A[1]", "flat", {"couplings[0].A[1]": [[0.0, 0.0]]}),
+    ("system.eigenvalues", "flat", {"system.eigenvalues": []}),
+    ("bath.temperature", "explicit", {"bath.temperature": -1.0}),
+    ("bath.temperature", "flat", {"bath.temperature": 0}),
+    ("bath.temperature", "flat", {"bath.temperature": "inf"}),
+    ("couplings", "flat", {"couplings": []}),
+    ("couplings[0].add_adjoint", "flat", {"couplings[0].add_adjoint": "yes"}),
+    ("bath", "flat", {"bath": []}),
+    ("bath", "flat", {"bath.kind": DELETE}),
+    ("bath.kind", "flat", {"bath.kind": "ohmic"}),
+    ("bath.broadening", "modes", {"bath.broadening": 0}),
+    ("bath", "modes", {"bath.hamiltonian": EXPLICIT_BATH["hamiltonian"]}),
+    ("bath.modes", "modes", {"bath.modes": []}),
+    ("bath.modes[1].frequency", "modes", {"bath.modes[1].frequency": -1.0}),
+    ("couplings", "modes", {"couplings[1]": {"A": SX}}),
+    ("couplings[0].X", "modes", {"couplings[0].X": SX}),
+    ("couplings[0].channel", "modes", {"couplings[0].channel": 1}),
+    ("couplings[0].add_adjoint", "modes", {"couplings[0].add_adjoint": True}),
+    ("couplings[0].X", "explicit", {"couplings[0].X": DELETE}),
+    ("couplings[0].channel", "explicit", {"couplings[0].channel": 0}),
+    ("couplings[0].X", "explicit", {"couplings[0].X": cm(np.eye(3))}),
+    # an add_adjoint pair next to a non-hermitian one without its partner
+    ("couplings", "explicit", {"couplings[0]": {"A": SM, "X": SM, "add_adjoint": True},
+                               "couplings[1]": {"A": SM, "X": SX}}),
+    ("couplings[0].X", "flat", {"couplings[0].X": SX}),
+    ("couplings[0].add_adjoint", "table", {"couplings[0].add_adjoint": True}),
+    ("couplings[0].channel", "flat", {"couplings[1]": {"A": SX}}),
+    ("couplings[1].channel", "flat", {"couplings[0].channel": 0,
+                                      "couplings[1]": {"A": SX, "channel": 0}}),
+    ("initial_state", "flat", {"initial_state": "thermal"}),
+    ("initial_state", "flat", {"initial_state": {}}),
+    ("initial_state.diagonal", "flat", {"initial_state": {"diagonal": [1.0]}}),
+    ("initial_state.matrix", "flat", {"initial_state": {"matrix": cm(np.eye(3) / 3)}}),
+    ("policy.mode", "flat", {"policy": {"mode": "markov"}}),
+    ("policy.dt", "flat", {"policy": {"mode": "presecular", "dt": 0}}),
+    ("tolerances.degeneracy", "flat", {"tolerances": {"degeneracy": 0}}),
+    ("tau_b", "flat", {"tau_b": -0.5}),
+]
+
+
+@pytest.mark.parametrize("field, base, edits", REFUSALS,
+                         ids=[f"{i}-{case[0]}" for i, case in enumerate(REFUSALS)])
+def test_every_refusal_exits_2_naming_its_field(tmp_path, capsys, field, base, edits):
+    path = tmp_path / "scenario.json"
+    path.write_text(edited_text(base, edits), encoding="utf-8")
+    code = main(["derive", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "scenario"
+    assert error["message"].startswith(f"{field}: "), error["message"]
+
+
+@pytest.mark.parametrize("base, edits", [
+    ("flat", {"initial_state": {"matrix": cm([[0.6, 0.2j], [-0.2j, 0.4]])}}),
+    ("flat", {"policy": {"mode": "secular"}}),
+    ("flat", {"bath.gamma_dephasing": 0.05}),
+], ids=["initial-matrix", "explicit-secular", "gamma-dephasing"])
+def test_accepting_paths_derive(tmp_path, capsys, base, edits):
+    path = tmp_path / "scenario.json"
+    path.write_text(edited_text(base, edits), encoding="utf-8")
+    assert main(["derive", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    s = load_scenario(path)
+    if "policy" in edits:  # {"mode": "secular"} is the absent policy
+        assert (s.mode, s.policy) == ("secular", None)
+    if "initial_state" in edits:
+        assert np.array_equal(s.rho0, np.array([[0.6, 0.2j], [-0.2j, 0.4]]))

@@ -98,14 +98,15 @@ def _transitions(x_eig, energies, populations):
     pop[s] = p(z) and nu[s] = E_z - E_xi, read-only and sorted by nu (stably,
     so transitions of one frequency stay in (z, xi) order); and the levels
     z and xi of each transition, in the same order."""
-    # <xi|X_c|z> = x_c[xi, z]: the pattern is read in X's own row order and
-    # the amplitudes gathered per channel, with no copy of X
+    # <xi|X_c|z> = x_c[xi, z]: the pattern is read in X's own row order, as
+    # flat indices xi d + z (so in (xi, z) order), and the amplitudes
+    # gathered per channel, with no copy of X
     carried = np.zeros((len(energies),) * 2, dtype=bool)
     for x in x_eig:
         carried |= x != 0
-    xi, z = np.nonzero(carried & (populations != 0))
+    xi, z = np.divmod(np.flatnonzero(carried & (populations != 0)), len(energies))
     nu = energies[z] - energies[xi]
-    order = np.lexsort((xi, z, nu))  # by nu, then in (z, xi) order
+    order = np.lexsort((z, nu))  # by nu, then z; stable, so xi stays ascending
     z, xi = z[order], xi[order]
     amps = np.array([x[xi, z] for x in x_eig], dtype=complex)
     table = (amps, populations[z], nu[order])

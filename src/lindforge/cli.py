@@ -171,22 +171,29 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
     rhs = rhs_function(g)
     rng = np.random.default_rng(CHECK_SEED)
     dim = g.dim
-    out_max, tr_defect, herm_defect, adj_defect = [], [], [], []
+    rhos, outs, tr_defect, herm_defect, adj_defect = [], [], [], [], []
     for _ in range(10):
         rho = _random_density(rng, dim)
         out = rhs(rho)
-        out_max.append(np.abs(out).max())
+        rhos.append(rho)
+        outs.append(out)
         tr_defect.append(abs(np.trace(out)))
         herm_defect.append(hermiticity_defect(out))
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         adj_defect.append(np.abs(rhs(m.conj().T) - rhs(m).conj().T).max())
-    rhs_scale = _largest(out_max, 1.0)
+    outs = np.array(outs)
+    rhs_scale = _largest(np.abs(outs), 1.0)
     checks.append(_check("rhs-trace-preservation", _largest(tr_defect, 0.0),
                          1e-12 * rhs_scale))
     checks.append(_check("rhs-hermiticity-preservation", _largest(herm_defect, 0.0),
                          1e-12 * rhs_scale))
     checks.append(_check("rhs-adjoint-consistency", _largest(adj_defect, 0.0),
                          1e-12 * _largest([10 * float(np.abs(g.h_eff).max())], rhs_scale)))
+    # the Bohr blocks that propagate steps, on the same states, give the
+    # same values as the standard form
+    if g.bohr_blocks is not None:
+        defect = float(np.abs(g.bohr_blocks.apply(np.array(rhos)) - outs).max())
+        checks.append(_check("generator-blocks-consistency", defect, 1e-12 * rhs_scale))
 
     bath = scenario.bath
     if isinstance(bath, FiniteBath):

@@ -2,9 +2,9 @@
 
 Two independent routes produce time series here. propagate() steps a
 derived master-equation generator block by block, by the matrix exponential
-or the classical RK4 step polynomial of each block: for expm a secular
-generator splits into one block per Bohr frequency, and any other generator,
-like every RK4 run, is one block, its whole superoperator. exact_oracle()
+or by classical RK4 steps of each block: a secular generator from
+derive_generator splits into one block per Bohr frequency, and any other
+generator is one block, its whole superoperator. exact_oracle()
 ignores the generator entirely: it diagonalises the full system+bath
 hamiltonian on its symmetry blocks in the product eigenbasis of H_A and H_B
 (the connected components of the coupling pattern there, after dropping
@@ -52,9 +52,10 @@ ROUNDING_ULPS = 32
 # the oracle packs symmetry blocks that start within one window of this many
 # joint states into one bin
 ORACLE_BIN = 64
-# rk4 step control: step <= RK4_STEP_FACTOR / (norm bound of the generator)
-RK4_STEP_FACTOR = 1.0 / 20.0
-# most rk4 steps one propagate may take; checked before any is taken
+# rk4 step control: the blocks of one size step at h <= RK4_STEP_FACTOR /
+# ||B - c||_1, their largest 1-norm with each block's mean diagonal c out
+RK4_STEP_FACTOR = 1.0 / 100.0
+# most rk4 steps the blocks of one size may take; every size is counted first
 RK4_MAX_STEPS = 1_000_000
 # samples _block_states rotates back to the user basis at once
 ROTATION_CHUNK = 512
@@ -137,26 +138,16 @@ def _check_initial_state(rho0, dim: int, name: str = "rho0") -> np.ndarray:
     return rho
 
 
-def _rhs_norm_bound(g: Generator) -> float:
-    """Crude spectral-norm bound on the generator for rk4 step control; rates
-    near the float limit overflow it to inf, which _rk4_propagator refuses."""
-    big_g, left, right = g.pieces
-    norms = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
-    with np.errstate(over="ignore"):
-        bound = 2.0 * norms(g.h_eff) + 2.0 * norms(big_g)
-        return float(bound + (norms(left) * norms(right)).sum())
-
-
 def _gap_key(gap: float) -> float:
     """Time gaps equal up to float noise share one key, so a uniform grid
     costs one exponential."""
     return float(np.format_float_scientific(gap, precision=12))
 
 
-def _block_states(rho, blocks: BohrBlocks, t, propagator) -> np.ndarray:
+def _block_states(rho, blocks: BohrBlocks, t, propagators) -> np.ndarray:
     """The states at t, rho first, from the generator's blocks: rho rotated
-    into the block basis once, one batched propagator(gaps, matrices) per
-    block size over the distinct time gaps, and stepped along each run of
+    into the block basis once, one batched call of each block size's
+    propagator(gaps) over the distinct time gaps, and stepped along each run of
     equal gaps straight into the returned array, where each sample's row
     holds the block sizes' entries back to back. The rows are then put back
     in order and rotated into the user basis in place, ROTATION_CHUNK
@@ -178,8 +169,8 @@ def _block_states(rho, blocks: BohrBlocks, t, propagator) -> np.ndarray:
     states[0] = rho
     rows = states[1:].reshape(gaps.size, dim * dim)
     col = 0
-    for index, mats in blocks.groups:
-        props = propagator(raw[smallest], mats)  # (distinct gaps, n, s, s)
+    for (index, _), propagator in zip(blocks.groups, propagators):
+        props = propagator(raw[smallest])  # (distinct gaps, n, s, s)
         y = y0[index][:, :, None]
         # this block size's columns of rows, a view split into its blocks
         out = rows[:, col:col + index.size].reshape((gaps.size,) + y.shape)
@@ -212,26 +203,30 @@ def _powers_applied(p, y, out) -> None:
         np.matmul(p, out[k - 1], out=out[k])
 
 
-def _rk4_propagator(g: Generator, gaps):
-    """n classical rk4 steps of size gap/n <= RK4_STEP_FACTOR / (norm bound of
-    g) as one propagator T4(B gap/n)^n, since a step of size h on a linear
-    generator B is exactly T4(hB) = 1 + hB + (hB)^2/2 + (hB)^3/6 + (hB)^4/24.
-    Raises DimensionError when the gaps take more than RK4_MAX_STEPS steps."""
-    bound = _rhs_norm_bound(g)
-    h_max = RK4_STEP_FACTOR / bound if bound != 0 else math.inf
-    with np.errstate(divide="ignore", over="ignore"):  # refused just below
-        total = float(np.maximum(1.0, np.ceil(gaps / h_max)).sum())  # NaN for a NaN bound
+def _rk4_propagator(mats, gaps):
+    """propagator(gaps) for blocks B of one size: per block and gap,
+    e^{c gap} T4(h (B - c))^n, the exact result of n = max(1, ceil(gap rate))
+    classical rk4 steps of h = gap / n on B - c, T4(A) = 1 + A + A^2/2 + A^3/6
+    + A^4/24. c, the block's mean diagonal, commutes with B, so its factor is
+    exact; rate is the largest ||B - c||_1 / RK4_STEP_FACTOR. Raises
+    DimensionError when the gaps would take more than RK4_MAX_STEPS (or
+    non-finitely many) steps."""
+    eye = np.eye(mats.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        c = np.trace(mats, axis1=1, axis2=2) / eye.shape[0]
+        rate = float(np.abs(mats - c[:, None, None] * eye).sum(axis=1).max()) / RK4_STEP_FACTOR
+        total = float(np.maximum(1.0, np.ceil(gaps * rate)).sum())  # NaN for a NaN rate
     if not total <= RK4_MAX_STEPS:
-        raise DimensionError(f"rk4 would take {total:.3g} steps (generator norm "
-                             f"bound {bound:.3g}), cap is {RK4_MAX_STEPS}")
+        raise DimensionError(f"rk4 would take {total:.3g} steps on blocks of size "
+                             f"{eye.shape[0]} (step rate {rate:.3g}), cap is {RK4_MAX_STEPS}")
 
-    def propagator(key_gaps, mats):
-        eye, props = np.eye(mats.shape[-1]), []
+    def propagator(key_gaps):
+        shifted, props = mats - c[:, None, None] * eye, []
         for gap in key_gaps.tolist():
-            n_steps = max(1, math.ceil(gap / h_max))
-            a = (gap / n_steps) * mats
+            n_steps = max(1, math.ceil(gap * rate))
+            a = (gap / n_steps) * shifted
             t4 = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-            props.append(np.linalg.matrix_power(t4, n_steps))
+            props.append(np.linalg.matrix_power(t4, n_steps) * np.exp(c * gap)[:, None, None])
         return np.array(props)
     return propagator
 
@@ -239,37 +234,40 @@ def _rk4_propagator(g: Generator, gaps):
 def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     """Integrate d rho / dt = rhs(rho) and sample at the given times.
 
-    Both methods make one propagator per block and distinct time gap and
-    square it along long runs of equal gaps. 'expm' exponentiates (by
-    linalg.expm, numpy's scaling and squaring) the Bohr-frequency blocks of
-    a secular generator from derive_generator, or else the one block, the
-    d^2 x d^2 superoperator on the identity basis.
-    'rk4' takes classical steps of at most (1/20) / ||L|| on that one block.
+    Both methods step the same blocks, the Bohr-frequency blocks of a
+    secular generator from derive_generator or else the one block, the
+    d^2 x d^2 superoperator on the identity basis, with one propagator per
+    block and distinct time gap, squared along long runs of equal gaps.
+    'expm' exponentiates each block (linalg.expm, numpy's scaling and
+    squaring). 'rk4' applies each block's mean diagonal c exactly and steps
+    the rest classically at h <= RK4_STEP_FACTOR (1/100) / ||B - c||_1, the
+    largest over the blocks of one size.
 
     Raises ValueError for a rho0 that _check_initial_state refuses, and
-    DimensionError before allocating when the largest block (d^2 for
-    the superoperator) exceeds MAX_TENSOR_DIM, and before forming it when rk4
-    would take more than RK4_MAX_STEPS (or non-finitely many) steps. Raises
-    PropagationError, with the samples before it as the partial trajectory,
-    at the first sample (one matrix_defects pass, rho0 first) with an
-    eigenvalue below -DENSITY_TOL or a hermitian part that is not finite,
-    else a trace defect above DENSITY_TOL (1e-6).
+    DimensionError before allocating when the largest block (d^2 for the
+    superoperator) exceeds MAX_TENSOR_DIM, and before any step when rk4
+    would take more than RK4_MAX_STEPS (or non-finitely many) steps on the
+    blocks of one size. Raises PropagationError, with the samples before it
+    as the partial trajectory, at the first sample (one matrix_defects
+    pass, rho0 first) with an eigenvalue below -DENSITY_TOL or a hermitian
+    part that is not finite, else a trace defect above DENSITY_TOL (1e-6).
     """
     t = _check_times(times)
     rho = _check_initial_state(rho0, g.dim)
-    if method == "expm":
-        blocks = g.bohr_blocks
-        propagator = lambda gaps, mats: expm(gaps[:, None, None, None] * mats)
-    elif method == "rk4":
-        blocks, propagator = None, _rk4_propagator(g, np.diff(t))
-    else:
+    if method not in ("expm", "rk4"):
         raise ValueError(f"unknown method {method!r}; expected 'expm' or 'rk4'")
+    blocks = g.bohr_blocks
     if blocks is None:
         # the whole superoperator, from the standard form, is the one block
         mat = generator_superoperator_matrix(g)
         blocks = BohrBlocks(basis=np.eye(g.dim, dtype=complex),
                             groups=((np.arange(mat.shape[0])[None], mat[None]),))
-    states = _block_states(rho, blocks, t, propagator)
+    if method == "expm":
+        propagators = [lambda gaps, m=mats: expm(gaps[:, None, None, None] * m)
+                       for _, mats in blocks.groups]
+    else:  # every block size is counted before any step is taken
+        propagators = [_rk4_propagator(mats, np.diff(t)) for _, mats in blocks.groups]
+    states = _block_states(rho, blocks, t, propagators)
     trace_d, _, herm_d, min_e = matrix_defects(states)
     positive = min_e >= -DENSITY_TOL  # False for a non-finite sample's NaN
     failed = np.flatnonzero(~(positive & (trace_d <= DENSITY_TOL)))

@@ -555,6 +555,17 @@ class BohrBlocks:
     basis: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
+    def apply(self, rhos) -> np.ndarray:
+        """The generator applied to a (n, d, d) stack of operators in the
+        user basis, block by block."""
+        v = self.basis
+        # row k of the row-major transposes holds rho_eig at a + d b
+        y = (v.conj().T @ rhos @ v).transpose(0, 2, 1).reshape(len(rhos), -1)
+        out = np.empty_like(y)
+        for index, mats in self.groups:
+            out[:, index] = (mats @ y[:, index, None])[..., 0]
+        return v @ out.reshape(rhos.shape).transpose(0, 2, 1) @ v.conj().T
+
 
 def build_bohr_blocks(spectrum: Spectrum, rate_tensors: RateTensors,
                       h_eig) -> BohrBlocks:

@@ -108,10 +108,9 @@ def reference_pieces(g):
     return big_g, pairs
 
 
-def reference_rhs(g, rho, pieces=None):
-    """rhs(rho) from the pairs of reference_pieces(g), or of pieces, its
-    result, when given; the pairs may come stacked as a (P, 2, d, d) array."""
-    big_g, pairs = reference_pieces(g) if pieces is None else pieces
+def reference_rhs(g, rho):
+    """rhs(rho) from the pairs of reference_pieces(g)."""
+    big_g, pairs = reference_pieces(g)
     dim = g.dim
     pairs = np.asarray(pairs, dtype=complex).reshape(-1, 2, dim, dim)
     h = g.h_eff
@@ -123,29 +122,52 @@ def reference_rhs(g, rho, pieces=None):
 
 
 def reference_rk4_states(rho0, g, times):
-    """Classical rk4 on reference_rhs, one step at a time: each time gap in
-    n equal steps, n the smallest count with gap / n at most
-    RK4_STEP_FACTOR / (norm bound of g), the reference for propagate's rk4."""
-    from lindforge.dynamics import RK4_STEP_FACTOR, _rhs_norm_bound
+    """Classical rk4, one step at a time, on the blocks of propagate's route,
+    the reference for its rk4. Each block B is read off the dense
+    generator_superoperator_matrix, rotated to the energy eigenbasis (the
+    identity for a generator without Bohr blocks) and restricted to the
+    block's indices; what lies outside the blocks must be rounding. B's mean
+    diagonal c is applied as e^{c gap}, and each time gap takes
+    n = max(1, ceil(gap rate)) steps of gap / n on B - c, rate the largest
+    ||B - c||_1 / RK4_STEP_FACTOR among the blocks of B's size."""
+    from lindforge import generator_superoperator_matrix
+    from lindforge.dynamics import RK4_STEP_FACTOR
 
-    big_g, pairs = reference_pieces(g)
-    pieces = (big_g, np.asarray(pairs, dtype=complex))  # stacked once
-    rhs = lambda rho: reference_rhs(g, rho, pieces)
-    bound = _rhs_norm_bound(g)
-    h_max = RK4_STEP_FACTOR / bound if bound != 0 else math.inf
-    cur = np.asarray(rho0, dtype=complex)
-    states = [cur]
+    dim = g.dim
+    mat = generator_superoperator_matrix(g)
+    blocks = g.bohr_blocks
+    if blocks is None:
+        v, indices = np.eye(dim), [np.arange(dim * dim)[None]]
+    else:
+        v, indices = blocks.basis, [index for index, _ in blocks.groups]
+        rot = np.kron(v.T, v.conj().T)  # vec(V^+ rho V) = rot vec(rho)
+        mat = rot @ mat @ rot.conj().T
+    inside = np.zeros(mat.shape, dtype=bool)
+    for index in indices:
+        inside[index[:, :, None], index[:, None, :]] = True
+    assert np.abs(mat[~inside]).max(initial=0.0) <= 1e-12 * np.abs(mat).max()
+    y = (v.conj().T @ rho0 @ v).reshape(-1, order="F")
+    ys = [y]
     for gap in np.diff(times).tolist():
-        n_steps = max(1, math.ceil(gap / h_max))
-        h = gap / n_steps
-        for _ in range(n_steps):
-            k1 = rhs(cur)
-            k2 = rhs(cur + 0.5 * h * k1)
-            k3 = rhs(cur + 0.5 * h * k2)
-            k4 = rhs(cur + h * k3)
-            cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(cur)
-    return np.array(states)
+        y = y.copy()
+        for index in indices:
+            size = index.shape[1]
+            b = mat[index[:, :, None], index[:, None, :]]
+            c = np.trace(b, axis1=1, axis2=2) / size
+            a = b - c[:, None, None] * np.eye(size)
+            n_steps = max(1, math.ceil(gap * np.abs(a).sum(axis=1).max() / RK4_STEP_FACTOR))
+            h = gap / n_steps
+            cur = y[index][:, :, None]
+            for _ in range(n_steps):
+                k1 = a @ cur
+                k2 = a @ (cur + 0.5 * h * k1)
+                k3 = a @ (cur + 0.5 * h * k2)
+                k4 = a @ (cur + h * k3)
+                cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y[index] = cur[:, :, 0] * np.exp(c * gap)[:, None]
+        ys.append(y)
+    rho_eig = np.array(ys).reshape(-1, dim, dim).transpose(0, 2, 1)  # unvec each
+    return v @ rho_eig @ v.conj().T
 
 
 def reference_lamb_shift(g):

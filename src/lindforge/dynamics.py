@@ -144,6 +144,9 @@ def _gap_key(gap: float) -> float:
     return float(np.format_float_scientific(gap, precision=12))
 
 
+# a step that overflows leaves inf or NaN in the states, which propagate
+# refuses after its matrix_defects pass
+@np.errstate(over="ignore", invalid="ignore")
 def _block_states(rho, blocks: BohrBlocks, t, propagators) -> np.ndarray:
     """The states at t, rho first, from the generator's blocks: rho rotated
     into the block basis once, one batched call of each block size's
@@ -315,6 +318,13 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     initial state couples. H_A must pass as_hermitian and rho_a0 the
     initial-state check of propagate, or ValueError is raised.
 
+    Per-bin lifecycle: blocks that start within one window of ORACLE_BIN
+    states share a bin. The blocks, bins and coupled bin pairs are laid
+    out before any eigh (_oracle_layout); the pairs are then walked in
+    order, and a bin is diagonalised when a pair first needs it and let go
+    after its last pair (_reduced_states). A bin no pair needs is never
+    diagonalised, and a diagonal rho_A'(0) holds one bin at a time.
+
     Real gauge: the phases of H_A's eigenvectors are free. Where one choice
     of them makes every A'_c real, the oracle works in it (_real_gauge), so
     a coupling written in a complex system basis still gives real blocks,
@@ -357,8 +367,14 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     x_rot = [_rounding_dropped(x) for x in bath._x_eig]
     rho_rot = _rounding_dropped(u_a.conj().T @ rho_a0 @ u_a)
     energies = np.add.outer(e_a, bath._energies).ravel()  # at i d_B + k
-    blocks = _oracle_blocks(a_rot, x_rot, energies, d_b)
-    reduced = _reduced_states(blocks, rho_rot, bath._populations, t, d_a, d_b)
+    layout = _oracle_layout(a_rot, x_rot, d_a, d_b)
+    # the blocks' H, and so the bins' eigenvectors, are complex when some
+    # rotated factor is
+    dtype = np.result_type(*a_rot, *x_rot, float)
+    eigen = lambda b: _bin_eigen(layout, b, a_rot, x_rot, energies, d_b, dtype)
+    real = dtype.kind != "c" and not np.iscomplexobj(rho_rot)
+    reduced = _reduced_states(layout, eigen, rho_rot, bath._populations, t, d_a, d_b,
+                              real)
     states = hermitian_part(u_a @ reduced @ u_a.conj().T)
     trace_d, _, herm_d, min_e = matrix_defects(states)
     return Trajectory(t, states, trace_d, herm_d, min_e, "exact")
@@ -378,7 +394,8 @@ def _rounding_dropped(m: np.ndarray) -> np.ndarray:
     m = np.where(mag > floor, m, 0.0)
     if np.iscomplexobj(m):
         m.imag[np.abs(m.imag) <= floor] = 0.0
-    return _real_if_real(m)
+    # a real result is copied out, so the complex buffer is not kept alive
+    return m.real.copy() if np.iscomplexobj(m) and not m.imag.any() else m
 
 
 def _real_gauge(u_a, ops):
@@ -417,31 +434,32 @@ def _real_gauge(u_a, ops):
 
 
 @dataclass(frozen=True)
-class _OracleBlocks:
-    """The joint eigenbasis on the symmetry blocks, packed into bins.
+class _OracleLayout:
+    """The symmetry blocks of the joint H and their bins, before any eigh.
 
-    order lists the joint states i d_B + k block by block; bin b holds the
-    states order[start[b]:start[b] + size[b]], their eigenvalues w at the
-    same places, and eigenvectors mats[b] (block diagonal when the bin packs
-    several blocks). bin_of and pos give each joint state's bin and row.
+    order lists the joint states i d_B + k block by block; component c holds
+    order[comp_start[c]:comp_start[c] + comp_size[c]], and bin b the states
+    order[start[b]:start[b] + size[b]], which are its components
+    first[b]:first[b + 1]. bin_of and pos give each joint state's bin and
+    row.
     """
 
     order: np.ndarray
+    comp_start: np.ndarray
+    comp_size: np.ndarray
+    first: np.ndarray
     start: np.ndarray
     size: np.ndarray
-    w: np.ndarray
-    mats: tuple
     bin_of: np.ndarray
     pos: np.ndarray
 
 
-def _oracle_blocks(a_rot, x_rot, energies, d_b: int) -> _OracleBlocks:
-    """Connected components of the coupling pattern, each diagonalised on
-    its own (one stacked eigh per block size, the real solver for a real
-    stack). Components that start within one window of ORACLE_BIN states
-    share a bin, so the work that follows loops over at most D / ORACLE_BIN
-    bins however many components there are."""
-    total = energies.size
+def _oracle_layout(a_rot, x_rot, d_a: int, d_b: int) -> _OracleLayout:
+    """Connected components of the coupling pattern. Components that start
+    within one window of ORACLE_BIN states share a bin, so the work that
+    follows loops over at most D / ORACLE_BIN bins however many components
+    there are."""
+    total = d_a * d_b
     src, dst = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for a, x in zip(a_rot, x_rot):
         i, j = np.nonzero(a)
@@ -455,44 +473,57 @@ def _oracle_blocks(a_rot, x_rot, energies, d_b: int) -> _OracleBlocks:
     comp_size = comp_size[comp_size > 0]
     comp_start = np.cumsum(comp_size) - comp_size
     window = comp_start // ORACLE_BIN
-    opens = np.append(True, window[1:] != window[:-1])  # a component opens a bin
-    comp_bin = np.cumsum(opens) - 1
-    bin_start = comp_start[opens]
+    first = np.flatnonzero(np.append(True, window[1:] != window[:-1]))  # opens a bin
+    bin_start = comp_start[first]
     bin_size = np.diff(np.append(bin_start, total))
-    offset = np.cumsum(bin_size ** 2) - bin_size ** 2  # of each bin in one buffer
-
-    w = np.empty(total)
-    solved = []
-    for s in np.unique(comp_size).tolist():
-        which = np.flatnonzero(comp_size == s)
-        at = comp_start[which][:, None] + np.arange(s)
-        i, k = np.divmod(order[at], d_b)
-        h = np.zeros((which.size, s, s), dtype=np.result_type(*a_rot, *x_rot, float))
-        for a, x in zip(a_rot, x_rot):
-            h += a[i[:, :, None], i[:, None, :]] * x[k[:, :, None], k[:, None, :]]
-        h[:, np.arange(s), np.arange(s)] += energies[order[at]]
-        w[at], v = np.linalg.eigh(_real_if_real(h))
-        solved.append((which, v))
-    flat = np.zeros(int(offset[-1] + bin_size[-1] ** 2),
-                    dtype=np.result_type(*(v for _, v in solved)))
-    for which, v in solved:
-        b = comp_bin[which][:, None, None]
-        at = (comp_start[which] - bin_start[comp_bin[which]])[:, None, None]
-        r = np.arange(v.shape[-1])
-        flat[offset[b] + (at + r[:, None]) * bin_size[b] + at + r] = v
-    mats = tuple(flat[o:o + s * s].reshape(s, s)
-                 for o, s in zip(offset.tolist(), bin_size.tolist()))
-
-    state_bin = np.repeat(comp_bin, comp_size)  # along order
+    state_bin = np.repeat(np.arange(first.size), bin_size)  # along order
     bin_of = np.empty(total, dtype=int)
     bin_of[order] = state_bin
     pos = np.empty(total, dtype=int)
     pos[order] = np.arange(total) - bin_start[state_bin]
-    return _OracleBlocks(order, bin_start, bin_size, w, mats, bin_of, pos)
+    return _OracleLayout(order, comp_start, comp_size, np.append(first, comp_size.size),
+                         bin_start, bin_size, bin_of, pos)
 
 
-def _reduced_states(blocks: _OracleBlocks, rho_rot, pops, t, d_a: int,
-                    d_b: int) -> np.ndarray:
+def _bin_eigen(layout: _OracleLayout, b: int, a_rot, x_rot, energies, d_b: int,
+               dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors (block diagonal when the bin packs
+    several components) of bin b, whose H is built in dtype: one stacked
+    eigh per block size, the real solver for a real stack. A component of
+    ORACLE_BIN states or more is alone at its size in its bin, and its H is
+    built from its own gathers."""
+    lo, n = int(layout.start[b]), int(layout.size[b])
+    comps = slice(layout.first[b], layout.first[b + 1])
+    w = np.empty(n)
+    p = None
+    for s in np.unique(layout.comp_size[comps]).tolist():
+        at = layout.comp_start[comps][layout.comp_size[comps] == s]
+        states = layout.order[at[:, None] + np.arange(s)]
+        i, k = np.divmod(states, d_b)
+        h = np.zeros((at.size, s, s), dtype=dtype)
+        if s < ORACLE_BIN:
+            for a, x in zip(a_rot, x_rot):
+                h += a[i[:, :, None], i[:, None, :]] * x[k[:, :, None], k[:, None, :]]
+        else:  # one component: its A' gather times its X' gather, in place
+            for a, x in zip(a_rot, x_rot):
+                term = a[np.ix_(i[0], i[0])].astype(dtype, copy=False)
+                h[0] += np.multiply(term, x[np.ix_(k[0], k[0])], out=term)
+                del term  # before the next channel's gathers
+        h[:, np.arange(s), np.arange(s)] += energies[states]
+        rows = at - lo
+        w[rows[:, None] + np.arange(s)], v = np.linalg.eigh(_real_if_real(h))
+        del h
+        if s == n:  # the bin is this one component
+            return w, v[0].astype(dtype, copy=False)
+        if p is None:
+            p = np.zeros((n, n), dtype=dtype)
+        for r, vc in zip(rows.tolist(), v):
+            p[r:r + s, r:r + s] = vc
+    return w, p
+
+
+def _reduced_states(layout: _OracleLayout, eigen, rho_rot, pops, t, d_a: int,
+                    d_b: int, real: bool) -> np.ndarray:
     """rho_A'(t) in the H_A eigenbasis, summed over the pairs of bins
     (B, B') that rho_A'(0) x sigma_B couples.
 
@@ -500,76 +531,99 @@ def _reduced_states(blocks: _OracleBlocks, rho_rot, pops, t, d_a: int,
     state between the two bins, rho_A'(t)_ij gains
     sum_mn (rho_bar * S_ij)[m, n] e^{-i w_m t} e^{+i w_n t}, where
     S_ij = sum_k P_B[(i, k), m] conj(P_B'[(j, k), n]) runs over the bath
-    states k the two bins share. When rho_bar * S_ij is real, its phase
-    products are real GEMMs on the cos and sin tables, stacked as one.
+    states k the two bins share. When real (P_B and rho_A'(0) real), the
+    phase products are real GEMMs on the cos and sin tables, stacked as one.
+
+    The pairs are walked in order of (B, B'); eigen(B) gives bin B's
+    eigenvalues and eigenvectors when a pair first needs them, and they and
+    its phase table are let go after its last pair. A diagonal rho_A'(0)
+    couples each bin only to itself, so one bin is alive at a time.
     """
-    n_bins, n_t = blocks.start.size, t.size
+    n_bins, n_t = layout.start.size, t.size
     i, k = np.divmod(np.arange(d_a * d_a * d_b), d_a * d_b)
     j, k = np.divmod(k, d_b)
-    left_bin = blocks.bin_of[i * d_b + k]
-    right_bin = blocks.bin_of[j * d_b + k]
+    left_bin = layout.bin_of[i * d_b + k]
+    right_bin = layout.bin_of[j * d_b + k]
     live = (rho_rot[i, j] != 0) & (pops[k] != 0)
     coupled = np.zeros((n_bins, n_bins), dtype=bool)
     coupled[left_bin[live], right_bin[live]] = True
     # one item per bin pair and i <= j, holding the bath states k they share
     keep = np.flatnonzero((i <= j) & coupled[left_bin, right_bin])
-    key = ((left_bin[keep] * n_bins + right_bin[keep]) * d_a + i[keep]) * d_a + j[keep]
+    pair = left_bin[keep] * n_bins + right_bin[keep]
+    key = (pair * d_a + i[keep]) * d_a + j[keep]
     ranked = np.argsort(key, kind="stable")
-    keep, key = keep[ranked], key[ranked]
+    keep, key, pair = keep[ranked], key[ranked], pair[ranked]
     bounds = [0] + (np.flatnonzero(np.diff(key)) + 1).tolist() + [keep.size]
+    pairs = np.unique(pair)
+    last = np.full(n_bins, -1)  # each bin's last pair, on either side
+    for side in (pairs // n_bins, pairs % n_bins):
+        np.maximum.at(last, side, np.arange(pairs.size))
 
-    real = not (np.iscomplexobj(blocks.mats[0]) or np.iscomplexobj(rho_rot))
-    tables = {}
+    alive = {}
 
-    def phases(b):
-        """e^{-i w_m t} over the states of bin b; when everything is real,
-        its cos above its sin as one real table."""
-        if b not in tables:
-            lo = blocks.start[b]
-            wt = np.outer(t, blocks.w[lo:lo + blocks.size[b]])
-            tables[b] = (np.concatenate((np.cos(wt), np.sin(wt))) if real
-                         else np.exp(-1j * wt))
-        return tables[b]
+    def bin_data(b):
+        """Bin b's eigenvectors and e^{-i w_m t} over its states; when
+        real, its cos above its sin as one real table."""
+        if b not in alive:
+            w, p = eigen(b)
+            wt = np.outer(t, w)
+            alive[b] = (p, np.concatenate((np.cos(wt), np.sin(wt))) if real
+                        else np.exp(-1j * wt))
+        return alive[b]
 
     out = np.zeros((n_t, d_a, d_a), dtype=complex)
-    pair = None
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        item = keep[lo:hi]
-        b, b2 = int(left_bin[item[0]]), int(right_bin[item[0]])
-        p, p2 = blocks.mats[b], blocks.mats[b2]
-        if (b, b2) != pair:
-            pair = (b, b2)
-            rho_bar = p.conj().T @ _state_times_block(blocks, b, b2, rho_rot, pops,
-                                                      d_a, d_b)
-        ii, jj, ks = int(i[item[0]]), int(j[item[0]]), k[item]
-        s_ij = p[blocks.pos[ii * d_b + ks]].T @ p2[blocks.pos[jj * d_b + ks]].conj()
-        g = phases(b) @ (rho_bar * s_ij)
-        ph2 = phases(b2)
-        if real:  # g is cos C above sin C
-            series = ((g[:n_t] * ph2[:n_t] + g[n_t:] * ph2[n_t:]).sum(axis=1)
-                      + 1j * (g[:n_t] * ph2[n_t:] - g[n_t:] * ph2[:n_t]).sum(axis=1))
-        else:
-            series = (g * ph2.conj()).sum(axis=1)
-        # half of each population, so adding the adjoint below fills the
-        # lower triangle and makes the populations real
-        out[:, ii, jj] += series if ii != jj else 0.5 * series
+    group = 0
+    for q, pq in enumerate(pairs.tolist()):
+        b, b2 = divmod(pq, n_bins)
+        (p, ph), (p2, ph2) = bin_data(b), bin_data(b2)
+        rho_bar = p.conj().T @ _state_times_block(layout, b, b2, p2, rho_rot, pops,
+                                                  d_a, d_b)
+        while group < len(bounds) - 1 and pair[bounds[group]] == pq:
+            item = keep[bounds[group]:bounds[group + 1]]
+            ii, jj, ks = int(i[item[0]]), int(j[item[0]]), k[item]
+            series = _pair_series(p[layout.pos[ii * d_b + ks]], p2[layout.pos[jj * d_b + ks]],
+                                  rho_bar, ph, ph2, real)
+            # half of each population, so adding the adjoint below fills the
+            # lower triangle and makes the populations real
+            out[:, ii, jj] += series if ii != jj else 0.5 * series
+            group += 1
+        del p, p2, ph, ph2, rho_bar  # a released bin is freed with its entry
+        for done in {b, b2}:
+            if last[done] == q:
+                del alive[done]
     return out + out.conj().transpose(0, 2, 1)
 
 
-def _state_times_block(blocks: _OracleBlocks, b: int, b2: int, rho_rot, pops,
+def _pair_series(rows, rows2, rho_bar, ph, ph2, real: bool) -> np.ndarray:
+    """sum_mn (rho_bar * S)[m, n] e^{-i w_m t} e^{+i w_n t} at each sample
+    time, with S = rows^T conj(rows2) over the bath states two bins share
+    and ph, ph2 the bins' phase tables from _reduced_states."""
+    s = rows.T @ rows2.conj()
+    if s.dtype != rho_bar.dtype:  # a complex rho_A'(0) on real bins
+        s = s.astype(rho_bar.dtype)
+    g = ph @ np.multiply(rho_bar, s, out=s)  # rho_bar * S, in place
+    del s
+    if not real:
+        return (g * ph2.conj()).sum(axis=1)
+    n_t = ph2.shape[0] // 2  # g is cos C above sin C
+    return ((g[:n_t] * ph2[:n_t] + g[n_t:] * ph2[n_t:]).sum(axis=1)
+            + 1j * (g[:n_t] * ph2[n_t:] - g[n_t:] * ph2[:n_t]).sum(axis=1))
+
+
+def _state_times_block(layout: _OracleLayout, b: int, b2: int, p2, rho_rot, pops,
                        d_a: int, d_b: int) -> np.ndarray:
-    """(rho_A'(0) x sigma_B) P_B' on the rows of bin B: row (i, k) sums
-    rho_A'(0)[i, j] p_k P_B'[(j, k)] over the j whose (j, k) lies in B'."""
-    lo = blocks.start[b]
-    i, k = np.divmod(blocks.order[lo:lo + blocks.size[b]], d_b)
-    p2 = blocks.mats[b2]
+    """(rho_A'(0) x sigma_B) P_B' on the rows of bin B, P_B' being p2: row
+    (i, k) sums rho_A'(0)[i, j] p_k P_B'[(j, k)] over the j whose (j, k)
+    lies in B'."""
+    lo = layout.start[b]
+    i, k = np.divmod(layout.order[lo:lo + layout.size[b]], d_b)
     out = np.zeros((i.size, p2.shape[1]), dtype=np.result_type(rho_rot, p2))
     for j in range(d_a):
         target = j * d_b + k
-        rows = np.flatnonzero((blocks.bin_of[target] == b2) & (rho_rot[i, j] != 0)
+        rows = np.flatnonzero((layout.bin_of[target] == b2) & (rho_rot[i, j] != 0)
                               & (pops[k] != 0))
         weight = rho_rot[i[rows], j] * pops[k[rows]]
-        out[rows] += weight[:, None] * p2[blocks.pos[target[rows]]]
+        out[rows] += weight[:, None] * p2[layout.pos[target[rows]]]
     return out
 
 

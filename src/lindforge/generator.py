@@ -134,7 +134,9 @@ class Generator:
         """Contracted standard form (G, L, R), built once per generator.
 
         G is d x d; L and R are (P, d, d) stacks of the sandwich factors, with
-        pairs that vanish identically dropped.
+        pairs that vanish identically dropped. R is C-contiguous; L is a view
+        of a C-contiguous (d, P, d) buffer that holds its rows (i, p, j), so
+        the sandwich sum_p L_p rho R_p is two flat GEMMs (rhs_function).
         """
         dim = self.dim
         terms = self.dissipator_terms
@@ -159,14 +161,15 @@ class Generator:
         del mirror
         keep = np.flatnonzero((np.abs(m).max(axis=(1, 2)) > 0.0)
                               & (np.abs(a_dag).max(axis=(1, 2)) > 0.0))
-        # every rhs call and superoperator build reads right row-major: the
-        # kept A^+ are gathered straight into a C-contiguous stack (np.take
-        # would first copy the transposed view whole), and A is let go
-        # before the kept M are gathered
+        # every rhs call reads right row-major and left by rows (i, p, j):
+        # the kept A^+ are gathered straight into a C-contiguous stack (np.take
+        # would first copy the transposed view whole), A is let go, and the
+        # kept M are gathered straight into their rows
         cols = np.arange(dim)
         right = a[keep[:, None, None], cols, cols[:, None]]
         del a, a_dag
-        return big_g, m[keep], right
+        left_rows = m[keep[None, :, None], cols[:, None, None], cols]
+        return big_g, left_rows.transpose(1, 0, 2), right
 
     @cached_property
     def bohr_blocks(self) -> BohrBlocks | None:
@@ -271,10 +274,15 @@ def rhs_function(g: Generator):
     # -i [H, rho] + G rho + rho G^+ = K rho + rho K^+ with K = G - i H
     k_op = big_g - 1j * g.h_eff
     k_dag = k_op.conj().T
+    # sum_p L_p rho R_p: the rows (i, p) of L times rho, read as (d, P d),
+    # times R read as (P d, d); both reshapes are views
+    dim = g.dim
+    left_rows = left.transpose(1, 0, 2).reshape(-1, dim)
+    right_rows = right.reshape(-1, dim)
 
     def rhs(rho):
         rho = np.asarray(rho, dtype=complex)
-        return k_op @ rho + rho @ k_dag + _sum_of_products(left @ rho, right)
+        return k_op @ rho + rho @ k_dag + (left_rows @ rho).reshape(dim, -1) @ right_rows
 
     return rhs
 

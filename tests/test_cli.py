@@ -369,10 +369,11 @@ def test_derive_lists_kappa_across_chained_multiplets(tmp_path, capsys):
 @pytest.mark.parametrize("gamma", [1e300, 1e306, 5e307])
 def test_evolve_rk4_refuses_an_unbounded_step_count(tmp_path, capsys, monkeypatch,
                                                     gamma):
-    # rates of 1e300 make the norm-bound step rule ask for about 7e302 steps,
-    # at 1e306 the count overflows to inf, and at 5e307 the norm bound
-    # itself does; it is checked before the d^2 x d^2 superoperator is
-    # formed, no warning is raised, and stderr holds the JSON error alone
+    # rates of 1e300 make the rk4 step rule (h <= ||B - c||_1 / 100 on the
+    # Bohr blocks) ask for about 2e303 steps, and at 1e306 and 5e307 its
+    # step rate overflows to inf; the count is refused before any step, the
+    # d^2 x d^2 superoperator is never formed, no warning is raised, and
+    # stderr holds the JSON error alone
     data = flat_thermal_data()
     data["bath"]["gamma"] = gamma
     path = write_scenario(tmp_path, data)

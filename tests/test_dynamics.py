@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -466,7 +468,7 @@ def test_positivity_violation_raises_with_partial_trajectory():
 def test_non_finite_state_raises_with_partial_trajectory():
     # rates of 1e300 overflow the superoperator exponential to NaN, whose
     # minimum eigenvalue compares False against any floor; rk4 is left out,
-    # it refuses up front the about 1e302 steps its norm-bound rule asks for
+    # it refuses up front the about 4e302 steps its step rule asks for
     sx = sigma_ops()[0]
     gen = derive_generator(np.diag([0.0, 1.0]), flat_thermal_bath(1e300, 1.0),
                            [sx]).generator
@@ -479,6 +481,24 @@ def test_non_finite_state_raises_with_partial_trajectory():
     assert not partial.complete
     assert len(partial) == 1
     assert np.isfinite(partial.states).all()
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_overflowing_steps_raise_without_a_warning(method):
+    # a rate of -1e3 grows the state past the float range within the run:
+    # the steps that overflow to inf and NaN warn nothing, and the first
+    # sample that is no density matrix raises
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    term = DissipatorTerm(omega=OMEGA0, gamma=np.array([[-1e3]], dtype=complex), ops=(sm,))
+    gen = Generator(h_eff=np.diag([0.0, OMEGA0]).astype(complex), dissipator_terms=(term,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError) as err:
+            propagate(np.diag([0.5, 0.5]).astype(complex), gen,
+                      np.linspace(0.0, 6.0, 25), method=method)
+    assert err.value.time == 0.25
+    assert err.value.defect < -1e100
+    assert len(err.value.partial) == 1
 
 
 def record_matrix_defects(monkeypatch):
@@ -712,7 +732,7 @@ def test_block_oracle_matches_dense_reference(monkeypatch, name):
     h, bath, ops, rho0, times, n_blocks = _oracle_case(name)
     shapes = record_eigh(monkeypatch, key=np.shape)
     traj = exact_oracle(h, bath, ops, rho0, times)
-    # after H_A's own, one stacked eigh per block size
+    # after H_A's own, one stacked eigh per bin and block size
     assert shapes[0] == (h.shape[0],) * 2
     blocks = sum(shape[0] for shape in shapes[1:])
     assert sum(shape[0] * shape[1] for shape in shapes[1:]) == h.shape[0] * bath.dim
@@ -750,6 +770,55 @@ def test_oracle_memory_on_the_largest_comb():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def _ladder_cap_case():
+    """The weak comb's eight modes against a four-level ladder, D = 1024 at
+    the oracle cap: two parity halves of 512 states, each one bin."""
+    bath = qubit_mode_bath([(f, 5.0e-3) for f in WEAK_COMB_FREQS], 1.0,
+                           broadening=0.01085)
+    a = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1)
+    return np.diag([0.0, 1.0, 2.0, 3.0]), bath, [a + a.T], np.linspace(0.0, 60.0, 31)
+
+
+def test_oracle_memory_one_bin_at_a_time():
+    # each bin's eigenvectors are let go before the next bin is built; with
+    # both halves held at once the peak was 17.4 MiB
+    h, bath, ops, times = _ladder_cap_case()
+    tracemalloc.start()
+    try:
+        traj = exact_oracle(h, bath, ops, np.eye(4) / 4, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert traj.trace_defects.max() < 1e-13
+    assert traj.hermiticity_defects.max() == 0.0
+
+
+@pytest.mark.parametrize("coherent", [False, True])
+def test_oracle_diagonalises_each_bin_once_and_lets_it_go(monkeypatch, coherent):
+    # a diagonal rho_A(0) couples each bin only to itself, so no two bins'
+    # eigenvectors are alive at once; coherences between the parity halves
+    # couple the two bins, which are then diagonalised once each and held
+    # together only while their pairs need them
+    h, bath, ops, times = _ladder_cap_case()
+    rho0 = random_density(np.random.default_rng(76), 4) if coherent else np.eye(4) / 4
+    original = lindforge.dynamics._bin_eigen
+    held, alive = [], []
+
+    def recording(*args):
+        alive.append([ref() is not None for ref in held])
+        w, p = original(*args)
+        held.append(weakref.ref(p))
+        return w, p
+
+    monkeypatch.setattr(lindforge.dynamics, "_bin_eigen", recording)
+    traj = exact_oracle(h, bath, ops, rho0, times[:5])
+    assert alive == ([[], [True]] if coherent else [[], [False]])
+    assert all(ref() is None for ref in held)
+    want = reference_exact_oracle(h, bath, ops, rho0, times[:5])
+    assert np.abs(traj.states - want).max() < 1e-12
 
 
 def test_oracle_dimension_cap(monkeypatch):

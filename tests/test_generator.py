@@ -225,7 +225,11 @@ def test_pieces_store_both_factors_row_major(mode):
     policy = SecularPolicy(dt=3.0) if mode == "presecular" else None
     gen = derive_generator(h, bath, ops, mode=mode, policy=policy).generator
     big_g, left, right = gen.pieces
-    assert left.flags.c_contiguous and right.flags.c_contiguous
+    # R row-major; L a view of its rows (i, p, j), so the rhs reads both
+    # factors as flat GEMM operands without a copy
+    rows = left.transpose(1, 0, 2)
+    assert rows.flags.c_contiguous and right.flags.c_contiguous
+    assert np.shares_memory(rows.reshape(-1, 4), left)
     # one pair per term and channel: the mirror pairs fold in, in both modes
     assert left.shape[0] == right.shape[0] == len(gen.dissipator_terms) * len(ops)
     # the rhs reads the factors as they are stored

@@ -368,13 +368,8 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     rho_rot = _rounding_dropped(u_a.conj().T @ rho_a0 @ u_a)
     energies = np.add.outer(e_a, bath._energies).ravel()  # at i d_B + k
     layout = _oracle_layout(a_rot, x_rot, d_a, d_b)
-    # the blocks' H, and so the bins' eigenvectors, are complex when some
-    # rotated factor is
-    dtype = np.result_type(*a_rot, *x_rot, float)
-    eigen = lambda b: _bin_eigen(layout, b, a_rot, x_rot, energies, d_b, dtype)
-    real = dtype.kind != "c" and not np.iscomplexobj(rho_rot)
-    reduced = _reduced_states(layout, eigen, rho_rot, bath._populations, t, d_a, d_b,
-                              real)
+    reduced = _reduced_states(layout, a_rot, x_rot, energies, rho_rot,
+                              bath._populations, t, d_a, d_b)
     states = hermitian_part(u_a @ reduced @ u_a.conj().T)
     trace_d, _, herm_d, min_e = matrix_defects(states)
     return Trajectory(t, states, trace_d, herm_d, min_e, "exact")
@@ -489,9 +484,8 @@ def _bin_eigen(layout: _OracleLayout, b: int, a_rot, x_rot, energies, d_b: int,
                dtype) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors (block diagonal when the bin packs
     several components) of bin b, whose H is built in dtype: one stacked
-    eigh per block size, the real solver for a real stack. A component of
-    ORACLE_BIN states or more is alone at its size in its bin, and its H is
-    built from its own gathers."""
+    eigh per block size, the real solver, and real eigenvectors, for a real
+    stack."""
     lo, n = int(layout.start[b]), int(layout.size[b])
     comps = slice(layout.first[b], layout.first[b + 1])
     w = np.empty(n)
@@ -501,29 +495,27 @@ def _bin_eigen(layout: _OracleLayout, b: int, a_rot, x_rot, energies, d_b: int,
         states = layout.order[at[:, None] + np.arange(s)]
         i, k = np.divmod(states, d_b)
         h = np.zeros((at.size, s, s), dtype=dtype)
-        if s < ORACLE_BIN:
-            for a, x in zip(a_rot, x_rot):
-                h += a[i[:, :, None], i[:, None, :]] * x[k[:, :, None], k[:, None, :]]
-        else:  # one component: its A' gather times its X' gather, in place
-            for a, x in zip(a_rot, x_rot):
-                term = a[np.ix_(i[0], i[0])].astype(dtype, copy=False)
-                h[0] += np.multiply(term, x[np.ix_(k[0], k[0])], out=term)
-                del term  # before the next channel's gathers
+        for a, x in zip(a_rot, x_rot):  # the A' gather times the X' gather, in place
+            term = a[i[:, :, None], i[:, None, :]].astype(dtype, copy=False)
+            h += np.multiply(term, x[k[:, :, None], k[:, None, :]], out=term)
+            del term  # before the next channel's gathers
         h[:, np.arange(s), np.arange(s)] += energies[states]
         rows = at - lo
         w[rows[:, None] + np.arange(s)], v = np.linalg.eigh(_real_if_real(h))
         del h
         if s == n:  # the bin is this one component
-            return w, v[0].astype(dtype, copy=False)
+            return w, v[0]
         if p is None:
-            p = np.zeros((n, n), dtype=dtype)
+            p = np.zeros((n, n), dtype=v.dtype)
+        elif np.iscomplexobj(v) and not np.iscomplexobj(p):
+            p = p.astype(v.dtype)
         for r, vc in zip(rows.tolist(), v):
             p[r:r + s, r:r + s] = vc
     return w, p
 
 
-def _reduced_states(layout: _OracleLayout, eigen, rho_rot, pops, t, d_a: int,
-                    d_b: int, real: bool) -> np.ndarray:
+def _reduced_states(layout: _OracleLayout, a_rot, x_rot, energies, rho_rot, pops,
+                    t, d_a: int, d_b: int) -> np.ndarray:
     """rho_A'(t) in the H_A eigenbasis, summed over the pairs of bins
     (B, B') that rho_A'(0) x sigma_B couples.
 
@@ -531,13 +523,13 @@ def _reduced_states(layout: _OracleLayout, eigen, rho_rot, pops, t, d_a: int,
     state between the two bins, rho_A'(t)_ij gains
     sum_mn (rho_bar * S_ij)[m, n] e^{-i w_m t} e^{+i w_n t}, where
     S_ij = sum_k P_B[(i, k), m] conj(P_B'[(j, k), n]) runs over the bath
-    states k the two bins share. When real (P_B and rho_A'(0) real), the
+    states k the two bins share. When P_B, P_B' and rho_A'(0) are real, the
     phase products are real GEMMs on the cos and sin tables, stacked as one.
 
-    The pairs are walked in order of (B, B'); eigen(B) gives bin B's
-    eigenvalues and eigenvectors when a pair first needs them, and they and
-    its phase table are let go after its last pair. A diagonal rho_A'(0)
-    couples each bin only to itself, so one bin is alive at a time.
+    The pairs are walked in order of (B, B'); _bin_eigen diagonalises bin B
+    when a pair first needs it, and its eigenvectors and phase table are let
+    go after its last pair. A diagonal rho_A'(0) couples each bin only to
+    itself, so one bin is alive at a time.
     """
     n_bins, n_t = layout.start.size, t.size
     i, k = np.divmod(np.arange(d_a * d_a * d_b), d_a * d_b)
@@ -559,14 +551,16 @@ def _reduced_states(layout: _OracleLayout, eigen, rho_rot, pops, t, d_a: int,
     for side in (pairs // n_bins, pairs % n_bins):
         np.maximum.at(last, side, np.arange(pairs.size))
 
+    dtype = np.result_type(*a_rot, *x_rot, float)  # of the blocks' H
     alive = {}
 
     def bin_data(b):
-        """Bin b's eigenvectors and e^{-i w_m t} over its states; when
-        real, its cos above its sin as one real table."""
+        """Bin b's eigenvectors and e^{-i w_m t} over its states; when they
+        and rho_A'(0) are real, its cos above its sin as one real table."""
         if b not in alive:
-            w, p = eigen(b)
+            w, p = _bin_eigen(layout, b, a_rot, x_rot, energies, d_b, dtype)
             wt = np.outer(t, w)
+            real = not (np.iscomplexobj(p) or np.iscomplexobj(rho_rot))
             alive[b] = (p, np.concatenate((np.cos(wt), np.sin(wt))) if real
                         else np.exp(-1j * wt))
         return alive[b]
@@ -576,6 +570,10 @@ def _reduced_states(layout: _OracleLayout, eigen, rho_rot, pops, t, d_a: int,
     for q, pq in enumerate(pairs.tolist()):
         b, b2 = divmod(pq, n_bins)
         (p, ph), (p2, ph2) = bin_data(b), bin_data(b2)
+        real = not (np.iscomplexobj(ph) or np.iscomplexobj(ph2))
+        if not real:  # a real bin paired with a complex one: e^{-i w t} = cos - i sin
+            ph, ph2 = (f if np.iscomplexobj(f) else f[:n_t] - 1j * f[n_t:]
+                       for f in (ph, ph2))
         rho_bar = p.conj().T @ _state_times_block(layout, b, b2, p2, rho_rot, pops,
                                                   d_a, d_b)
         while group < len(bounds) - 1 and pair[bounds[group]] == pq:

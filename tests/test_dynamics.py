@@ -821,6 +821,62 @@ def test_oracle_diagonalises_each_bin_once_and_lets_it_go(monkeypatch, coherent)
     assert np.abs(traj.states - want).max() < 1e-12
 
 
+def _complex_factor_case(name, rng):
+    """Couplings with complex rotated factors. 'xy-exchange': sigma_x x X +
+    sigma_y x Y with Y imaginary, which no gauge makes real but whose
+    products, and so blocks, are all real. 'mixed-bins': sigma_x x X plus
+    |1><1| x Z, with X flipping and Z keeping the parity of the bath level and
+    Z complex on odd levels only, so the two parity halves (one bin each)
+    are one complex and one real, and rho_A(0)'s coherence pairs them."""
+    sx, sy, _, _ = sigma_ops()
+    n = 6 if name == "xy-exchange" else 64
+    bath_h = np.diag(np.sort(rng.uniform(0.0, 2.0, n)))
+    if name == "xy-exchange":
+        x = rng.normal(size=(n, n))
+        y = rng.normal(size=(n, n))
+        bath = FiniteBath(bath_h, 1.0, [0.1 * (x + x.T), 0.1j * (y - y.T)])
+        return np.diag([0.0, 1.1]), bath, [sx, sy]
+    odd = np.arange(n) % 2
+    flips = odd[:, None] != odd[None, :]
+    x = rng.normal(size=(n, n))
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) * np.outer(odd, odd)
+    bath = FiniteBath(bath_h, 1.0, [0.05 * (x + x.T) * flips,
+                                    0.05 * (z + z.conj().T) * ~flips])
+    return np.diag([0.0, 0.9]), bath, [sx, np.diag([0.0, 1.0])]
+
+
+@pytest.mark.parametrize("name", ["xy-exchange", "mixed-bins"])
+def test_oracle_keeps_real_bins_real_under_complex_factors(monkeypatch, name):
+    # whether a bin's eigenvectors and phase table are real follows from its
+    # own H, not from the factors': a real bin is never cast to complex
+    h, bath, ops = _complex_factor_case(name, np.random.default_rng(77))
+    rho0 = np.array([[0.6, 0.3], [0.3, 0.4]])
+    times = np.linspace(0.0, 20.0, 9)
+    bins, pairs = [], []
+    bin_eigen = lindforge.dynamics._bin_eigen
+    pair_series = lindforge.dynamics._pair_series
+
+    def recording_bin(*args):
+        w, p = bin_eigen(*args)
+        bins.append(np.iscomplexobj(p))
+        return w, p
+
+    def recording_pair(*args):
+        pairs.append(args[-1])
+        return pair_series(*args)
+
+    monkeypatch.setattr(lindforge.dynamics, "_bin_eigen", recording_bin)
+    monkeypatch.setattr(lindforge.dynamics, "_pair_series", recording_pair)
+    traj = exact_oracle(h, bath, ops, rho0, times)
+    if name == "xy-exchange":
+        assert bins == [False] and set(pairs) == {True}
+    else:
+        assert sorted(bins) == [False, True] and set(pairs) == {False, True}
+    want = reference_exact_oracle(h, bath, ops, rho0, times)
+    assert np.abs(traj.states - want).max() < 1e-12
+    assert np.abs(want[-1] - want[0]).max() > 1e-2
+
+
 def test_oracle_dimension_cap(monkeypatch):
     sx, _, _, _ = sigma_ops()
     h = np.diag([0.0, 1.0]).astype(complex)

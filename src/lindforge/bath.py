@@ -61,7 +61,8 @@ def _boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise ValueError(f"temperature must be positive or inf, got {temperature}")
     shifted = energies - energies.min()
-    p = np.exp(-shifted / temperature)
+    with np.errstate(over="ignore"):  # a subnormal T: exp(-inf) = 0 is the T -> 0 limit
+        p = np.exp(-shifted / temperature)
     return p / p.sum()
 
 

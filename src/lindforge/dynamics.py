@@ -206,14 +206,16 @@ def _powers_applied(p, y, out) -> None:
         np.matmul(p, out[k - 1], out=out[k])
 
 
-def _rk4_propagator(mats, gaps):
+def _rk4_propagator(mats, gaps, populated):
     """propagator(gaps) for blocks B of one size: per block and gap,
     e^{c gap} T4(h (B - c))^n, the exact result of n = max(1, ceil(gap rate))
     classical rk4 steps of h = gap / n on B - c, T4(A) = 1 + A + A^2/2 + A^3/6
     + A^4/24. c, the block's mean diagonal, commutes with B, so its factor is
-    exact; rate is the largest ||B - c||_1 / RK4_STEP_FACTOR. Raises
-    DimensionError when the gaps would take more than RK4_MAX_STEPS (or
-    non-finitely many) steps."""
+    exact; a block marked in populated holds a population and steps B itself
+    (c = 0), as the trace row is a left null vector of B but not of B - c.
+    rate is the largest ||B - mean diagonal||_1 / RK4_STEP_FACTOR either way.
+    Raises DimensionError when the gaps would take more than RK4_MAX_STEPS
+    (or non-finitely many) steps."""
     eye = np.eye(mats.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         c = np.trace(mats, axis1=1, axis2=2) / eye.shape[0]
@@ -222,6 +224,7 @@ def _rk4_propagator(mats, gaps):
     if not total <= RK4_MAX_STEPS:
         raise DimensionError(f"rk4 would take {total:.3g} steps on blocks of size "
                              f"{eye.shape[0]} (step rate {rate:.3g}), cap is {RK4_MAX_STEPS}")
+    c = np.where(populated, 0.0, c)
 
     def propagator(key_gaps):
         shifted, props = mats - c[:, None, None] * eye, []
@@ -242,9 +245,10 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     d^2 x d^2 superoperator on the identity basis, with one propagator per
     block and distinct time gap, squared along long runs of equal gaps.
     'expm' exponentiates each block (linalg.expm, numpy's scaling and
-    squaring). 'rk4' applies each block's mean diagonal c exactly and steps
-    the rest classically at h <= RK4_STEP_FACTOR (1/100) / ||B - c||_1, the
-    largest over the blocks of one size.
+    squaring). 'rk4' steps each block classically at h <= RK4_STEP_FACTOR
+    (1/100) / ||B - c||_1, c its mean diagonal, the largest over the blocks
+    of one size; a block without a population has c applied exactly and steps
+    B - c, a block with one steps B, which keeps the trace to rounding.
 
     Raises ValueError for a rho0 that _check_initial_state refuses, and
     DimensionError before allocating when the largest block (d^2 for the
@@ -268,8 +272,11 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     if method == "expm":
         propagators = [lambda gaps, m=mats: expm(gaps[:, None, None, None] * m)
                        for _, mats in blocks.groups]
-    else:  # every block size is counted before any step is taken
-        propagators = [_rk4_propagator(mats, np.diff(t)) for _, mats in blocks.groups]
+    else:  # every block size is counted before any step is taken; rho_aa
+        # sits at a (d + 1) of the flat index
+        propagators = [_rk4_propagator(mats, np.diff(t),
+                                       (index % (g.dim + 1) == 0).any(axis=1))
+                       for index, mats in blocks.groups]
     states = _block_states(rho, blocks, t, propagators)
     trace_d, _, herm_d, min_e = matrix_defects(states)
     positive = min_e >= -DENSITY_TOL  # False for a non-finite sample's NaN
@@ -321,14 +328,16 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     Per-bin lifecycle: blocks that start within one window of ORACLE_BIN
     states share a bin. The blocks, bins and coupled bin pairs are laid
     out before any eigh (_oracle_layout); the pairs are then walked in
-    order, and a bin is diagonalised when a pair first needs it and let go
-    after its last pair (_reduced_states). A bin no pair needs is never
-    diagonalised, and a diagonal rho_A'(0) holds one bin at a time.
+    order, and a bin is diagonalised, one eigh of its whole H, when a pair
+    first needs it and let go after its last pair (_reduced_states). A bin
+    no pair needs is never diagonalised, and a diagonal rho_A'(0) holds one
+    bin at a time. Every pair is summed by one formula from the bins' real
+    cos and sin tables, whether its bins are real or complex (_pair_series).
 
     Real gauge: the phases of H_A's eigenvectors are free. Where one choice
     of them makes every A'_c real, the oracle works in it (_real_gauge), so
     a coupling written in a complex system basis still gives real blocks,
-    the real solver and real phase products.
+    the real solver and real GEMMs.
 
     Rounding rule: the rotated factors A'_c, X'_c and rho_A'(0) count an
     entry, and an imaginary part, within ROUNDING_ULPS (32) ulps of the
@@ -432,17 +441,12 @@ def _real_gauge(u_a, ops):
 class _OracleLayout:
     """The symmetry blocks of the joint H and their bins, before any eigh.
 
-    order lists the joint states i d_B + k block by block; component c holds
-    order[comp_start[c]:comp_start[c] + comp_size[c]], and bin b the states
-    order[start[b]:start[b] + size[b]], which are its components
-    first[b]:first[b + 1]. bin_of and pos give each joint state's bin and
-    row.
+    order lists the joint states i d_B + k block by block, and bin b holds
+    order[start[b]:start[b] + size[b]]. bin_of and pos give each joint
+    state's bin and row.
     """
 
     order: np.ndarray
-    comp_start: np.ndarray
-    comp_size: np.ndarray
-    first: np.ndarray
     start: np.ndarray
     size: np.ndarray
     bin_of: np.ndarray
@@ -468,50 +472,31 @@ def _oracle_layout(a_rot, x_rot, d_a: int, d_b: int) -> _OracleLayout:
     comp_size = comp_size[comp_size > 0]
     comp_start = np.cumsum(comp_size) - comp_size
     window = comp_start // ORACLE_BIN
-    first = np.flatnonzero(np.append(True, window[1:] != window[:-1]))  # opens a bin
-    bin_start = comp_start[first]
+    bin_start = comp_start[np.append(True, window[1:] != window[:-1])]
     bin_size = np.diff(np.append(bin_start, total))
-    state_bin = np.repeat(np.arange(first.size), bin_size)  # along order
+    state_bin = np.repeat(np.arange(bin_start.size), bin_size)  # along order
     bin_of = np.empty(total, dtype=int)
     bin_of[order] = state_bin
     pos = np.empty(total, dtype=int)
     pos[order] = np.arange(total) - bin_start[state_bin]
-    return _OracleLayout(order, comp_start, comp_size, np.append(first, comp_size.size),
-                         bin_start, bin_size, bin_of, pos)
+    return _OracleLayout(order, bin_start, bin_size, bin_of, pos)
 
 
 def _bin_eigen(layout: _OracleLayout, b: int, a_rot, x_rot, energies, d_b: int,
                dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors (block diagonal when the bin packs
-    several components) of bin b, whose H is built in dtype: one stacked
-    eigh per block size, the real solver, and real eigenvectors, for a real
-    stack."""
-    lo, n = int(layout.start[b]), int(layout.size[b])
-    comps = slice(layout.first[b], layout.first[b + 1])
-    w = np.empty(n)
-    p = None
-    for s in np.unique(layout.comp_size[comps]).tolist():
-        at = layout.comp_start[comps][layout.comp_size[comps] == s]
-        states = layout.order[at[:, None] + np.arange(s)]
-        i, k = np.divmod(states, d_b)
-        h = np.zeros((at.size, s, s), dtype=dtype)
-        for a, x in zip(a_rot, x_rot):  # the A' gather times the X' gather, in place
-            term = a[i[:, :, None], i[:, None, :]].astype(dtype, copy=False)
-            h += np.multiply(term, x[k[:, :, None], k[:, None, :]], out=term)
-            del term  # before the next channel's gathers
-        h[:, np.arange(s), np.arange(s)] += energies[states]
-        rows = at - lo
-        w[rows[:, None] + np.arange(s)], v = np.linalg.eigh(_real_if_real(h))
-        del h
-        if s == n:  # the bin is this one component
-            return w, v[0]
-        if p is None:
-            p = np.zeros((n, n), dtype=v.dtype)
-        elif np.iscomplexobj(v) and not np.iscomplexobj(p):
-            p = p.astype(v.dtype)
-        for r, vc in zip(rows.tolist(), v):
-            p[r:r + s, r:r + s] = vc
-    return w, p
+    """Eigenvalues and eigenvectors of bin b from one eigh of its H, built in
+    dtype (block diagonal when the bin packs several components); the real
+    solver, and real eigenvectors, for a real H."""
+    lo = int(layout.start[b])
+    states = layout.order[lo:lo + layout.size[b]]
+    i, k = np.divmod(states, d_b)
+    h = np.zeros((states.size, states.size), dtype=dtype)
+    for a, x in zip(a_rot, x_rot):  # the A' gather times the X' gather, in place
+        term = a[np.ix_(i, i)].astype(dtype, copy=False)
+        h += np.multiply(term, x[np.ix_(k, k)], out=term)
+        del term  # before the next channel's gathers
+    h[np.diag_indices(states.size)] += energies[states]
+    return np.linalg.eigh(_real_if_real(h))
 
 
 def _reduced_states(layout: _OracleLayout, a_rot, x_rot, energies, rho_rot, pops,
@@ -523,8 +508,9 @@ def _reduced_states(layout: _OracleLayout, a_rot, x_rot, energies, rho_rot, pops
     state between the two bins, rho_A'(t)_ij gains
     sum_mn (rho_bar * S_ij)[m, n] e^{-i w_m t} e^{+i w_n t}, where
     S_ij = sum_k P_B[(i, k), m] conj(P_B'[(j, k), n]) runs over the bath
-    states k the two bins share. When P_B, P_B' and rho_A'(0) are real, the
-    phase products are real GEMMs on the cos and sin tables, stacked as one.
+    states k the two bins share. Each bin keeps one real phase table, its
+    cos(w t) above its sin(w t), whatever the dtype of its eigenvectors
+    (_pair_series).
 
     The pairs are walked in order of (B, B'); _bin_eigen diagonalises bin B
     when a pair first needs it, and its eigenvectors and phase table are let
@@ -555,14 +541,11 @@ def _reduced_states(layout: _OracleLayout, a_rot, x_rot, energies, rho_rot, pops
     alive = {}
 
     def bin_data(b):
-        """Bin b's eigenvectors and e^{-i w_m t} over its states; when they
-        and rho_A'(0) are real, its cos above its sin as one real table."""
+        """Bin b's eigenvectors and its cos(w_m t) above its sin(w_m t)."""
         if b not in alive:
             w, p = _bin_eigen(layout, b, a_rot, x_rot, energies, d_b, dtype)
             wt = np.outer(t, w)
-            real = not (np.iscomplexobj(p) or np.iscomplexobj(rho_rot))
-            alive[b] = (p, np.concatenate((np.cos(wt), np.sin(wt))) if real
-                        else np.exp(-1j * wt))
+            alive[b] = (p, np.concatenate((np.cos(wt), np.sin(wt))))
         return alive[b]
 
     out = np.zeros((n_t, d_a, d_a), dtype=complex)
@@ -570,17 +553,13 @@ def _reduced_states(layout: _OracleLayout, a_rot, x_rot, energies, rho_rot, pops
     for q, pq in enumerate(pairs.tolist()):
         b, b2 = divmod(pq, n_bins)
         (p, ph), (p2, ph2) = bin_data(b), bin_data(b2)
-        real = not (np.iscomplexobj(ph) or np.iscomplexobj(ph2))
-        if not real:  # a real bin paired with a complex one: e^{-i w t} = cos - i sin
-            ph, ph2 = (f if np.iscomplexobj(f) else f[:n_t] - 1j * f[n_t:]
-                       for f in (ph, ph2))
         rho_bar = p.conj().T @ _state_times_block(layout, b, b2, p2, rho_rot, pops,
                                                   d_a, d_b)
         while group < len(bounds) - 1 and pair[bounds[group]] == pq:
             item = keep[bounds[group]:bounds[group + 1]]
             ii, jj, ks = int(i[item[0]]), int(j[item[0]]), k[item]
             series = _pair_series(p[layout.pos[ii * d_b + ks]], p2[layout.pos[jj * d_b + ks]],
-                                  rho_bar, ph, ph2, real)
+                                  rho_bar, ph, ph2)
             # half of each population, so adding the adjoint below fills the
             # lower triangle and makes the populations real
             out[:, ii, jj] += series if ii != jj else 0.5 * series
@@ -592,17 +571,21 @@ def _reduced_states(layout: _OracleLayout, a_rot, x_rot, energies, rho_rot, pops
     return out + out.conj().transpose(0, 2, 1)
 
 
-def _pair_series(rows, rows2, rho_bar, ph, ph2, real: bool) -> np.ndarray:
+def _pair_series(rows, rows2, rho_bar, ph, ph2) -> np.ndarray:
     """sum_mn (rho_bar * S)[m, n] e^{-i w_m t} e^{+i w_n t} at each sample
     time, with S = rows^T conj(rows2) over the bath states two bins share
-    and ph, ph2 the bins' phase tables from _reduced_states."""
+    and ph, ph2 the bins' cos-above-sin tables from _reduced_states.
+
+    G = ph C, C = rho_bar * S, is one real GEMM (on C's interleaved real and
+    imaginary parts when C is complex), and since sum_m e^{-i w_m t} C_mn =
+    G_cos - i G_sin, the series is (G_cos - i G_sin) (cos' + i sin') summed
+    over n."""
     s = rows.T @ rows2.conj()
     if s.dtype != rho_bar.dtype:  # a complex rho_A'(0) on real bins
         s = s.astype(rho_bar.dtype)
-    g = ph @ np.multiply(rho_bar, s, out=s)  # rho_bar * S, in place
-    del s
-    if not real:
-        return (g * ph2.conj()).sum(axis=1)
+    c = np.multiply(rho_bar, s, out=s)  # rho_bar * S, in place
+    g = (ph @ c.view(float)).view(c.dtype)
+    del s, c
     n_t = ph2.shape[0] // 2  # g is cos C above sin C
     return ((g[:n_t] * ph2[:n_t] + g[n_t:] * ph2[n_t:]).sum(axis=1)
             + 1j * (g[:n_t] * ph2[n_t:] - g[n_t:] * ph2[:n_t]).sum(axis=1))
@@ -693,7 +676,8 @@ def timescale_report(bath, couplings, spectrum=None, tau_b: float | None = None,
         t_a = 0.0
     else:
         ratio = v_strength * tau_b
-        t_a = 1.0 / (v_strength * v_strength * tau_b)
+        rate = v_strength * v_strength * tau_b  # 0 when it underflows: t_a's limit is inf
+        t_a = 1.0 / rate if rate > 0.0 else math.inf
 
     if ratio < 0.1:
         verdict = "pass"

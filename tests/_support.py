@@ -126,10 +126,12 @@ def reference_rk4_states(rho0, g, times):
     the reference for its rk4. Each block B is read off the dense
     generator_superoperator_matrix, rotated to the energy eigenbasis (the
     identity for a generator without Bohr blocks) and restricted to the
-    block's indices; what lies outside the blocks must be rounding. B's mean
-    diagonal c is applied as e^{c gap}, and each time gap takes
-    n = max(1, ceil(gap rate)) steps of gap / n on B - c, rate the largest
-    ||B - c||_1 / RK4_STEP_FACTOR among the blocks of B's size."""
+    block's indices; what lies outside the blocks must be rounding. Each
+    time gap takes n = max(1, ceil(gap rate)) steps of gap / n, rate the
+    largest ||B - c||_1 / RK4_STEP_FACTOR among the blocks of B's size with
+    c each block's mean diagonal. A block that holds a population (an index
+    a (d + 1), rho_aa) steps B; any other steps B - c and applies
+    e^{c gap}."""
     from lindforge import generator_superoperator_matrix
     from lindforge.dynamics import RK4_STEP_FACTOR
 
@@ -156,6 +158,8 @@ def reference_rk4_states(rho0, g, times):
             c = np.trace(b, axis1=1, axis2=2) / size
             a = b - c[:, None, None] * np.eye(size)
             n_steps = max(1, math.ceil(gap * np.abs(a).sum(axis=1).max() / RK4_STEP_FACTOR))
+            c = np.where((index % (dim + 1) == 0).any(axis=1), 0.0, c)
+            a = b - c[:, None, None] * np.eye(size)
             h = gap / n_steps
             cur = y[index][:, :, None]
             for _ in range(n_steps):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,18 @@ def test_hermitize_coupling_rejects_missing_partner():
     _, _, _, sm = sigma_ops()
     with pytest.raises(ValueError, match="adjoint"):
         hermitize_coupling([(sm, np.diag([1.0, 2.0]))])
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-320])
+def test_subnormal_temperature_gives_the_ground_state_without_a_warning(temperature):
+    # E / T overflows to inf for every excited level, and exp(-inf) = 0 is
+    # the T -> 0 limit, not a fault to warn about
+    sx, _, _, _ = sigma_ops()
+    x = np.kron(sx, np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bath = FiniteBath(np.diag([0.4, 0.0, 1.1, 0.7]), temperature, [x], broadening=0.1)
+    assert np.array_equal(bath.sigma(), np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
 def test_correlation_function_infinite_temperature_cosine():

@@ -341,6 +341,19 @@ def test_thermal_factor_beyond_the_float_range_has_no_absorption(tmp_path, capsy
     assert rows[-1, header.index("re_00")] > 1.0 - 1e-4
 
 
+@pytest.mark.parametrize("demo, tau_b", [("weak_coupling_comb", 1e-320),
+                                         ("breakdown", 5e-324)])
+def test_subnormal_tau_b_gives_an_infinite_t_a(tmp_path, capsys, demo, tau_b):
+    # V^2 tau_b underflows to 0, and t_a = 1 / (V^2 tau_b) takes its limit
+    data = json.loads((THERMAL_QUBIT.parent / f"{demo}.json").read_text(encoding="utf-8"))
+    data["tau_b"] = tau_b
+    path = write_scenario(tmp_path, data)
+    for command in ("derive", "oracle"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["timescale"]["t_a_estimate"] == "inf"
+
+
 def test_derive_lists_kappa_across_chained_multiplets(tmp_path, capsys):
     # the gaps 1.0 and 1.16 from level 0 chain into one Bohr frequency at
     # tolerance 0.1, so the escape sum links levels 1 and 2 of different

@@ -296,6 +296,13 @@ class FiniteBath:
         return pop * amp.conj()[:, None, :] * amp[None, :, :]
 
 
+def require_channel_count(bath, count: int) -> None:
+    """Refuse count system operators for a bath with another channel count."""
+    if count != bath.channel_count:
+        raise ValueError(f"bath provides {bath.channel_count} coupling channels, "
+                         f"got {count} system operators")
+
+
 def center_couplings(bath: FiniteBath, system_ops) -> tuple[FiniteBath, np.ndarray]:
     """Shift each X_alpha by -<X_alpha>_B so Tr{X' sigma_B} = 0.
 
@@ -304,10 +311,7 @@ def center_couplings(bath: FiniteBath, system_ops) -> tuple[FiniteBath, np.ndarr
     every mean is exactly zero, the shifted bath is the input bath itself.
     """
     system_ops = [as_operator(a, f"system_ops[{i}]") for i, a in enumerate(system_ops)]
-    if len(system_ops) != bath.channel_count:
-        raise ValueError(
-            f"{len(system_ops)} system operators for {bath.channel_count} bath channels"
-        )
+    require_channel_count(bath, len(system_ops))
     means = [bath.expectation(x) for x in bath.coupling_ops]
     dim_a = system_ops[0].shape[0] if system_ops else 0
     h_shift = np.zeros((dim_a, dim_a), dtype=complex)

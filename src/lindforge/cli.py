@@ -115,6 +115,8 @@ def _random_density(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+# a defect that overflows is inf or NaN, and its check fails without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def run_checks(scenario: Scenario, res) -> list[dict]:
     """The invariant battery: every derivation-guaranteed property, measured."""
     checks = []

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import AnalyticBath, FiniteBath, estimate_correlation_time, gamma_matrix
+from .bath import (AnalyticBath, FiniteBath, estimate_correlation_time, gamma_matrix,
+                   require_channel_count)
 from .generator import BohrBlocks, Generator, _merge_labels, generator_superoperator_matrix
 from .generator import rhs_function  # unused here; bench/tracing.py wraps it on this module
 from .linalg import (
@@ -35,6 +36,7 @@ from .linalg import (
     DimensionError,
     as_hermitian,
     as_operator,
+    cluster_starts,
     expm,
     hermitian_part,
     matrix_defects,
@@ -59,6 +61,9 @@ RK4_STEP_FACTOR = 1.0 / 100.0
 RK4_MAX_STEPS = 1_000_000
 # samples _block_states rotates back to the user basis at once
 ROTATION_CHUNK = 512
+# time gaps that chain within this relative tolerance (single linkage on
+# log(gap)) are one class with one propagator, so a uniform grid is one class
+GAP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,16 +137,8 @@ def _check_initial_state(rho0, dim: int, name: str = "rho0") -> np.ndarray:
         raise ValueError(f"{name} has dimension {rho.shape[0]}, expected {dim}")
     r = validate_density_matrix(rho)
     if not r.valid:  # NaN defects (an overflowing hermitian part) are invalid
-        raise ValueError(f"{name} is not a density matrix within {r.tol:g}: trace defect "
-                         f"{r.trace_defect:.3e}, hermiticity defect {r.hermiticity_defect:.3e}, "
-                         f"min eigenvalue {r.min_eigenvalue:.3e}")
+        raise ValueError(f"{name} is {r.refusal}")
     return rho
-
-
-def _gap_key(gap: float) -> float:
-    """Time gaps equal up to float noise share one key, so a uniform grid
-    costs one exponential."""
-    return float(np.format_float_scientific(gap, precision=12))
 
 
 # a step that overflows leaves inf or NaN in the states, which propagate
@@ -150,22 +147,21 @@ def _gap_key(gap: float) -> float:
 def _block_states(rho, blocks: BohrBlocks, t, propagators) -> np.ndarray:
     """The states at t, rho first, from the generator's blocks: rho rotated
     into the block basis once, one batched call of each block size's
-    propagator(gaps) over the distinct time gaps, and stepped along each run of
-    equal gaps straight into the returned array, where each sample's row
-    holds the block sizes' entries back to back. The rows are then put back
-    in order and rotated into the user basis in place, ROTATION_CHUNK
-    samples at a time, so one sample stack is alive."""
+    propagator(gaps) over the classes of equal time gaps (GAP_RTOL), and
+    stepped along each run of one class straight into the returned array,
+    where each sample's row holds the block sizes' entries back to back.
+    The rows are then put back in order and rotated into the user basis in
+    place, ROTATION_CHUNK samples at a time, so one sample stack is alive."""
     v = blocks.basis
     dim = v.shape[0]
     y0 = vec(v.conj().T @ rho @ v)
     gaps = np.diff(t)
-    # the distinct float gaps, their keys, and the key of each step; each
-    # key propagates over the smallest of its gaps
+    # the distinct float gaps, clustered by single linkage on log(gap), and
+    # the class of each step; each class propagates over its smallest gap
     raw, raw_step = np.unique(gaps, return_inverse=True)
-    _, smallest, raw_key = np.unique([_gap_key(gap) for gap in raw.tolist()],
-                                     return_index=True, return_inverse=True)
-    step = raw_key[raw_step]
-    # runs of consecutive steps with one key (a uniform grid is one run)
+    smallest = cluster_starts(np.log(raw), GAP_RTOL)
+    step = (np.searchsorted(smallest, np.arange(raw.size), side="right") - 1)[raw_step]
+    # runs of consecutive steps in one class (a uniform grid is one run)
     bounds = [0] + (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist() + [gaps.size]
     runs = [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
     states = np.empty((t.size, dim, dim), dtype=complex)
@@ -173,7 +169,7 @@ def _block_states(rho, blocks: BohrBlocks, t, propagators) -> np.ndarray:
     rows = states[1:].reshape(gaps.size, dim * dim)
     col = 0
     for (index, _), propagator in zip(blocks.groups, propagators):
-        props = propagator(raw[smallest])  # (distinct gaps, n, s, s)
+        props = propagator(raw[smallest])  # (gap classes, n, s, s)
         y = y0[index][:, :, None]
         # this block size's columns of rows, a view split into its blocks
         out = rows[:, col:col + index.size].reshape((gaps.size,) + y.shape)
@@ -243,7 +239,8 @@ def propagate(rho0, g: Generator, times, method: str = "expm") -> Trajectory:
     Both methods step the same blocks, the Bohr-frequency blocks of a
     secular generator from derive_generator or else the one block, the
     d^2 x d^2 superoperator on the identity basis, with one propagator per
-    block and distinct time gap, squared along long runs of equal gaps.
+    block and class of equal time gaps (GAP_RTOL), squared along long runs
+    of one class.
     'expm' exponentiates each block (linalg.expm, numpy's scaling and
     squaring). 'rk4' steps each block classically at h <= RK4_STEP_FACTOR
     (1/100) / ||B - c||_1, c its mean diagonal, the largest over the blocks
@@ -358,11 +355,7 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
     d_b = bath.dim
     rho_a0 = _check_initial_state(rho_a0, d_a, "rho_a0")
     ops = [as_operator(a, f"couplings[{i}]") for i, a in enumerate(couplings)]
-    if len(ops) != bath.channel_count:
-        raise ValueError(
-            f"bath provides {bath.channel_count} coupling channels, "
-            f"got {len(ops)} system operators"
-        )
+    require_channel_count(bath, len(ops))
     total = d_a * d_b
     cap = oracle_dimension_cap()
     if total > cap:

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import delta_matrix, gamma_matrix
+from .bath import delta_matrix, gamma_matrix, require_channel_count
 from .linalg import MAX_TENSOR_DIM, DimensionError, as_hermitian, as_operator, hermitian_part
 from .spectral import (
     EigenOperatorSet,
@@ -209,12 +209,7 @@ def _collect_terms(spectrum, eigenops, bath, gammas, deltas):
     tables gammas and deltas (aligned with bohr_frequencies(spectrum))."""
     if not eigenops:
         raise ValueError("need at least one coupling channel")
-    n_ch = len(eigenops)
-    if bath.channel_count != n_ch:
-        raise ValueError(
-            f"bath provides {bath.channel_count} coupling channels, "
-            f"got {n_ch} eigenoperator sets"
-        )
+    require_channel_count(bath, len(eigenops))
     dim = spectrum.dim
     for ch, eset in enumerate(eigenops):
         for op in eset.terms.values():
@@ -243,13 +238,17 @@ def build_standard_form(spectrum, eigenops, bath, gammas, deltas,
     gammas, deltas: (n, k, k) stacks of Gamma(w), Delta(w) over w in
     bohr_frequencies(spectrum). rate_tensors: the RateTensors built from them;
     h_ls is their Lamb shift in the user basis, and the generator keeps them
-    with the spectrum for its eigenbasis blocks.
+    with the spectrum for its eigenbasis blocks. An h_eff = H_A + h_ls that
+    overflows raises ValueError, naming Delta.
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas, deltas)
     v, shift = spectrum.basis, rate_tensors.lamb_shift
     # a zero Lamb shift is not rotated, so h_eff keeps the bytes of h_a + 0
-    h_ls = hermitian_part(v @ shift @ v.conj().T) if shift.any() else np.zeros_like(shift)
-    h_eff = hermitian_part(spectrum.hamiltonian + h_ls)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_ls = hermitian_part(v @ shift @ v.conj().T) if shift.any() else np.zeros_like(shift)
+        h_eff = hermitian_part(spectrum.hamiltonian + h_ls)
+    if not np.isfinite(h_eff).all():
+        raise ValueError("Delta: the effective hamiltonian H_A + h_ls overflows")
 
     return Generator(h_eff=h_eff, dissipator_terms=tuple(terms), h_ls=h_ls,
                      spectrum=spectrum, rate_tensors=rate_tensors)
@@ -431,7 +430,12 @@ class PauliReduction:
     coherence_decay: np.ndarray | None
     block_gain: dict | None
     block_escape: dict | None
-    flags: tuple[str, ...]
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """degenerate-multiplets and shared-transition-frequency, where they hold."""
+        return (("degenerate-multiplets",) * self.degenerate
+                + ("shared-transition-frequency",) * (not self.all_gaps_distinct))
 
 
 def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduction:
@@ -443,11 +447,6 @@ def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduc
     # M multiplets have distinct pair gaps when each is a Bohr frequency of its own
     n_mult = len(spectrum.multiplets)
     gaps_ok = spectrum.bohr_set.values.size == n_mult * (n_mult - 1) + 1
-    flags = []
-    if degenerate:
-        flags.append("degenerate-multiplets")
-    if not gaps_ok:
-        flags.append("shared-transition-frequency")
 
     if not degenerate:
         # K(a m, a m) and K(a a, b b) are always supported (equal gaps), and
@@ -467,7 +466,6 @@ def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduc
             coherence_decay=coherence_decay,
             block_gain=None,
             block_escape=None,
-            flags=tuple(flags),
         )
 
     # degenerate case: per-multiplet block tensors; multiplets are runs of
@@ -495,7 +493,6 @@ def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduc
         coherence_decay=None,
         block_gain=block_gain,
         block_escape=block_escape,
-        flags=tuple(flags),
     )
 
 
@@ -694,11 +691,7 @@ def derive_generator(
 
     h_a = as_hermitian(h_a, "system hamiltonian")
     ops = [as_operator(a, f"couplings[{i}]") for i, a in enumerate(couplings)]
-    if len(ops) != bath.channel_count:
-        raise ValueError(
-            f"bath provides {bath.channel_count} coupling channels, "
-            f"got {len(ops)} system operators"
-        )
+    require_channel_count(bath, len(ops))
 
     h_shift = None
     if isinstance(bath, FiniteBath):

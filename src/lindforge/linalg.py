@@ -291,6 +291,13 @@ class ValidationReport:
             and self.min_eigenvalue >= -self.tol
         )
 
+    @property
+    def refusal(self) -> str:
+        """The defects in words, for a matrix that is refused as not valid."""
+        return (f"not a density matrix within {self.tol:g}: trace defect "
+                f"{self.trace_defect:.3e}, hermiticity defect {self.hermiticity_defect:.3e}, "
+                f"min eigenvalue {self.min_eigenvalue:.3e}")
+
 
 def validate_density_matrix(rho, tol: float = DENSITY_TOL) -> ValidationReport:
     """Hermiticity, unit trace and positivity by matrix_defects. Reports, never throws."""

@@ -401,7 +401,7 @@ def _parse_initial_state(node, h_a) -> np.ndarray:
                                       f"has {dim}")
     report = validate_density_matrix(rho)
     if not report.valid:
-        _fail("initial_state.matrix", f"not a density matrix: {report}")
+        _fail("initial_state.matrix", report.refusal)
     return rho
 
 

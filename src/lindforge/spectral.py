@@ -149,26 +149,21 @@ def eigenbasis_operator(a_op, s: Spectrum) -> np.ndarray:
     return s.basis.conj().T @ a_op @ s.basis
 
 
-def _bohr_piece(a_eig: np.ndarray, s: Spectrum, k: int) -> np.ndarray:
-    """The eigenbasis elements of a_eig whose gap snaps to Bohr frequency k."""
-    return a_eig * (s.bohr_index == k)
-
-
 def eigenoperator(a_op, s: Spectrum, omega: float) -> np.ndarray:
     """The component of a_op at the Bohr frequency omega, in the user basis.
 
     This is the piece eigenoperator_decomposition assigns to the Bohr
     frequency within the spectral matching tolerance of omega (the nearest
     one): the elements <a|A|b> whose gap w_b - w_a snaps to it. An omega
-    matching no Bohr frequency yields the zero matrix.
+    matching no Bohr frequency (NaN among them) yields the zero matrix, and
+    so does a piece the decomposition drops as negligible, as the generator
+    holds it.
     """
-    a_eig = eigenbasis_operator(a_op, s)
+    terms = eigenoperator_decomposition(a_op, s).terms
     values = s.bohr_set.values
     k = int(np.argmin(np.abs(values - omega)))
-    if abs(values[k] - omega) > s.degeneracy_tol:
-        return np.zeros_like(a_eig)
-    v = s.basis
-    return v @ _bohr_piece(a_eig, s, k) @ v.conj().T
+    zero = np.zeros((s.dim, s.dim), dtype=complex)
+    return terms.get(values[k], zero) if abs(values[k] - omega) <= s.degeneracy_tol else zero
 
 
 def eigenoperator_decomposition(a_op, s: Spectrum) -> EigenOperatorSet:

@@ -1277,6 +1277,46 @@ def test_finite_lamb_shift_near_the_float_limit_warns_nothing(tmp_path, capsys,
     assert any(c["status"] == "fail" for c in checks)
 
 
+def limit_table_data(mode):
+    # levels [0, 8e307] on a table sampled at omega = -8e307, 0 and 8e307,
+    # with Delta = 8e307 and A = sigma_x; presecular with a window of 1
+    data = qubit_table_data(0.1, 8e307, [[0, 1], [1, 0]], mode)
+    data["system"]["eigenvalues"] = [0.0, 8e307]
+    for entry, omega in zip(data["bath"]["entries"], (-8e307, 0.0, 8e307)):
+        entry["omega"] = omega
+    if mode == "presecular":
+        data["policy"]["dt"] = 1
+    return data
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
+def test_overflowing_effective_hamiltonian_is_an_input_error(tmp_path, capsys, command):
+    # the Lamb shift is finite, but H_A + h_ls overflows: the secular
+    # builder refuses h_eff with one JSON input error and no warning
+    path = write_scenario(tmp_path, limit_table_data("secular"))
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, out, caught) == (2, "", [])
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "input" and error["message"].startswith("Delta:")
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_overflowing_rhs_probes_fail_a_check_without_a_warning(tmp_path, capsys, command):
+    # the presecular generator keeps Delta inside G, and the battery's rhs
+    # probes overflow: a check fails, with strict JSON and nothing on stderr
+    path = write_scenario(tmp_path, limit_table_data("presecular"))
+    code, out, err, caught = run_cli_strict(capsys, command, path)
+    assert (code, err, caught) == (1, "", [])
+
+    def refuse(token):
+        raise AssertionError(f"{token} in the output")
+
+    checks = json.loads(out, parse_constant=refuse)["checks"]
+    assert any(c["status"] == "fail" for c in checks)
+
+
 @pytest.mark.parametrize("command", ["derive", "verify", "evolve"])
 @pytest.mark.parametrize("mode", ["secular", "presecular"])
 def test_overflowing_gamma_is_an_input_error(tmp_path, capsys, mode, command):

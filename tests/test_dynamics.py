@@ -21,6 +21,7 @@ from lindforge import (
     SecularPolicy,
     apply_rhs,
     build_spectrum,
+    center_couplings,
     derive_generator,
     exact_oracle,
     flat_thermal_bath,
@@ -242,6 +243,27 @@ def test_block_route_steps_through_runs_of_equal_gaps():
         assert np.array_equal(propagate(rho0, g, [0.0]).states, [rho0])
     # the presecular and hand-built generators step as the one superoperator block
     assert [g.bohr_blocks is None for g, _ in cases] == [False, False, True, True]
+
+
+def test_a_uniform_grid_is_one_gap_class(monkeypatch):
+    # linspace's 40 gaps here are 7 distinct floats a few ulps apart; single
+    # linkage on log(gap) makes them one class, so expm runs once per block
+    # size, over one gap
+    times = np.linspace(0.0, 4.938271560494, 41)
+    assert np.unique(np.diff(times)).size == 7
+    shapes, expm = [], lindforge.dynamics.expm
+
+    def counted(stack):
+        shapes.append(stack.shape)
+        return expm(stack)
+
+    monkeypatch.setattr(lindforge.dynamics, "expm", counted)
+    for g, rho0 in runs_cases():
+        shapes.clear()
+        got = propagate(rho0, g, times).states
+        assert np.abs(got - dense_expm_states(rho0, g, times)).max() < 1e-12
+        sizes = len(g.bohr_blocks.groups) if g.bohr_blocks is not None else 1
+        assert [shape[0] for shape in shapes] == [1] * sizes
 
 
 def test_rk4_matches_the_per_step_loop():
@@ -595,6 +617,21 @@ def test_oracle_diagnoses_its_samples_in_one_call(monkeypatch):
     stack, defects = calls[0]
     assert len(stack) == len(traj) == len(times)
     assert_rows_of(traj, stack, defects)
+
+
+def test_one_channel_count_refusal():
+    # a coupling list of the wrong length gets one message, wherever it is
+    # refused
+    sx, _, sz, _ = sigma_ops()
+    h = np.diag([0.0, 1.0]).astype(complex)
+    bath = FiniteBath(np.diag([0.0, 1.0]), 1.0, [sx], broadening=1.0)
+    calls = (lambda: derive_generator(h, bath, [sx, sz]),
+             lambda: exact_oracle(h, bath, [sx, sz], np.eye(2) / 2, [0.0, 1.0]),
+             lambda: center_couplings(bath, [sx, sz]))
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "bath provides 1 coupling channels, got 2 system operators"
 
 
 def test_oracle_zero_coupling_is_free_evolution():

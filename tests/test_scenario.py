@@ -10,8 +10,10 @@ from lindforge import (
     DimensionError,
     FiniteBath,
     ScenarioError,
+    derive_generator,
     load_scenario,
     loads_scenario,
+    propagate,
     scenario_from_data,
     serialize_scenario,
 )
@@ -102,6 +104,21 @@ def test_initial_matrix_must_be_a_density_matrix():
     bad = cm(np.diag([1.5, -0.5]))
     with pytest.raises(ScenarioError, match="initial_state.matrix"):
         scenario_from_data(flat_thermal_data(initial_state={"matrix": bad}))
+
+
+def test_initial_matrix_refusal_names_the_trace_defect():
+    # the scenario and propagate refuse a trace of 1.1 in the same words
+    rho = np.diag([0.6, 0.5])
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_data(flat_thermal_data(initial_state={"matrix": cm(rho)}))
+    words = ("not a density matrix within 1e-06: trace defect 1.000e-01, "
+             "hermiticity defect 0.000e+00, min eigenvalue 5.000e-01")
+    assert str(info.value) == "initial_state.matrix: " + words
+    good = scenario_from_data(flat_thermal_data())
+    with pytest.raises(ValueError) as info:
+        propagate(rho, derive_generator(good.h_a, good.bath, good.couplings).generator,
+                  [0.0, 1.0])
+    assert str(info.value) == "rho0 is " + words
 
 
 def test_times_validation():

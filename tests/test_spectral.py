@@ -56,6 +56,22 @@ def test_eigenoperator_at_unmatched_frequency_is_zero():
     spec = build_spectrum(np.diag([0.0, 1.0]).astype(complex))
     piece = eigenoperator(sx, spec, 0.4)
     assert np.abs(piece).max() == 0.0
+    # NaN matches no Bohr frequency either (argmin lands on the lowest one)
+    assert np.abs(eigenoperator(sx, spec, float("nan"))).max() == 0.0
+
+
+def test_eigenoperator_reads_a_negligible_piece_as_zero():
+    # the 1e-15 elements at gaps +-2 fall below NEGLIGIBLE_ENTRY, so the
+    # decomposition drops their pieces and eigenoperator reads zero there,
+    # as the generator holds them
+    spec = build_spectrum(np.diag([0.0, 1.0, 3.0]).astype(complex))
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 1] = a[1, 0] = 1.0
+    a[1, 2] = a[2, 1] = 1e-15
+    decomp = eigenoperator_decomposition(a, spec)
+    assert 2.0 not in decomp.terms and -2.0 not in decomp.terms
+    assert np.abs(eigenoperator(a, spec, 2.0)).max() == 0.0
+    assert np.array_equal(eigenoperator(a, spec, 1.0), decomp.terms[1.0])
 
 
 def test_eigenoperators_on_chained_gaps_sum_back():

@@ -93,27 +93,41 @@ def default_broadening(bath_energies: np.ndarray) -> float:
     return 4.0 * (diffs[starts[-1]] - diffs[0]) / (starts.size - 1)
 
 
-def _transitions(x_eig, energies, populations):
+def _require_temperature(temperature) -> float:
+    if not (temperature > 0 or math.isinf(temperature)):
+        raise ValueError(f"temperature must be positive or inf, got {temperature}")
+    return float(temperature)
+
+
+def _coupling_pattern(xs, dim: int):
+    """Dense matrices X_c on the union of their nonzero entries: (rows, cols,
+    values) with values[c, e] = X_c[rows[e], cols[e]], in (col, row) order."""
+    carried = np.zeros((dim, dim), dtype=bool)  # carried[col, row]
+    for x in xs:
+        carried |= x.T != 0
+    cols, rows = np.divmod(np.flatnonzero(carried), dim)
+    values = np.array([x[rows, cols] for x in xs], dtype=complex)
+    return rows, cols, values.reshape(len(xs), rows.size)
+
+
+def _transitions(pattern, energies, populations):
     """The table (amp, pop, nu) over every transition z -> xi that some
     channel carries and whose p(z) is nonzero: amp[c, s] = <xi|X_c|z>,
     pop[s] = p(z) and nu[s] = E_z - E_xi, read-only and sorted by nu (stably,
     so transitions of one frequency stay in (z, xi) order); and the levels
-    z and xi of each transition, in the same order."""
-    # <xi|X_c|z> = x_c[xi, z]: the pattern is read in X's own row order, as
-    # flat indices xi d + z (so in (xi, z) order), and the amplitudes
-    # gathered per channel, with no copy of X
-    carried = np.zeros((len(energies),) * 2, dtype=bool)
-    for x in x_eig:
-        carried |= x != 0
-    xi, z = np.divmod(np.flatnonzero(carried & (populations != 0)), len(energies))
-    nu = energies[z] - energies[xi]
-    order = np.lexsort((z, nu))  # by nu, then z; stable, so xi stays ascending
-    z, xi = z[order], xi[order]
-    amps = np.array([x[xi, z] for x in x_eig], dtype=complex)
-    table = (amps, populations[z], nu[order])
+    z and xi of each transition, in the same order. pattern is X on its
+    nonzero pattern in the eigenbasis, (rows, cols, values) in (col, row)
+    order, every entry carried by some channel: (z, xi) = (col, row) is in
+    order before the one sort."""
+    xi, z, values = pattern
+    live = np.flatnonzero(populations[z] != 0)
+    nu = energies[z[live]] - energies[xi[live]]
+    order = np.argsort(nu, kind="stable")
+    live = live[order]
+    table = (values.take(live, axis=1), populations[z[live]], nu[order])
     for array in table:
         array.flags.writeable = False
-    return table, z, xi
+    return table, z[live], xi[live]
 
 
 def _carries_weight(pair_weights) -> np.ndarray:
@@ -133,64 +147,128 @@ class FiniteBath:
     for the larger magnitude of its two levels, counts as static: exact
     levels of a diagonal H_B round only in their own digits, while every
     level of a dense eigen-solve carries the rounding of the largest one.
+
+    A diagonal H_B (a mode comb's) has the permutation that sorts its levels
+    for eigenbasis. That route runs no eigen-solve and forms no d_B x d_B
+    array: it keeps H_B as its levels, sigma_B as its populations and X as
+    its nonzero pattern in the sorted-level basis, and h_b, coupling_ops and
+    sigma() are built from them when asked for.
     """
 
     def __init__(self, h_b, temperature: float, coupling_ops, broadening: float | None = None):
-        self.h_b = as_operator(h_b, "h_b")
-        if not (temperature > 0 or math.isinf(temperature)):
-            raise ValueError(f"temperature must be positive or inf, got {temperature}")
-        self.temperature = float(temperature)
-        self.coupling_ops = [
-            as_operator(x, f"coupling_ops[{i}]") for i, x in enumerate(coupling_ops)
-        ]
-        for i, x in enumerate(self.coupling_ops):
-            if x.shape[0] != self.h_b.shape[0]:
+        h_b = as_operator(h_b, "h_b")
+        temperature = _require_temperature(temperature)
+        coupling_ops = [as_operator(x, f"coupling_ops[{i}]") for i, x in enumerate(coupling_ops)]
+        for i, x in enumerate(coupling_ops):
+            if x.shape[0] != h_b.shape[0]:
                 raise ValueError(
                     f"coupling_ops[{i}] dim {x.shape[0]} does not match bath dim "
-                    f"{self.h_b.shape[0]}"
+                    f"{h_b.shape[0]}"
                 )
-        if np.count_nonzero(self.h_b) == np.count_nonzero(self.h_b.diagonal()):
-            # a diagonal H_B (a mode comb's) has the permutation that sorts its
-            # levels for eigenbasis: no eigen-solve, and index gathers where the
-            # dense route multiplies by exact zeros and ones
-            levels = hermitian_diagonal(self.h_b)
-            self._order = np.argsort(levels, kind="stable")
-            self._energies = levels[self._order]
+        if np.count_nonzero(h_b) == np.count_nonzero(h_b.diagonal()):
+            self._set_levels(hermitian_diagonal(h_b),
+                             *_coupling_pattern(coupling_ops, h_b.shape[0]))
         else:
             self._order = None
-            self._energies, self._vectors = hermitian_eigendecomposition(self.h_b)
+            self._h_b, self._coupling_ops = h_b, coupling_ops
+            self._energies, self._vectors = hermitian_eigendecomposition(h_b)
+        self._settle(temperature, broadening)
+
+    @classmethod
+    def _of_levels(cls, levels, temperature: float, rows, cols, values,
+                   broadening: float | None = None) -> FiniteBath:
+        """The bath of H_B = diag(levels) whose X_c are given on their
+        pattern in the user basis, X_c[rows[e], cols[e]] = values[c, e] (no
+        pair twice), refused as the constructor refuses the dense matrices."""
+        if not np.isfinite(levels).all():
+            raise ValueError("h_b contains non-finite entries")
+        temperature = _require_temperature(temperature)
+        for i, v in enumerate(values):
+            if not np.isfinite(v).all():
+                raise ValueError(f"coupling_ops[{i}] contains non-finite entries")
+        bath = object.__new__(cls)
+        bath._set_levels(np.asarray(levels, dtype=float), rows, cols,
+                         np.asarray(values, dtype=complex))
+        bath._settle(temperature, broadening)
+        return bath
+
+    def _set_levels(self, levels, rows, cols, values) -> None:
+        """The diagonal-H_B route from the levels and the user-basis pattern
+        of X: the levels sorted stably, and the pattern's entries that some
+        channel carries moved to the sorted-level basis, in (col, row) order."""
+        self._levels = levels
+        self._order = np.argsort(levels, kind="stable")
+        self._energies = levels[self._order]
+        rank = np.empty_like(self._order)
+        rank[self._order] = np.arange(levels.size)
+        rows, cols = rank[rows], rank[cols]
+        by_col = np.argsort(cols * levels.size + rows)
+        by_col = by_col[values.any(axis=0)[by_col]]  # entries some channel carries
+        self._x_pattern = (rows[by_col], cols[by_col], values.take(by_col, axis=1))
+
+    def _settle(self, temperature: float, broadening: float | None) -> None:
+        """Populations, broadening, sigma_B and X in the eigenbasis, and the
+        transition table."""
+        self.temperature = temperature
         self._populations = _boltzmann_weights(self._energies, self.temperature)
         if broadening is None:
             broadening = default_broadening(self._energies)
         if broadening <= 0:
             raise ValueError(f"broadening must be positive, got {broadening}")
         self.broadening = float(broadening)
+        self._sigma = None  # a diagonal H_B's, built when first asked for
         if self._order is None:
             v = self._vectors
             self._sigma = (v * self._populations) @ v.conj().T
-            self._x_eig = [v.conj().T @ x @ v for x in self.coupling_ops]
-        else:
-            o = self._order
-            self._sigma = np.zeros_like(self.h_b)
-            self._sigma[o, o] = self._populations
-            self._x_eig = [x[np.ix_(o, o)] for x in self.coupling_ops]
-        self._sigma.flags.writeable = False
+            self._sigma.flags.writeable = False
+            self._x_eig = [v.conj().T @ x @ v for x in self._coupling_ops]
         self._tabulate()
         self._unitaries = {}  # _propagator's, by time, least recent first
         self._correlations = None  # estimate_correlation_time's table
 
     @property
     def dim(self) -> int:
-        return self.h_b.shape[0]
+        return self._energies.size
 
     @property
     def channel_count(self) -> int:
-        return len(self.coupling_ops)
+        return len(self._coupling_ops if self._order is None else self._x_pattern[2])
+
+    @property
+    def h_b(self) -> np.ndarray:
+        """H_B in the user basis; for a diagonal H_B built from its levels
+        when asked for, and not kept."""
+        if self._order is None:
+            return self._h_b
+        return np.diag(self._levels).astype(complex)
+
+    @property
+    def coupling_ops(self) -> list[np.ndarray]:
+        """The X_c in the user basis; for a diagonal H_B built from the
+        pattern when asked for, and not kept."""
+        if self._order is None:
+            return self._coupling_ops
+        rows, cols, values = self._x_pattern
+        at = (self._order[rows], self._order[cols])
+        ops = []
+        for v in values:
+            x = np.zeros((self.dim, self.dim), dtype=complex)
+            x[at] = v
+            ops.append(x)
+        return ops
+
+    def _pattern(self):
+        """X on its nonzero pattern in the eigenbasis, (rows, cols, values)
+        with values[c, e] = <rows[e]|X_c|cols[e]>, in (col, row) order: kept
+        for a diagonal H_B, read off _x_eig for a dense one."""
+        if self._order is None:
+            return _coupling_pattern(self._x_eig, self.dim)
+        return self._x_pattern
 
     def _tabulate(self) -> None:
-        """transitions from _x_eig, and _static: per transition, whether its
-        frequency is zero within rounding of its levels."""
-        self.transitions, z, xi = _transitions(self._x_eig, self._energies,
+        """transitions from the pattern of X, and _static: per transition,
+        whether its frequency is zero within rounding of its levels."""
+        self.transitions, z, xi = _transitions(self._pattern(), self._energies,
                                                self._populations)
         levels = np.abs(self._energies)
         if self._order is None:  # a dense eigen-solve rounds like its largest level
@@ -207,7 +285,13 @@ class FiniteBath:
         return np.eye(self.dim, dtype=complex)[:, self._order]
 
     def sigma(self) -> np.ndarray:
-        """The Gibbs density matrix sigma_B (read-only, computed once)."""
+        """The Gibbs density matrix sigma_B (read-only, computed once; for a
+        diagonal H_B when first asked for)."""
+        if self._sigma is None:
+            sigma = np.zeros((self.dim, self.dim), dtype=complex)
+            sigma[self._order, self._order] = self._populations
+            sigma.flags.writeable = False
+            self._sigma = sigma
         return self._sigma
 
     def _propagator(self, t: float) -> np.ndarray:
@@ -221,26 +305,30 @@ class FiniteBath:
                 v = self._vectors
                 u = (v * np.exp(-1j * self._energies * t)) @ v.conj().T
             else:
-                u = np.exp(-1j * self.h_b.diagonal().real * t)
+                u = np.exp(-1j * self._levels * t)
             u.flags.writeable = False
         self._unitaries[t] = u  # most recent last
         if len(self._unitaries) > PROPAGATOR_CACHE:
             del self._unitaries[next(iter(self._unitaries))]
         return u
 
-    def _heisenberg(self, x: np.ndarray, t: float) -> np.ndarray:
-        """X(t) = U^+ X U for U = e^{-i H_B t}, in the user basis; elementwise
-        by the phases of a diagonal H_B."""
+    def _heisenberg(self, channel: int, t: float) -> np.ndarray:
+        """X_c(t) = U^+ X_c U for U = e^{-i H_B t}, in the user basis; for a
+        diagonal H_B, its values on the pattern, each entry times the phases
+        of its two levels."""
         u = self._propagator(t)
         if self._order is None:
-            return u.conj().T @ x @ u
-        return u.conj()[:, None] * x * u
+            return u.conj().T @ self._coupling_ops[channel] @ u
+        rows, cols, values = self._x_pattern
+        u = u[self._order]  # in the sorted-level basis
+        return u.conj()[rows] * values[channel] * u[cols]
 
     def _times_sigma(self, m: np.ndarray) -> np.ndarray:
-        """m sigma_B; elementwise by the populations of a diagonal H_B."""
+        """m sigma_B, for m as _heisenberg gives it; for a diagonal H_B each
+        pattern entry times the population of its column."""
         if self._order is None:
             return m @ self._sigma
-        return m * self._sigma.diagonal()
+        return m * self._populations[self._x_pattern[1]]
 
     def _times_conj_propagator(self, m: np.ndarray, t: float) -> np.ndarray:
         """m conj(e^{-i H_B t}); elementwise by the phases of a diagonal H_B."""
@@ -251,24 +339,46 @@ class FiniteBath:
         """Copy with X_alpha -> X_alpha - shifts[alpha] * 1, same eigenbasis.
 
         A c-number shift leaves H_B, sigma_B and the eigenbasis untouched and
-        moves only the diagonal of each X_alpha in that basis.
+        moves only the diagonal of each X_alpha in that basis (for a diagonal
+        H_B, the diagonal entries of the pattern, added where missing).
         """
-        eye = np.eye(self.dim)
         new = object.__new__(FiniteBath)
         new.__dict__.update(self.__dict__)
-        new.coupling_ops = [x - s * eye for x, s in zip(self.coupling_ops, shifts)]
-        new._x_eig = [x - s * eye for x, s in zip(self._x_eig, shifts)]
+        if self._order is None:
+            eye = np.eye(self.dim)
+            new._coupling_ops = [x - s * eye for x, s in zip(self._coupling_ops, shifts)]
+            new._x_eig = [x - s * eye for x, s in zip(self._x_eig, shifts)]
+        else:
+            rows, cols, values = self._x_pattern
+            d = self.dim
+            key, diagonal = cols * d + rows, np.arange(d) * (d + 1)
+            union = np.union1d(key, diagonal)  # (col, row) order
+            moved = np.zeros((len(values), union.size), dtype=complex)
+            moved[:, np.searchsorted(union, key)] = values
+            moved[:, np.searchsorted(union, diagonal)] -= np.asarray(shifts)[:, None]
+            carried = np.flatnonzero(moved.any(axis=0))
+            cols, rows = np.divmod(union[carried], d)
+            new._x_pattern = (rows, cols, moved.take(carried, axis=1))
         new._tabulate()
         new._correlations = None  # shifted X, other correlations
         return new
 
     def expectation(self, x) -> complex:
         """Tr{X sigma_B} = sum_ij X_ij (sigma_B)_ji, from the cached Gibbs
-        state; sum_i X_ii p_i over the diagonal sigma_B of a diagonal H_B."""
+        state; sum_i X_ii p_i over the levels of a diagonal H_B."""
         x = as_operator(x, "x")
         if self._order is None:
             return complex(np.sum(x * self._sigma.T))
-        return complex(x.diagonal() @ self._sigma.diagonal())
+        return complex(x.diagonal()[self._order] @ self._populations)
+
+    def _coupling_means(self) -> list[complex]:
+        """<X_c>_B for every channel; for a diagonal H_B summed over the
+        diagonal entries of the pattern."""
+        if self._order is None:
+            return [self.expectation(x) for x in self._coupling_ops]
+        rows, cols, values = self._x_pattern
+        on = rows == cols
+        return (values[:, on] @ self._populations[rows[on]]).tolist()
 
     def w_matrix(self, omega: float) -> np.ndarray:
         """W(Omega) over channels, one contraction over the transition table."""
@@ -312,7 +422,7 @@ def center_couplings(bath: FiniteBath, system_ops) -> tuple[FiniteBath, np.ndarr
     """
     system_ops = [as_operator(a, f"system_ops[{i}]") for i, a in enumerate(system_ops)]
     require_channel_count(bath, len(system_ops))
-    means = [bath.expectation(x) for x in bath.coupling_ops]
+    means = bath._coupling_means()
     dim_a = system_ops[0].shape[0] if system_ops else 0
     h_shift = np.zeros((dim_a, dim_a), dtype=complex)
     for mean, a in zip(means, system_ops):
@@ -398,12 +508,13 @@ def two_time_correlation(bath: FiniteBath, alpha: int, beta: int, t1: float, t2:
     """G_ab(t1, t2) = Tr{X_a^dag(t1) X_b(t2) sigma_B} via explicit unitaries.
 
     Deliberately a separate route from correlation_function (Heisenberg
-    operators in the user basis instead of the eigenbasis sum) so
+    operators instead of the sum over the transition table) so
     stationarity can be tested. For a diagonal H_B the unitaries and sigma_B
-    are applied elementwise, skipping only the products with exact zeros.
+    are applied elementwise on the pattern of X, so a call costs its K
+    nonzeros per row, not d_B^2.
     """
-    xa = bath._heisenberg(bath.coupling_ops[alpha], t1)
-    xb = bath._heisenberg(bath.coupling_ops[beta], t2)
+    xa = bath._heisenberg(alpha, t1)
+    xb = bath._heisenberg(beta, t2)
     # Tr{A^+ B} = sum_ij conj(A_ij) B_ij, one product fewer than the trace
     return complex(np.sum(xa.conj() * bath._times_sigma(xb)))
 
@@ -768,13 +879,15 @@ def qubit_mode_bath(modes, temperature: float, broadening: float | None = None) 
         raise ValueError(f"{n_modes} two-level modes would need dim {2**n_modes}")
     dim = 2**n_modes
     # basis state n holds mode k excited where bit n_modes - 1 - k is set
-    # (mode 0 leads, as in a Kronecker chain); H_B sums in mode order
+    # (mode 0 leads, as in a Kronecker chain); H_B sums in mode order, and
+    # X flips one bit: X[n, n ^ bit_k] = g_k
     index = np.arange(dim)
-    energy = np.zeros(dim)
-    x = np.zeros((dim, dim), dtype=complex)
+    levels = np.zeros(dim)
+    flips = []
     for k, (nu, g) in enumerate(modes):
         bit = 1 << (n_modes - 1 - k)
-        energy += nu * ((index & bit) != 0)
-        x[index, index ^ bit] = g
-    h_b = np.diag(energy).astype(complex)
-    return FiniteBath(h_b, temperature, [x], broadening=broadening)
+        levels += nu * ((index & bit) != 0)
+        flips.append(index ^ bit)
+    couplings = np.repeat([g for _, g in modes], dim)
+    return FiniteBath._of_levels(levels, temperature, np.tile(index, n_modes),
+                                 np.concatenate(flips), couplings[None], broadening)

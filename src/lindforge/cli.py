@@ -265,14 +265,13 @@ def _finite_bath_checks(scenario: Scenario, res, bath: FiniteBath) -> list[dict]
     rng = np.random.default_rng(CHECK_SEED + 1)
     psi = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
     psi = psi.reshape(d_a, d_b) / np.linalg.norm(psi)
-    t_probe = 0.37 / max(1.0, _free_hamiltonian_scale(scenario.h_a, bath.h_b))
+    t_probe = 0.37 / max(1.0, _free_hamiltonian_scale(scenario.h_a, bath))
     moved = _rotated_amplitudes(psi, scenario.h_a, bath, t_probe)
     rhs_val = interaction_picture(psi @ psi.conj().T, scenario.h_a, t_probe, "to")
-    h_b = bath.h_b
-    if np.count_nonzero(h_b) == np.count_nonzero(h_b.diagonal()):
-        p = psi * np.exp(1j * h_b.diagonal().real * t_probe)
+    if bath._order is not None:  # a diagonal H_B, read as its levels
+        p = psi * np.exp(1j * bath._levels * t_probe)
     else:
-        p = psi @ matrix_exponential_unitary(h_b, t_probe).conj()
+        p = psi @ matrix_exponential_unitary(bath.h_b, t_probe).conj()
     checks.append(_check("picture-reduction-invariance",
                          max(float(np.abs(moved @ moved.conj().T - rhs_val).max()),
                              _bath_side_defect(moved, p)), 1e-11))
@@ -285,17 +284,24 @@ def _bath_side_defect(m, p) -> float:
     worst = 0.0
     for lo in range(0, m.shape[1], BATH_SIDE_CHUNK):
         cols = slice(lo, lo + BATH_SIDE_CHUNK)
-        gap = m.T @ m[:, cols].conj() - p.T @ p[:, cols].conj()
+        gap = m.T @ m[:, cols].conj()
+        gap -= p.T @ p[:, cols].conj()
         worst = max(worst, float(np.abs(gap).max()))
     return worst
 
 
-def _free_hamiltonian_scale(h_a, h_b) -> float:
-    """Largest |entry| of H_0 = H_A x 1 + 1 x H_B, without forming H_0."""
+def _free_hamiltonian_scale(h_a, bath: FiniteBath) -> float:
+    """Largest |entry| of H_0 = H_A x 1 + 1 x H_B, without forming H_0, nor
+    H_B when it is diagonal (its levels are read instead)."""
     def off_diagonal(m):
         return float(np.abs(m - np.diag(np.diag(m))).max())
-    diagonal = np.abs(np.diag(h_a)[:, None] + np.diag(h_b)[None, :]).max()
-    return max(float(diagonal), off_diagonal(h_a), off_diagonal(h_b))
+    if bath._order is None:
+        h_b = bath.h_b
+        diagonal_b, off_b = np.diag(h_b), off_diagonal(h_b)
+    else:
+        diagonal_b, off_b = bath._levels, 0.0
+    diagonal = np.abs(np.diag(h_a)[:, None] + diagonal_b[None, :]).max()
+    return max(float(diagonal), off_diagonal(h_a), off_b)
 
 
 def _rotated_amplitudes(psi, h_a, bath: FiniteBath, t: float) -> np.ndarray:
@@ -638,6 +644,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except OSError as exc:
         _emit_error("resource", exc)
+        return EXIT_RESOURCE
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        _emit_error("resource", exc if str(exc) else MemoryError("out of memory"))
         return EXIT_RESOURCE
     return EXIT_INPUT
 

@@ -366,7 +366,7 @@ def exact_oracle(h_a, bath: FiniteBath, couplings, rho_a0, times) -> Trajectory:
 
     e_a, u_a = np.linalg.eigh(_real_if_real(hermitian_part(h_a)))
     u_a, a_rot = _real_gauge(u_a, ops)
-    x_rot = [_rounding_dropped(x) for x in bath._x_eig]
+    x_rot = _rounding_dropped_pattern(bath._pattern(), d_b)
     rho_rot = _rounding_dropped(u_a.conj().T @ rho_a0 @ u_a)
     energies = np.add.outer(e_a, bath._energies).ravel()  # at i d_B + k
     layout = _oracle_layout(a_rot, x_rot, d_a, d_b)
@@ -385,7 +385,11 @@ def _rounding_dropped(m: np.ndarray) -> np.ndarray:
     """m, hermitised, with every entry and every imaginary part within
     ROUNDING_ULPS ulps of its largest entry set to zero; real when no
     imaginary part is left."""
-    m = hermitian_part(m)
+    return _drop_rounding(hermitian_part(m))
+
+
+def _drop_rounding(m: np.ndarray) -> np.ndarray:
+    """_rounding_dropped of an array already hermitised."""
     mag = np.abs(m)
     floor = ROUNDING_ULPS * np.finfo(float).eps * mag.max(initial=0.0)
     m = np.where(mag > floor, m, 0.0)
@@ -393,6 +397,27 @@ def _rounding_dropped(m: np.ndarray) -> np.ndarray:
         m.imag[np.abs(m.imag) <= floor] = 0.0
     # a real result is copied out, so the complex buffer is not kept alive
     return m.real.copy() if np.iscomplexobj(m) and not m.imag.any() else m
+
+
+def _rounding_dropped_pattern(pattern, d_b: int):
+    """The X'_c of the rounding rule from X on its nonzero pattern
+    (FiniteBath._pattern), entry by entry as _rounding_dropped forms them
+    from the dense matrices: hermitised on the union of the pattern and its
+    transpose, then dropped per channel. Returns (rows, cols, values) over
+    the entries some channel keeps, in row order; values real when no
+    channel keeps an imaginary part."""
+    rows, cols, values = pattern
+    key, flipped = rows * d_b + cols, cols * d_b + rows
+    union = np.union1d(key, flipped)
+    m = np.zeros((2, len(values), union.size), dtype=complex)
+    m[0][:, np.searchsorted(union, key)] = values
+    m[1][:, np.searchsorted(union, flipped)] = values  # m[1] at (i, j) is X[j, i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept = np.array([_drop_rounding(x) for x in 0.5 * (m[0] + m[1].conj())])
+    kept = kept.reshape(len(values), union.size)
+    live = np.flatnonzero(kept.any(axis=0))
+    rows, cols = np.divmod(union[live], d_b)
+    return rows, cols, kept.take(live, axis=1)
 
 
 def _real_gauge(u_a, ops):
@@ -452,10 +477,11 @@ def _oracle_layout(a_rot, x_rot, d_a: int, d_b: int) -> _OracleLayout:
     follows loops over at most D / ORACLE_BIN bins however many components
     there are."""
     total = d_a * d_b
+    rows, cols, values = x_rot
     src, dst = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    for a, x in zip(a_rot, x_rot):
+    for a, x in zip(a_rot, values):
         i, j = np.nonzero(a)
-        k, l = np.nonzero(x)
+        k, l = rows[x != 0], cols[x != 0]
         src.append((i[:, None] * d_b + k).ravel())
         dst.append((j[:, None] * d_b + l).ravel())
     label = _merge_labels(np.arange(total), np.concatenate(src), np.concatenate(dst))
@@ -479,15 +505,36 @@ def _bin_eigen(layout: _OracleLayout, b: int, a_rot, x_rot, energies, d_b: int,
                dtype) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of bin b from one eigh of its H, built in
     dtype (block diagonal when the bin packs several components); the real
-    solver, and real eigenvectors, for a real H."""
+    solver, and real eigenvectors, for a real H.
+
+    H is written on the coupling pattern: row (i, k) meets column (j, l)
+    where some A'_c[i, j] is nonzero and (k, l) is an entry of the X'
+    pattern (rows, cols, values), and each channel adds A'_c[i, j] X'_c[k, l]
+    in channel order. A dense build adds the same products in the same
+    order, and exact zeros elsewhere, so H has its bits."""
     lo = int(layout.start[b])
     states = layout.order[lo:lo + layout.size[b]]
     i, k = np.divmod(states, d_b)
+    rows, cols, values = x_rot
+    # the pattern entries e on each state's bath row k (rows ascend)
+    first = np.searchsorted(rows, k)
+    count = np.searchsorted(rows, k, side="right") - first
+    p = np.repeat(np.arange(states.size), count)
+    e = np.arange(p.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    # to every system level j that some A'_c[i, j] reaches, within the bin
+    d_a = layout.pos.size // d_b
+    reach = np.zeros((d_a, d_a), dtype=bool)
+    for a in a_rot:
+        reach |= a != 0
+    hit, j = np.nonzero(reach[i[p]])
+    target = j * d_b + cols[e[hit]]
+    inside = layout.bin_of[target] == b
+    p, e, j = p[hit[inside]], e[hit[inside]], j[inside]
+    q, i = layout.pos[target[inside]], i[p]
     h = np.zeros((states.size, states.size), dtype=dtype)
-    for a, x in zip(a_rot, x_rot):  # the A' gather times the X' gather, in place
-        term = a[np.ix_(i, i)].astype(dtype, copy=False)
-        h += np.multiply(term, x[np.ix_(k, k)], out=term)
-        del term  # before the next channel's gathers
+    for a, x in zip(a_rot, values):  # (p, q) is one entry of H per term
+        term = a[i, j].astype(dtype, copy=False)
+        h[p, q] += np.multiply(term, x[e], out=term)
     h[np.diag_indices(states.size)] += energies[states]
     return np.linalg.eigh(_real_if_real(h))
 
@@ -530,7 +577,7 @@ def _reduced_states(layout: _OracleLayout, a_rot, x_rot, energies, rho_rot, pops
     for side in (pairs // n_bins, pairs % n_bins):
         np.maximum.at(last, side, np.arange(pairs.size))
 
-    dtype = np.result_type(*a_rot, *x_rot, float)  # of the blocks' H
+    dtype = np.result_type(*a_rot, x_rot[2], float)  # of the blocks' H
     alive = {}
 
     def bin_data(b):

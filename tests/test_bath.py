@@ -24,7 +24,7 @@ from lindforge import (
     table_bath,
     two_time_correlation,
 )
-from lindforge.bath import _boltzmann_weights, _transitions
+from lindforge.bath import _boltzmann_weights, _coupling_pattern, _transitions
 from lindforge.linalg import as_hermitian, hermitian_diagonal
 
 from _support import (
@@ -561,13 +561,16 @@ def test_transition_table_matches_the_loop_reference(kind):
     rng = np.random.default_rng(405)
     if kind == "comb":  # repeated modes: many transitions share a frequency
         bath = qubit_mode_bath([(1.0, 0.1)] * 3 + [(2.0, -0.05)] * 2, 0.005)
-        x_eig, energies, populations = bath._x_eig, bath._energies, bath._populations
+        energies, populations, pattern = bath._energies, bath._populations, bath._pattern()
+        v = bath._basis  # a permutation: X in the sorted-level basis, exactly
+        x_eig = [v.T @ x @ v for x in bath.coupling_ops]
         assert (populations == 0).any()
     else:  # repeated levels, two sparse channels, some levels unpopulated
         energies = np.sort(np.round(rng.normal(size=12), 1))
         x_eig = [random_hermitian(rng, 12) * (rng.random((12, 12)) < 0.4) for _ in range(2)]
         populations = rng.random(12) * (rng.random(12) < 0.7)
-    (amps, pop, nu), z, xi = _transitions(x_eig, energies, populations)
+        pattern = _coupling_pattern(x_eig, 12)
+    (amps, pop, nu), z, xi = _transitions(pattern, energies, populations)
     (want_amps, want_pop, want_nu), want_z, want_xi = reference_transitions(
         x_eig, energies, populations)
     assert np.array_equal(z, want_z) and np.array_equal(xi, want_xi)
@@ -597,8 +600,9 @@ def test_diagonal_bath_is_the_dense_route_bitwise(kind, d, monkeypatch):
     assert same(bath._energies, w) and same(bath._basis, v)
     assert same(bath._populations, p)
     assert same(bath.sigma(), (v * p) @ v.conj().T)
-    assert all(same(a, b) for a, b in zip(bath._x_eig, x_eig))
-    assert all(same(a, b) for a, b in zip(bath.transitions, _transitions(x_eig, w, p)[0]))
+    pattern = _coupling_pattern(x_eig, d)
+    assert all(same(a, b) for a, b in zip(bath._pattern(), pattern))
+    assert all(same(a, b) for a, b in zip(bath.transitions, _transitions(pattern, w, p)[0]))
 
 
 def _turned(bath, rng):
@@ -645,6 +649,32 @@ def test_degenerate_diagonal_bath_agrees_with_the_dense_route(kind, d):
     states = exact_oracle(np.diag([0.0, 1.0]), bath, couplings, rho0, times).states
     dense_states = exact_oracle(np.diag([0.0, 1.0]), dense, couplings, rho0, times).states
     assert np.abs(states - dense_states).max() < 1e-12
+
+
+def test_eight_mode_comb_agrees_with_the_turned_dense_route():
+    # distinct mode frequencies, d_B = 256: the comb's pattern route (levels,
+    # populations, X on its 8 nonzeros per row) against the same bath turned
+    # so that the dense route diagonalises it and keeps every array
+    rng = np.random.default_rng(399)
+    bath = qubit_mode_bath(list(zip(rng.uniform(0.5, 1.5, 8), rng.uniform(0.02, 0.06, 8))),
+                           0.9, broadening=0.2)
+    dense = _turned(bath, rng)
+    assert bath.dim == 256 and bath._order is not None and dense._order is None
+    for tau in (-0.7, 0.0, 1.3, 9.0):
+        assert abs(correlation_function(bath, 0, 0, tau)
+                   - correlation_function(dense, 0, 0, tau)) < 1e-12
+    for t1, t2 in ((0.0, 0.0), (0.4, 1.7), (2.3, -0.6)):
+        assert abs(two_time_correlation(bath, 0, 0, t1, t2)
+                   - two_time_correlation(dense, 0, 0, t1, t2)) < 1e-12
+    for omega in (-2.0, 0.0, 0.5, 1.0):
+        assert np.abs(bath.w_matrix(omega) - dense.w_matrix(omega)).max() < 1e-12
+    sx = sigma_ops()[0]
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    times = np.linspace(0.0, 12.0, 7)
+    states = exact_oracle(np.diag([0.0, 1.0]), bath, [sx], rho0, times).states
+    dense_states = exact_oracle(np.diag([0.0, 1.0]), dense, [sx], rho0, times).states
+    assert np.abs(states - dense_states).max() < 1e-12
+    assert np.abs(states[-1] - states[0]).max() > 1e-3
 
 
 def test_correlation_table_kept_once_per_bath():

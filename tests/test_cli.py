@@ -578,7 +578,12 @@ def test_free_picture_matches_dense_interaction_picture():
         h_b = random_hermitian(rng, d_b, scale=1.5)
         bath = FiniteBath(h_b, 1.0, [random_hermitian(rng, d_b)], broadening=0.5)
         h0 = np.kron(h_a, np.eye(d_b)) + np.kron(np.eye(d_a), h_b)
-        assert _free_hamiltonian_scale(h_a, h_b) == float(np.abs(h0).max())
+        assert _free_hamiltonian_scale(h_a, bath) == float(np.abs(h0).max())
+        # a diagonal H_B is read as its levels
+        levels = np.diag(np.diag(h_b).real)
+        diagonal = FiniteBath(levels, 1.0, bath.coupling_ops, broadening=0.5)
+        h0_diagonal = np.kron(h_a, np.eye(d_b)) + np.kron(np.eye(d_a), levels)
+        assert _free_hamiltonian_scale(h_a, diagonal) == float(np.abs(h0_diagonal).max())
         psi = crandn(rng, d_a, d_b)
         psi /= np.linalg.norm(psi)
         t = float(rng.uniform(0.1, 2.0))
@@ -625,6 +630,26 @@ def test_battery_forms_no_joint_sized_matrix():
     assert "picture-reduction-invariance" in {c["name"] for c in checks}
     assert all(c["status"] == "pass" for c in checks)
     assert peak < 1024 * 1024 * 16
+
+
+def test_twelve_mode_comb_loads_and_checks_without_dense_bath_arrays():
+    # d_B = 4096: one dense d_B x d_B complex array is 268 MB. The comb keeps
+    # H_B as levels and X on its 12 nonzeros per row, so the load and the
+    # battery stay far below one; the picture check's bath side, compared
+    # BATH_SIDE_CHUNK columns at a time, is the largest piece
+    text = json.dumps(ladder_comb_data(modes=12))
+    tracemalloc.start()
+    try:
+        sc = loads_scenario(text)
+        res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
+                               policy=sc.policy)
+        checks = run_checks(sc, res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sc.bath.dim == 4096
+    assert len(checks) > 0 and all(c["status"] == "pass" for c in checks)
+    assert peak < 64 * 1024 * 1024
 
 
 def test_verify_runs_the_picture_check_past_joint_dimension_1024(tmp_path, capsys):
@@ -923,6 +948,25 @@ def test_failed_eigensolver_is_numerical_error(tmp_path, capsys, monkeypatch,
     assert json.loads(lines[0]) == {"error": {
         "type": "numerical", "message": "Eigenvalues did not converge"}}
     assert not list(tmp_path.glob("*.oracle.csv"))
+
+
+@pytest.mark.parametrize("message, want", [
+    ("Unable to allocate 268. MiB for an array with shape (4096, 4096) and "
+     "data type complex128", None), ("", "out of memory")])
+def test_memory_error_is_resource_error(tmp_path, capsys, monkeypatch, message, want):
+    # an allocation that fails is a resource limit, not a traceback: exit 3
+    # with one JSON error of type "resource" and nothing on stdout
+    def failing_derive(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(lindforge.cli, "derive_generator", failing_derive)
+    path = pathlib.Path(__file__).parent.parent / "demos" / "scenarios" / "weak_coupling_comb.json"
+    code, out, err = run_cli(capsys, "derive", str(path))
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {"type": "resource", "message": want or message}}
 
 
 def test_oracle_rejects_analytic_bath(tmp_path, capsys):

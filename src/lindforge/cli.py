@@ -49,7 +49,7 @@ from .scenario import (
     complex_matrix_to_json,
     load_scenario,
 )
-from .spectral import STACK_CHUNK, bohr_frequencies, eigenbasis_operator
+from .spectral import bohr_frequencies
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -126,25 +126,25 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
     a_scale = _largest([np.abs(a).max() for a in a_ops], 1.0)
     h_scale = _largest(np.abs(h_sys), 1.0)
 
-    # eigenoperator completeness: the pieces sum back to the coupling operator
-    defect = _largest([np.abs(sum(eset.terms.values(), np.zeros_like(a_op)) - a_op).max()
-                       for a_op, eset in zip(a_ops, res.eigenops)], 0.0)
-    checks.append(_check("eigenoperator-completeness", defect, 1e-12 * a_scale))
-
-    # [H, A(w)] = -w A(w), adjoint +w, and [H, A(w)^+ A(w)] = 0, on each
-    # channel's pieces stacked STACK_CHUNK at a time
-    d_minus, d_plus, d_inv = [], [], []
-    for eset in res.eigenops:
-        omegas = np.array(list(eset.terms))[:, None, None]
-        pieces = list(eset.terms.values())
-        for lo in range(0, len(pieces), STACK_CHUNK):
-            ops, w = np.array(pieces[lo:lo + STACK_CHUNK]), omegas[lo:lo + STACK_CHUNK]
+    # on each channel's user-basis pieces, built STACK_CHUNK at a time:
+    # completeness (the pieces sum back to the coupling operator), and
+    # [H, A(w)] = -w A(w), adjoint +w, and [H, A(w)^+ A(w)] = 0
+    complete, d_minus, d_plus, d_inv = [], [], [], []
+    for a_op, eset in zip(a_ops, res.eigenops):
+        total = np.zeros_like(a_op)
+        for omegas, ops in eset.chunks():
+            for piece in ops:
+                total = total + piece
+            w = omegas[:, None, None]
             d_minus.append(_largest(np.abs(h_sys @ ops - ops @ h_sys + w * ops), 0.0))
             ops_dag = ops.conj().transpose(0, 2, 1)
             d_plus.append(_largest(np.abs(h_sys @ ops_dag - ops_dag @ h_sys - w * ops_dag),
                                    0.0))
             prod = ops_dag @ ops
             d_inv.append(_largest(np.abs(h_sys @ prod - prod @ h_sys), 0.0))
+        complete.append(np.abs(total - a_op).max())
+    checks.append(_check("eigenoperator-completeness", _largest(complete, 0.0),
+                         1e-12 * a_scale))
     ctol = 1e-10 * h_scale * a_scale
     checks.append(_check("eigenoperator-commutator", _largest(d_minus, 0.0), ctol))
     checks.append(_check("eigenoperator-adjoint-commutator", _largest(d_plus, 0.0),
@@ -327,22 +327,22 @@ def _sparse_listing(index, values) -> list[dict]:
     ]
 
 
-def _eigenoperator_rows(res, couplings) -> list[list[dict]]:
+def _eigenoperator_rows(res) -> list[list[dict]]:
     """Each dissipator term's eigenoperators V^+ A_c(w) V as sparse rows
     [c, a, b] over the term's Bohr support (bohr_index == label of w), in
     lexicographic order. On that support V^+ A_c(w) V equals V^+ A_c V, so
-    the rows are read off the rotated couplings; a channel whose piece the
-    decomposition dropped as negligible lists zeros, as the generator holds
-    it. The user-basis matrix is V E V^+."""
+    the rows are read off the rotated couplings (EigenOperatorSet.rotated);
+    a channel whose piece the decomposition dropped as negligible lists
+    zeros, as the generator holds it. The user-basis matrix is V E V^+."""
     terms = res.generator.dissipator_terms
     if not terms:
         return []
     spectrum = res.spectrum
     dim = spectrum.dim
-    e = np.array([eigenbasis_operator(a, spectrum) for a in couplings]).ravel()
+    e = np.array([eset.rotated for eset in res.eigenops]).ravel()
     # row c d^2 + a d + b of every channel; a stable sort by Bohr label keeps
     # (c, a, b) lexicographic within each label
-    label = np.tile(spectrum.bohr_index.ravel(), len(couplings))
+    label = np.tile(spectrum.bohr_index.ravel(), len(res.eigenops))
     order = np.argsort(label, kind="stable")
     term_labels = np.searchsorted(spectrum.bohr_set.values, [t.omega for t in terms])
     rows = order[np.isin(label[order], term_labels)]
@@ -392,7 +392,7 @@ def build_report(scenario: Scenario, scenario_name: str):
             "eigenoperators": rows,
         }
         for t, rows in zip(g.dissipator_terms,
-                           _eigenoperator_rows(res, scenario.couplings))
+                           _eigenoperator_rows(res))
     ]
 
     rt = res.rate_tensors

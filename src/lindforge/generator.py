@@ -1,14 +1,15 @@
 """Master-equation generators in standard form, plus rate tensors and Pauli reduction.
 
-Both modes build one contracted standard form
+Both modes define one contracted standard form
 
     d rho / dt = -i [h_eff, rho] + G rho + rho G^+ + sum_p L_p rho R_p
 
-with the sandwich factors stored as stacked (P, d, d) arrays. The mode
-enters only as data: a k x k coefficient matrix C(W) per transition
-frequency W and an optional window F(W' - W). Stack the eigenoperators as
-A[W, a], let C act on the channel index at each W and F on the frequency
-index, (F Y)[W'] = sum_W F(W' - W) Y[W]; then
+whose sandwich factors Generator.pieces stacks as dense (P, d, d) arrays,
+the form presecular and hand-built generators apply. The mode enters only
+as data: a k x k coefficient matrix C(W) per transition frequency W and an
+optional window F(W' - W). Stack the eigenoperators as A[W, a], let C act
+on the channel index at each W and F on the frequency index,
+(F Y)[W'] = sum_W F(W' - W) Y[W]; then
 
     M = F (C A),   L = M + C^+ (F A),   R = A^+,   G = -sum A^+ M.
 
@@ -23,14 +24,26 @@ SecularPolicy and C = W = Gamma/2 + i Delta, so its frequency shift sits
 inside G and h_eff is the bare system hamiltonian; as dt grows it tends to
 the secular generator.
 
-In the energy eigenbasis the secular generator couples two coherences only
-when their gaps snap to the same Bohr frequency, so it splits into one block
-per Bohr frequency, built from the rate tensors (build_bohr_blocks).
+A secular generator from derive_generator forms no pieces to apply itself.
+In the energy eigenbasis each A_c(W) is the rotated coupling A'_c = V^+ A_c V
+on the gaps Spectrum.bohr_index labels W, so with rho' = V^+ rho V
+
+    rhs(rho) = V [K' rho' + rho' K'^+ + S(rho')] V^+,
+
+S the sandwich summed over the gap pairs that share a label and
+K' = -i diag(w) - sum_W sum_ab W_ab(W) A'_a(W)^+ A'_b(W) (Generator.support,
+one list of entries on the eigenbasis, which its dense superoperator is
+also built from). Such a generator forms its pieces only when they are read.
+
+The secular generator couples two coherences only when their gaps snap to
+the same Bohr frequency, so it also splits into one block per Bohr
+frequency, built from the rate tensors instead (build_bohr_blocks).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,12 +52,18 @@ import numpy as np
 from .bath import delta_matrix, gamma_matrix, require_channel_count
 from .linalg import MAX_TENSOR_DIM, DimensionError, as_hermitian, as_operator, hermitian_part
 from .spectral import (
+    STACK_CHUNK,
     EigenOperatorSet,
     Spectrum,
     bohr_frequencies,
-    eigenbasis_operator,
     eigenoperator_decomposition,
 )
+
+
+# at this dimension and below a support-form rhs applies its dense d^2 x d^2
+# user-basis matrix: one product over at most 4096 entries costs less than
+# the four rotations, gather and scatter of the list
+DENSE_RHS_DIM = 8
 
 
 def coarse_graining_f(x, dt: float):
@@ -78,13 +97,15 @@ class DissipatorTerm:
     """One transition frequency's worth of dissipator data.
 
     ops[a] is the eigenoperator A_a(omega) for channel a (zero matrix when the
-    channel has no weight at this frequency). gamma is the k x k rate matrix
-    Gamma(omega), delta the matching frequency-shift matrix Delta(omega).
+    channel has no weight at this frequency): a tuple for a hand-built term,
+    and for a derived one a sequence that builds each matrix when it is read.
+    gamma is the k x k rate matrix Gamma(omega), delta the matching
+    frequency-shift matrix Delta(omega).
     """
 
     omega: float
     gamma: np.ndarray
-    ops: tuple[np.ndarray, ...]
+    ops: Sequence[np.ndarray]
     delta: np.ndarray | None = None
 
     @property
@@ -103,9 +124,11 @@ class Generator:
     """Right-hand side of the master equation d rho / dt = rhs(rho).
 
     policy None makes it secular; a presecular generator holds the
-    SecularPolicy whose window weights its cross-frequency terms. A secular
-    generator from derive_generator also carries the Spectrum and
-    RateTensors it was derived with, for bohr_blocks.
+    SecularPolicy whose window weights its cross-frequency terms. A
+    generator from derive_generator also carries the Spectrum and the
+    eigenoperators it was derived with, which its pieces are built from; a
+    secular one also carries its RateTensors, and applies itself on its
+    support form, with bohr_blocks from the Spectrum and RateTensors.
     """
 
     h_eff: np.ndarray
@@ -114,6 +137,8 @@ class Generator:
     policy: SecularPolicy | None = None
     spectrum: Spectrum | None = field(default=None, compare=False, repr=False)
     rate_tensors: RateTensors | None = field(default=None, compare=False, repr=False)
+    eigenops: tuple[EigenOperatorSet, ...] | None = field(default=None, compare=False,
+                                                          repr=False)
 
     @property
     def dim(self) -> int:
@@ -131,7 +156,9 @@ class Generator:
 
     @cached_property
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Contracted standard form (G, L, R), built once per generator.
+        """Contracted standard form (G, L, R), built once per generator
+        when it is first read; rhs_function and generator_superoperator_matrix
+        read it for a generator without a support form.
 
         G is d x d; L and R are (P, d, d) stacks of the sandwich factors, with
         pairs that vanish identically dropped. R is C-contiguous; L is a view
@@ -145,7 +172,7 @@ class Generator:
             return np.zeros((dim, dim), dtype=complex), empty, empty
         rates, window = self._coefficients()
         # M = F (C A): channels first, then the window over the source frequency
-        a, m = _channel_contraction(terms, rates, terms[0].channel_count, dim)
+        a, m = _channel_contraction(terms, rates, self._eigenoperator_stack())
         m = _windowed(window, m)
         # the mirror pairs fold into L = M + C^+ (F A); with no window and C
         # exactly hermitian (a secular C = Gamma/2) that term is M itself
@@ -171,6 +198,32 @@ class Generator:
         left_rows = m[keep[None, :, None], cols[:, None, None], cols]
         return big_g, left_rows.transpose(1, 0, 2), right
 
+    def _eigenoperator_stack(self) -> np.ndarray:
+        """The (N, k, d, d) stack of A_c(W) over the terms: for a derived
+        generator each channel's kept pieces, STACK_CHUNK per stacked
+        product, placed at their terms (zero elsewhere); otherwise the
+        terms' ops."""
+        terms = self.dissipator_terms
+        if self.eigenops is None:
+            return np.array([tuple(t.ops) for t in terms], dtype=complex)
+        term_labels = np.searchsorted(self.spectrum.bohr_set.values, [t.omega for t in terms])
+        stack = np.zeros((len(terms), len(self.eigenops), self.dim, self.dim), dtype=complex)
+        for c, eset in enumerate(self.eigenops):
+            rows = np.searchsorted(term_labels, eset.labels)
+            for lo, (_, ops) in zip(range(0, rows.size, STACK_CHUNK), eset.chunks()):
+                stack[rows[lo:lo + STACK_CHUNK], c] = ops
+        return stack
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(rows, cols, values) of the secular generator on the energy
+        eigenbasis, built once by _support_entries for every secular
+        generator from derive_generator; None for presecular and hand-built
+        ones."""
+        if self.policy is not None or self.eigenops is None:
+            return None
+        return _support_entries(self.spectrum, self.eigenops, self.dissipator_terms)
+
     @cached_property
     def bohr_blocks(self) -> BohrBlocks | None:
         """The generator as its blocks on the energy eigenbasis, built once
@@ -182,12 +235,14 @@ class Generator:
         return build_bohr_blocks(self.spectrum, self.rate_tensors, h_eig)
 
 
-def _channel_contraction(terms, rates, n_ch: int, dim: int):
-    """Stack the eigenoperators as A[W, a] and contract them over the source
-    channel with the (N, k, k) stack rates of C(W), one per term:
-    M[W, a] = sum_b C_ab(W) A_b(W). Returns A and M as (N k, d, d) stacks."""
-    ops = np.array([t.ops for t in terms], dtype=complex).reshape(-1, n_ch, dim * dim)
-    return ops.reshape(-1, dim, dim), (rates @ ops).reshape(-1, dim, dim)
+def _channel_contraction(terms, rates, ops: np.ndarray):
+    """Contract the (N, k, d, d) stack ops of the terms' eigenoperators
+    A[W, a] over the source channel with the (N, k, k) stack rates of C(W),
+    one per term: M[W, a] = sum_b C_ab(W) A_b(W). Returns A and M as
+    (N k, d, d) stacks."""
+    n_terms, n_ch, dim, _ = ops.shape
+    flat = ops.reshape(n_terms, n_ch, dim * dim)
+    return ops.reshape(-1, dim, dim), (rates @ flat).reshape(-1, dim, dim)
 
 
 def _windowed(window, stack: np.ndarray) -> np.ndarray:
@@ -203,32 +258,49 @@ def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(dim, n_p * dim) @ y.reshape(n_p * dim, dim)
 
 
+class _TermOps(Sequence):
+    """The eigenoperators A_c(omega) of one derived term, one per channel,
+    each built when it is read: the zero matrix for a channel whose piece
+    at omega the decomposition dropped."""
+
+    def __init__(self, eigenops, omega: float):
+        self._eigenops = eigenops
+        self._omega = omega
+
+    def __len__(self) -> int:
+        return len(self._eigenops)
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return tuple(self[i] for i in range(len(self))[c])
+        eset = self._eigenops[c]
+        if self._omega in eset.terms:
+            return eset.terms[self._omega]
+        return np.zeros((eset.spectrum.dim,) * 2, dtype=complex)
+
+
 def _collect_terms(spectrum, eigenops, bath, gammas, deltas):
-    """Shared preamble of the two builders: channel-aligned eigenoperators
-    grouped by transition frequency, with Gamma and Delta read from the
-    tables gammas and deltas (aligned with bohr_frequencies(spectrum))."""
+    """Shared preamble of the two builders: one term per Bohr frequency
+    where some channel keeps a piece, its eigenoperators built on demand,
+    with Gamma and Delta read from the tables gammas and deltas (aligned
+    with bohr_frequencies(spectrum))."""
     if not eigenops:
         raise ValueError("need at least one coupling channel")
     require_channel_count(bath, len(eigenops))
     dim = spectrum.dim
     for ch, eset in enumerate(eigenops):
-        for op in eset.terms.values():
-            if op.shape != (dim, dim):
-                raise ValueError(
-                    f"channel {ch} eigenoperator has shape {op.shape}, "
-                    f"expected {(dim, dim)}"
-                )
+        if eset.rotated.shape != (dim, dim):
+            raise ValueError(
+                f"channel {ch} eigenoperator has shape {eset.rotated.shape}, "
+                f"expected {(dim, dim)}"
+            )
+        if eset.spectrum is not spectrum:
+            raise ValueError(f"channel {ch} eigenoperators belong to another spectrum")
 
-    row = {w: i for i, w in enumerate(bohr_frequencies(spectrum).values.tolist())}
-    omegas = sorted({w for eset in eigenops for w in eset.terms})
-    zero = np.zeros((dim, dim), dtype=complex)
-    terms = []
-    for w in omegas:
-        ops = tuple(
-            np.asarray(eset.terms.get(w, zero), dtype=complex) for eset in eigenops
-        )
-        terms.append(DissipatorTerm(w, gammas[row[w]], ops, deltas[row[w]]))
-    return terms
+    labels = np.unique(np.concatenate([eset.labels for eset in eigenops]))
+    omegas = bohr_frequencies(spectrum).values[labels].tolist()
+    return [DissipatorTerm(w, gammas[row], _TermOps(eigenops, w), deltas[row])
+            for w, row in zip(omegas, labels.tolist())]
 
 
 def build_standard_form(spectrum, eigenops, bath, gammas, deltas,
@@ -251,7 +323,7 @@ def build_standard_form(spectrum, eigenops, bath, gammas, deltas,
         raise ValueError("Delta: the effective hamiltonian H_A + h_ls overflows")
 
     return Generator(h_eff=h_eff, dissipator_terms=tuple(terms), h_ls=h_ls,
-                     spectrum=spectrum, rate_tensors=rate_tensors)
+                     spectrum=spectrum, rate_tensors=rate_tensors, eigenops=tuple(eigenops))
 
 
 def build_presecular(spectrum, eigenops, bath, gammas, deltas,
@@ -264,11 +336,17 @@ def build_presecular(spectrum, eigenops, bath, gammas, deltas,
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas, deltas)
     return Generator(h_eff=spectrum.hamiltonian, dissipator_terms=tuple(terms),
-                     policy=policy)
+                     policy=policy, spectrum=spectrum, eigenops=tuple(eigenops))
 
 
 def rhs_function(g: Generator):
-    """Return rhs(rho) as a reusable closure over the contracted pieces."""
+    """Return rhs(rho) as a reusable closure: on the support form for a
+    secular generator from derive_generator, over the contracted pieces
+    otherwise."""
+    if g.support is not None:
+        if g.dim <= DENSE_RHS_DIM:
+            return _dense_rhs(_support_superoperator(g.spectrum.basis, *g.support))
+        return _support_rhs(g.spectrum.basis, *g.support)
     big_g, left, right = g.pieces
     # -i [H, rho] + G rho + rho G^+ = K rho + rho K^+ with K = G - i H
     k_op = big_g - 1j * g.h_eff
@@ -286,13 +364,58 @@ def rhs_function(g: Generator):
     return rhs
 
 
+def _support_rhs(v, rows, cols, vals):
+    """rhs(rho) = V out V^+ with out_r = sum over the entries (r, c, x) of
+    x rho'_c, rho' = V^+ rho V, flat indices in column stacking.
+
+    The row-major (V^+ rho V)^T = V^T rho^T conj(V) is rho' column-stacked,
+    and one real bincount sums the real and imaginary parts of the entries
+    into the interleaved parts of out."""
+    dim = v.shape[0]
+    v_t, v_conj, v_dag = v.T, v.conj(), v.conj().T
+    parts = (2 * rows[:, None] + np.arange(2)).ravel()
+    size = 2 * dim * dim
+
+    def rhs(rho):
+        rho_t = v_t @ np.asarray(rho, dtype=complex).T @ v_conj
+        flow = (vals * rho_t.ravel()[cols]).view(float)
+        out_t = np.bincount(parts, flow, size).view(complex).reshape(dim, dim)
+        return v @ out_t.T @ v_dag
+
+    return rhs
+
+
+def _dense_rhs(mat: np.ndarray):
+    """rhs(rho) = unvec(mat vec(rho)), column stacking, one matrix-vector
+    product."""
+    dim = math.isqrt(mat.shape[0])
+
+    def rhs(rho):
+        y = mat @ np.asarray(rho, dtype=complex).ravel(order="F")
+        return y.reshape(dim, dim, order="F")
+
+    return rhs
+
+
+def _support_superoperator(v, rows, cols, vals) -> np.ndarray:
+    """The d^2 x d^2 column-stacking matrix of the support form in the user
+    basis: the entries summed into the eigenbasis matrix M, then
+    (conj(V) x V) M (V^T x V^+), since vec(V X V^+) = (conj(V) x V) vec(X)."""
+    dim = v.shape[0]
+    mat = np.zeros(dim ** 4, dtype=complex)
+    np.add.at(mat, rows * (dim * dim) + cols, vals)
+    rot = np.kron(v.conj(), v)
+    return rot @ mat.reshape(dim * dim, dim * dim) @ rot.conj().T
+
+
 def apply_rhs(g: Generator, rho) -> np.ndarray:
     """One-shot rhs evaluation; use rhs_function for repeated calls."""
     return rhs_function(g)(rho)
 
 
 def generator_superoperator_matrix(g: Generator) -> np.ndarray:
-    """Dense d^2 x d^2 matrix of the generator in column-stacking convention.
+    """Dense d^2 x d^2 matrix of the generator in column-stacking convention,
+    from its support form when it has one and from its pieces otherwise.
 
     Raises DimensionError before allocating when d^2 exceeds MAX_TENSOR_DIM.
     """
@@ -302,6 +425,8 @@ def generator_superoperator_matrix(g: Generator) -> np.ndarray:
             f"superoperator would be {dim * dim}x{dim * dim}, "
             f"cap is {MAX_TENSOR_DIM}"
         )
+    if g.support is not None:
+        return _support_superoperator(g.spectrum.basis, *g.support)
     big_g, left, right = g.pieces
     k_op = big_g - 1j * g.h_eff
     eye = np.eye(dim, dtype=complex)
@@ -355,7 +480,7 @@ def _secular_support(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size of the generator block the label makes.
     """
     sizes = np.bincount(label)
-    if sizes.max() > MAX_TENSOR_DIM:
+    if sizes.max(initial=0) > MAX_TENSOR_DIM:
         raise DimensionError(
             f"{sizes.max()} eigenbasis gaps share one Bohr frequency; their "
             f"secular block would be {sizes.max()}x{sizes.max()}, "
@@ -369,18 +494,18 @@ def _secular_support(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, order[start[p] + offset]
 
 
-def build_rate_tensors(spectrum: Spectrum, system_ops, gammas, deltas) -> RateTensors:
+def build_rate_tensors(spectrum: Spectrum, rotated, gammas, deltas) -> RateTensors:
     """Gain tensor K(a m, b n) = sum_cx A_c[a, m] Gamma_xc(w) A_x[b, n]^*,
     escape matrix kappa and Lamb shift on the secular support.
 
-    system_ops: the coupling operators, one per channel, in the user basis.
-    gammas, deltas: (n, k, k) stacks of Gamma(w), Delta(w) over w in
-    bohr_frequencies(spectrum). A gain tensor, escape matrix or Lamb shift
-    that overflows raises ValueError, naming Gamma or Delta.
+    rotated: the coupling operators in the energy eigenbasis, V^+ A_c V,
+    one per channel (EigenOperatorSet.rotated). gammas, deltas: (n, k, k)
+    stacks of Gamma(w), Delta(w) over w in bohr_frequencies(spectrum). A
+    gain tensor, escape matrix or Lamb shift that overflows raises
+    ValueError, naming Gamma or Delta.
     """
     dim = spectrum.dim
-    e = np.array([eigenbasis_operator(a, spectrum)
-                  for a in system_ops]).reshape(len(system_ops), dim * dim)
+    e = np.array(rotated).reshape(len(rotated), dim * dim)
     label = spectrum.bohr_index.ravel()  # flat gap index a d + m -> Bohr index
     p, q = _secular_support(label)
     a, m = np.divmod(p, dim)
@@ -496,28 +621,80 @@ def pauli_equations(rate_tensors: RateTensors, spectrum: Spectrum) -> PauliReduc
     )
 
 
-def _eigenbasis_entries(rate_tensors: RateTensors, h_eig: np.ndarray):
-    """(row, col, value) entries of the secular generator in the energy
+def _eigenbasis_entries(k_vals, index, left, right):
+    """(row, col, value) entries of a secular generator in the energy
     eigenbasis, with rho_ab at flat index a + d b (column stacking):
 
-        d rho_ab = sum_(m n supported) K(a m, b n) rho_mn
-                   + (X rho + rho X^+)_ab,   X = -1/2 kappa^T - i h_eig
+        d rho_ab = sum_s k_vals[s] rho_mn + (X rho + rho Y)_ab
 
-    h_eig = 0 leaves the dissipator alone. The K scatter and the X terms
-    can meet on one (row, col), so entries are to be summed, not assigned.
+    for the quadruples index[s] = (a, m, b, n), with X = left and Y = right
+    (d x d). The scatter and the X and Y terms can meet on one (row, col),
+    so entries are to be summed, not assigned.
     """
-    kap = rate_tensors.kappa
-    dim = kap.shape[0]
-    a, m, b, n = rate_tensors.index.T
-    left = -0.5 * kap.T - 1j * h_eig  # X
-    right = -0.5 * kap.T + 1j * h_eig  # X^+, kappa being hermitian
-    # (X rho)_ic gets X[i, j] rho_jc and (rho X^+)_ci gets rho_cj X^+[j, i]
+    dim = left.shape[0]
+    a, m, b, n = index
+    # (X rho)_ic gets X[i, j] rho_jc and (rho Y)_ci gets rho_cj Y[j, i]
     i, j = np.nonzero((left != 0) | (right.T != 0))
     c = np.arange(dim)
     rows = (a + dim * b, (i[:, None] + dim * c).ravel(), (c + dim * i[:, None]).ravel())
     cols = (m + dim * n, (j[:, None] + dim * c).ravel(), (c + dim * j[:, None]).ravel())
-    vals = (rate_tensors.K, np.repeat(left[i, j], dim), np.repeat(right[j, i], dim))
+    vals = (k_vals, np.repeat(left[i, j], dim), np.repeat(right[j, i], dim))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _kernel_entries(rate_tensors: RateTensors, h_eig: np.ndarray):
+    """_eigenbasis_entries of the rate tensors with X = -1/2 kappa^T - i h_eig
+    and Y = X^+, kappa being hermitian: d rho_ab gains
+    sum_(m n supported) K(a m, b n) rho_mn. h_eig = 0 leaves the dissipator
+    alone."""
+    kap_t = rate_tensors.kappa.T
+    return _eigenbasis_entries(rate_tensors.K, rate_tensors.index.T,
+                               -0.5 * kap_t - 1j * h_eig, -0.5 * kap_t + 1j * h_eig)
+
+
+def _support_entries(spectrum: Spectrum, eigenops, terms):
+    """_eigenbasis_entries of the secular generator, built from the rotated
+    couplings A'_c (EigenOperatorSet.rotated) and the coefficients of the
+    terms, not from RateTensors:
+
+        S(rho)_ab = sum 2 C_xc(w) A'_c[a, m] A'_x[b, n]^* rho_mn,
+
+    C = Gamma/2, over the gap pairs (a m), (b n) that snap to one Bohr
+    frequency w, with the entries of a channel's dropped pieces zero; and
+    X = K' = -i diag(w_a) - sum_w sum_xc W_xc(w) A'_x(w)^+ A'_c(w),
+    W = Gamma/2 + i Delta, read off the pairs with a = b, and Y = K'^+.
+    Gaps where every channel is zero are let go before pairing, so the
+    sandwich costs the couplings' nonzeros.
+    """
+    dim, values = spectrum.dim, spectrum.bohr_set.values
+    n_ch = len(eigenops)
+    label = spectrum.bohr_index.ravel()  # flat gap index a d + m -> Bohr label
+    kept = np.zeros((n_ch, values.size), dtype=bool)
+    for c, eset in enumerate(eigenops):
+        kept[c, eset.labels] = True
+    e = np.where(kept[:, label], np.reshape([eset.rotated for eset in eigenops], (n_ch, -1)),
+                 0.0)
+    gaps = np.flatnonzero(e.any(axis=0))
+    e, label = e[:, gaps], label[gaps]
+    s, t = _secular_support(label)
+    a, m = np.divmod(gaps[s], dim)
+    b, n = np.divmod(gaps[t], dim)
+    # 2 C(w) = Gamma(w) and W(w) per Bohr label, zero where no term sits (a
+    # derived term carries its Delta)
+    coef = np.zeros((values.size, 2, n_ch, n_ch), dtype=complex)
+    if terms:
+        at = np.searchsorted(values, [term.omega for term in terms])
+        gamma = np.array([term.gamma for term in terms])
+        coef[at, 0] = gamma
+        coef[at, 1] = 0.5 * gamma + 1j * np.array([term.delta for term in terms])
+    esc = a == b
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.einsum("cp,pyxc->pyx", e, coef[label])  # sum_c 2 C_xc A'_c, sum_c W_xc A'_c
+        sandwich = np.einsum("sx,xs->s", u[s, 0], e[:, t].conj())
+        k_op = np.diag(-1j * spectrum.frequencies)
+        np.add.at(k_op, (n[esc], m[esc]),
+                  -np.einsum("sx,xs->s", u[s[esc], 1], e[:, t[esc]].conj()))
+    return _eigenbasis_entries(sandwich, (a, m, b, n), k_op, k_op.conj().T)
 
 
 def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
@@ -533,7 +710,7 @@ def kernel_superoperator_matrix(rate_tensors: RateTensors) -> np.ndarray:
     the standard-form dissipator rotated to the eigenbasis.
     """
     dim = rate_tensors.kappa.shape[0]
-    rows, cols, vals = _eigenbasis_entries(rate_tensors, np.zeros((dim, dim)))
+    rows, cols, vals = _kernel_entries(rate_tensors, np.zeros((dim, dim)))
     mat = np.zeros((dim * dim, dim * dim), dtype=complex)
     np.add.at(mat, (rows, cols), vals)
     return mat
@@ -585,7 +762,7 @@ def build_bohr_blocks(spectrum: Spectrum, rate_tensors: RateTensors,
     largest block exceeds MAX_TENSOR_DIM.
     """
     dim = spectrum.dim
-    rows, cols, vals = _eigenbasis_entries(rate_tensors, h_eig)
+    rows, cols, vals = _kernel_entries(rate_tensors, h_eig)
 
     block = spectrum.bohr_index.ravel(order="F")  # label of rho_ab at a + d b
     cross = block[rows] != block[cols]
@@ -710,7 +887,7 @@ def derive_generator(
     # table bath that misses a Bohr frequency is rejected here
     omegas = bohr_frequencies(spectrum).values
     gammas, deltas = gamma_matrix(bath, omegas), delta_matrix(bath, omegas)
-    rt = build_rate_tensors(spectrum, ops, gammas, deltas)
+    rt = build_rate_tensors(spectrum, [eset.rotated for eset in eigenops], gammas, deltas)
     if policy is None:
         gen = build_standard_form(spectrum, eigenops, bath, gammas, deltas, rt)
     else:

@@ -9,6 +9,7 @@ Omega. These satisfy [H_A, A(Omega)] = -Omega A(Omega) and sum back to A.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,14 +94,68 @@ class BohrFrequencySet:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenOperatorSet:
-    """Map Omega -> A_alpha(Omega) for one coupling channel, user basis."""
+    """One coupling channel's eigenoperators A(Omega), kept on their Bohr
+    supports.
 
-    terms: dict[float, np.ndarray]
+    rotated is the coupling in the energy eigenbasis, A' = V^+ A V, read-only;
+    labels lists, ascending, the Bohr frequencies (indices into
+    spectrum.bohr_set.values) where it holds a piece that is not negligible.
+    In the eigenbasis A(Omega) is A' on the gaps spectrum.bohr_index labels
+    Omega and zero elsewhere, so no user-basis piece is stored: terms maps
+    Omega -> A(Omega) in the user basis and builds each value when it is read,
+    and chunks yields them stacked.
+    """
+
+    rotated: np.ndarray
+    spectrum: Spectrum = field(repr=False)
+    labels: np.ndarray
 
     def omegas(self) -> list[float]:
-        return sorted(self.terms.keys())
+        return self.spectrum.bohr_set.values[self.labels].tolist()
+
+    @cached_property
+    def terms(self) -> EigenOperatorTerms:
+        """Omega -> A(Omega), user basis, built on each read."""
+        return EigenOperatorTerms(self)
+
+    def pieces(self, labels) -> np.ndarray:
+        """The user-basis pieces V (A' on the gaps labelled l) V^+ for each
+        label l in labels, as one (n, d, d) stack from one stacked product."""
+        v = self.spectrum.basis
+        masked = self.rotated * (self.spectrum.bohr_index == np.asarray(labels)[:, None, None])
+        return (v @ masked) @ v.conj().T
+
+    def chunks(self, size: int = STACK_CHUNK):
+        """(omegas, pieces) for the kept labels, ascending, size at a time:
+        omegas (n,) and the (n, d, d) stack of their user-basis pieces."""
+        values = self.spectrum.bohr_set.values
+        for lo in range(0, self.labels.size, size):
+            labels = self.labels[lo:lo + size]
+            yield values[labels], self.pieces(labels)
+
+
+class EigenOperatorTerms(Mapping):
+    """The read-only map Omega -> A(Omega) of an EigenOperatorSet, over its
+    kept Bohr frequencies in ascending order. Each value is built when it
+    is read and is not stored; membership and iteration build none."""
+
+    def __init__(self, eset: EigenOperatorSet):
+        self._eset = eset
+        self._label = dict(zip(eset.omegas(), eset.labels.tolist()))
+
+    def __getitem__(self, omega) -> np.ndarray:
+        return self._eset.pieces([self._label[omega]])[0].copy()
+
+    def __contains__(self, omega) -> bool:
+        return omega in self._label
+
+    def __iter__(self):
+        return iter(self._label)
+
+    def __len__(self) -> int:
+        return len(self._label)
 
 
 def build_spectrum(h_a, degeneracy_tol: float | None = None) -> Spectrum:
@@ -171,21 +226,12 @@ def eigenoperator_decomposition(a_op, s: Spectrum) -> EigenOperatorSet:
 
     Every matrix element is assigned to its nearest Bohr frequency, so the
     pieces always sum back to a_op exactly; near-zero pieces (all entries below
-    1e-14) are dropped. The kept pieces are masked out of the rotated a_op and
-    rotated back STACK_CHUNK at a time, one stacked product per chunk. Each
-    piece is kept as its own d x d array: small blocks reuse memory that
-    earlier work freed, where one (n, d, d) block of all pieces (5 MB at
-    d = 24) raised the peak resident size of a benchmark pass by as much.
+    1e-14) are dropped. Only the rotated a_op and the kept labels are stored:
+    the pieces are built when they are read (EigenOperatorSet).
     """
     a_eig = eigenbasis_operator(a_op, s)
-    label = s.bohr_index
     peak = np.zeros(s.bohr_set.values.size)
-    np.maximum.at(peak, label.ravel(), np.abs(a_eig).ravel())
-    kept = np.flatnonzero(peak >= NEGLIGIBLE_ENTRY)
-    v = s.basis
-    v_dag = v.conj().T
-    rotated = []
-    for lo in range(0, kept.size, STACK_CHUNK):
-        pieces = a_eig * (label == kept[lo:lo + STACK_CHUNK, None, None])
-        rotated.extend(piece.copy() for piece in (v @ pieces) @ v_dag)
-    return EigenOperatorSet(terms=dict(zip(s.bohr_set.values[kept].tolist(), rotated)))
+    np.maximum.at(peak, s.bohr_index.ravel(), np.abs(a_eig).ravel())
+    a_eig.flags.writeable = False
+    return EigenOperatorSet(rotated=a_eig, spectrum=s,
+                            labels=np.flatnonzero(peak >= NEGLIGIBLE_ENTRY))

@@ -56,6 +56,23 @@ def rate_table_bath(spec, n_channels, rng):
     return table_bath(entries)
 
 
+def generic_scenario_data(dim, multiplet=1, seed=3):
+    """A scenario document with dim levels uniform on [0, 10] (seed 3), in
+    runs of multiplet equal levels, one random hermitian coupling, a
+    flat-thermal bath and 11 samples. Its Bohr frequencies number about
+    (dim / multiplet)^2."""
+    rng = np.random.default_rng(seed)
+    levels = np.repeat(np.sort(rng.uniform(0.0, 10.0, dim // multiplet)), multiplet)
+    a = random_hermitian(rng, dim)
+    return {
+        "system": {"eigenvalues": levels.tolist()},
+        "bath": {"kind": "flat-thermal", "gamma": 0.05, "temperature": 1.0},
+        "couplings": [{"A": [[[float(x.real), float(x.imag)] for x in row] for row in a]}],
+        "initial_state": "ground",
+        "times": {"t_max": 10.0, "samples": 11},
+    }
+
+
 def record_eigh(monkeypatch, key=lambda m: np.shape(m)[0]):
     """Wrap np.linalg.eigh; returns the list of key(matrix) per call."""
     seen = []
@@ -69,9 +86,9 @@ def record_eigh(monkeypatch, key=lambda m: np.shape(m)[0]):
     return seen
 
 
-def reference_pieces(g):
-    """Term-by-term expansion of a generator, the reference for its contracted
-    pieces: returns (G, [(L, R), ...]) with
+def _reference_expansion(g):
+    """Term-by-term expansion of a generator, the reference for its
+    contracted pieces and its support form: yields (c, A_b(W), A_a(W')) for
 
         rhs(rho) = -i [h_eff, rho] + G rho + rho G^+ + sum L rho R.
 
@@ -86,39 +103,45 @@ def reference_pieces(g):
     """
     from lindforge import coarse_graining_f
 
-    dim = g.dim
-    big_g = np.zeros((dim, dim), dtype=complex)
+    terms = g.dissipator_terms
+    if g.policy is None:
+        pairs = zip(terms, terms)
+    else:
+        pairs = ((src, dst) for src in terms for dst in terms)
+    for src, dst in pairs:
+        if g.policy is None:
+            rates = 0.5 * np.asarray(src.gamma, dtype=complex)
+        else:
+            rates = coarse_graining_f(dst.omega - src.omega, g.policy.dt) * src.w_matrix()
+        for a in range(dst.channel_count):
+            dst_a = dst.ops[a]
+            for b in range(src.channel_count):
+                yield rates[a, b], src.ops[b], dst_a
+
+
+def reference_pieces(g):
+    """The expansion of _reference_expansion(g) as (G, [(L, R), ...])."""
+    big_g = np.zeros((g.dim, g.dim), dtype=complex)
     pairs = []
-    for src in g.dissipator_terms:
-        for dst in g.dissipator_terms:
-            if g.policy is None:
-                if dst.omega != src.omega:
-                    continue
-                rates = 0.5 * np.asarray(src.gamma, dtype=complex)
-            else:
-                rates = coarse_graining_f(dst.omega - src.omega, g.policy.dt) * src.w_matrix()
-            for a in range(dst.channel_count):
-                dst_a_dag = dst.ops[a].conj().T
-                for b in range(src.channel_count):
-                    c = rates[a, b]
-                    src_b = src.ops[b]
-                    pairs.append((c * src_b, dst_a_dag))
-                    pairs.append((np.conj(c) * dst.ops[a], src_b.conj().T))
-                    big_g -= c * (dst_a_dag @ src_b)
+    for c, src_b, dst_a in _reference_expansion(g):
+        dst_a_dag = dst_a.conj().T
+        pairs.append((c * src_b, dst_a_dag))
+        pairs.append((np.conj(c) * dst_a, src_b.conj().T))
+        big_g -= c * (dst_a_dag @ src_b)
     return big_g, pairs
 
 
 def reference_rhs(g, rho):
-    """rhs(rho) from the pairs of reference_pieces(g)."""
-    big_g, pairs = reference_pieces(g)
-    dim = g.dim
-    pairs = np.asarray(pairs, dtype=complex).reshape(-1, 2, dim, dim)
+    """rhs(rho) from the expansion of _reference_expansion(g), one pair at
+    a time, so no stack of the pairs is held."""
     h = g.h_eff
-    out = -1j * (h @ rho - rho @ h) + big_g @ rho + rho @ big_g.conj().T
-    # sum_p (L_p rho) R_p as one (d, P d) x (P d, d) product
-    left_rho = (pairs[:, 0].reshape(-1, dim) @ rho).reshape(-1, dim, dim)
-    return out + (left_rho.transpose(1, 0, 2).reshape(dim, len(pairs) * dim)
-                  @ pairs[:, 1].reshape(-1, dim))
+    big_g = np.zeros((g.dim, g.dim), dtype=complex)
+    out = -1j * (h @ rho - rho @ h)
+    for c, src_b, dst_a in _reference_expansion(g):
+        dst_a_dag = dst_a.conj().T
+        out += (c * src_b) @ rho @ dst_a_dag + (np.conj(c) * dst_a) @ rho @ src_b.conj().T
+        big_g -= c * (dst_a_dag @ src_b)
+    return out + big_g @ rho + rho @ big_g.conj().T
 
 
 def reference_rk4_states(rho0, g, times):

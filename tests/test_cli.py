@@ -37,6 +37,7 @@ from lindforge.scenario import MAX_TIME_SAMPLES, load_scenario, loads_scenario
 
 from _support import (
     crandn,
+    generic_scenario_data,
     random_hermitian,
     random_unitary,
     record_eigh,
@@ -650,6 +651,26 @@ def test_twelve_mode_comb_loads_and_checks_without_dense_bath_arrays():
     assert sc.bath.dim == 4096
     assert len(checks) > 0 and all(c["status"] == "pass" for c in checks)
     assert peak < 64 * 1024 * 1024
+
+
+def test_generic_d48_derive_and_battery_hold_no_dense_eigenoperator_stacks():
+    # 48 generic levels give 2257 Bohr frequencies: the (P, d, d) pieces
+    # alone took 166 MB and derive_generator + run_checks peaked at 322 MiB.
+    # The support form and the battery's pieces, built 32 at a time, peaked
+    # at 9.5 MiB; the bound leaves more than 3x headroom
+    sc = loads_scenario(json.dumps(generic_scenario_data(48)))
+    tracemalloc.start()
+    try:
+        res = derive_generator(sc.h_a, sc.bath, sc.couplings, mode=sc.mode,
+                               policy=sc.policy)
+        checks = run_checks(sc, res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.generator.dissipator_terms) == 48 * 47 + 1
+    assert all(c["status"] == "pass" for c in checks)
+    assert "pieces" not in res.generator.__dict__
+    assert peak < 32 * 1024 * 1024
 
 
 def test_verify_runs_the_picture_check_past_joint_dimension_1024(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import importlib.util
+import json
 import math
+import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -20,10 +24,13 @@ from lindforge import (
     kernel_superoperator_matrix,
     table_bath,
 )
-from lindforge.generator import build_bohr_blocks
+from lindforge.dynamics import propagate
+from lindforge.generator import _support_rhs, build_bohr_blocks, rhs_function
+from lindforge.scenario import loads_scenario
 
 from _support import (
     crandn,
+    generic_scenario_data,
     random_density,
     random_hermitian,
     random_unitary,
@@ -39,7 +46,11 @@ from _support import (
 
 EXACT_TOL = 1e-13
 RHS_TOL = 1e-12
+# the support form against the term-by-term reference, relative to the
+# reference's largest entry
+SUPPORT_TOL = 1e-13
 COMMUTE_TOL = 1e-10
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 GAMMA_DOWN = 0.3
 GAMMA_UP = 0.1
@@ -257,6 +268,105 @@ def test_lamb_shift_without_delta_is_zero_without_contracting(monkeypatch):
     assert gen.h_eff.tobytes() == (0.5 * (h + h.conj().T)).tobytes()
     gen.pieces  # the dissipator still contracts its Gamma
     assert contracted == [len(gen.dissipator_terms)]
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file (its dataclasses look their
+    module up in sys.modules)."""
+    if "bench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", ROOT / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]
+
+
+def assert_support_rhs_matches_reference(gen, rng):
+    """rhs_function (the dense user-basis matrix at d <= DENSE_RHS_DIM) and
+    the support list itself against reference_rhs, on a density matrix and
+    on a non-hermitian operator."""
+    assert gen.support is not None
+    dim = gen.dim
+    rhs_list = _support_rhs(gen.spectrum.basis, *gen.support)
+    for x in (random_density(rng, dim), crandn(rng, dim, dim)):
+        want = reference_rhs(gen, x)
+        scale = np.abs(want).max()
+        for rhs in (rhs_function(gen), rhs_list):
+            assert np.abs(rhs(x) - want).max() <= SUPPORT_TOL * scale
+
+
+@pytest.mark.parametrize("seed", [1, 20080117])
+@pytest.mark.parametrize("workload", ["secular-sweep", "presecular-oracle"])
+def test_support_rhs_matches_the_reference_on_every_secular_bench_job(workload, seed):
+    rng = np.random.default_rng(seed)
+    secular = 0
+    for job in _bench_workloads().generate(workload, seed):
+        sc = loads_scenario(job.text, job.name)
+        if sc.mode != "secular":
+            continue
+        gen = derive_generator(sc.h_a, sc.bath, sc.couplings, degeneracy_tol=sc.degeneracy_tol
+                               ).generator
+        assert_support_rhs_matches_reference(gen, rng)
+        secular += 1
+    assert secular == {"secular-sweep": 40, "presecular-oracle": 15}[workload]
+
+
+def _generic(dim, multiplet=1):
+    sc = loads_scenario(json.dumps(generic_scenario_data(dim, multiplet)))
+    return sc.h_a, sc.couplings, sc.bath
+
+
+def _rotated_table(dim):
+    rng = np.random.default_rng(dim)
+    levels = np.sort(rng.uniform(0.0, 10.0, dim))
+    u = random_unitary(rng, dim)
+    h = (u * levels) @ u.conj().T
+    return h, [random_hermitian(rng, dim) for _ in range(2)], rate_table_bath(
+        build_spectrum(h), 2, rng)
+
+
+SUPPORT_CASES = {
+    "generic-16": lambda: _generic(16),
+    "generic-32": lambda: _generic(32),
+    "generic-48": lambda: _generic(48),
+    "multiplets-48": lambda: _generic(48, multiplet=4),
+    "table-k2-16": lambda: _rotated_table(16),
+    "table-k2-32": lambda: _rotated_table(32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUPPORT_CASES))
+def test_support_rhs_matches_the_reference_on_generic_spectra(case):
+    h, ops, bath = SUPPORT_CASES[case]()
+    res = derive_generator(h, bath, ops)
+    gen = res.generator
+    dim = gen.dim
+    if case.startswith("multiplets"):
+        assert res.spectrum.degeneracies == (4,) * 12
+    else:  # a generic spectrum: every gap its own Bohr frequency
+        assert len(gen.dissipator_terms) == dim * (dim - 1) + 1
+    assert_support_rhs_matches_reference(gen, np.random.default_rng(dim))
+    # neither the rhs nor propagation forms the (P, d, d) pieces
+    propagate(random_density(np.random.default_rng(0), dim), gen, [0.0, 1.0])
+    assert "pieces" not in gen.__dict__
+
+
+def test_support_form_holds_a_dropped_channel_at_zero():
+    # sigma_x on a qubit plus a channel whose only entry is below the
+    # negligible-entry cutoff: the decomposition drops it, and the support
+    # form, like the pieces, holds that channel at zero
+    sx, _, _, _ = sigma_ops()
+    tiny = np.array([[0.0, 1e-15], [1e-15, 0.0]], dtype=complex)
+    bath = flat_thermal_bath(0.3, 0.8, channel_count=2)
+    gen = derive_generator(np.diag([0.0, 1.0]), bath, [sx, tiny]).generator
+    assert len(gen.eigenops[1].labels) == 0
+    rho = random_density(np.random.default_rng(5), 2)
+    want = reference_rhs(gen, rho)
+    assert np.abs(rhs_function(gen)(rho) - want).max() <= SUPPORT_TOL * np.abs(want).max()
+    got = generator_superoperator_matrix(gen)
+    want = reference_superoperator(gen)
+    assert np.abs(got - want).max() <= SUPPORT_TOL * np.abs(want).max()
 
 
 @pytest.mark.parametrize("levels, rotated", [

@@ -46,6 +46,10 @@ from .linalg import (
 WEIGHT_CUTOFF = 1e-12
 # fraction of |G(0)| the correlation envelope must stay under to count as decayed
 DECAY_THRESHOLD = 0.05
+# columns of the correlation grid evaluated together, and the most phase
+# entries (distinct |nu| x columns) one block of them may hold
+CORRELATION_BLOCK = 8
+PHASE_ENTRIES = 1 << 18
 # unitaries e^{-i H_B t} a bath keeps: the two times of one two-time
 # correlation (a bath lives as long as its scenario, so every unitary it
 # keeps adds to the memory peak of the work that follows)
@@ -761,12 +765,96 @@ def delta_matrix(bath, omega) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationTable:
-    """Sampled correlation functions with the decay-time estimate."""
+    """Sampled correlation functions with the decay-time estimate.
+
+    taus is the uniform tau grid and values the (channels, channels,
+    len(taus)) correlations on it, both read-only. A table from
+    estimate_correlation_time decides tau_b_estimate from the grid columns
+    its decay rule reads, and builds values on first read, from the same
+    columns and the rest evaluated alike: its tau_b_estimate is the rule
+    applied to its own values.
+    """
 
     taus: np.ndarray
-    values: np.ndarray  # (channels, channels, len(taus))
+    # the (channels, channels, len(taus)) array, or the _CorrelationColumns
+    # that build it when values is first read
+    _values: np.ndarray | _CorrelationColumns
     tau_b_estimate: float
     non_decaying: bool = False
+
+    @property
+    def values(self) -> np.ndarray:
+        if isinstance(self._values, _CorrelationColumns):
+            object.__setattr__(self, "_values", self._values.table())
+        return self._values
+
+
+class _CorrelationColumns:
+    """The correlations of a bath on the columns of a tau grid, evaluated
+    on aligned blocks of columns and kept: no column is evaluated twice,
+    and each column's value is the same whichever read asks for it first.
+
+    mags are the distinct |nu| (far ones scaled by 2^-squarings) and signed
+    their (2 k^2, len(mags)) coefficients, the +|nu| ones above the
+    conjugated -|nu| ones, so values = C+ P + conj(conj(C-) P) for the
+    phase rows P. A block's phase buffer holds at most PHASE_ENTRIES
+    entries (|nu| rows x columns).
+    """
+
+    def __init__(self, taus, mags, signed, far, squarings, threshold):
+        self.taus, self.mags, self.signed = taus, mags, signed
+        self.far, self.squarings, self.threshold = far, squarings, threshold
+        self.width = max(1, min(CORRELATION_BLOCK, PHASE_ENTRIES // mags.size))
+        n = taus.size
+        self.values = np.empty((signed.shape[0] // 2, n), dtype=complex)
+        self.above = np.empty(n, dtype=bool)
+        self.done = np.zeros(-(-n // self.width), dtype=bool)
+
+    def _evaluate(self, block: int) -> None:
+        if self.done[block]:
+            return
+        start = block * self.width
+        stop = min(start + self.width, self.taus.size)
+        arg = np.multiply.outer(self.mags, self.taus[start:stop])
+        phase = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=phase.real)
+        np.sin(arg, out=phase.imag)
+        # a product |nu| tau past the float range takes the phase of its
+        # value scaled by 2^-squarings, squared that many times (each
+        # squaring doubles the rounding, so the row is good to about
+        # 2^squarings eps)
+        if self.far.size:
+            reduced = phase[self.far]
+            for _ in range(self.squarings):
+                reduced *= reduced
+            phase[self.far] = reduced
+        sums = self.signed @ phase
+        kk = self.values.shape[0]
+        values = self.values[:, start:stop]
+        np.add(sums[:kk], sums[kk:].conj(), out=values)
+        # an envelope that is not below the threshold (NaN too) is above it
+        self.above[start:stop] = ~(np.abs(values).max(axis=0) <= self.threshold)
+        self.done[block] = True
+
+    def highest_above(self, lo: int, hi: int) -> int:
+        """The highest column in lo..hi whose envelope is above the
+        threshold, or -1; blocks are read from the top down."""
+        for block in range(hi // self.width, lo // self.width - 1, -1):
+            self._evaluate(block)
+            start = max(lo, block * self.width)
+            hits = np.flatnonzero(self.above[start:min(hi + 1, (block + 1) * self.width)])
+            if hits.size:
+                return start + int(hits[-1])
+        return -1
+
+    def table(self) -> np.ndarray:
+        """The (k, k, n) values over every column, read-only."""
+        for block in range(self.done.size):
+            self._evaluate(block)
+        k = math.isqrt(self.values.shape[0])
+        values = self.values.reshape(k, k, self.taus.size)
+        values.flags.writeable = False
+        return values
 
 
 def estimate_correlation_time(bath: FiniteBath) -> CorrelationTable:
@@ -777,14 +865,13 @@ def estimate_correlation_time(bath: FiniteBath) -> CorrelationTable:
     correlations recur instead of decaying are flagged non_decaying and get
     the half-period pi/nu_min of the slowest weighted Bohr frequency that is
     not static (zero coupling gives tau_B = 0 by convention). The table is
-    sampled once per bath and kept on it, its arrays read-only; it takes one
-    cos/sin phase row per distinct |nu|, which the frequencies -|nu| read
-    conjugated.
+    sampled once per bath and kept on it; it takes one cos/sin phase row
+    per distinct |nu|, which the frequencies -|nu| read conjugated, and
+    evaluates only the blocks of grid columns the decay rule reads until
+    its values are asked for.
     """
     if bath._correlations is None:
-        table = _sampled_correlations(bath)
-        table.taus.flags.writeable = table.values.flags.writeable = False
-        bath._correlations = table
+        bath._correlations = _sampled_correlations(bath)
     return bath._correlations
 
 
@@ -799,69 +886,53 @@ def _sampled_correlations(bath: FiniteBath) -> CorrelationTable:
     nonzero = np.abs(nu[_carries_weight(pair) & ~bath._static])
     if scale0 <= 0.0:
         # nothing couples: no memory at all
-        return CorrelationTable(np.array([0.0]), np.zeros((k, k, 1), dtype=complex),
-                                0.0, False)
+        return _one_sample_table(np.zeros((k, k, 1), dtype=complex), 0.0, False)
     if len(nonzero) == 0:
         # constant correlation function: never decays, no finite period either
-        return CorrelationTable(np.array([0.0]), g0.reshape(k, k, 1), math.inf, True)
+        return _one_sample_table(g0.reshape(k, k, 1), math.inf, True)
     nu_min = float(nonzero.min())
     nu_max = float(nonzero.max())
     t_end = 8.0 * math.pi / nu_min
     dt = math.pi / 16.0 / nu_max  # 16 nu_max may overflow; pi / 16 is exact
     n = max(64, math.ceil(min(t_end / dt, 4096.0)))
     taus = np.linspace(0.0, t_end, n)
+    taus.flags.writeable = False
     # one coefficient per distinct frequency: the table is sorted by nu, so
     # the transitions of one frequency are contiguous and summed together
     union, starts = np.unique(nu, return_index=True)
     coef = np.add.reduceat(weights, starts, axis=1)
     # one phase row per distinct |nu|: fl(-nu tau) = -fl(nu tau), so the
-    # phases of -|nu| are the conjugates of those of |nu|. The coefficients
-    # of +|nu| stand above the conjugated ones of -|nu|, and
-    # values = C+ P + conj(conj(C-) P) for the phase rows P
+    # phases of -|nu| are the conjugates of those of |nu|
     mags, row = np.unique(np.abs(union), return_inverse=True)
     signed = np.zeros((2, k * k, mags.size), dtype=complex)
     negative = union < 0
     signed[0][:, row[~negative]] = coef[:, ~negative]
     signed[1][:, row[negative]] = coef[:, negative].conj()
-    signed = signed.reshape(2 * k * k, mags.size)
-    # a product |nu| tau past the float range takes the phase of its value
-    # scaled by 2^-squarings, squared that many times (each squaring doubles
-    # the rounding, so the row is good to about 2^squarings eps)
     with np.errstate(over="ignore"):
         far = np.flatnonzero(np.isinf(mags * t_end))
     squarings = 0
     if far.size:
         squarings = math.ceil(math.log2(mags[-1] / np.finfo(float).max * t_end)) + 1
         mags[far] = np.ldexp(mags[far], -squarings)
-    chunk = min(n, 512)
-    arg = np.empty((mags.size, chunk))
-    phase = np.empty((mags.size, chunk), dtype=complex)
-    sums = np.empty((2 * k * k, n), dtype=complex)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        width = stop - start
-        np.multiply.outer(mags, taus[start:stop], out=arg[:, :width])
-        np.cos(arg[:, :width], out=phase.real[:, :width])
-        np.sin(arg[:, :width], out=phase.imag[:, :width])
-        if far.size:
-            reduced = phase[far, :width]
-            for _ in range(squarings):
-                reduced *= reduced
-            phase[far, :width] = reduced
-        sums[:, start:stop] = signed @ phase[:, :width]
-    values = (sums[:k * k] + sums[k * k:].conj()).reshape(k, k, n)
-    envelope = np.abs(values).max(axis=(0, 1))
-    threshold = DECAY_THRESHOLD * scale0
-    below = envelope <= threshold
-    # on the uniform grid the window [tau_i, 2 tau_i] is exactly indices
-    # i..2i, so it holds when the first index at or after i that is not
-    # below lies past 2i
-    above = np.append(np.flatnonzero(~below), n)
-    i = np.arange(1, (n - 1) // 2 + 1)
-    holds = above[np.searchsorted(above, i)] > 2 * i
-    if holds.any():
-        return CorrelationTable(taus, values, float(taus[i[holds.argmax()]]), False)
-    return CorrelationTable(taus, values, math.pi / nu_min, True)
+    columns = _CorrelationColumns(taus, mags, signed.reshape(2 * k * k, mags.size), far,
+                                  squarings, DECAY_THRESHOLD * scale0)
+    # on the uniform grid the window [tau_i, 2 tau_i] is exactly columns
+    # i..2i. Its highest column a above the threshold lies in the window
+    # of every i' in i..a too, so the first window all below starts past a
+    i = 1
+    while 2 * i < n:
+        a = columns.highest_above(i, 2 * i)
+        if a < 0:
+            return CorrelationTable(taus, columns, float(taus[i]), False)
+        i = a + 1
+    return CorrelationTable(taus, columns, math.pi / nu_min, True)
+
+
+def _one_sample_table(values, tau_b: float, non_decaying: bool) -> CorrelationTable:
+    """The table of a bath whose correlations are constant: G(0) at tau = 0."""
+    taus = np.array([0.0])
+    taus.flags.writeable = values.flags.writeable = False
+    return CorrelationTable(taus, values, tau_b, non_decaying)
 
 
 def qubit_mode_bath(modes, temperature: float, broadening: float | None = None) -> FiniteBath:

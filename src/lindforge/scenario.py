@@ -93,12 +93,22 @@ def _expect_dict(node, path, required=(), optional=()):
     return node
 
 
+def _as_float(x: int | float) -> float:
+    """A JSON number as a float: an integer literal past the float range
+    becomes the infinity of its sign, which the callers refuse as not finite
+    (as they refuse a float literal such as 1e400, which json reads as one)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _expect_number(node, path, minimum=None, positive=False, allow_inf=False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         if allow_inf and node == "inf":
             return math.inf
         _fail(path, f"expected a number, got {node!r}")
-    x = float(node)
+    x = _as_float(node)
     if not math.isfinite(x):
         _fail(path, "must be finite")
     if minimum is not None and x < minimum:
@@ -123,7 +133,7 @@ def _complex_entry(cell, path) -> complex:
     for part, name in ((re, "re"), (im, "im")):
         if isinstance(part, bool) or not isinstance(part, (int, float)):
             _fail(path, f"{name} part is not a number: {part!r}")
-    val = complex(float(re), float(im))
+    val = complex(_as_float(re), _as_float(im))
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         _fail(path, "entries must be finite")
     return val

@@ -73,6 +73,30 @@ def generic_scenario_data(dim, multiplet=1, seed=3):
     }
 
 
+def dense_bath_scenario_data(d_b, temperature=2.0, seed=32):
+    """A scenario document with a two-level system coupled through sigma_x
+    to a dense d_b-level bath: H_B a random hermitian matrix scaled to unit
+    norm, one random hermitian X of norm 0.05, the given bath temperature
+    (a number or "inf") and broadening 0.4. A generic H_B has
+    d_b (d_b - 1) / 2 + 1 distinct transition magnitudes |nu|."""
+    rng = np.random.default_rng(seed)
+    h_b = random_hermitian(rng, d_b)
+    x = random_hermitian(rng, d_b)
+
+    def cm(m):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+    return {
+        "system": {"eigenvalues": [0.0, 1.0]},
+        "bath": {"kind": "finite", "hamiltonian": cm(h_b / np.linalg.norm(h_b, 2)),
+                 "temperature": temperature, "broadening": 0.4},
+        "couplings": [{"A": cm([[0.0, 1.0], [1.0, 0.0]]),
+                       "X": cm(0.05 * x / np.linalg.norm(x, 2))}],
+        "initial_state": "excited",
+        "times": {"t_max": 20.0, "samples": 21},
+    }
+
+
 def record_eigh(monkeypatch, key=lambda m: np.shape(m)[0]):
     """Wrap np.linalg.eigh; returns the list of key(matrix) per call."""
     seen = []

@@ -24,7 +24,8 @@ from lindforge import (
     table_bath,
     two_time_correlation,
 )
-from lindforge.bath import _boltzmann_weights, _coupling_pattern, _transitions
+from lindforge.bath import (DECAY_THRESHOLD, _boltzmann_weights, _coupling_pattern,
+                            _transitions)
 from lindforge.linalg import as_hermitian, hermitian_diagonal
 
 from _support import (
@@ -752,6 +753,77 @@ def test_correlation_table_edge_cases_match_reference(kind):
     assert table.non_decaying == ref.non_decaying
     if kind == "first-window":
         assert table.tau_b_estimate == table.taus[1] and not table.non_decaying
+
+
+def _dense_decay_rule(table):
+    """(tau_b, non_decaying) from one scan of the whole envelope of the
+    table's values: the first i >= 1 whose columns i..2i all stay at or
+    below 5% of max |G(0)|; a table without one keeps its own tau_b."""
+    envelope = np.abs(table.values).max(axis=(0, 1))
+    below = envelope <= DECAY_THRESHOLD * envelope[0]
+    for i in range(1, (len(below) - 1) // 2 + 1):
+        if below[i:2 * i + 1].all():
+            return float(table.taus[i]), False
+    return table.tau_b_estimate, True
+
+
+def _far_level_bath(seed):
+    """40 levels uniform on [0, 10] and one at 1e307 or 2e307, infinite
+    temperature: the far transitions' |nu| tau_end overflows, so their
+    phase rows are taken by repeated squaring."""
+    rng = np.random.default_rng(seed)
+    levels = np.append(rng.uniform(0.0, 10.0, 40), [1e307, 2e307][seed % 2])
+    return FiniteBath(np.diag(levels), math.inf, [random_hermitian(rng, 41)],
+                      broadening=0.4)
+
+
+@pytest.mark.parametrize("kind, seed, decays", [
+    *[("dense", seed, True) for seed in range(4)],
+    *[("thermal", seed, False) for seed in range(4)],
+    ("far", 0, False), ("far", 1, True), ("far", 2, True), ("far", 5, False)])
+def test_windowed_decay_rule_matches_the_dense_scan(kind, seed, decays):
+    # tau_b_estimate is decided from the grid columns its windows read;
+    # values, built afterwards from the same columns and the rest, give
+    # the same decision when the whole envelope is scanned at once
+    if kind == "far":
+        bath = _far_level_bath(seed)
+    else:
+        rng = np.random.default_rng(seed)
+        # 40 levels at infinite temperature dephase; 6-10 thermal ones recur
+        dim, temp = (40, math.inf) if kind == "dense" else (6 + 2 * (seed % 3), 0.7)
+        bath = FiniteBath(random_hermitian(rng, dim), temp,
+                          [random_hermitian(rng, dim) for _ in range(1 + seed % 2)],
+                          broadening=0.4)
+    table = estimate_correlation_time(bath)
+    decision = (table.tau_b_estimate, table.non_decaying)
+    assert table.non_decaying is not decays
+    assert _dense_decay_rule(table) == decision
+    assert np.isfinite(table.values).all()
+    if kind != "far":
+        # the per-pair reference samples no phase past the float range
+        ref = reference_correlation_time(bath)
+        assert decision == (ref.tau_b_estimate, ref.non_decaying)
+        assert np.array_equal(table.taus, ref.taus)
+        assert np.abs(table.values - ref.values).max() < 1e-12
+
+
+def test_correlation_time_of_a_dense_256_level_bath_stays_small():
+    # 32641 distinct |nu| on a 4096-column grid: one 512-column phase chunk
+    # was 267 MB. The decay rule reads blocks of a few columns, each at
+    # most PHASE_ENTRIES phases, and reading tau_b builds no values table
+    rng = np.random.default_rng(32)
+    bath = FiniteBath(random_hermitian(rng, 256), math.inf, [random_hermitian(rng, 256)],
+                      broadening=0.4)
+    tracemalloc.start()
+    try:
+        table = estimate_correlation_time(bath)
+        tau_b = table.tau_b_estimate
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.taus) == 4096 and not table.non_decaying
+    assert 0.0 < tau_b < table.taus[-1] / 2
+    assert peak < 32 * 2**20, peak
 
 
 def _table_test_bath(kind):

@@ -369,3 +369,24 @@ def test_accepting_paths_derive(tmp_path, capsys, base, edits):
         assert (s.mode, s.policy) == ("secular", None)
     if "initial_state" in edits:
         assert np.array_equal(s.rho0, np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
+
+
+@pytest.mark.parametrize("field, edits", [
+    ("bath.gamma: must be finite", {"bath.gamma": "@big@"}),
+    ("couplings[0].A[1][0]: entries must be finite", {"couplings[0].A[1][0]": ["@big@", 0.0]}),
+    ("couplings[0].A[0][1]: entries must be finite", {"couplings[0].A[0][1]": [0.0, "@-big@"]}),
+], ids=["number", "re-part", "im-part"])
+def test_integer_literal_past_the_float_range_is_not_finite(tmp_path, capsys, field, edits):
+    # json reads 10^400 as an exact int, which float() cannot hold: it is
+    # refused as the float literal 1e400 is, not raised as an OverflowError
+    big = "1" + "0" * 400
+    text = edited_text("flat", edits).replace('"@big@"', big).replace('"@-big@"', "-" + big)
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["derive", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert (error["type"], error["message"]) == ("scenario", field)

@@ -114,6 +114,13 @@ def _coupling_pattern(xs, dim: int):
     return rows, cols, values.reshape(len(xs), rows.size)
 
 
+def _read_only(arrays: tuple) -> tuple:
+    """arrays, each made read-only: a bath shares them, unchanged."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _transitions(pattern, energies, populations):
     """The table (amp, pop, nu) over every transition z -> xi that some
     channel carries and whose p(z) is nonzero: amp[c, s] = <xi|X_c|z>,
@@ -128,9 +135,7 @@ def _transitions(pattern, energies, populations):
     nu = energies[z[live]] - energies[xi[live]]
     order = np.argsort(nu, kind="stable")
     live = live[order]
-    table = (values.take(live, axis=1), populations[z[live]], nu[order])
-    for array in table:
-        array.flags.writeable = False
+    table = _read_only((values.take(live, axis=1), populations[z[live]], nu[order]))
     return table, z[live], xi[live]
 
 
@@ -208,7 +213,7 @@ class FiniteBath:
         rows, cols = rank[rows], rank[cols]
         by_col = np.argsort(cols * levels.size + rows)
         by_col = by_col[values.any(axis=0)[by_col]]  # entries some channel carries
-        self._x_pattern = (rows[by_col], cols[by_col], values.take(by_col, axis=1))
+        self._x_pattern = _read_only((rows[by_col], cols[by_col], values.take(by_col, axis=1)))
 
     def _settle(self, temperature: float, broadening: float | None) -> None:
         """Populations, broadening, sigma_B and X in the eigenbasis, and the
@@ -226,6 +231,7 @@ class FiniteBath:
             self._sigma = (v * self._populations) @ v.conj().T
             self._sigma.flags.writeable = False
             self._x_eig = [v.conj().T @ x @ v for x in self._coupling_ops]
+            self._x_pattern = _read_only(_coupling_pattern(self._x_eig, self.dim))
         self._tabulate()
         self._unitaries = {}  # _propagator's, by time, least recent first
         self._correlations = None  # estimate_correlation_time's table
@@ -263,10 +269,8 @@ class FiniteBath:
 
     def _pattern(self):
         """X on its nonzero pattern in the eigenbasis, (rows, cols, values)
-        with values[c, e] = <rows[e]|X_c|cols[e]>, in (col, row) order: kept
-        for a diagonal H_B, read off _x_eig for a dense one."""
-        if self._order is None:
-            return _coupling_pattern(self._x_eig, self.dim)
+        with values[c, e] = <rows[e]|X_c|cols[e]>, in (col, row) order, kept
+        read-only: for a dense H_B read off _x_eig once per bath."""
         return self._x_pattern
 
     def _tabulate(self) -> None:
@@ -352,6 +356,7 @@ class FiniteBath:
             eye = np.eye(self.dim)
             new._coupling_ops = [x - s * eye for x, s in zip(self._coupling_ops, shifts)]
             new._x_eig = [x - s * eye for x, s in zip(self._x_eig, shifts)]
+            new._x_pattern = _read_only(_coupling_pattern(new._x_eig, self.dim))
         else:
             rows, cols, values = self._x_pattern
             d = self.dim
@@ -362,7 +367,7 @@ class FiniteBath:
             moved[:, np.searchsorted(union, diagonal)] -= np.asarray(shifts)[:, None]
             carried = np.flatnonzero(moved.any(axis=0))
             cols, rows = np.divmod(union[carried], d)
-            new._x_pattern = (rows, cols, moved.take(carried, axis=1))
+            new._x_pattern = _read_only((rows, cols, moved.take(carried, axis=1)))
         new._tabulate()
         new._correlations = None  # shifted X, other correlations
         return new
@@ -582,9 +587,13 @@ def flat_thermal_bath(
             nbar = 0.0
         return gamma * (nbar + 1.0) if omega > 0 else gamma * nbar
 
-    def gamma_fn(omega: float) -> np.ndarray:
-        return rate(omega) * eye
+    def gamma_fn(omega):
+        if np.ndim(omega) == 0:
+            return rate(omega) * eye
+        rates = np.array([rate(w) for w in np.ravel(omega).tolist()])
+        return rates.reshape(np.shape(omega) + (1, 1)) * eye
 
+    gamma_fn.stacked = True
     return AnalyticBath(gamma_fn, None, channel_count)
 
 
@@ -592,33 +601,23 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
     """Bath from an explicit table of (omega, gamma matrix, optional delta).
 
     Each gamma must be hermitian and positive semidefinite, each delta
-    hermitian, all of one size. An entry that is malformed or of another
-    size is refused as it is read, the values by one stacked rate check
-    over the entries before it; the first fault in table order is raised,
-    naming its omega. A lookup takes the entry nearest omega (the first in
-    table order on a tie), matches it within 1e-8 * max(1, |omega|) and
-    misses with a clear error otherwise. It answers an array of omegas
-    with one search over the sorted distinct omegas.
+    hermitian, all of one size. The entries are stacked and checked at
+    once; when that fails, they are walked in order, an entry that is
+    malformed or of another size being refused as it is read and the
+    values by one stacked rate check over the entries before it. The first
+    fault in table order is raised, naming its omega. A lookup takes the
+    entry nearest omega (the first in table order on a tie), matches it
+    within 1e-8 * max(1, |omega|) and misses with a clear error otherwise.
+    It answers an array of omegas with one search over the sorted distinct
+    omegas.
     """
-    omegas, gammas, deltas, refused = [], [], [], None
-    for entry in entries:
-        try:
-            omega, gamma_m, delta_m = entry
-            gamma_m = as_operator(gamma_m, f"gamma at omega={omega}")
-            delta_m = (np.zeros_like(gamma_m) if delta_m is None
-                       else as_operator(delta_m, f"delta at omega={omega}"))
-            if gammas and gamma_m.shape != gammas[0].shape:
-                raise ValueError(f"inconsistent channel count at omega={float(omega)}")
-            if gamma_m.shape != delta_m.shape:
-                raise ValueError(f"gamma/delta shapes differ at omega={omega}")
-        except ValueError as exc:  # raised once the entries before it pass
-            refused = exc
-            break
-        omegas.append(omega)
-        gammas.append(gamma_m)
-        deltas.append(delta_m)
-    if gammas:
-        gammas, deltas = np.array(gammas), np.array(deltas)
+    entries = list(entries)
+    stacks, refused = _entry_stacks(entries), None
+    if stacks is None:  # some entry is refused: walk them in order to name it
+        omegas, gammas, deltas, refused = _walk_entries(entries)
+    else:
+        omegas, gammas, deltas = stacks
+    if omegas:
         for omega, g_fail, d_fail in zip(omegas, _rate_failures(gammas, True),
                                          _rate_failures(deltas, False)):
             if g_fail is not None:
@@ -681,6 +680,53 @@ def table_bath(entries, channel_count: int | None = None) -> AnalyticBath:
     return AnalyticBath(gamma_fn, delta_fn, k)
 
 
+def _entry_stacks(entries):
+    """The omegas of table entries (omega, gamma, delta) and the (n, k, k)
+    stacks of their gammas and deltas (zero for a delta of None), each
+    stacked and checked once; None when some entry is malformed, not
+    finite or of another size, which _walk_entries names."""
+    try:
+        omegas = [omega for omega, _, _ in entries]
+        gammas = np.array([gamma for _, gamma, _ in entries], dtype=complex)
+        deltas = np.zeros_like(gammas)
+        given = [i for i, (_, _, delta) in enumerate(entries) if delta is not None]
+        if given:
+            stack = np.array([entries[i][2] for i in given], dtype=complex)
+            if stack.shape[1:] != gammas.shape[1:]:
+                return None
+            deltas[given] = stack
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]
+            or not (np.isfinite(gammas).all() and np.isfinite(deltas).all())):
+        return None
+    return omegas, gammas, deltas
+
+
+def _walk_entries(entries):
+    """table_bath's entries one at a time, up to the first that is
+    malformed or of another size: the omegas, gamma and delta stacks of the
+    entries before it, and the ValueError that refuses it (None if none)."""
+    omegas, gammas, deltas, refused = [], [], [], None
+    for entry in entries:
+        try:
+            omega, gamma_m, delta_m = entry
+            gamma_m = as_operator(gamma_m, f"gamma at omega={omega}")
+            delta_m = (np.zeros_like(gamma_m) if delta_m is None
+                       else as_operator(delta_m, f"delta at omega={omega}"))
+            if gammas and gamma_m.shape != gammas[0].shape:
+                raise ValueError(f"inconsistent channel count at omega={float(omega)}")
+            if gamma_m.shape != delta_m.shape:
+                raise ValueError(f"gamma/delta shapes differ at omega={omega}")
+        except ValueError as exc:  # raised once the entries before it pass
+            refused = exc
+            break
+        omegas.append(omega)
+        gammas.append(gamma_m)
+        deltas.append(delta_m)
+    return omegas, np.array(gammas), np.array(deltas), refused
+
+
 def _rate_failures(stack, positive: bool) -> list:
     """One matrix_defects pass over an (n, k, k) stack of rate matrices,
     which replaces each by its hermitian part. Per matrix, None or the first
@@ -713,15 +759,15 @@ def _rate_matrices(fn, omegas, k: int, name: str, positive: bool) -> np.ndarray:
     values = np.asarray(omegas, dtype=float)
     stack = np.empty((values.size, k, k), dtype=complex)
     refused, count = None, 0
-    if getattr(fn, "stacked", False) and values.ndim == 1:
-        try:
-            m = np.asarray(fn(values), dtype=complex)
-        except ValueError:  # a table miss: the loop below finds the first error
-            m = None
-        if m is not None and m.shape == stack.shape:
-            stack[:], count = m, values.size
     # overflow is refused below, by name and omega, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
+        if getattr(fn, "stacked", False) and values.ndim == 1:
+            try:
+                m = np.asarray(fn(values), dtype=complex)
+            except ValueError:  # a table miss: the loop below finds the first error
+                m = None
+            if m is not None and m.shape == stack.shape:
+                stack[:], count = m, values.size
         for omega in values.ravel().tolist()[count:]:
             try:
                 m = np.asarray(fn(omega), dtype=complex)

@@ -34,7 +34,7 @@ from .dynamics import (
     propagate,
     timescale_report,
 )
-from .generator import derive_generator, rhs_function
+from .generator import _secular_support, derive_generator, rhs_function
 from .linalg import (
     DimensionError,
     hermitian_part,
@@ -74,8 +74,15 @@ def _json_real(x) -> float | str:
     return "inf" if x > 0 else "-inf"
 
 
-def _real_matrix_to_json(m) -> list:
-    return [[_json_real(x) for x in row] for row in np.asarray(m, dtype=float)]
+def _json_reals(a) -> list:
+    """A real array as nested lists, each entry as _json_real gives it."""
+    a = np.asarray(a, dtype=float)
+    if np.isfinite(a).all():
+        return a.tolist()
+    cells = a.astype(object)
+    for text, at in (("nan", np.isnan(a)), ("inf", a == np.inf), ("-inf", a == -np.inf)):
+        cells[at] = text
+    return cells.tolist()
 
 
 def _print_json(doc, stream=None):
@@ -126,23 +133,11 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
     a_scale = _largest([np.abs(a).max() for a in a_ops], 1.0)
     h_scale = _largest(np.abs(h_sys), 1.0)
 
-    # on each channel's user-basis pieces, built STACK_CHUNK at a time:
-    # completeness (the pieces sum back to the coupling operator), and
-    # [H, A(w)] = -w A(w), adjoint +w, and [H, A(w)^+ A(w)] = 0
-    complete, d_minus, d_plus, d_inv = [], [], [], []
-    for a_op, eset in zip(a_ops, res.eigenops):
-        total = np.zeros_like(a_op)
-        for omegas, ops in eset.chunks():
-            for piece in ops:
-                total = total + piece
-            w = omegas[:, None, None]
-            d_minus.append(_largest(np.abs(h_sys @ ops - ops @ h_sys + w * ops), 0.0))
-            ops_dag = ops.conj().transpose(0, 2, 1)
-            d_plus.append(_largest(np.abs(h_sys @ ops_dag - ops_dag @ h_sys - w * ops_dag),
-                                   0.0))
-            prod = ops_dag @ ops
-            d_inv.append(_largest(np.abs(h_sys @ prod - prod @ h_sys), 0.0))
-        complete.append(np.abs(total - a_op).max())
+    # the pieces A(w) of each channel, checked on one random-phase sketch
+    rng = np.random.default_rng(CHECK_SEED + 2)
+    defects = np.array([_eigenoperator_defects(res.spectrum, a_op, eset, rng)
+                        for a_op, eset in zip(a_ops, res.eigenops)]).reshape(-1, 4)
+    complete, d_minus, d_plus, d_inv = defects.T
     checks.append(_check("eigenoperator-completeness", _largest(complete, 0.0),
                          1e-12 * a_scale))
     ctol = 1e-10 * h_scale * a_scale
@@ -153,9 +148,7 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
                          ctol * a_scale))
 
     # rate matrices: hermitian, positive semidefinite, by one matrix_defects pass
-    n_ch = len(a_ops)
-    gammas = np.array([t.gamma for t in g.dissipator_terms]).reshape(-1, n_ch, n_ch)
-    _, peak, skew, low = matrix_defects(gammas)
+    _, peak, skew, low = matrix_defects(g.dissipator_terms.gammas)
     g_scale = _largest(peak, 1.0)
     checks.append(_check("gamma-hermiticity", _largest(skew, 0.0), 1e-10 * g_scale))
     checks.append(_check("gamma-positivity", _largest(-low, 0.0), 1e-8 * g_scale))
@@ -203,6 +196,46 @@ def run_checks(scenario: Scenario, res) -> list[dict]:
     return checks
 
 
+def _eigenoperator_defects(spectrum, a_op, eset, rng) -> tuple[float, float, float, float]:
+    """One channel's completeness, commutator, adjoint-commutator and
+    invariant-commutator defects, each read off one sketch of its kept
+    pieces A(w_l) instead of piece by piece.
+
+    Each kept Bohr label l draws a unit phase z_l from rng. In the
+    eigenbasis the pieces sit on the gaps spectrum.bohr_index labels l, so
+    A~ = sum_l z_l A(w_l) and B~ = sum_l z_l w_l A(w_l) are the kept
+    entries of A' times the phase (and frequency) of their label, rotated
+    once by V. Then [H, A~] + B~ and [H, A~^+] - B~^+ sum the commutator
+    identities of the pieces, and so does [H, V S V^+] with
+    S = sum_l z_l A'_l^+ A'_l, which pairs the entries of each row of A'
+    that share a label: O(d^3) in all, and exact for chained labels. A
+    faulty piece shows at full size unless the phases cancel it, which
+    takes z on a set of measure zero. Completeness is V A'_kept V^+ - A.
+    """
+    v, vh, h = spectrum.basis, spectrum.basis.conj().T, spectrum.hamiltonian
+    label, dim = spectrum.bohr_index, spectrum.dim
+    # a unit phase per kept label, zero on the labels of dropped pieces
+    phase = np.zeros(spectrum.bohr_set.values.size, dtype=complex)
+    phase[eset.labels] = np.exp(2j * np.pi * rng.random(eset.labels.size))
+    kept = np.where(phase[label] != 0, eset.rotated, 0.0)
+    sketch = kept * phase[label]
+    a_t = v @ sketch @ vh
+    b_t = v @ (sketch * spectrum.bohr_set.values[label]) @ vh
+    # S: every pair of entries (a, m), (a, n) of one row that share a label
+    rows, cols = np.nonzero(kept)
+    _, group = np.unique(rows * phase.size + label[rows, cols], return_inverse=True)
+    p, q = _secular_support(group)
+    terms = kept[rows[p], cols[p]].conj() * sketch[rows[q], cols[q]]
+    flat = cols[p] * dim + cols[q]
+    s = (np.bincount(flat, terms.real, dim * dim)
+         + 1j * np.bincount(flat, terms.imag, dim * dim)).reshape(dim, dim)
+    s = v @ s @ vh
+    return (float(np.abs(v @ kept @ vh - a_op).max()),
+            float(np.abs(h @ a_t - a_t @ h + b_t).max()),
+            float(np.abs(h @ a_t.conj().T - a_t.conj().T @ h - b_t.conj().T).max()),
+            float(np.abs(h @ s - s @ h).max()))
+
+
 def _finite_bath_checks(scenario: Scenario, res, bath: FiniteBath) -> list[dict]:
     checks = []
     k = bath.channel_count
@@ -245,7 +278,7 @@ def _finite_bath_checks(scenario: Scenario, res, bath: FiniteBath) -> list[dict]
 
     # W(w) = Gamma(w)/2 + i Delta(w): entry by entry against one stacked
     # Gamma and Delta call over the term frequencies
-    omegas = np.array([t.omega for t in res.generator.dissipator_terms])
+    omegas = res.generator.dissipator_terms.omegas
     gm, dm = gamma_matrix(bath, omegas), delta_matrix(bath, omegas)
     w_defect = [abs(half_fourier_w(bath, a, b, omega)
                     - (0.5 * gm[i, a, b] + 1j * dm[i, a, b]))
@@ -321,10 +354,8 @@ def _rotated_amplitudes(psi, h_a, bath: FiniteBath, t: float) -> np.ndarray:
 def _sparse_listing(index, values) -> list[dict]:
     """[{"index": [...], "value": [re, im]}] rows of a tensor stored on a
     support, in the order given (lexicographic for the rate tensors)."""
-    return [
-        {"index": key, "value": [_json_real(val.real), _json_real(val.imag)]}
-        for key, val in zip(index.tolist(), values.tolist())
-    ]
+    pairs = _json_reals(np.stack((values.real, values.imag), axis=-1))
+    return [{"index": key, "value": pair} for key, pair in zip(index.tolist(), pairs)]
 
 
 def _eigenoperator_rows(res) -> list[list[dict]]:
@@ -344,11 +375,10 @@ def _eigenoperator_rows(res) -> list[list[dict]]:
     # (c, a, b) lexicographic within each label
     label = np.tile(spectrum.bohr_index.ravel(), len(res.eigenops))
     order = np.argsort(label, kind="stable")
-    term_labels = np.searchsorted(spectrum.bohr_set.values, [t.omega for t in terms])
-    rows = order[np.isin(label[order], term_labels)]
-    term = np.searchsorted(term_labels, label[rows])
+    rows = order[np.isin(label[order], terms.labels)]
+    term = np.searchsorted(terms.labels, label[rows])
     channel, gap = np.divmod(rows, dim * dim)
-    kept = np.array([[t.omega in eset.terms for eset in res.eigenops] for t in terms])
+    kept = np.stack([np.isin(terms.labels, eset.labels) for eset in res.eigenops], axis=1)
     values = np.where(kept[term, channel], e[rows], 0.0)
     listing = _sparse_listing(np.stack([channel, *np.divmod(gap, dim)], axis=1), values)
     bounds = np.cumsum(np.bincount(term, minlength=len(terms))).tolist()
@@ -384,15 +414,12 @@ def build_report(scenario: Scenario, scenario_name: str):
     g = res.generator
     spectrum = res.spectrum
 
+    terms = g.dissipator_terms
     terms_json = [
-        {
-            "omega": _json_real(t.omega),
-            "gamma": complex_matrix_to_json(t.gamma),
-            "delta": complex_matrix_to_json(t.delta) if t.delta is not None else None,
-            "eigenoperators": rows,
-        }
-        for t, rows in zip(g.dissipator_terms,
-                           _eigenoperator_rows(res))
+        {"omega": omega, "gamma": gamma, "delta": delta, "eigenoperators": rows}
+        for omega, gamma, delta, rows in zip(
+            _json_reals(terms.omegas), complex_matrix_to_json(terms.gammas),
+            complex_matrix_to_json(terms.deltas), _eigenoperator_rows(res))
     ]
 
     rt = res.rate_tensors
@@ -413,17 +440,15 @@ def build_report(scenario: Scenario, scenario_name: str):
         "spectrum": {
             "dim": spectrum.dim,
             "basis": complex_matrix_to_json(spectrum.basis),
-            "frequencies": [_json_real(w) for w in spectrum.frequencies],
+            "frequencies": _json_reals(spectrum.frequencies),
             "multiplets": [list(m) for m in spectrum.multiplets],
-            "multiplet_frequencies": [_json_real(w)
-                                      for w in spectrum.multiplet_frequencies],
+            "multiplet_frequencies": _json_reals(spectrum.multiplet_frequencies),
             "degeneracies": list(spectrum.degeneracies),
             "degeneracy_tol": _json_real(spectrum.degeneracy_tol),
             "warnings": list(spectrum.warnings),
         },
-        "bohr_frequencies": [_json_real(w)
-                             for w in bohr_frequencies(spectrum).values],
-        "free_evolution": len(g.dissipator_terms) == 0,
+        "bohr_frequencies": _json_reals(bohr_frequencies(spectrum).values),
+        "free_evolution": len(terms) == 0,
         "terms": terms_json,
         "h_eff": complex_matrix_to_json(g.h_eff),
         "h_ls": complex_matrix_to_json(g.h_ls) if g.h_ls is not None else None,
@@ -432,11 +457,10 @@ def build_report(scenario: Scenario, scenario_name: str):
         "rate_tensors": {
             "K": k_json,
             "kappa": kappa_json,
-            "pauli_gain": (_real_matrix_to_json(res.pauli.gain)
+            "pauli_gain": (_json_reals(res.pauli.gain)
                            if res.pauli.gain is not None else None),
-            "coherence_decay": (
-                _real_matrix_to_json(res.pauli.coherence_decay)
-                if res.pauli.coherence_decay is not None else None),
+            "coherence_decay": (_json_reals(res.pauli.coherence_decay)
+                                if res.pauli.coherence_decay is not None else None),
         },
         "pauli_flags": list(res.pauli.flags),
         "timescale": timescale,

@@ -132,7 +132,7 @@ class Generator:
     """
 
     h_eff: np.ndarray
-    dissipator_terms: tuple[DissipatorTerm, ...]
+    dissipator_terms: Sequence[DissipatorTerm]
     h_ls: np.ndarray | None = None
     policy: SecularPolicy | None = None
     spectrum: Spectrum | None = field(default=None, compare=False, repr=False)
@@ -148,11 +148,17 @@ class Generator:
         """The (N, k, k) stack of C(W) over the terms and the (N, N) window
         F(W' - W), None for no window (see the module docstring)."""
         terms = self.dissipator_terms
+        derived = isinstance(terms, DerivedTerms)
         if self.policy is None:
-            return 0.5 * np.array([t.gamma for t in terms], dtype=complex), None
-        omegas = np.array([t.omega for t in terms])
-        return (np.array([t.w_matrix() for t in terms], dtype=complex),
-                coarse_graining_f(omegas[:, None] - omegas[None, :], self.policy.dt))
+            gammas = terms.gammas if derived else np.array([t.gamma for t in terms],
+                                                             dtype=complex)
+            return 0.5 * gammas, None
+        if derived:  # w_matrix of every term at once
+            omegas, rates = terms.omegas, 0.5 * terms.gammas + 1j * terms.deltas
+        else:
+            omegas = np.array([t.omega for t in terms])
+            rates = np.array([t.w_matrix() for t in terms], dtype=complex)
+        return rates, coarse_graining_f(omegas[:, None] - omegas[None, :], self.policy.dt)
 
     @cached_property
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,10 +212,9 @@ class Generator:
         terms = self.dissipator_terms
         if self.eigenops is None:
             return np.array([tuple(t.ops) for t in terms], dtype=complex)
-        term_labels = np.searchsorted(self.spectrum.bohr_set.values, [t.omega for t in terms])
         stack = np.zeros((len(terms), len(self.eigenops), self.dim, self.dim), dtype=complex)
         for c, eset in enumerate(self.eigenops):
-            rows = np.searchsorted(term_labels, eset.labels)
+            rows = np.searchsorted(terms.labels, eset.labels)
             for lo, (_, ops) in zip(range(0, rows.size, STACK_CHUNK), eset.chunks()):
                 stack[rows[lo:lo + STACK_CHUNK], c] = ops
         return stack
@@ -279,11 +284,41 @@ class _TermOps(Sequence):
         return np.zeros((eset.spectrum.dim,) * 2, dtype=complex)
 
 
-def _collect_terms(spectrum, eigenops, bath, gammas, deltas):
-    """Shared preamble of the two builders: one term per Bohr frequency
-    where some channel keeps a piece, its eigenoperators built on demand,
-    with Gamma and Delta read from the tables gammas and deltas (aligned
-    with bohr_frequencies(spectrum))."""
+class DerivedTerms(Sequence):
+    """The dissipator terms of a derived generator, one per Bohr frequency
+    where some channel keeps a piece, in ascending order, kept as stacks:
+    labels (indices into bohr_set.values), omegas, and gammas and deltas,
+    the (n, k, k) stacks of Gamma and Delta at them, all read-only. Each
+    DissipatorTerm is built when it is read and is not stored; len() and
+    the stacks build none."""
+
+    def __init__(self, eigenops, labels, omegas, gammas, deltas):
+        self._eigenops = eigenops
+        self.labels, self.omegas, self.gammas, self.deltas = labels, omegas, gammas, deltas
+        for stack in (labels, omegas, gammas, deltas):
+            stack.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        omega = float(self.omegas[i])
+        return DissipatorTerm(omega, self.gammas[i], _TermOps(self._eigenops, omega),
+                              self.deltas[i])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
+def _collect_terms(spectrum, eigenops, bath, gammas, deltas) -> DerivedTerms:
+    """Shared preamble of the two builders: the DerivedTerms of every Bohr
+    frequency where some channel keeps a piece, with Gamma and Delta taken
+    from the tables gammas and deltas (aligned with
+    bohr_frequencies(spectrum))."""
     if not eigenops:
         raise ValueError("need at least one coupling channel")
     require_channel_count(bath, len(eigenops))
@@ -298,9 +333,8 @@ def _collect_terms(spectrum, eigenops, bath, gammas, deltas):
             raise ValueError(f"channel {ch} eigenoperators belong to another spectrum")
 
     labels = np.unique(np.concatenate([eset.labels for eset in eigenops]))
-    omegas = bohr_frequencies(spectrum).values[labels].tolist()
-    return [DissipatorTerm(w, gammas[row], _TermOps(eigenops, w), deltas[row])
-            for w, row in zip(omegas, labels.tolist())]
+    return DerivedTerms(eigenops, labels, bohr_frequencies(spectrum).values[labels],
+                        gammas[labels], deltas[labels])
 
 
 def build_standard_form(spectrum, eigenops, bath, gammas, deltas,
@@ -322,7 +356,7 @@ def build_standard_form(spectrum, eigenops, bath, gammas, deltas,
     if not np.isfinite(h_eff).all():
         raise ValueError("Delta: the effective hamiltonian H_A + h_ls overflows")
 
-    return Generator(h_eff=h_eff, dissipator_terms=tuple(terms), h_ls=h_ls,
+    return Generator(h_eff=h_eff, dissipator_terms=terms, h_ls=h_ls,
                      spectrum=spectrum, rate_tensors=rate_tensors, eigenops=tuple(eigenops))
 
 
@@ -335,7 +369,7 @@ def build_presecular(spectrum, eigenops, bath, gammas, deltas,
     h_eff is the bare system hamiltonian. gammas, deltas as for build_standard_form.
     """
     terms = _collect_terms(spectrum, eigenops, bath, gammas, deltas)
-    return Generator(h_eff=spectrum.hamiltonian, dissipator_terms=tuple(terms),
+    return Generator(h_eff=spectrum.hamiltonian, dissipator_terms=terms,
                      policy=policy, spectrum=spectrum, eigenops=tuple(eigenops))
 
 
@@ -679,14 +713,10 @@ def _support_entries(spectrum: Spectrum, eigenops, terms):
     s, t = _secular_support(label)
     a, m = np.divmod(gaps[s], dim)
     b, n = np.divmod(gaps[t], dim)
-    # 2 C(w) = Gamma(w) and W(w) per Bohr label, zero where no term sits (a
-    # derived term carries its Delta)
+    # 2 C(w) = Gamma(w) and W(w) per Bohr label, zero where no term sits
     coef = np.zeros((values.size, 2, n_ch, n_ch), dtype=complex)
-    if terms:
-        at = np.searchsorted(values, [term.omega for term in terms])
-        gamma = np.array([term.gamma for term in terms])
-        coef[at, 0] = gamma
-        coef[at, 1] = 0.5 * gamma + 1j * np.array([term.delta for term in terms])
+    coef[terms.labels, 0] = terms.gammas
+    coef[terms.labels, 1] = 0.5 * terms.gammas + 1j * terms.deltas
     esc = a == b
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.einsum("cp,pyxc->pyx", e, coef[label])  # sum_c 2 C_xc A'_c, sum_c W_xc A'_c

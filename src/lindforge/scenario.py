@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -139,7 +140,42 @@ def _complex_entry(cell, path) -> complex:
     return val
 
 
+def _complex_stack(nodes) -> np.ndarray | None:
+    """The (n, d, d) complex stack of n JSON matrices of one size d, each a
+    list of rows of [re, im] number pairs, from one np.fromiter call over
+    their parts; None when some node is anything else (not a list of
+    lists, a row of another length, a cell that is not a pair of numbers, a
+    non-finite entry), for complex_matrix_from_json's walk to name."""
+    if set(map(type, nodes)) != {list}:
+        return None
+    dim = len(nodes[0])
+    if set(map(len, nodes)) != {dim}:
+        return None
+    rows = list(chain.from_iterable(nodes))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    parts = list(chain.from_iterable(cells))
+    if not set(map(type, parts)) <= {int, float}:  # no bool
+        return None
+    try:
+        parts = np.fromiter(parts, float, len(parts))
+    except OverflowError:  # an integer past the float range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    return parts.view(complex).reshape(len(nodes), dim, dim)
+
+
 def complex_matrix_from_json(node, path) -> np.ndarray:
+    """A square JSON matrix of [re, im] pairs as a complex array, read in
+    one stacked parse; a refused node is walked cell by cell to name the
+    first fault."""
+    stack = _complex_stack([node])
+    if stack is not None:
+        return stack[0]
     if not isinstance(node, list) or not node:
         _fail(path, "expected a non-empty list of rows")
     n = len(node)
@@ -153,8 +189,10 @@ def complex_matrix_from_json(node, path) -> np.ndarray:
 
 
 def complex_matrix_to_json(m) -> list:
+    """Nested lists of [re, im] pairs; a stack of matrices gives one list
+    per matrix."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(c.real), float(c.imag)] for c in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def real_vector_from_json(node, path) -> np.ndarray:
@@ -298,16 +336,10 @@ def _build_bath_and_couplings(bath_node, coupling_entries):
         entries_node = bath_node["entries"]
         if not isinstance(entries_node, list) or not entries_node:
             _fail("bath.entries", "expected a non-empty list")
-        entries = []
-        for i, ent in enumerate(entries_node):
-            path = f"bath.entries[{i}]"
-            _expect_dict(ent, path, required=("omega", "gamma"), optional=("delta",))
-            omega = _expect_number(ent["omega"], f"{path}.omega")
-            gamma = complex_matrix_from_json(ent["gamma"], f"{path}.gamma")
-            delta = None
-            if "delta" in ent:
-                delta = complex_matrix_from_json(ent["delta"], f"{path}.delta")
-            entries.append((omega, gamma, delta))
+        entries = _stacked_entries(entries_node)
+        if entries is None:  # some entry is refused: walk them in order to name it
+            entries = [_table_entry(ent, f"bath.entries[{i}]")
+                       for i, ent in enumerate(entries_node)]
         try:
             bath = table_bath(entries, channel_count=len(coupling_entries))
         except ValueError as exc:
@@ -317,6 +349,37 @@ def _build_bath_and_couplings(bath_node, coupling_entries):
         _fail("bath.kind", f"unknown bath kind {kind!r}; expected 'finite', "
                            "'flat-thermal' or 'table'")
     return bath, _channel_ops(coupling_entries, bath.channel_count)
+
+
+def _table_entry(ent, path):
+    """One table entry as (omega, gamma, delta), delta None when not given."""
+    _expect_dict(ent, path, required=("omega", "gamma"), optional=("delta",))
+    omega = _expect_number(ent["omega"], f"{path}.omega")
+    gamma = complex_matrix_from_json(ent["gamma"], f"{path}.gamma")
+    delta = None
+    if "delta" in ent:
+        delta = complex_matrix_from_json(ent["delta"], f"{path}.delta")
+    return omega, gamma, delta
+
+
+def _stacked_entries(entries_node):
+    """The table entries as _table_entry reads them, their gammas and their
+    deltas each parsed by one _complex_stack call; None when some entry
+    would be refused."""
+    try:
+        omegas = [_expect_number(_expect_dict(ent, "bath.entries", required=("omega", "gamma"),
+                                              optional=("delta",))["omega"], "bath.entries")
+                  for ent in entries_node]
+    except ScenarioError:
+        return None
+    gammas = _complex_stack([ent["gamma"] for ent in entries_node])
+    given = [i for i, ent in enumerate(entries_node) if "delta" in ent]
+    deltas = _complex_stack([entries_node[i]["delta"] for i in given]) if given else ()
+    if gammas is None or deltas is None:
+        return None
+    delta_at = dict(zip(given, deltas))
+    return [(omega, gamma, delta_at.get(i))
+            for i, (omega, gamma) in enumerate(zip(omegas, gammas))]
 
 
 def _explicit_bath(h_node, coupling_entries, temperature, broadening):

@@ -387,6 +387,19 @@ def test_flat_thermal_bath_rates_and_detailed_balance():
     assert gamma_matrix(cold, 0.71)[0, 0] == gamma
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_flat_thermal_stack_has_the_bits_of_each_omega(channels):
+    # one call on an array of omegas gives, byte for byte, the matrices of
+    # one call per omega (math.expm1 each), the overflowing rates included
+    omegas = np.concatenate((np.random.default_rng(4).standard_normal(200) * 5,
+                             [0.0, -0.0, 1e-13, -1e-12, 0.71, -0.71, 1e300, -1e300]))
+    for gamma, temp in ((0.2, 1.0), (0.2, 1e-3), (1.7e308, 0.5)):
+        bath = flat_thermal_bath(gamma, temp, gamma_dephasing=0.05, channel_count=channels)
+        with np.errstate(invalid="ignore"):  # inf times the zeros of the identity
+            each = np.array([bath.gamma_fn(w) for w in omegas.tolist()])
+            assert bath.gamma_fn(omegas).tobytes() == each.tobytes()
+
+
 def test_table_bath_lookup_and_rejections():
     gamma0 = np.array([[0.3, 0.1], [0.1, 0.2]], dtype=complex)
     bath = table_bath([(0.7, gamma0, None), (-0.7, 0.5 * gamma0, None)])
@@ -577,6 +590,22 @@ def test_transition_table_matches_the_loop_reference(kind):
     assert np.array_equal(z, want_z) and np.array_equal(xi, want_xi)
     for got, want in ((amps, want_amps), (pop, want_pop), (nu, want_nu)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_dense_bath_keeps_one_read_only_pattern():
+    # read off X in the eigenbasis once per bath, and again for a shifted copy
+    rng = np.random.default_rng(71)
+    bath = FiniteBath(random_hermitian(rng, 9), 1.1,
+                      [random_hermitian(rng, 9), random_hermitian(rng, 9)])
+    pattern = bath._pattern()
+    assert bath._pattern() is pattern
+    assert not any(array.flags.writeable for array in pattern)
+    v = bath._basis
+    for b in (bath, bath._shifted([0.3, -0.2j])):
+        x_eig = [v.conj().T @ x @ v for x in b.coupling_ops]
+        want = _coupling_pattern(b._x_eig, 9)
+        assert all(np.array_equal(got, w) for got, w in zip(b._pattern(), want))
+        assert np.abs(_coupling_pattern(x_eig, 9)[2] - b._pattern()[2]).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind, d", [("comb", 4), ("comb", 256), ("levels", 24)])

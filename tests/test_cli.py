@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -34,6 +35,7 @@ from lindforge.dynamics import Trajectory
 from lindforge.generator import BohrBlocks, SecularPolicy
 from lindforge.linalg import MAX_TENSOR_DIM
 from lindforge.scenario import MAX_TIME_SAMPLES, load_scenario, loads_scenario
+from lindforge.spectral import EigenOperatorSet
 
 from _support import (
     crandn,
@@ -1395,3 +1397,111 @@ def test_overflowing_gamma_is_an_input_error(tmp_path, capsys, mode, command):
     assert len(lines) == 1, lines
     error = json.loads(lines[0])["error"]
     assert error["type"] == "input" and error["message"].startswith("Gamma:")
+
+
+# ---------------------------------------------------------------------------
+# the eigenoperator checks on their random-phase sketches
+
+EIGENOPERATOR_CHECKS = ("eigenoperator-completeness", "eigenoperator-commutator",
+                        "eigenoperator-adjoint-commutator",
+                        "eigenoperator-invariant-commutator")
+
+
+def _doublet_scenario():
+    """Five doublets (seed 3) under two random couplings and a flat-thermal
+    bath: rows of A' hold two entries per label."""
+    data = generic_scenario_data(10, multiplet=2)
+    rng = np.random.default_rng(33)
+    data["couplings"] = [{"A": cm(random_hermitian(rng, 10)), "channel": c} for c in range(2)]
+    sc = loads_scenario(json.dumps(data))
+    return sc, derive_generator(sc.h_a, sc.bath, sc.couplings)
+
+
+def _with_fault(res, basis=None, index=None, rotated=None):
+    """res with its spectrum's eigenvectors, Bohr labels or rotated
+    couplings replaced; H_A stays the true one."""
+    spectrum = dataclasses.replace(
+        res.spectrum, basis=res.spectrum.basis if basis is None else basis)
+    spectrum.__dict__["hamiltonian"] = res.spectrum.hamiltonian
+    spectrum.__dict__["bohr_index"] = res.spectrum.bohr_index if index is None else index
+    eigenops = tuple(
+        EigenOperatorSet(eset.rotated if rotated is None else rotated[c], spectrum,
+                         eset.labels)
+        for c, eset in enumerate(res.eigenops))
+    return dataclasses.replace(res, spectrum=spectrum, eigenops=eigenops)
+
+
+def _per_piece_failures(sc, res, tolerances) -> set:
+    """The eigenoperator checks that fail piece by piece, with test_c01's
+    and test_c02's identities, against the battery's tolerances."""
+    h = res.spectrum.hamiltonian
+    worst = dict.fromkeys(EIGENOPERATOR_CHECKS, 0.0)
+    for a, eset in zip(sc.couplings, res.eigenops):
+        pieces = eset.terms
+        total = sum(pieces.values(), np.zeros_like(a))
+        worst["eigenoperator-completeness"] = max(worst["eigenoperator-completeness"],
+                                                  float(np.abs(total - a).max()))
+        for omega, a_om in pieces.items():
+            adj = a_om.conj().T
+            prod = adj @ a_om
+            for name, defect in (
+                    ("eigenoperator-commutator", h @ a_om - a_om @ h + omega * a_om),
+                    ("eigenoperator-adjoint-commutator", h @ adj - adj @ h - omega * adj),
+                    ("eigenoperator-invariant-commutator", h @ prod - prod @ h)):
+                worst[name] = max(worst[name], float(np.abs(defect).max()))
+    return {name for name in EIGENOPERATOR_CHECKS if worst[name] > tolerances[name]}
+
+
+def _battery_failures(sc, res) -> tuple[set, dict]:
+    checks = {c["name"]: c for c in run_checks(sc, res)}
+    failed = {name for name in EIGENOPERATOR_CHECKS if checks[name]["status"] == "fail"}
+    return failed, {name: checks[name]["tolerance"] for name in EIGENOPERATOR_CHECKS}
+
+
+def _rotated_basis(res):
+    # V turned by the small unitary e^{i 1e-6 K}, K random hermitian
+    w, u = np.linalg.eigh(random_hermitian(np.random.default_rng(5), res.spectrum.dim))
+    return res.spectrum.basis @ ((u * np.exp(1e-6j * w)) @ u.conj().T)
+
+
+def _moved_label(res):
+    # the gap (0, 2) takes the label of (0, 4), whose level 4 opens the next
+    # doublet up
+    index = res.spectrum.bohr_index.copy()
+    assert index[0, 2] == index[0, 3] != index[0, 4]
+    index[0, 2] = index[0, 4]
+    return index
+
+
+def _zeroed_entry(res):
+    # the largest entry of channel 1's A' is zeroed
+    rotated = [eset.rotated.copy() for eset in res.eigenops]
+    rotated[1].flat[np.argmax(np.abs(rotated[1]))] = 0.0
+    return rotated
+
+
+@pytest.mark.parametrize("fault, expected", [
+    ("basis", set(EIGENOPERATOR_CHECKS)),
+    ("index", set(EIGENOPERATOR_CHECKS[1:])),
+    ("rotated", {"eigenoperator-completeness"}),
+], ids=["rotated-basis", "moved-label", "zeroed-entry"])
+def test_sketched_checks_fail_exactly_where_the_pieces_do(fault, expected):
+    sc, res = _doublet_scenario()
+    failed, tolerances = _battery_failures(sc, res)
+    assert failed == set() == _per_piece_failures(sc, res, tolerances)
+    make = {"basis": _rotated_basis, "index": _moved_label, "rotated": _zeroed_entry}[fault]
+    faulty = _with_fault(res, **{fault: make(res)})
+    failed, tolerances = _battery_failures(sc, faulty)
+    assert failed == _per_piece_failures(sc, faulty, tolerances) == expected
+
+
+def test_battery_builds_no_user_basis_piece(monkeypatch):
+    sc, res = _doublet_scenario()
+
+    def no_pieces(self, labels):
+        raise AssertionError("a user-basis piece was built")
+
+    monkeypatch.setattr(EigenOperatorSet, "pieces", no_pieces)
+    checks = run_checks(sc, res)
+    assert all(c["status"] == "pass" for c in checks), checks
+    assert [c["name"] for c in checks[:4]] == list(EIGENOPERATOR_CHECKS)

@@ -24,6 +24,7 @@ from lindforge import (
     kernel_superoperator_matrix,
     table_bath,
 )
+from lindforge.cli import build_report
 from lindforge.dynamics import propagate
 from lindforge.generator import _support_rhs, build_bohr_blocks, rhs_function
 from lindforge.scenario import loads_scenario
@@ -765,3 +766,29 @@ def test_all_gaps_distinct_matches_the_pairwise_rule():
         assert ("shared-transition-frequency" in res.pauli.flags) is not want
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_derived_terms_are_built_only_when_read(monkeypatch):
+    sc = loads_scenario(json.dumps(generic_scenario_data(6)))
+    built = []
+    term = lindforge.generator.DissipatorTerm
+    monkeypatch.setattr(lindforge.generator, "DissipatorTerm",
+                        lambda *args: built.append(args) or term(*args))
+    res = derive_generator(sc.h_a, sc.bath, sc.couplings)
+    terms = res.generator.dissipator_terms
+    assert len(terms) == 6 * 5 + 1 and terms
+    # the report, the battery and both propagation methods read the stacks
+    build_report(sc, "generic-6")
+    for method in ("expm", "rk4"):
+        propagate(sc.rho0, res.generator, sc.times, method=method)
+    assert built == []
+    values = res.spectrum.bohr_set.values
+    assert np.array_equal(terms.omegas, values[terms.labels])
+    third = terms[3]
+    assert len(built) == 1
+    assert third.omega == terms.omegas[3] and type(third.omega) is float
+    assert np.array_equal(third.gamma, terms.gammas[3])
+    assert np.array_equal(third.delta, terms.deltas[3])
+    assert np.array_equal(third.ops[0], res.eigenops[0].terms[third.omega])
+    assert [t.omega for t in terms[-2:]] == terms.omegas[-2:].tolist()
+    assert not terms.gammas.flags.writeable and not terms.deltas.flags.writeable

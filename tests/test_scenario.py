@@ -18,7 +18,7 @@ from lindforge import (
     serialize_scenario,
 )
 from lindforge.cli import main
-from lindforge.scenario import MAX_TIME_SAMPLES
+from lindforge.scenario import MAX_TIME_SAMPLES, complex_matrix_from_json
 
 from _support import sigma_ops
 
@@ -390,3 +390,46 @@ def test_integer_literal_past_the_float_range_is_not_finite(tmp_path, capsys, fi
     assert len(lines) == 1, lines
     error = json.loads(lines[0])["error"]
     assert (error["type"], error["message"]) == ("scenario", field)
+
+
+@pytest.mark.parametrize("message, edits", [
+    ("bath.entries[1].gamma[0]: expected a row of length 1 (square matrix)",
+     {"bath.entries[1].gamma": [[[0.1, 0.0], [0.0, 0.0]]]}),
+    ("bath.entries[2].delta[0][0]: re part is not a number: '0.1'",
+     {"bath.entries[2].delta": [[["0.1", 0.0]]]}),
+    # the first fault in entry order is named, whatever follows it
+    ("bath.entries[0].gamma[0][0]: im part is not a number: True",
+     {"bath.entries[0].gamma": [[[0.1, True]]], "bath.entries[1].omega": DELETE}),
+    ("bath.entries[1]: missing required field 'omega'",
+     {"bath.entries[1].omega": DELETE, "bath.entries[2].gamma": [[[0.1, 0.0]], [[0.1, 0.0]]]}),
+], ids=["ragged-row", "string-cell", "cell-before-field", "field-before-cell"])
+def test_table_entries_refused_as_walked(tmp_path, capsys, message, edits):
+    # the entries are parsed as stacks; a refused one is named by the walk,
+    # entry by entry and cell by cell
+    path = tmp_path / "scenario.json"
+    path.write_text(edited_text("table", edits), encoding="utf-8")
+    code = main(["derive", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["message"]) == ("scenario", message)
+
+
+def test_stacked_matrices_keep_the_values_of_the_walk():
+    # integers (one past 2^63), signed zeros and subnormals, in a matrix and
+    # in table entries with and without a delta
+    cells = [[[2 ** 63 + 1, -0.0], [5e-324, -3]], [[0.5, 1e308], [-7, 0.0]]]
+    want = np.array([[complex(float(2 ** 63 + 1), -0.0), complex(5e-324, -3.0)],
+                     [complex(0.5, 1e308), complex(-7.0, 0.0)]])
+    m = complex_matrix_from_json(json.loads(json.dumps(cells)), "m")
+    assert m.dtype == complex and m.tobytes() == want.tobytes()
+    entries = [{"omega": -1.0, "gamma": [[[0.1, 0.0]]]},
+               {"omega": 0.0, "gamma": [[[2, 0]]], "delta": [[[-0.0, 0.0]]]},
+               {"omega": 1.0, "gamma": [[[0.3, 0.0]]], "delta": [[[0.25, 0.0]]]}]
+    bath = scenario_from_data(flat_thermal_data(
+        bath={"kind": "table", "entries": entries})).bath
+    omegas = np.array([-1.0, 0.0, 1.0])
+    assert bath.gamma_fn(omegas).tobytes() == np.array([[[0.1]], [[2.0]], [[0.3]]],
+                                                        dtype=complex).tobytes()
+    assert bath.delta_fn(omegas).tobytes() == np.array([[[0.0]], [[-0.0]], [[0.25]]],
+                                                        dtype=complex).tobytes()
